@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._backend import BACKEND_NAME
 from .core import KernelConfig, make_rotated_point, unit_ball_volume
 from .errors import KernelDomainError
 from .kernels import (
@@ -28,7 +27,7 @@ from .kernels import (
     weighted_bergman_series,
 )
 from .verify import SUITES, run_suite
-from .zonal import zonal_polyharmonic
+from .zonal import BACKEND_NAME, zonal_polyharmonic
 
 DEFAULTS = {
     "n": 3,

@@ -124,15 +124,30 @@ def int_pow(z: complex, k: int) -> complex:
     return out
 
 
-def principal_pow(w: complex, e: float, eps_branch: float = 1e-12) -> complex:
+def principal_pow(w, e: float, eps_branch: float = 1e-12):
     """w**e with the principal logarithm (cut along the non-positive reals).
 
-    Integer exponents are computed by repeated multiplication and never hit
-    the cut.  For non-integer e, values with Re(w) <= 0 and
-    |Im(w)| < eps_branch * |w| are rejected.
+    w is a complex scalar or a numpy array of them.  Integer exponents are
+    computed by repeated multiplication and never hit the cut.  For
+    non-integer e, w = 0 and values with Re(w) <= 0 and
+    |Im(w)| < eps_branch * |w| raise BranchCutProximity (for an array, if
+    any element does).
     """
-    w = complex(w)
     er = round(e)
+    if isinstance(w, np.ndarray):
+        w = w.astype(complex)
+        if e == er:
+            if er < 0 and np.any(w == 0):
+                raise ZeroDivisionError("principal_pow of 0 to a negative power")
+            return w ** int(er)
+        near = (w == 0) | ((w.real <= 0) & (np.abs(w.imag) < eps_branch * np.abs(w)))
+        if np.any(near):
+            raise BranchCutProximity(
+                f"{np.count_nonzero(near)} of {w.size} values within "
+                f"eps_branch={eps_branch:g} of the branch cut"
+            )
+        return np.exp(e * np.log(w))
+    w = complex(w)
     if e == er:
         k = int(er)
         if k >= 0:

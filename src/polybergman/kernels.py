@@ -31,7 +31,7 @@ from .core import (
     unit_ball_volume,
 )
 from .errors import ConvergenceDomain, NearSingular, StencilOutOfDomain
-from .zonal import zonal_growth_ratio, zonal_values
+from .zonal import series_coefficients, zonal_growth_ratio, zonal_pair_args, zonal_poly_sum
 
 _CAL_DEGREES = 40
 _CAL_SAMPLES = 65
@@ -190,19 +190,6 @@ def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> c
     )
 
 
-def _harmonic_zonal_array(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, m_max: int):
-    """Complex extended zonal harmonics Z_l(x, y) for l = 0..m_max."""
-    rx, ry = x.radius, y.radius
-    if rx == 0.0 or ry == 0.0:
-        out = np.zeros(m_max + 1, dtype=complex)
-        out[0] = 1.0
-        return out
-    t = float(np.clip(float(x.coords @ y.coords) / (rx * ry), -1.0, 1.0))
-    zv = zonal_values(t, m_max, cfg.n)[:, 0]
-    zeta = rx * ry * np.exp(1j * (x.phase - y.phase))
-    return zv * zeta ** np.arange(m_max + 1)
-
-
 def _series_domain_guard(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint):
     _check_pair(cfg, x, y)
     if x.radius * y.radius > cfg.r_max:
@@ -211,44 +198,29 @@ def _series_domain_guard(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint):
         )
 
 
-def _zonal_series_sum(cfg, x, y, m_max: int, coefficients) -> complex:
-    """sum_{m<=m_max} coefficients(m) Z^p_m(x, y), via the harmonic rearrangement
-
-    sum_{k<p} q^k sum_{l<=m_max-2k} coefficients(l+2k) Z_l(x, y).
-    """
-    inv = pair_invariants(x, y)
-    zl = _harmonic_zonal_array(cfg, x, y, m_max)
-    total = 0.0 + 0.0j
-    for k in range(cfg.p):
-        top = m_max - 2 * k
-        if top < 0:
-            break
-        coef = np.array([coefficients(l + 2 * k) for l in range(top + 1)])
-        total += int_pow(inv.q, k) * complex(np.sum(coef * zl[: top + 1]))
-    return total
+def _zonal_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation, kind: str) -> complex:
+    """sum_{m<=max_degree} g(m) Z^p_m(x, y) with the series weight of kind,
+    normalized by n Vol_n for the Bergman kinds."""
+    _series_domain_guard(cfg, x, y)
+    g = np.array([_series_weight(cfg, kind, m) for m in range(trunc.max_degree + 1)])
+    if kind != "poisson":
+        g /= cfg.n * unit_ball_volume(cfg.n)
+    return complex(zonal_poly_sum(series_coefficients(cfg.p, g), *zonal_pair_args(x, y), cfg.n))
 
 
 def poisson_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation) -> complex:
     """Partial zonal sum of the Poisson kernel up to trunc.max_degree."""
-    _series_domain_guard(cfg, x, y)
-    return _zonal_series_sum(cfg, x, y, trunc.max_degree, lambda m: 1.0)
+    return _zonal_series(cfg, x, y, trunc, "poisson")
 
 
 def bergman_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation) -> complex:
     """Partial sum (1/(n Vol_n)) sum_m (n+2m) Z^p_m(x, y)."""
-    _series_domain_guard(cfg, x, y)
-    norm = cfg.n * unit_ball_volume(cfg.n)
-    return _zonal_series_sum(cfg, x, y, trunc.max_degree, lambda m: (cfg.n + 2.0 * m) / norm)
+    return _zonal_series(cfg, x, y, trunc, "bergman")
 
 
 def weighted_bergman_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation) -> complex:
     """Partial sum of the weighted kernel with Gamma-ratio coefficients."""
-    _series_domain_guard(cfg, x, y)
-    norm = cfg.n * unit_ball_volume(cfg.n)
-    return _zonal_series_sum(
-        cfg, x, y, trunc.max_degree,
-        lambda m: weighted_coefficient(cfg.n, cfg.alpha, cfg.beta, m) / norm,
-    )
+    return _zonal_series(cfg, x, y, trunc, "weighted")
 
 
 def weighted_bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation) -> complex:
@@ -259,22 +231,14 @@ def weighted_bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPo
     double sum an exact rearrangement of the direct series.
     """
     _series_domain_guard(cfg, x, y)
-    inv = pair_invariants(x, y)
-    norm = cfg.n * unit_ball_volume(cfg.n)
-    zl = _harmonic_zonal_array(cfg, x, y, trunc.max_degree)
-    total = 0.0 + 0.0j
-    for k in range(cfg.p):
-        top = trunc.max_degree - 2 * k
-        if top < 0:
-            break
-        coef = np.array(
-            [
-                weighted_coefficient(cfg.n, cfg.alpha + 4.0 * k, cfg.beta, l) / norm
-                for l in range(top + 1)
-            ]
-        )
-        total += int_pow(inv.q, k) * complex(np.sum(coef * zl[: top + 1]))
-    return total
+    top = trunc.max_degree
+    coef = np.zeros((min(cfg.p, top // 2 + 1), top + 1))
+    for k in range(coef.shape[0]):
+        coef[k, : top + 1 - 2 * k] = [
+            weighted_coefficient(cfg.n, cfg.alpha + 4.0 * k, cfg.beta, l) for l in range(top + 1 - 2 * k)
+        ]
+    coef /= cfg.n * unit_ball_volume(cfg.n)
+    return complex(zonal_poly_sum(coef, *zonal_pair_args(x, y), cfg.n))
 
 
 # Central stencils for the t-derivative of order beta+1; offsets in units of h.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KernelConfig, RotatedPoint, int_pow
+from .core import KernelConfig, RotatedPoint, principal_pow
 from .errors import NearSingular, StencilOutOfDomain
 from .zonal import zonal_harmonic_complex, zonal_values
 
@@ -234,16 +234,6 @@ def laplacian_power_residual(
     return float(abs(np.sum(weights * vals)) / h ** (2 * p))
 
 
-def _principal_pow_array(w: np.ndarray, e: float, eps_branch: float):
-    w = np.asarray(w, dtype=complex)
-    if e == round(e):
-        return w ** int(round(e))
-    bad = (w.real <= 0) & (np.abs(w.imag) < eps_branch * np.abs(w))
-    if np.any(bad) or np.any(w == 0):
-        raise NearSingular("mean-value distance factor reached the branch cut")
-    return np.exp(e * np.log(w))
-
-
 def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
     """Sector-averaged mean-value integral recovering u(x).
 
@@ -279,7 +269,7 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
         bsq = back * back * d2 - 2.0 * r * back * (nodes @ d) + r * r
         if np.any(np.abs(bsq) <= cfg.eps_sing * r * r):
             raise NearSingular("mean-value kernel denominator vanished")
-        den = _principal_pow_array(bsq, 0.5 * cfg.n, cfg.eps_branch)
+        den = principal_pow(bsq, 0.5 * cfg.n, cfg.eps_branch)
         pts = a[None, :] + r * rot * nodes
         uv = ufun(pts)
         total += complex(np.sum(weights * (num * pref / den) * uv))

@@ -13,16 +13,17 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+import tempfile
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .core import KernelConfig, RotatedPoint, int_pow, unit_ball_volume
+from .core import KernelConfig, RotatedPoint, unit_ball_volume
 from .kernels import weighted_coefficient
 from .polyspace import PolyharmonicPolynomial, eval_at_phase
-from .zonal import zonal_values
+from .zonal import series_coefficients, zonal_poly_sum
 
 NODE_CAP = 10**7
 
@@ -36,6 +37,8 @@ class SphereRule:
     exact_degree: int
 
     def __post_init__(self):
+        if self.nodes.ndim != 2 or self.weights.shape != self.nodes.shape[:1]:
+            raise ValueError("sphere rule needs one weight per node")
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-13:
             raise ValueError("sphere rule weights must sum to 1")
 
@@ -49,6 +52,13 @@ class RadialRule:
     n: int
     alpha: float
     beta: float
+
+    def __post_init__(self):
+        if self.nodes.ndim != 1 or self.weights.shape != self.nodes.shape:
+            raise ValueError("radial rule needs one weight per node")
+        total = float(np.sum(self.weights))
+        if abs(total - radial_moment(self.n, 0, self.alpha, self.beta)) > 1e-13 * max(1.0, total):
+            raise ValueError("radial rule mass disagrees with the Gamma moment")
 
 
 @dataclass(frozen=True)
@@ -70,36 +80,67 @@ def _cache_path(name: str):
     return path / name
 
 
-def sphere_rule_to_json(rule: SphereRule) -> str:
+def rule_to_json(rule) -> str:
+    """JSON text of a SphereRule or RadialRule: its fields by name, arrays as
+    nested lists (float repr round-trips exactly)."""
     return json.dumps(
         {
-            "nodes": [[repr(float(c)) for c in row] for row in rule.nodes],
-            "weights": [repr(float(w)) for w in rule.weights],
-            "exact_degree": rule.exact_degree,
+            f.name: v.tolist() if isinstance(v := getattr(rule, f.name), np.ndarray) else v
+            for f in fields(rule)
         }
     )
 
 
-def sphere_rule_from_json(text: str) -> SphereRule:
+def rule_from_json(cls, text: str):
+    """Inverse of rule_to_json; the rule's own validation runs on the result."""
     data = json.loads(text)
-    nodes = np.array([[float(c) for c in row] for row in data["nodes"]])
-    weights = np.array([float(w) for w in data["weights"]])
-    return SphereRule(nodes=nodes, weights=weights, exact_degree=int(data["exact_degree"]))
+    return cls(
+        **{
+            f.name: np.array(v, dtype=float) if isinstance(v := data[f.name], list) else v
+            for f in fields(cls)
+        }
+    )
+
+
+def _read_cache(path, cls):
+    """The rule stored at path, or None when it is missing, unreadable or
+    fails validation; the caller then rebuilds and overwrites it."""
+    if path is None:
+        return None
+    try:
+        return rule_from_json(cls, path.read_text())
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
+def _write_cache(path, rule):
+    """Write through a temporary file in the same directory, so readers only
+    ever see a complete file."""
+    if path is None:
+        return
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(rule_to_json(rule))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def build_sphere_rule(n: int, exact_degree: int) -> SphereRule:
     """Product cubature exact for all polynomials of degree <= exact_degree."""
     if n < 2 or exact_degree < 0:
         raise ValueError(f"invalid sphere rule request n={n}, degree={exact_degree}")
-    cache = _cache_path(f"sphere_n{n}_d{exact_degree}.json")
-    if cache is not None and cache.exists():
-        return sphere_rule_from_json(cache.read_text())
-
     n_azim = max(2, 2 * (exact_degree // 2) + 2)
     n_polar = exact_degree // 2 + 1
     count = n_azim * n_polar ** (n - 2)
     if count > NODE_CAP:
         raise ValueError(f"sphere rule would need {count} nodes (cap {NODE_CAP})")
+    cache = _cache_path(f"sphere_n{n}_d{exact_degree}.json")
+    rule = _read_cache(cache, SphereRule)
+    if rule is not None and rule.exact_degree == exact_degree and rule.nodes.shape == (count, n):
+        return rule
 
     phis = 2.0 * math.pi * np.arange(n_azim) / n_azim
     circle = np.stack([np.cos(phis), np.sin(phis)], axis=1)
@@ -125,8 +166,7 @@ def build_sphere_rule(n: int, exact_degree: int) -> SphereRule:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     rule = SphereRule(nodes=nodes, weights=weights, exact_degree=exact_degree)
-    if cache is not None:
-        cache.write_text(sphere_rule_to_json(rule))
+    _write_cache(cache, rule)
     return rule
 
 
@@ -138,29 +178,6 @@ def radial_moment(n: int, m: int, alpha: float, beta: float) -> float:
     return 0.5 * math.exp(math.lgamma(beta + 1.0) + math.lgamma(z) - math.lgamma(z + beta + 1.0))
 
 
-def radial_rule_to_json(rule: RadialRule) -> str:
-    return json.dumps(
-        {
-            "nodes": [repr(float(r)) for r in rule.nodes],
-            "weights": [repr(float(w)) for w in rule.weights],
-            "n": rule.n,
-            "alpha": rule.alpha,
-            "beta": rule.beta,
-        }
-    )
-
-
-def radial_rule_from_json(text: str) -> RadialRule:
-    data = json.loads(text)
-    return RadialRule(
-        nodes=np.array([float(r) for r in data["nodes"]]),
-        weights=np.array([float(w) for w in data["weights"]]),
-        n=int(data["n"]),
-        alpha=float(data["alpha"]),
-        beta=float(data["beta"]),
-    )
-
-
 def build_radial_rule(n: int, alpha: float, beta: float, node_count: int) -> RadialRule:
     """Gauss-Jacobi rule in t = r^2; exact for polynomials in r^2 of degree
     <= node_count - 1 (in fact up to 2*node_count - 1)."""
@@ -169,8 +186,9 @@ def build_radial_rule(n: int, alpha: float, beta: float, node_count: int) -> Rad
             f"invalid radial rule parameters n={n}, alpha={alpha}, beta={beta}, nodes={node_count}"
         )
     cache = _cache_path(f"radial_n{n}_a{alpha!r}_b{beta!r}_k{node_count}.json")
-    if cache is not None and cache.exists():
-        return radial_rule_from_json(cache.read_text())
+    rule = _read_cache(cache, RadialRule)
+    if rule is not None and (rule.n, rule.alpha, rule.beta, rule.nodes.size) == (n, alpha, beta, node_count):
+        return rule
     a = beta
     b = 0.5 * (n + alpha) - 1.0
     t, w = roots_jacobi(node_count, a, b)
@@ -178,11 +196,7 @@ def build_radial_rule(n: int, alpha: float, beta: float, node_count: int) -> Rad
     weights = w / 2.0 ** (a + b + 2.0)
     order = np.argsort(r)
     rule = RadialRule(nodes=r[order], weights=weights[order], n=n, alpha=alpha, beta=beta)
-    total = float(np.sum(rule.weights))
-    if abs(total - radial_moment(n, 0, alpha, beta)) > 1e-13 * max(1.0, total):
-        raise AssertionError("radial rule mass disagrees with the Gamma moment")
-    if cache is not None:
-        cache.write_text(radial_rule_to_json(rule))
+    _write_cache(cache, rule)
     return rule
 
 
@@ -260,42 +274,25 @@ def inner_product_ball(cfg: KernelConfig, alpha: float, beta: float, f, g, rule:
     return rule.normalization * total / cfg.p
 
 
-def _kernel_section_values(cfg, alpha, beta, x, m_top, phase, radial_nodes, sphere_nodes):
+def _kernel_section_values(cfg, alpha, beta, x, m_top, radial_nodes, sphere_nodes):
     """Truncated weighted kernel sum_{m<=M} c_m Z^p_m(x, .) / (n Vol_n) at the
-    sector-phase ball nodes; shape (n_radial, n_sphere).
+    ball nodes of every sector; shape (p, n_radial, n_sphere).
 
     The kernel's second-slot dependence is already conjugate-symmetric (its
     zonal expansion carries reversed phase factors), so reproducing integrals
-    consume these values directly without further conjugation.
+    consume these values directly without further conjugation.  The cosines
+    against x depend on the sphere node only, so one recurrence serves all
+    sectors and radii.
     """
     norm = cfg.n * unit_ball_volume(cfg.n)
-    coeffs = np.array(
-        [weighted_coefficient(cfg.n, alpha, beta, m) / norm for m in range(m_top + 1)]
-    )
+    g = np.array([weighted_coefficient(cfg.n, alpha, beta, m) / norm for m in range(m_top + 1)])
     rx = x.radius
-    out = np.zeros((radial_nodes.size, sphere_nodes.shape[0]), dtype=complex)
-    if rx == 0.0:
-        base = np.zeros(m_top + 1)
-        base[0] = 1.0
-        zmat = np.broadcast_to(base[:, None], (m_top + 1, sphere_nodes.shape[0]))
-        tvals = None
-    else:
-        tvals = np.clip(sphere_nodes @ (x.coords / rx), -1.0, 1.0)
-        zmat = zonal_values(tvals, m_top, cfg.n)
-    u_x = np.exp(2j * x.phase) * rx * rx
-    for i, r in enumerate(radial_nodes):
-        zeta = rx * r * np.exp(1j * (x.phase - phase))
-        scale_l = zeta ** np.arange(m_top + 1)
-        q_xy = u_x * (np.exp(-2j * phase) * r * r)
-        acc = np.zeros(sphere_nodes.shape[0], dtype=complex)
-        for k in range(cfg.p):
-            top = m_top - 2 * k
-            if top < 0:
-                break
-            vec = coeffs[2 * k : m_top + 1] * scale_l[: top + 1]
-            acc += int_pow(q_xy, k) * (vec @ zmat[: top + 1])
-        out[i] = acc
-    return out
+    t = sphere_nodes @ (x.coords / rx) if rx else np.zeros(sphere_nodes.shape[0])
+    phases = np.array([cfg.sector_phase(k) for k in range(cfg.p)])[:, None, None]
+    r = radial_nodes[:, None]
+    zeta = rx * r * np.exp(1j * (x.phase - phases))
+    q = np.exp(2j * x.phase) * rx * rx * (np.exp(-2j * phases) * r * r)
+    return zonal_poly_sum(series_coefficients(cfg.p, g), t, zeta, q, cfg.n)
 
 
 def reproduce(
@@ -325,11 +322,11 @@ def reproduce(
         raise ValueError("ball rule weight parameters do not match the request")
     sph = rule.sphere
     rad = rule.radial
+    kv = _kernel_section_values(cfg, alpha, beta, x, m_top, rad.nodes, sph.nodes)
     total = 0.0 + 0.0j
     for k in range(cfg.p):
         phase = cfg.sector_phase(k)
-        kv = _kernel_section_values(cfg, alpha, beta, x, m_top, phase, rad.nodes, sph.nodes)
         for i, (r, wr) in enumerate(zip(rad.nodes, rad.weights)):
             uv = eval_at_phase(u, phase, r * sph.nodes)
-            total += wr * complex(np.sum(sph.weights * uv * kv[i]))
+            total += wr * complex(np.sum(sph.weights * uv * kv[k, i]))
     return rule.normalization * total / cfg.p

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import KernelConfig, RotatedPoint, int_pow, make_rotated_point
+from .core import KernelConfig, RotatedPoint, make_rotated_point
 from .kernels import (
     bergman,
     bergman_decomposed,
@@ -40,23 +40,36 @@ from .quadrature import (
     inner_product_sphere,
     reproduce,
 )
-from .zonal import zonal_growth_ratio, zonal_values
+from .zonal import degree_coefficients, zonal_growth_ratio, zonal_poly_sum
 
 DEFAULT_DIMS = (2, 3, 4, 5)
 DEFAULT_ORDERS = (1, 2, 3)
 
 
-def _report(suite, cases, max_abs, max_rel, tol, ok, **extra):
-    out = {
-        "suite": suite,
-        "cases": cases,
-        "max_abs_err": max_abs,
-        "max_rel_err": max_rel,
-        "tolerance": tol,
-        "pass": bool(ok),
-    }
-    out.update(extra)
-    return out
+class _Sweep:
+    """Running worst absolute and relative error and case count of a suite."""
+
+    def __init__(self):
+        self.max_abs = self.max_rel = 0.0
+        self.count = 0
+
+    def add(self, err, scale, cases=1):
+        """Record one error against its scale; cases=0 adds a second check
+        to a case already counted."""
+        self.max_abs = max(self.max_abs, err)
+        self.max_rel = max(self.max_rel, err / max(1e-300, scale))
+        self.count += cases
+
+    def report(self, suite, tol, ok, **extra):
+        return {
+            "suite": suite,
+            "cases": self.count,
+            "max_abs_err": self.max_abs,
+            "max_rel_err": self.max_rel,
+            "tolerance": tol,
+            "pass": bool(ok),
+            **extra,
+        }
 
 
 def _random_point(cfg, rng, r_hi=0.7) -> RotatedPoint:
@@ -76,51 +89,33 @@ def _pair_sweep(seed, cases, dims=DEFAULT_DIMS, orders=DEFAULT_ORDERS, r_hi=0.7)
                 yield cfg, _random_point(cfg, rng, r_hi), _random_point(cfg, rng, r_hi)
 
 
+def _series_suite(suite, kind, closed_fn, series_fn, tol, seed, cases):
+    sweep = _Sweep()
+    for cfg, x, y in _pair_sweep(seed, cases):
+        trunc = make_truncation(cfg, x.radius * y.radius, tol, kind)
+        closed = closed_fn(cfg, x, y)
+        sweep.add(abs(series_fn(cfg, x, y, trunc) - closed), abs(closed))
+    return sweep.report(suite, tol, sweep.max_abs <= tol, seed=seed)
+
+
 def suite_poisson_series(seed: int = 42, cases: int = 200) -> dict:
     """Zonal series versus the closed-form Poisson kernel."""
-    tol = 1e-10
-    max_abs = max_rel = 0.0
-    count = 0
-    for cfg, x, y in _pair_sweep(seed, cases):
-        trunc = make_truncation(cfg, x.radius * y.radius, tol, "poisson")
-        closed = poisson(cfg, x, y)
-        series = poisson_series(cfg, x, y, trunc)
-        err = abs(series - closed)
-        max_abs = max(max_abs, err)
-        max_rel = max(max_rel, err / max(1e-300, abs(closed)))
-        count += 1
-    return _report("poisson_series", count, max_abs, max_rel, tol, max_abs <= tol, seed=seed)
+    return _series_suite("poisson_series", "poisson", poisson, poisson_series, 1e-10, seed, cases)
 
 
 def suite_bergman_series(seed: int = 42, cases: int = 200) -> dict:
     """Zonal series versus the closed-form Bergman kernel."""
-    tol = 1e-9
-    max_abs = max_rel = 0.0
-    count = 0
-    for cfg, x, y in _pair_sweep(seed, cases):
-        trunc = make_truncation(cfg, x.radius * y.radius, tol, "bergman")
-        closed = bergman(cfg, x, y)
-        series = bergman_series(cfg, x, y, trunc)
-        err = abs(series - closed)
-        max_abs = max(max_abs, err)
-        max_rel = max(max_rel, err / max(1e-300, abs(closed)))
-        count += 1
-    return _report("bergman_series", count, max_abs, max_rel, tol, max_abs <= tol, seed=seed)
+    return _series_suite("bergman_series", "bergman", bergman, bergman_series, 1e-9, seed, cases)
 
 
 def suite_decomposition(seed: int = 42, cases: int = 200) -> dict:
     """Harmonic-kernel decomposition versus the direct closed form."""
     tol = 1e-12
-    max_abs = max_rel = 0.0
-    count = 0
+    sweep = _Sweep()
     for cfg, x, y in _pair_sweep(seed, cases):
         direct = bergman(cfg, x, y)
-        decomposed = bergman_decomposed(cfg, x, y)
-        err = abs(decomposed - direct)
-        max_abs = max(max_abs, err)
-        max_rel = max(max_rel, err / max(1e-300, abs(direct)))
-        count += 1
-    return _report("decomposition", count, max_abs, max_rel, tol, max_rel <= tol, seed=seed)
+        sweep.add(abs(bergman_decomposed(cfg, x, y) - direct), abs(direct))
+    return sweep.report("decomposition", tol, sweep.max_rel <= tol, seed=seed)
 
 
 def suite_weighted(seed: int = 42, cases: int = 200) -> dict:
@@ -131,9 +126,8 @@ def suite_weighted(seed: int = 42, cases: int = 200) -> dict:
     """
     tol = 1e-9
     termwise_tol = 1e-12
-    max_abs = max_rel = 0.0
+    sweep = _Sweep()
     termwise_rel = 0.0
-    count = 0
     rng = np.random.default_rng(seed)
     for n in DEFAULT_DIMS:
         for m in range(0, 61):
@@ -148,18 +142,13 @@ def suite_weighted(seed: int = 42, cases: int = 200) -> dict:
                     trunc = make_truncation(cfg, x.radius * y.radius, tol / 10, "weighted")
                     series = weighted_bergman_series(cfg, x, y, trunc)
                     decomposed = weighted_bergman_decomposed(cfg, x, y, trunc)
-                    err = abs(series - decomposed)
-                    max_abs = max(max_abs, err)
-                    max_rel = max(max_rel, err / max(1e-300, abs(series)))
+                    sweep.add(abs(series - decomposed), abs(series))
                     if alpha == 0.0 and beta == 0.0:
                         closed = bergman(cfg, x, y)
-                        err0 = abs(series - closed)
-                        max_abs = max(max_abs, err0)
-                        max_rel = max(max_rel, err0 / max(1e-300, abs(closed)))
-                    count += 1
-    ok = max_abs <= tol and termwise_rel <= termwise_tol
-    return _report(
-        "weighted", count, max_abs, max_rel, tol, ok,
+                        sweep.add(abs(series - closed), abs(closed), cases=0)
+    ok = sweep.max_abs <= tol and termwise_rel <= termwise_tol
+    return sweep.report(
+        "weighted", tol, ok,
         termwise_rel_err=termwise_rel, termwise_tolerance=termwise_tol, seed=seed,
     )
 
@@ -167,8 +156,7 @@ def suite_weighted(seed: int = 42, cases: int = 200) -> dict:
 def suite_derivative_form(seed: int = 42, cases: int = 200, h: float = 1e-3) -> dict:
     """Finite-difference derivative form versus the weighted series."""
     tol = 1e-5
-    max_abs = max_rel = 0.0
-    count = 0
+    sweep = _Sweep()
     rng = np.random.default_rng(seed)
     for n in DEFAULT_DIMS:
         for p in DEFAULT_ORDERS:
@@ -181,11 +169,8 @@ def suite_derivative_form(seed: int = 42, cases: int = 200, h: float = 1e-3) -> 
                         fd = derivative_form_check(cfg, alpha, beta_int, x, y, h)
                         trunc = make_truncation(cfg, x.radius * y.radius, 1e-11, "weighted")
                         ref = weighted_bergman_series(cfg, x, y, trunc)
-                        err = abs(fd - ref)
-                        max_abs = max(max_abs, err)
-                        max_rel = max(max_rel, err / max(1e-300, abs(ref)))
-                        count += 1
-    return _report("derivative_form", count, max_abs, max_rel, tol, max_abs <= tol, seed=seed, h=h)
+                        sweep.add(abs(fd - ref), abs(ref))
+    return sweep.report("derivative_form", tol, sweep.max_abs <= tol, seed=seed, h=h)
 
 
 def suite_reproduce(seed: int = 42, cases: int = 50) -> dict:
@@ -193,8 +178,7 @@ def suite_reproduce(seed: int = 42, cases: int = 50) -> dict:
     tol = 1e-8
     degree = 6
     m_top = degree
-    max_abs = max_rel = 0.0
-    count = 0
+    sweep = _Sweep()
     rng = np.random.default_rng(seed)
     rules = {}
     for n in (2, 3):
@@ -208,37 +192,22 @@ def suite_reproduce(seed: int = 42, cases: int = 50) -> dict:
                 ux = evaluate(u, x)
                 for alpha, beta in ((0.0, 0.0), (1.0, 0.5)):
                     got = reproduce(cfg, alpha, beta, u, x, m_top, rules[(n, alpha, beta)])
-                    err = abs(got - ux)
-                    bound = 1.0 + abs(ux)
-                    max_abs = max(max_abs, err)
-                    max_rel = max(max_rel, err / bound)
-                    count += 1
-    return _report("reproduce", count, max_abs, max_rel, tol, max_rel <= tol, seed=seed)
+                    sweep.add(abs(got - ux), 1.0 + abs(ux))
+    return sweep.report("reproduce", tol, sweep.max_rel <= tol, seed=seed)
 
 
 def _zonal_poly_first_slot(cfg, m, eta):
     """Z^p_m(e^{i phase} pts, eta) as a batched sector evaluator."""
     eta_hat = eta.coords / eta.radius
+    coef = degree_coefficients(cfg.p, m)
 
     def g(phase, pts):
         pts = np.asarray(pts, dtype=float)
         r = np.linalg.norm(pts, axis=-1)
-        safe = np.where(r == 0.0, 1.0, r)
-        t = np.clip((pts / safe[:, None]) @ eta_hat, -1.0, 1.0)
-        zmat = zonal_values(t, m, cfg.n)
-        out = np.zeros(pts.shape[0], dtype=complex)
-        u_pt = np.exp(2j * phase) * r * r
-        v_eta = np.exp(-2j * eta.phase) * eta.radius**2
-        phase_fac = np.exp(1j * (phase - eta.phase))
-        for k in range(min(cfg.p, m // 2 + 1)):
-            d = m - 2 * k
-            if d == 0:
-                zd = np.ones(pts.shape[0], dtype=complex)
-            else:
-                zd = phase_fac**d * (r * eta.radius) ** d * zmat[d]
-                zd = np.where(r == 0.0, 0.0, zd)
-            out += (u_pt * v_eta) ** k * zd
-        return out
+        t = (pts / np.where(r == 0.0, 1.0, r)[:, None]) @ eta_hat
+        zeta = np.exp(1j * (phase - eta.phase)) * r * eta.radius
+        q = np.exp(2j * phase) * r * r * (np.exp(-2j * eta.phase) * eta.radius**2)
+        return zonal_poly_sum(coef, t, zeta, q, cfg.n)
 
     return g
 
@@ -246,19 +215,9 @@ def _zonal_poly_first_slot(cfg, m, eta):
 def _zonal_poly_second_slot(cfg, m, x, pts):
     """Z^p_m(x, zeta_j) at real sphere nodes zeta_j (phase 0, radius 1)."""
     rx = x.radius
-    out = np.zeros(pts.shape[0], dtype=complex)
-    if rx == 0.0:
-        if m == 0:
-            out += 1.0
-        return out
-    t = np.clip(pts @ (x.coords / rx), -1.0, 1.0)
-    zmat = zonal_values(t, m, cfg.n)
-    u_x = np.exp(2j * x.phase) * rx * rx
-    for k in range(min(cfg.p, m // 2 + 1)):
-        d = m - 2 * k
-        zd = np.exp(1j * d * x.phase) * rx**d * zmat[d] if d else np.ones_like(out)
-        out += int_pow(u_x, k) * zd
-    return out
+    t = pts @ (x.coords / rx) if rx else np.zeros(pts.shape[0])
+    coef = degree_coefficients(cfg.p, m)
+    return zonal_poly_sum(coef, t, np.exp(1j * x.phase) * rx, np.exp(2j * x.phase) * rx * rx, cfg.n)
 
 
 def suite_zonal_reproduce(seed: int = 42, cases: int = 20) -> dict:
@@ -268,8 +227,7 @@ def suite_zonal_reproduce(seed: int = 42, cases: int = 20) -> dict:
     its first slot and the single-sphere integral against the second slot.
     """
     tol = 1e-8
-    max_abs = max_rel = 0.0
-    count = 0
+    sweep = _Sweep()
     rng = np.random.default_rng(seed)
     for n in (2, 3):
         rule = build_sphere_rule(n, 20)
@@ -283,29 +241,21 @@ def suite_zonal_reproduce(seed: int = 42, cases: int = 20) -> dict:
                     eta = make_rotated_point(cfg.sector_phase(int(rng.integers(0, p))), direction)
                     expected = evaluate(q, eta)
                     got = inner_product_sphere(cfg, q, _zonal_poly_first_slot(cfg, m, eta), rule)
-                    err = abs(got - expected)
-                    bound = 1.0 + abs(expected)
-                    max_abs = max(max_abs, err)
-                    max_rel = max(max_rel, err / bound)
+                    sweep.add(abs(got - expected), 1.0 + abs(expected))
 
                     xin = _random_point(cfg, rng)
                     kv = _zonal_poly_second_slot(cfg, m, xin, rule.nodes)
                     qv = eval_at_phase(q, 0.0, rule.nodes)
                     got_ball = complex(np.sum(rule.weights * qv * kv))
                     expected_ball = evaluate(q, xin)
-                    err2 = abs(got_ball - expected_ball)
-                    max_abs = max(max_abs, err2)
-                    max_rel = max(max_rel, err2 / (1.0 + abs(expected_ball)))
-                    count += 2
-    return _report("zonal_reproduce", count, max_abs, max_rel, tol, max_rel <= tol, seed=seed)
+                    sweep.add(abs(got_ball - expected_ball), 1.0 + abs(expected_ball))
+    return sweep.report("zonal_reproduce", tol, sweep.max_rel <= tol, seed=seed)
 
 
 def suite_orthogonality(seed: int = 42, cases: int = 12) -> dict:
     """Cross-degree inner products vanish on both the spheres and the balls."""
     tol = 1e-9
-    max_rel = 0.0
-    max_abs = 0.0
-    count = 0
+    sweep = _Sweep()
     for n in (2, 3):
         sphere = build_sphere_rule(n, 20)
         ball = build_ball_rule(n, 0.0, 0.0, 20)
@@ -327,19 +277,15 @@ def suite_orthogonality(seed: int = 42, cases: int = 12) -> dict:
                 for l in range(m + 1, 9):
                     ip_s = inner_product_sphere(cfg, polys[m], polys[l], sphere)
                     ip_b = inner_product_ball(cfg, 0.0, 0.0, polys[m], polys[l], ball)
-                    rel_s = abs(ip_s) / max(1e-300, norms_s[m] * norms_s[l])
-                    rel_b = abs(ip_b) / max(1e-300, norms_b[m] * norms_b[l])
-                    max_rel = max(max_rel, rel_s, rel_b)
-                    max_abs = max(max_abs, abs(ip_s), abs(ip_b))
-                    count += 2
-    return _report("orthogonality", count, max_abs, max_rel, tol, max_rel <= tol, seed=seed)
+                    sweep.add(abs(ip_s), norms_s[m] * norms_s[l])
+                    sweep.add(abs(ip_b), norms_b[m] * norms_b[l])
+    return sweep.report("orthogonality", tol, sweep.max_rel <= tol, seed=seed)
 
 
 def suite_mean_value(seed: int = 42, cases: int = 50) -> dict:
     """Rotated mean-value formula against direct evaluation (n = 3)."""
     tol = 1e-8
-    max_abs = max_rel = 0.0
-    count = 0
+    sweep = _Sweep()
     rng = np.random.default_rng(seed)
     # degree-50 rule: the non-polynomial weight decays like (|x|/r)^m, so
     # capping |x| at 0.3 leaves the cubature tail far below tolerance
@@ -354,28 +300,22 @@ def suite_mean_value(seed: int = 42, cases: int = 50) -> dict:
             x = make_rotated_point(0.0, rng.uniform(0.0, 0.3) * direction)
             got = mean_value_eval(cfg, u, np.zeros(3), r, x, rule)
             expected = evaluate(u, x)
-            err = abs(got - expected)
-            max_abs = max(max_abs, err)
-            max_rel = max(max_rel, err / (1.0 + abs(expected)))
-            count += 1
-    ok = max_abs <= tol and max_rel <= tol
-    return _report("mean_value", count, max_abs, max_rel, tol, ok, seed=seed)
+            sweep.add(abs(got - expected), 1.0 + abs(expected))
+    ok = sweep.max_abs <= tol and sweep.max_rel <= tol
+    return sweep.report("mean_value", tol, ok, seed=seed)
 
 
 def suite_growth(seed: int = 42, cases: int = 65) -> dict:
     """Boundedness of |Z^p_m| / (p m^(n-2)) across the degree window 10..40."""
     factor_tol = 2.0
-    worst_factor = 0.0
-    count = 0
+    sweep = _Sweep()
     for n in (3, 4):
         for p in DEFAULT_ORDERS:
             cfg = KernelConfig(n=n, p=p)
             ratios = [zonal_growth_ratio(cfg, m, cases) for m in range(10, 41)]
-            worst_factor = max(worst_factor, max(ratios) / min(ratios))
-            count += len(ratios)
-    return _report(
-        "growth", count, worst_factor, worst_factor, factor_tol,
-        worst_factor <= factor_tol, seed=seed,
+            sweep.add(max(ratios) / min(ratios), 1.0, cases=len(ratios))
+    return sweep.report(
+        "growth", factor_tol, sweep.max_abs <= factor_tol, seed=seed,
         note="errors are max/min trend factors, not absolute errors",
     )
 

@@ -3,24 +3,29 @@
 The real zonal kernel z_m on S x S is evaluated through the Gegenbauer
 recurrence (Chebyshev for the degenerate n = 2 case); the extension to pairs
 of rotated ball points multiplies in the exact phase factor e^{i m (phi-psi)}
-and the radial homogeneity (|a||b|)^m.  Zonal polyharmonics of order p are
-the finite sums
+and the radial homogeneity (|a||b|)^m, i.e. Z_m(x, y) = zeta^m z_m(t) with
+zeta = |a||b| e^{i (phi-psi)}.  Zonal polyharmonics of order p are the
+finite sums
 
     Z^p_m(x, y) = sum_{k<p} u^k v^k Z_{m-2k}(x, y),
 
 with u, v the bilinear pair invariants and terms dropped once m - 2k < 0.
+Every zonal sum in the package goes through one assembly, zonal_poly_sum.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._backend import zonal_matrix
-from .core import KernelConfig, RotatedPoint, int_pow, pair_invariants
+from .core import KernelConfig, RotatedPoint, pair_invariants
+
+BACKEND_NAME = "numpy"
+"""Array backend of the zonal recurrence, reported by ``polybergman info``."""
 
 _T_DOMAIN_TOL = 1e-12
 
@@ -75,13 +80,92 @@ def chebyshev_t(m: int, t: float) -> float:
 def zonal_values(t, m_max: int, n: int) -> np.ndarray:
     """Matrix z_m(t_j) for m = 0..m_max; rows are degrees.
 
-    Thin wrapper over the selected backend accepting scalars or arrays.
+    Accepts a scalar or an array of cosines; the result has shape
+    (m_max+1,) + atleast_1d(t).shape.  Conventions: z_0 = 1; for n >= 3,
+    z_m = ((m+lam)/lam) * C^lam_m with lam = (n-2)/2 (Gegenbauer); for
+    n = 2, z_m = 2 T_m (Chebyshev).  The normalization is pinned by the
+    Poisson generating identity sum_m z_m(t) r^m = (1-r^2)/(1-2rt+r^2)^(n/2)
+    and by z_m(1) equalling the dimension of the degree-m spherical
+    harmonics.
     """
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(np.abs(arr) > 1.0 + _T_DOMAIN_TOL):
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(np.abs(t) > 1.0 + _T_DOMAIN_TOL):
         raise ValueError("cosine argument outside [-1, 1]")
-    arr = np.clip(arr, -1.0, 1.0)
-    return zonal_matrix(arr, m_max, n)
+    t = np.clip(t, -1.0, 1.0)
+    out = np.empty((m_max + 1,) + t.shape)
+    out[0] = 1.0
+    if m_max == 0:
+        return out
+    if n == 2:
+        tm2 = np.ones_like(t)
+        tm1 = t
+        out[1] = 2.0 * t
+        for m in range(2, m_max + 1):
+            cur = 2.0 * t * tm1 - tm2
+            out[m] = 2.0 * cur
+            tm2, tm1 = tm1, cur
+    else:
+        lam = 0.5 * (n - 2)
+        cm2 = np.ones_like(t)
+        cm1 = 2.0 * lam * t
+        out[1] = ((1.0 + lam) / lam) * cm1
+        for m in range(2, m_max + 1):
+            cur = (2.0 * t * (m + lam - 1.0) * cm1 - (m + 2.0 * lam - 2.0) * cm2) / m
+            out[m] = ((m + lam) / lam) * cur
+            cm2, cm1 = cm1, cur
+    return out
+
+
+def series_coefficients(p: int, g) -> np.ndarray:
+    """Matrix C[k, l] = g[l + 2k] of the harmonic rearrangement
+
+        sum_{m<=M} g[m] Z^p_m = sum_{k<p} q^k sum_{l<=M-2k} g[l+2k] Z_l,
+
+    in the form zonal_poly_sum consumes; g holds the weights of degrees
+    0..M.  A one-hot g at degree m gives Z^p_m itself.
+    """
+    g = np.asarray(g)
+    top = g.shape[0] - 1
+    coef = np.zeros((min(p, top // 2 + 1), top + 1), dtype=g.dtype)
+    for k in range(coef.shape[0]):
+        coef[k, : top + 1 - 2 * k] = g[2 * k :]
+    return coef
+
+
+def zonal_poly_sum(coef, t, zeta, q, n: int):
+    """sum_k q^k sum_l coef[k, l] zeta^l z_l(t), broadcast over t, zeta, q.
+
+    With t the cosine between the real parts of a pair, zeta = |a||b|
+    e^{i (phi-psi)} and q = uv, zeta^l z_l(t) is the extended harmonic
+    Z_l, so this is the single assembly of every zonal polyharmonic sum.
+    t, zeta and q are scalars or arrays of mutually broadcastable shapes and
+    the result has their broadcast shape.  A zero radius is zeta = 0 (any t):
+    only the l = 0 column survives.
+    """
+    coef = np.asarray(coef)
+    top = coef.shape[1] - 1
+    zpow = np.asarray(zeta, dtype=complex)[..., None] ** np.arange(top + 1)
+    qpow = np.asarray(q, dtype=complex)[..., None] ** np.arange(coef.shape[0])
+    # contract k first: when t varies along other axes than zeta and q (the
+    # ball nodes of every sector and radius), no array of that full shape
+    # times the degree axis is ever formed
+    w = (qpow @ coef) * zpow
+    zmat = zonal_values(t, top, n).reshape(top + 1, -1).T.reshape(np.shape(t) + (top + 1,))
+    return np.einsum("...l,...l->...", w, zmat)
+
+
+def zonal_pair_args(x: RotatedPoint, y: RotatedPoint):
+    """(t, zeta, q) of zonal_poly_sum for one pair of rotated points."""
+    rr = x.radius * y.radius
+    t = 0.0 if rr == 0.0 else min(1.0, max(-1.0, float(x.coords @ y.coords) / rr))
+    return t, rr * cmath.exp(1j * (x.phase - y.phase)), pair_invariants(x, y).q
+
+
+def degree_coefficients(p: int, m: int) -> np.ndarray:
+    """zonal_poly_sum coefficients of Z^p_m alone (one-hot weight at m)."""
+    g = np.zeros(m + 1)
+    g[m] = 1.0
+    return series_coefficients(p, g)
 
 
 def sph_dim(n: int, m: int) -> int:
@@ -95,21 +179,6 @@ def sph_dim(n: int, m: int) -> int:
     return (2 * m + n - 2) * math.comb(m + n - 3, m) // (n - 2)
 
 
-def _unit_and_radius(x: RotatedPoint):
-    r = x.radius
-    if r == 0.0:
-        return None, 0.0
-    return x.coords / r, r
-
-
-def _cosine(x: RotatedPoint, y: RotatedPoint) -> float:
-    ax, rx = _unit_and_radius(x)
-    ay, ry = _unit_and_radius(y)
-    if rx == 0.0 or ry == 0.0:
-        return 0.0
-    return float(min(1.0, max(-1.0, float(ax @ ay))))
-
-
 def zonal_harmonic(n: int, m: int, x: RotatedPoint, y: RotatedPoint) -> complex:
     """Extended zonal harmonic Z_m(x, y) for rotated ball points.
 
@@ -120,14 +189,8 @@ def zonal_harmonic(n: int, m: int, x: RotatedPoint, y: RotatedPoint) -> complex:
         raise ValueError(f"degree must be >= 0, got {m}")
     if x.dim != y.dim or x.dim != n:
         raise ValueError(f"dimension mismatch: n={n}, x:{x.dim}, y:{y.dim}")
-    if m == 0:
-        return 1.0 + 0.0j
-    rx, ry = x.radius, y.radius
-    if rx == 0.0 or ry == 0.0:
-        return 0.0 + 0.0j
-    t = _cosine(x, y)
-    z = float(zonal_values(t, m, n)[m, 0])
-    return complex(np.exp(1j * m * (x.phase - y.phase)) * (rx * ry) ** m * z)
+    coef = degree_coefficients(1, m)
+    return complex(zonal_poly_sum(coef, *zonal_pair_args(x, y), n))
 
 
 def zonal_polyharmonic(
@@ -138,23 +201,8 @@ def zonal_polyharmonic(
         raise ValueError(f"degree must be >= 0, got {m}")
     if x.dim != y.dim or x.dim != cfg.n:
         raise ValueError(f"dimension mismatch: n={cfg.n}, x:{x.dim}, y:{y.dim}")
-    inv = pair_invariants(x, y)
-    rx, ry = x.radius, y.radius
-    rr = rx * ry
-    t = _cosine(x, y)
-    zv = zonal_values(t, m, cfg.n)[:, 0]
-    delta = x.phase - y.phase
-    total = 0.0 + 0.0j
-    for k in range(min(cfg.p, m // 2 + 1)):
-        d = m - 2 * k
-        if d == 0:
-            zd = 1.0 + 0.0j
-        elif rr == 0.0:
-            zd = 0.0 + 0.0j
-        else:
-            zd = complex(np.exp(1j * d * delta) * rr**d * zv[d])
-        total += int_pow(inv.q, k) * zd
-    return complex(total)
+    coef = degree_coefficients(cfg.p, m)
+    return complex(zonal_poly_sum(coef, *zonal_pair_args(x, y), cfg.n))
 
 
 @lru_cache(maxsize=None)
@@ -219,8 +267,5 @@ def zonal_growth_ratio(cfg: KernelConfig, m: int, samples: int) -> float:
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     t = np.linspace(-1.0, 1.0, max(2, samples))
-    zv = zonal_values(t, m, cfg.n)
-    tot = np.zeros_like(t)
-    for k in range(min(cfg.p, m // 2 + 1)):
-        tot += zv[m - 2 * k]
+    tot = zonal_poly_sum(degree_coefficients(cfg.p, m), t, 1.0, 1.0, cfg.n)
     return float(np.max(np.abs(tot)) / (cfg.p * float(m) ** (cfg.n - 2)))

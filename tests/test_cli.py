@@ -200,7 +200,7 @@ class TestInfo:
         res = run_cli("info")
         assert res.returncode == 0
         rec = json.loads(res.stdout)
-        assert rec["backend"] in ("numba", "numpy")
+        assert rec["backend"] == "numpy"
         assert rec["config"]["n"] == 3 and rec["config"]["p"] == 2
         assert rec["config"]["tol"] == 1e-10 and rec["config"]["seed"] == 42
         assert len(rec["suites"]) == 10

@@ -148,6 +148,17 @@ class TestPrincipalPow:
         # safely off the cut
         principal_pow(complex(-1.0, 1e-10), 0.5, eps_branch=1e-12)
 
+    def test_array_matches_scalar_and_guards_the_cut(self):
+        w = np.array([4.0, 1j, complex(-1.0, 1e-10), complex(0.3, -2.0)])
+        for e in (0.5, 1.5, 2, -1):
+            got = principal_pow(w, e)
+            assert got.shape == w.shape
+            assert_allclose(got, [principal_pow(complex(v), e) for v in w], rtol=1e-14)
+        with pytest.raises(BranchCutProximity):
+            principal_pow(np.array([4.0, complex(-1.0, 1e-14)]), 0.5)
+        with pytest.raises(BranchCutProximity):
+            principal_pow(np.array([1.0, 0.0]), 1.5)
+
     def test_integer_matches_repeated_multiplication(self):
         rng = np.random.default_rng(5)
         for _ in range(50):

@@ -22,12 +22,7 @@ from polybergman import (
     unit_ball_volume,
 )
 from polybergman.polyspace import evaluate
-from polybergman.quadrature import (
-    radial_rule_from_json,
-    radial_rule_to_json,
-    sphere_rule_from_json,
-    sphere_rule_to_json,
-)
+from polybergman.quadrature import RadialRule, SphereRule, rule_from_json, rule_to_json
 
 
 def rule_monomial(rule, kappa):
@@ -92,7 +87,7 @@ class TestSphereRule:
 
     def test_json_roundtrip(self):
         rule = build_sphere_rule(3, 8)
-        again = sphere_rule_from_json(sphere_rule_to_json(rule))
+        again = rule_from_json(SphereRule, rule_to_json(rule))
         assert again.exact_degree == rule.exact_degree
         assert np.array_equal(again.nodes, rule.nodes)
         assert np.array_equal(again.weights, rule.weights)
@@ -104,6 +99,24 @@ class TestSphereRule:
         assert cached.exists()
         again = build_sphere_rule(3, 6)
         assert np.array_equal(rule.nodes, again.nodes)
+        assert [p.name for p in tmp_path.iterdir()] == ["sphere_n3_d6.json"]
+
+    def test_truncated_cache_is_rebuilt(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("POLYBERGMAN_CACHE_DIR", str(tmp_path))
+        rule = build_sphere_rule(3, 6)
+        cached = tmp_path / "sphere_n3_d6.json"
+        text = cached.read_text()
+        cached.write_text(text[: len(text) // 2])
+        again = build_sphere_rule(3, 6)
+        assert np.array_equal(rule.nodes, again.nodes)
+        assert np.array_equal(rule.weights, again.weights)
+        assert cached.read_text() == text
+
+    def test_rejects_weight_count_mismatch(self):
+        rule = build_sphere_rule(3, 4)
+        weights = rule.weights[:-1] / np.sum(rule.weights[:-1])
+        with pytest.raises(ValueError):
+            SphereRule(nodes=rule.nodes, weights=weights, exact_degree=4)
 
 
 class TestRadialRule:
@@ -130,9 +143,28 @@ class TestRadialRule:
 
     def test_json_roundtrip(self):
         rule = build_radial_rule(3, 1.0, 0.5, 7)
-        again = radial_rule_from_json(radial_rule_to_json(rule))
+        again = rule_from_json(RadialRule, rule_to_json(rule))
         assert np.array_equal(rule.nodes, again.nodes)
         assert np.array_equal(rule.weights, again.weights)
+
+    def test_cache_with_dropped_weight_is_rebuilt(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("POLYBERGMAN_CACHE_DIR", str(tmp_path))
+        rule = build_radial_rule(3, 1.0, 0.5, 7)
+        cached = tmp_path / "radial_n3_a1.0_b0.5_k7.json"
+        data = json.loads(cached.read_text())
+        data["weights"] = data["weights"][:-1]
+        cached.write_text(json.dumps(data))
+        again = build_radial_rule(3, 1.0, 0.5, 7)
+        assert np.array_equal(rule.nodes, again.nodes)
+        assert np.array_equal(rule.weights, again.weights)
+        assert len(json.loads(cached.read_text())["weights"]) == 7
+
+    def test_rejects_invalid_rules(self):
+        rule = build_radial_rule(3, 1.0, 0.5, 7)
+        with pytest.raises(ValueError):
+            RadialRule(nodes=rule.nodes, weights=rule.weights[:-1], n=3, alpha=1.0, beta=0.5)
+        with pytest.raises(ValueError):
+            RadialRule(nodes=rule.nodes, weights=2.0 * rule.weights, n=3, alpha=1.0, beta=0.5)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from polybergman import (
     zonal_harmonic,
     zonal_polyharmonic,
 )
-from polybergman.zonal import zonal_coefficients, zonal_harmonic_complex, zonal_values
+from polybergman.zonal import chebyshev_t, zonal_coefficients, zonal_harmonic_complex, zonal_values
 
 
 def classical_poisson(n, x, zeta_hat):
@@ -61,6 +61,23 @@ class TestGegenbauer:
             gegenbauer(2, 0.0, 0.5)
         with pytest.raises(ValueError):
             gegenbauer(-1, 0.5, 0.5)
+
+
+class TestZonalValues:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_scalar_oracles(self, n):
+        rng = np.random.default_rng(n)
+        t = rng.uniform(-1.0, 1.0, size=40)
+        zv = zonal_values(t, 60, n)
+        assert zv.shape == (61, 40)
+        assert_allclose(zv[0], 1.0)
+        lam = 0.5 * (n - 2)
+        for m in range(1, 61):
+            if n == 2:
+                ref = [2.0 * chebyshev_t(m, tj) for tj in t]
+            else:
+                ref = [(m + lam) / lam * gegenbauer(m, lam, tj) for tj in t]
+            assert_allclose(zv[m], ref, rtol=1e-12, atol=1e-12 * m ** (n - 2))
 
 
 class TestSphDim:
