@@ -64,19 +64,21 @@ def _build_parser():
         sp.add_argument("--alpha", type=float, help="radial power weight")
         sp.add_argument("--beta", type=float, help="boundary-vanishing weight")
         sp.add_argument("--tol", type=float, help="series tolerance")
+        sp.add_argument("--r-max", dest="r_max", type=float, help="series radius cap")
+        sp.add_argument("--output", help="write the result to this path")
+
+    def add_kernel_flags(sp):
+        add_common(sp)
+        sp.add_argument("--kernel", choices=KERNELS, default="bergman")
+        sp.add_argument("--m", type=int, help="zonal degree (kernel=zonal)")
         sp.add_argument(
             "--max-degree", dest="max_degree", type=int,
             help="override the series truncation degree",
         )
-        sp.add_argument("--r-max", dest="r_max", type=float, help="series radius cap")
-        sp.add_argument("--seed", type=int, help="random seed")
-        sp.add_argument("--output", help="write the result to this path")
         sp.add_argument("--format", choices=("csv", "json"), help="output format")
 
     pe = sub.add_parser("eval", help="evaluate a kernel at a point pair")
-    add_common(pe)
-    pe.add_argument("--kernel", choices=KERNELS, default="bergman")
-    pe.add_argument("--m", type=int, help="zonal degree (kernel=zonal)")
+    add_kernel_flags(pe)
     pe.add_argument("--x", required=True, help="comma-separated coordinates of x")
     pe.add_argument("--x-phase", type=float, help="phase of x in radians")
     pe.add_argument("--x-sector", type=int, help="sector index k (phase k*pi/p)")
@@ -85,9 +87,7 @@ def _build_parser():
     pe.add_argument("--y-sector", type=int, help="sector index for y")
 
     pg = sub.add_parser("grid", help="emit a CSV grid of kernel values")
-    add_common(pg)
-    pg.add_argument("--kernel", choices=KERNELS, default="bergman")
-    pg.add_argument("--m", type=int, help="zonal degree (kernel=zonal)")
+    add_kernel_flags(pg)
     pg.add_argument("--radial-steps", type=int, default=10)
     pg.add_argument("--angle-steps", type=int, default=10)
     pg.add_argument("--x-sector", type=int, default=0)
@@ -95,12 +95,14 @@ def _build_parser():
     pg.add_argument("--r-hi", type=float, default=0.98, help="largest grid radius")
 
     pv = sub.add_parser("verify", help="run a named verification suite")
-    add_common(pv)
     pv.add_argument("--suite", required=True, choices=sorted(SUITES))
     pv.add_argument("--cases", type=int, help="override per-combination case count")
+    pv.add_argument("--seed", type=int, help="random seed")
+    pv.add_argument("--output", help="write the report to this path")
 
     pi = sub.add_parser("info", help="print configuration and environment info")
     add_common(pi)
+    pi.add_argument("--seed", type=int, help="random seed")
     return parser
 
 

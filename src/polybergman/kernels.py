@@ -27,10 +27,9 @@ from .core import (
     int_pow,
     pair_invariants,
     principal_pow,
-    scale,
     unit_ball_volume,
 )
-from .errors import ConvergenceDomain, NearSingular, StencilOutOfDomain
+from .errors import ConvergenceDomain, NearSingular
 from .zonal import series_coefficients, zonal_growth_ratio, zonal_pair_args, zonal_poly_sum
 
 _CAL_DEGREES = 40
@@ -241,45 +240,43 @@ def weighted_bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPo
     return complex(zonal_poly_sum(coef, *zonal_pair_args(x, y), cfg.n))
 
 
-# Central stencils for the t-derivative of order beta+1; offsets in units of h.
-_STENCILS = {
-    0: ((-1, 1), (-0.5, 0.5)),
-    1: ((-2, -1, 0, 1, 2), (-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12)),
-    2: ((-3, -2, -1, 1, 2, 3), (1 / 8, -1.0, 13 / 8, -13 / 8, 1.0, -1 / 8)),
-}
+def _power_jet(a, e: float, order: int, eps_branch: float) -> np.ndarray:
+    """Taylor coefficients 0..order of a(eps)**e, with a given by its leading
+    coefficients (a[0] != 0), by J.C.P. Miller's recurrence
 
-
-def derivative_form_check(
-    cfg: KernelConfig,
-    alpha: float,
-    beta_int: int,
-    x: RotatedPoint,
-    y: RotatedPoint,
-    h: float,
-) -> complex:
-    """Weighted kernel via the derivative form, for integer beta.
-
-    Approximates (2 / (n Gamma(b+1) Vol_n)) d^(b+1)/dt^(b+1)
-    [t^((n+alpha)/2+b) P_p(t x, y)] at t = 1 by a central stencil.
+        b_k = sum_{j=1..k} ((e+1) j - k) a_j b_{k-j} / (k a_0).
     """
-    if beta_int not in _STENCILS:
-        raise ValueError(f"integer beta must be one of {sorted(_STENCILS)}, got {beta_int}")
-    if not (1e-4 <= h <= 1e-2):
-        raise ValueError(f"step h must lie in [1e-4, 1e-2], got {h}")
-    offsets, coeffs = _STENCILS[beta_int]
-    if (1.0 + max(offsets) * h) * x.radius >= 1.0:
-        raise StencilOutOfDomain(
-            f"stencil point at t={1 + max(offsets) * h} pushes |x| past 1"
-        )
-    gamma_exp = 0.5 * (cfg.n + alpha) + beta_int
+    a = np.pad(np.asarray(a, dtype=complex), (0, order + 1))[: order + 1]
+    b = np.zeros(order + 1, dtype=complex)
+    b[0] = principal_pow(a[0], e, eps_branch)
+    for k in range(1, order + 1):
+        j = np.arange(1, k + 1)
+        b[k] = np.sum(((e + 1.0) * j - k) * a[j] * b[k - j]) / (k * a[0])
+    return b
 
-    def f(t: float) -> complex:
-        return t**gamma_exp * poisson(cfg, scale(x, t), y)
 
-    deriv = sum(c * f(1.0 + k * h) for k, c in zip(offsets, coeffs))
-    deriv /= h ** (beta_int + 1)
-    norm = 2.0 / (cfg.n * math.factorial(beta_int) * unit_ball_volume(cfg.n))
-    return norm * deriv
+def derivative_form_check(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
+    """Weighted kernel via the derivative form, for integer beta >= 0.
+
+    Evaluates (2 / (n Gamma(b+1) Vol_n)) d^(b+1)/dt^(b+1)
+    [t^((n+alpha)/2+b) P_p(t x, y)] at t = 1 exactly, as (b+1)! times the
+    coefficient of eps^(b+1) in the product of three Taylor jets in
+    eps = t - 1: (1+eps)^gamma, 1 - q^p (1+eps)^(2p), and w(t)^(-n/2) with
+    w(t) = w + 2 (q - s) eps + q eps^2.
+    """
+    if not float(cfg.beta).is_integer():  # KernelConfig already has beta > -1
+        raise ValueError(f"derivative form needs an integer beta >= 0, got {cfg.beta}")
+    inv = _closed_form_guard(cfg, x, y)
+    beta = int(cfg.beta)
+    order = beta + 1
+    gamma_exp = 0.5 * (cfg.n + cfg.alpha) + beta
+    t_jet = _power_jet((1.0, 1.0), gamma_exp, order, cfg.eps_branch)
+    num_jet = -int_pow(inv.q, cfg.p) * _power_jet((1.0, 1.0), 2 * cfg.p, order, cfg.eps_branch)
+    num_jet[0] += 1.0
+    w_jet = _power_jet((inv.w, 2.0 * (inv.q - inv.s), inv.q), -0.5 * cfg.n, order, cfg.eps_branch)
+    f = np.convolve(np.convolve(t_jet, num_jet)[: order + 1], w_jet)[: order + 1]
+    norm = 2.0 / (cfg.n * math.factorial(beta) * unit_ball_volume(cfg.n))
+    return complex(norm * math.factorial(order) * f[order])
 
 
 def is_sector_phase(cfg: KernelConfig, phase: float, tol: float = 1e-9) -> bool:

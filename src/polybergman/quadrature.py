@@ -41,6 +41,8 @@ class SphereRule:
             raise ValueError("sphere rule needs one weight per node")
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-13:
             raise ValueError("sphere rule weights must sum to 1")
+        self.nodes.flags.writeable = False
+        self.weights.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,8 @@ class RadialRule:
         total = float(np.sum(self.weights))
         if abs(total - radial_moment(self.n, 0, self.alpha, self.beta)) > 1e-13 * max(1.0, total):
             raise ValueError("radial rule mass disagrees with the Gamma moment")
+        self.nodes.flags.writeable = False
+        self.weights.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -163,8 +167,6 @@ def build_sphere_rule(n: int, exact_degree: int) -> SphereRule:
             row += nodes.shape[0]
         nodes, weights = new_nodes, new_weights
     weights = weights / np.sum(weights)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
     rule = SphereRule(nodes=nodes, weights=weights, exact_degree=exact_degree)
     _write_cache(cache, rule)
     return rule
@@ -291,8 +293,7 @@ def _kernel_section_values(cfg, alpha, beta, x, m_top, radial_nodes, sphere_node
     phases = np.array([cfg.sector_phase(k) for k in range(cfg.p)])[:, None, None]
     r = radial_nodes[:, None]
     zeta = rx * r * np.exp(1j * (x.phase - phases))
-    q = np.exp(2j * x.phase) * rx * rx * (np.exp(-2j * phases) * r * r)
-    return zonal_poly_sum(series_coefficients(cfg.p, g), t, zeta, q, cfg.n)
+    return zonal_poly_sum(series_coefficients(cfg.p, g), t, zeta, cfg.n)
 
 
 def reproduce(

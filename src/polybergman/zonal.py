@@ -9,7 +9,8 @@ finite sums
 
     Z^p_m(x, y) = sum_{k<p} u^k v^k Z_{m-2k}(x, y),
 
-with u, v the bilinear pair invariants and terms dropped once m - 2k < 0.
+with u, v the bilinear pair invariants (uv = zeta^2 for rotated points) and
+terms dropped once m - 2k < 0.
 Every zonal sum in the package goes through one assembly, zonal_poly_sum.
 """
 
@@ -18,11 +19,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .core import KernelConfig, RotatedPoint, pair_invariants
+from .core import KernelConfig, RotatedPoint
 
 BACKEND_NAME = "numpy"
 """Array backend of the zonal recurrence, reported by ``polybergman info``."""
@@ -77,6 +77,33 @@ def chebyshev_t(m: int, t: float) -> float:
     return tm1
 
 
+def _zonal_rows(s, b, m_max: int, n: int) -> np.ndarray:
+    """Rows m = 0..m_max of the homogeneous zonal form b^(m/2) z_m(s / sqrt(b)).
+
+    The Gegenbauer recurrence in homogeneous form,
+    m C_m = 2(m+lam-1) s C_{m-1} - (m+2lam-2) b C_{m-2} with lam = (n-2)/2
+    (T_m = 2 s T_{m-1} - b T_{m-2} for n = 2), needs no square root, so s
+    and b may be complex arrays of one shape or b a scalar.  Written for
+    z_m = ((m+lam)/lam) C_m (2 T_m for n = 2) it is one recurrence for
+    every n,
+
+        z_m = ((m+lam)/m) (2 s z_{m-1} - c_m b z_{m-2}),
+        c_m = (m+2lam-2)/(m+lam-2) for m >= 3, c_2 = 2,
+
+    started from z_0 = 1, z_1 = 2 (1+lam) s.
+    """
+    lam = 0.5 * (n - 2)
+    out = np.empty((m_max + 1,) + np.shape(s), dtype=np.result_type(s, b))
+    out[0] = 1.0
+    if m_max >= 1:
+        out[1] = 2.0 * (1.0 + lam) * s
+    for m in range(2, m_max + 1):
+        c = 2.0 if m == 2 else (m + 2.0 * lam - 2.0) / (m + lam - 2.0)
+        f = (m + lam) / m
+        out[m] = (2.0 * f) * s * out[m - 1] - (f * c * b) * out[m - 2]
+    return out
+
+
 def zonal_values(t, m_max: int, n: int) -> np.ndarray:
     """Matrix z_m(t_j) for m = 0..m_max; rows are degrees.
 
@@ -91,29 +118,7 @@ def zonal_values(t, m_max: int, n: int) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(np.abs(t) > 1.0 + _T_DOMAIN_TOL):
         raise ValueError("cosine argument outside [-1, 1]")
-    t = np.clip(t, -1.0, 1.0)
-    out = np.empty((m_max + 1,) + t.shape)
-    out[0] = 1.0
-    if m_max == 0:
-        return out
-    if n == 2:
-        tm2 = np.ones_like(t)
-        tm1 = t
-        out[1] = 2.0 * t
-        for m in range(2, m_max + 1):
-            cur = 2.0 * t * tm1 - tm2
-            out[m] = 2.0 * cur
-            tm2, tm1 = tm1, cur
-    else:
-        lam = 0.5 * (n - 2)
-        cm2 = np.ones_like(t)
-        cm1 = 2.0 * lam * t
-        out[1] = ((1.0 + lam) / lam) * cm1
-        for m in range(2, m_max + 1):
-            cur = (2.0 * t * (m + lam - 1.0) * cm1 - (m + 2.0 * lam - 2.0) * cm2) / m
-            out[m] = ((m + lam) / lam) * cur
-            cm2, cm1 = cm1, cur
-    return out
+    return _zonal_rows(np.clip(t, -1.0, 1.0), 1.0, m_max, n)
 
 
 def series_coefficients(p: int, g) -> np.ndarray:
@@ -132,21 +137,22 @@ def series_coefficients(p: int, g) -> np.ndarray:
     return coef
 
 
-def zonal_poly_sum(coef, t, zeta, q, n: int):
-    """sum_k q^k sum_l coef[k, l] zeta^l z_l(t), broadcast over t, zeta, q.
+def zonal_poly_sum(coef, t, zeta, n: int):
+    """sum_k zeta^(2k) sum_l coef[k, l] zeta^l z_l(t), broadcast over t, zeta.
 
-    With t the cosine between the real parts of a pair, zeta = |a||b|
-    e^{i (phi-psi)} and q = uv, zeta^l z_l(t) is the extended harmonic
-    Z_l, so this is the single assembly of every zonal polyharmonic sum.
-    t, zeta and q are scalars or arrays of mutually broadcastable shapes and
-    the result has their broadcast shape.  A zero radius is zeta = 0 (any t):
-    only the l = 0 column survives.
+    With t the cosine between the real parts of a pair and zeta = |a||b|
+    e^{i (phi-psi)}, zeta^l z_l(t) is the extended harmonic Z_l and
+    zeta^2 = uv exactly, so this is the single assembly of every zonal
+    polyharmonic sum.  t and zeta are scalars or arrays of mutually
+    broadcastable shapes and the result has their broadcast shape.  A zero
+    radius is zeta = 0 (any t): only the l = 0 column survives.
     """
     coef = np.asarray(coef)
     top = coef.shape[1] - 1
-    zpow = np.asarray(zeta, dtype=complex)[..., None] ** np.arange(top + 1)
-    qpow = np.asarray(q, dtype=complex)[..., None] ** np.arange(coef.shape[0])
-    # contract k first: when t varies along other axes than zeta and q (the
+    zeta = np.asarray(zeta, dtype=complex)[..., None]
+    zpow = zeta ** np.arange(top + 1)
+    qpow = zeta ** np.arange(0, 2 * coef.shape[0], 2)
+    # contract k first: when t varies along other axes than zeta (the
     # ball nodes of every sector and radius), no array of that full shape
     # times the degree axis is ever formed
     w = (qpow @ coef) * zpow
@@ -155,10 +161,10 @@ def zonal_poly_sum(coef, t, zeta, q, n: int):
 
 
 def zonal_pair_args(x: RotatedPoint, y: RotatedPoint):
-    """(t, zeta, q) of zonal_poly_sum for one pair of rotated points."""
+    """(t, zeta) of zonal_poly_sum for one pair of rotated points."""
     rr = x.radius * y.radius
     t = 0.0 if rr == 0.0 else min(1.0, max(-1.0, float(x.coords @ y.coords) / rr))
-    return t, rr * cmath.exp(1j * (x.phase - y.phase)), pair_invariants(x, y).q
+    return t, rr * cmath.exp(1j * (x.phase - y.phase))
 
 
 def degree_coefficients(p: int, m: int) -> np.ndarray:
@@ -205,54 +211,15 @@ def zonal_polyharmonic(
     return complex(zonal_poly_sum(coef, *zonal_pair_args(x, y), cfg.n))
 
 
-@lru_cache(maxsize=None)
-def zonal_coefficients(n: int, m: int) -> tuple[float, ...]:
-    """Coefficients (c_0, c_1, ...) with z_m(t) = sum_j c_j t^(m-2j).
-
-    Needed to evaluate zonal blocks at general complex vectors, where only
-    the bilinear products z.pole and |z|^2 are available.
-    """
-    if m == 0:
-        return (1.0,)
-    if n == 2:
-        prev2 = np.array([1.0])
-        prev1 = np.array([1.0, 0.0])
-        for k in range(2, m + 1):
-            cur = np.zeros(k + 1)
-            cur[:-1] += 2.0 * prev1
-            cur[2:] -= prev2
-            prev2, prev1 = prev1, cur
-        dense = 2.0 * prev1
-    else:
-        lam = 0.5 * (n - 2)
-        prev2 = np.array([1.0])
-        prev1 = np.array([2.0 * lam, 0.0])
-        for k in range(2, m + 1):
-            cur = np.zeros(k + 1)
-            cur[:-1] += 2.0 * (k + lam - 1.0) / k * prev1
-            cur[2:] -= (k + 2.0 * lam - 2.0) / k * prev2
-            prev2, prev1 = prev1, cur
-        dense = (m + lam) / lam * prev1
-    # dense[i] multiplies t^(m-i); odd i entries vanish by parity
-    return tuple(float(dense[2 * j]) for j in range(m // 2 + 1))
-
-
 def zonal_harmonic_complex(n: int, m: int, z: np.ndarray, pole: np.ndarray):
     """Z_m(z, pole) for a batch of general complex vectors z (shape (N, n)).
 
-    Uses the polynomial form sum_j c_j (z.pole)^(m-2j) (|z|^2)^j, the
-    holomorphic continuation of the real zonal harmonic in its first slot;
-    pole must be a real unit vector.
+    Runs the homogeneous zonal recurrence at s = z.pole and b = z.z (bilinear,
+    no conjugation): the holomorphic continuation of the real zonal harmonic
+    in its first slot.  pole must be a real unit vector.
     """
     z = np.asarray(z, dtype=complex)
-    s = z @ pole
-    if m == 0:
-        return np.ones_like(s)
-    bil = np.sum(z * z, axis=-1)
-    out = np.zeros_like(s)
-    for j, c in enumerate(zonal_coefficients(n, m)):
-        out += c * s ** (m - 2 * j) * bil**j
-    return out
+    return _zonal_rows(z @ pole, np.sum(z * z, axis=-1), m, n)[m]
 
 
 def zonal_growth_ratio(cfg: KernelConfig, m: int, samples: int) -> float:
@@ -267,5 +234,5 @@ def zonal_growth_ratio(cfg: KernelConfig, m: int, samples: int) -> float:
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     t = np.linspace(-1.0, 1.0, max(2, samples))
-    tot = zonal_poly_sum(degree_coefficients(cfg.p, m), t, 1.0, 1.0, cfg.n)
+    tot = zonal_poly_sum(degree_coefficients(cfg.p, m), t, 1.0, cfg.n)
     return float(np.max(np.abs(tot)) / (cfg.p * float(m) ** (cfg.n - 2)))

@@ -37,6 +37,7 @@ def _announce(idx, name, report):
         f"max_rel_err={report['max_rel_err']:.3e}, tolerance={report['tolerance']:.1e})"
     )
     assert report["pass"], f"criterion {idx} ({name}) failed: {report}"
+    assert report[report["bounds"]] <= report["tolerance"]
 
 
 def test_criterion_1_poisson_series_identity():

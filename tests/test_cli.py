@@ -169,6 +169,19 @@ class TestVerify:
         assert run_cli("verify", "--suite", "nonsense").returncode == 2
 
 
+def test_flags_a_command_does_not_read_exit_2():
+    for argv in (
+        ("verify", "--suite", "growth", "--n", "9"),
+        ("verify", "--suite", "growth", "--format", "csv"),
+        ("verify", "--suite", "growth", "--max-degree", "2"),
+        ("eval", "--x", "0,0,0", "--y", "0,0,0", "--seed", "1"),
+        ("grid", "--radial-steps", "1", "--angle-steps", "1", "--seed", "1"),
+        ("info", "--max-degree", "2"),
+        ("info", "--format", "csv"),
+    ):
+        assert run_cli(*argv).returncode == 2, argv
+
+
 class TestConfigPrecedence:
     def test_config_file_supplies_defaults_flags_override(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

@@ -8,7 +8,6 @@ from polybergman import (
     ConvergenceDomain,
     KernelConfig,
     NearSingular,
-    StencilOutOfDomain,
     Truncation,
     bergman,
     bergman_decomposed,
@@ -284,50 +283,56 @@ class TestWeightedDecomposed:
         assert_allclose(got, expected, rtol=1e-14)
 
 
+def _assert_matches_weighted_series(cfg, x, y):
+    trunc = make_truncation(cfg, x.radius * y.radius, 1e-13, "weighted")
+    ref = weighted_bergman_series(cfg, x, y, trunc)
+    assert abs(derivative_form_check(cfg, x, y) - ref) <= 1e-11
+
+
 class TestDerivativeForm:
     def test_beta_zero_matches_bergman(self):
-        cfg = KernelConfig(n=3, p=2)
-        got = derivative_form_check(cfg, 0.0, 0, DIAG3, DIAG3, 1e-3)
-        assert abs(got - bergman(cfg, DIAG3, DIAG3)) <= 1e-6
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 4, 5):
+            for p in (1, 2, 3):
+                cfg = KernelConfig(n=n, p=p)
+                for _ in range(5):
+                    x, y = random_sector_pair(cfg, rng)
+                    ref = bergman(cfg, x, y)
+                    assert abs(derivative_form_check(cfg, x, y) - ref) <= 1e-13 * abs(ref)
 
-    def test_origin_any_step(self):
-        # the integrand collapses to t^gamma; residual is pure stencil error
-        for beta_int in (0, 1, 2):
-            cfg = KernelConfig(n=3, p=2, beta=float(beta_int))
-            y = make_rotated_point(0.0, (0.3, 0.2, 0.0))
-            for h in (1e-3, 5e-3):
-                got = derivative_form_check(cfg, 0.0, beta_int, ORIGIN3, y, h)
-                expected = weighted_coefficient(3, 0.0, beta_int, 0) / (3 * unit_ball_volume(3))
-                assert abs(got - expected) <= max(h * h, 1e-6)
+    def test_origin_value(self):
+        # the integrand collapses to t^gamma
+        y = make_rotated_point(0.0, (0.3, 0.2, 0.0))
+        for beta in (0.0, 1.0, 2.0, 3.0):
+            cfg = KernelConfig(n=3, p=2, alpha=0.5, beta=beta)
+            expected = weighted_coefficient(3, 0.5, beta, 0) / (3 * unit_ball_volume(3))
+            assert_allclose(derivative_form_check(cfg, ORIGIN3, y), expected, rtol=1e-14)
 
     def test_beta_one_matches_weighted_series(self):
-        cfg = KernelConfig(n=3, p=2, beta=1.0)
-        trunc = make_truncation(cfg, 0.25, 1e-11, "weighted")
-        ref = weighted_bergman_series(cfg, DIAG3, DIAG3, trunc)
-        got = derivative_form_check(cfg, 0.0, 1, DIAG3, DIAG3, 1e-3)
-        assert abs(got - ref) <= 1e-5
+        _assert_matches_weighted_series(KernelConfig(n=3, p=2, beta=1.0), DIAG3, DIAG3)
 
     def test_beta_two_matches_weighted_series(self):
-        cfg = KernelConfig(n=3, p=1, beta=2.0)
         x = make_rotated_point(0.0, (0.4, 0.0, 0.0))
-        trunc = make_truncation(cfg, 0.16, 1e-11, "weighted")
-        ref = weighted_bergman_series(cfg, x, x, trunc)
-        got = derivative_form_check(cfg, 0.0, 2, x, x, 2e-3)
-        assert abs(got - ref) <= 1e-4
+        _assert_matches_weighted_series(KernelConfig(n=3, p=1, beta=2.0), x, x)
 
-    def test_stencil_domain_guard(self):
-        cfg = KernelConfig(n=3, p=1)
+    def test_higher_betas_match_weighted_series(self):
+        rng = np.random.default_rng(37)
+        for n in (2, 3, 4, 5):
+            for p in (1, 2, 3):
+                for beta in (3.0, 4.0):
+                    cfg = KernelConfig(n=n, p=p, alpha=1.0, beta=beta)
+                    _assert_matches_weighted_series(cfg, *random_sector_pair(cfg, rng))
+
+    def test_near_boundary_point_matches_series(self):
+        # t x leaves the ball for t > 1.0001; the jets only use t = 1
         x = make_rotated_point(0.0, (0.9999, 0.0, 0.0))
         y = make_rotated_point(0.0, (0.1, 0.0, 0.0))
-        with pytest.raises(StencilOutOfDomain):
-            derivative_form_check(cfg, 0.0, 1, x, y, 1e-2)
+        _assert_matches_weighted_series(KernelConfig(n=3, p=1, beta=1.0), x, y)
 
     def test_parameter_validation(self):
-        cfg = KernelConfig(n=3, p=1)
-        with pytest.raises(ValueError):
-            derivative_form_check(cfg, 0.0, 3, DIAG3, DIAG3, 1e-3)
-        with pytest.raises(ValueError):
-            derivative_form_check(cfg, 0.0, 0, DIAG3, DIAG3, 1e-5)
+        for beta in (0.5, -0.5):
+            with pytest.raises(ValueError):
+                derivative_form_check(KernelConfig(n=3, p=1, beta=beta), DIAG3, DIAG3)
 
 
 class TestTruncationDegree:

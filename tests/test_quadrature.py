@@ -175,6 +175,17 @@ class TestRadialRule:
             build_radial_rule(3, 0.0, 0.0, 0)
 
 
+def test_rules_are_read_only_whether_built_or_loaded(tmp_path, monkeypatch):
+    monkeypatch.setenv("POLYBERGMAN_CACHE_DIR", str(tmp_path))
+    for build in (lambda: build_sphere_rule(3, 6), lambda: build_radial_rule(3, 1.0, 0.5, 7)):
+        built = build()
+        loaded = build()  # served from the cache file the first call wrote
+        for arr in (built.nodes, built.weights, loaded.nodes, loaded.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    assert len(list(tmp_path.iterdir())) == 2
+
+
 class TestRadialMoment:
     def test_hand_values(self):
         assert_allclose(radial_moment(3, 0, 0.0, 0.0), 1.0 / 3.0, rtol=1e-14)
