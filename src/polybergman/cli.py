@@ -19,7 +19,6 @@ from . import __version__
 from .core import KernelConfig, make_rotated_point, unit_ball_volume
 from .errors import KernelDomainError
 from .kernels import (
-    Truncation,
     bergman,
     evaluation_regime,
     make_truncation,
@@ -71,10 +70,6 @@ def _build_parser():
         add_common(sp)
         sp.add_argument("--kernel", choices=KERNELS, default="bergman")
         sp.add_argument("--m", type=int, help="zonal degree (kernel=zonal)")
-        sp.add_argument(
-            "--max-degree", dest="max_degree", type=int,
-            help="override the series truncation degree",
-        )
         sp.add_argument("--format", choices=("csv", "json"), help="output format")
 
     pe = sub.add_parser("eval", help="evaluate a kernel at a point pair")
@@ -146,23 +141,18 @@ def _parse_point(cfg, coords_text, phase, sector, label):
         raise CliError(str(exc)) from exc
 
 
-def _eval_kernel(cfg, kernel, x, y, tol, m=None, max_degree=None):
+def _eval_kernel(cfg, kernel, x, y, tol, m=None):
     """Returns (complex value, truncation degree or None)."""
+    if (m is not None) != (kernel == "zonal"):
+        raise CliError("--m is required by --kernel zonal and read by no other kernel")
     if kernel == "poisson":
         return poisson(cfg, x, y), None
     if kernel == "bergman":
         return bergman(cfg, x, y), None
     if kernel == "wbergman":
-        if max_degree is not None:
-            trunc = Truncation(max_degree=max_degree, tol=tol, calibrated_C=1.0)
-        else:
-            trunc = make_truncation(cfg, x.radius * y.radius, tol, "weighted")
+        trunc = make_truncation(cfg, x.radius * y.radius, tol, "weighted")
         return weighted_bergman_series(cfg, x, y, trunc), trunc.max_degree
-    if kernel == "zonal":
-        if m is None:
-            raise CliError("kernel=zonal requires --m")
-        return zonal_polyharmonic(cfg, m, x, y), None
-    raise CliError(f"unknown kernel {kernel!r}")
+    return zonal_polyharmonic(cfg, m, x, y), None
 
 
 def _grid_header(cfg):
@@ -211,7 +201,7 @@ def cmd_eval(args) -> int:
     tol = float(_resolve(args, "tol"))
     x = _parse_point(cfg, args.x, args.x_phase, args.x_sector, "x")
     y = _parse_point(cfg, args.y, args.y_phase, args.y_sector, "y")
-    value, trunc = _eval_kernel(cfg, args.kernel, x, y, tol, args.m, args.max_degree)
+    value, trunc = _eval_kernel(cfg, args.kernel, x, y, tol, args.m)
     regime = evaluation_regime(cfg, x, y)
     if _resolve(args, "format") == "csv":
         text = "\n".join(_grid_lines(cfg, [(x, y, value, regime)])) + "\n"
@@ -256,7 +246,7 @@ def cmd_grid(args) -> int:
             coords = r * direction
             x = make_rotated_point(phase_x, coords)
             y = make_rotated_point(phase_y, coords)
-            value, _ = _eval_kernel(cfg, args.kernel, x, y, tol, args.m, args.max_degree)
+            value, _ = _eval_kernel(cfg, args.kernel, x, y, tol, args.m)
             entries.append((x, y, value, evaluation_regime(cfg, x, y)))
     if _resolve(args, "format") == "json":
         keys = _grid_header(cfg)

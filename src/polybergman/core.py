@@ -45,10 +45,6 @@ class RotatedPoint:
     def dim(self) -> int:
         return self.coords.shape[0]
 
-    def as_complex(self) -> np.ndarray:
-        """The point as a plain complex vector (loses the exact phase split)."""
-        return np.exp(1j * self.phase) * self.coords
-
     def is_sphere_point(self, tol: float = 1e-12) -> bool:
         return abs(self.radius - 1.0) <= tol
 

@@ -16,7 +16,7 @@ harmonic (order-1) kernels with shifted radial weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -177,10 +177,7 @@ def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> c
     removes the spurious singularity at q = 1 exactly.
     """
     inv = _closed_form_guard(cfg, x, y)
-    cfg1 = KernelConfig(
-        n=cfg.n, p=1, alpha=cfg.alpha, beta=cfg.beta,
-        eps_branch=cfg.eps_branch, eps_sing=cfg.eps_sing, r_max=cfg.r_max,
-    )
+    cfg1 = replace(cfg, p=1)
     qpow = [int_pow(inv.q, k) for k in range(cfg.p)]
     geo = sum(qpow)
     lin = sum(4 * k * qk for k, qk in enumerate(qpow))

@@ -63,32 +63,12 @@ class PolyharmonicPolynomial:
         return evaluate(self, x)
 
 
-def random_polyharmonic(
-    cfg: KernelConfig, max_total_degree: int, blocks: int, seed: int
-) -> PolyharmonicPolynomial:
-    """Seeded random test polynomial; poles uniform on the sphere,
-    radial index uniform below the order, coefficients uniform in the unit
+def _random_blocks(cfg: KernelConfig, degree: int, blocks: int, seed: int, homogeneous: bool):
+    """Seeded random test polynomial of total degree <= degree (== degree
+    when homogeneous); per block, in this draw order: radial index uniform
+    below the order, harmonic degree uniform within the bound (unless
+    homogeneous), pole uniform on the sphere, coefficient uniform in the unit
     square of the complex plane."""
-    if max_total_degree < 0 or blocks < 1:
-        raise ValueError("need max_total_degree >= 0 and blocks >= 1")
-    rng = np.random.default_rng(seed)
-    out = []
-    k_hi = min(cfg.p - 1, max_total_degree // 2)
-    for _ in range(blocks):
-        k = int(rng.integers(0, k_hi + 1))
-        d = int(rng.integers(0, max_total_degree - 2 * k + 1))
-        pole = rng.normal(size=cfg.n)
-        pole /= np.linalg.norm(pole)
-        pole.flags.writeable = False
-        coeff = complex(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
-        out.append(ZonalBlock(k=k, d=d, pole=pole, coeff=coeff))
-    return PolyharmonicPolynomial(blocks=tuple(out), n=cfg.n, p=cfg.p)
-
-
-def random_homogeneous(
-    cfg: KernelConfig, degree: int, blocks: int, seed: int
-) -> PolyharmonicPolynomial:
-    """Random element of the homogeneous degree-`degree` order-p class."""
     if degree < 0 or blocks < 1:
         raise ValueError("need degree >= 0 and blocks >= 1")
     rng = np.random.default_rng(seed)
@@ -96,13 +76,43 @@ def random_homogeneous(
     k_hi = min(cfg.p - 1, degree // 2)
     for _ in range(blocks):
         k = int(rng.integers(0, k_hi + 1))
-        d = degree - 2 * k
+        d = degree - 2 * k if homogeneous else int(rng.integers(0, degree - 2 * k + 1))
         pole = rng.normal(size=cfg.n)
         pole /= np.linalg.norm(pole)
         pole.flags.writeable = False
         coeff = complex(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
         out.append(ZonalBlock(k=k, d=d, pole=pole, coeff=coeff))
     return PolyharmonicPolynomial(blocks=tuple(out), n=cfg.n, p=cfg.p)
+
+
+def random_polyharmonic(
+    cfg: KernelConfig, max_total_degree: int, blocks: int, seed: int
+) -> PolyharmonicPolynomial:
+    """Seeded random test polynomial of total degree <= max_total_degree."""
+    return _random_blocks(cfg, max_total_degree, blocks, seed, homogeneous=False)
+
+
+def random_homogeneous(
+    cfg: KernelConfig, degree: int, blocks: int, seed: int
+) -> PolyharmonicPolynomial:
+    """Random element of the homogeneous degree-`degree` order-p class."""
+    return _random_blocks(cfg, degree, blocks, seed, homogeneous=True)
+
+
+def _block_factors(q: PolyharmonicPolynomial, unit: np.ndarray):
+    """(degrees, coefficients, Z_d(unit_j, pole)) of the blocks; the last has
+    shape (blocks, N).
+
+    unit holds unit vectors; a zero row stands for the origin, where only
+    degree-0 blocks survive and z_0 = 1.  One zonal recurrence, to the
+    largest d, serves every block.
+    """
+    deg = np.array([b.degree for b in q.blocks], dtype=int)
+    coeff = np.array([b.coeff for b in q.blocks], dtype=complex)
+    d = np.array([b.d for b in q.blocks], dtype=int)
+    poles = np.array([b.pole for b in q.blocks]).reshape(-1, q.n)
+    z = zonal_values(unit @ poles.T, int(max(d, default=0)), q.n)
+    return deg, coeff, z[d, :, np.arange(d.size)]
 
 
 def eval_at_phase(q: PolyharmonicPolynomial, phase: float, coords: np.ndarray):
@@ -113,19 +123,22 @@ def eval_at_phase(q: PolyharmonicPolynomial, phase: float, coords: np.ndarray):
     """
     coords = np.asarray(coords, dtype=float)
     r = np.linalg.norm(coords, axis=-1)
-    safe_r = np.where(r == 0.0, 1.0, r)
-    unit = coords / safe_r[:, None]
-    val = np.zeros(coords.shape[0], dtype=complex)
-    for b in q.blocks:
-        deg = b.degree
-        if b.d == 0:
-            radial = r ** (2 * b.k)
-        else:
-            t = np.clip(unit @ b.pole, -1.0, 1.0)
-            zd = zonal_values(t, b.d, q.n)[b.d]
-            radial = np.where(r == 0.0, 0.0, r**deg * zd)
-        val += b.coeff * np.exp(1j * deg * phase) * radial
-    return val
+    deg, coeff, zon = _block_factors(q, coords / np.where(r == 0.0, 1.0, r)[:, None])
+    return (coeff * np.exp(1j * deg * phase)) @ (r ** deg[:, None] * zon)
+
+
+def eval_polar(q: PolyharmonicPolynomial, phases, radii, unit: np.ndarray):
+    """Values at the polar grid e^{i phases_k} radii_i unit_j, shape (K, I, J).
+
+    A block c |x|^(2k) Z_d(x, pole) there is
+    c e^{i deg phases_k} radii_i^deg Z_d(unit_j, pole), so each block's
+    zonal factor is computed once on the unit vectors, whatever the number
+    of phases and radii.
+    """
+    deg, coeff, zon = _block_factors(q, np.asarray(unit, dtype=float))
+    rot = coeff[:, None] * np.exp(1j * np.outer(deg, phases))
+    rad = np.asarray(radii, dtype=float)[None, :] ** deg[:, None]
+    return np.einsum("bk,bi,bj->kij", rot, rad, zon)
 
 
 def eval_complex(q: PolyharmonicPolynomial, z: np.ndarray):
@@ -259,18 +272,14 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
     else:
         ufun = u
     nodes = rule.nodes
-    weights = rule.weights
     num = r ** (2 * cfg.p) - d2**cfg.p
     pref = r ** (cfg.n - 2 * cfg.p)
-    total = 0.0 + 0.0j
-    for k in range(cfg.p):
-        rot = np.exp(1j * math.pi * k / cfg.p)
-        back = np.conj(rot)
-        bsq = back * back * d2 - 2.0 * r * back * (nodes @ d) + r * r
-        if np.any(np.abs(bsq) <= cfg.eps_sing * r * r):
-            raise NearSingular("mean-value kernel denominator vanished")
-        den = principal_pow(bsq, 0.5 * cfg.n, cfg.eps_branch)
-        pts = a[None, :] + r * rot * nodes
-        uv = ufun(pts)
-        total += complex(np.sum(weights * (num * pref / den) * uv))
-    return total / cfg.p
+    rot = np.exp(1j * math.pi * np.arange(cfg.p) / cfg.p)[:, None]
+    back = np.conj(rot)
+    bsq = back * back * d2 - 2.0 * r * back * (nodes @ d) + r * r
+    if np.any(np.abs(bsq) <= cfg.eps_sing * r * r):
+        raise NearSingular("mean-value kernel denominator vanished")
+    den = principal_pow(bsq, 0.5 * cfg.n, cfg.eps_branch)
+    pts = a + r * rot[:, :, None] * nodes
+    uv = ufun(pts.reshape(-1, cfg.n)).reshape(den.shape)
+    return complex(np.sum(rule.weights * (num * pref / den) * uv)) / cfg.p

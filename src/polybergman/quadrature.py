@@ -22,7 +22,7 @@ from scipy.special import roots_jacobi
 
 from .core import KernelConfig, RotatedPoint, unit_ball_volume
 from .kernels import weighted_coefficient
-from .polyspace import PolyharmonicPolynomial, eval_at_phase
+from .polyspace import PolyharmonicPolynomial, eval_polar
 from .zonal import series_coefficients, zonal_poly_sum
 
 NODE_CAP = 10**7
@@ -234,14 +234,29 @@ def sphere_monomial_moment(kappa) -> float:
     return math.exp(log_val)
 
 
-def integrate_sphere(rule: SphereRule, values: np.ndarray) -> complex:
-    return complex(np.sum(rule.weights * values))
+def _ball_values(cfg: KernelConfig, f, radii, unit: np.ndarray) -> np.ndarray:
+    """f at e^{ik pi/p} r_i unit_j for every sector k, radius i and node j;
+    shape (p, R, N).
 
-
-def _as_evaluator(f):
+    f is a PolyharmonicPolynomial or a callable f(phase, points) returning
+    the values at the rotated points e^{i*phase} * points.
+    """
+    phases = [cfg.sector_phase(k) for k in range(cfg.p)]
     if isinstance(f, PolyharmonicPolynomial):
-        return lambda phase, pts: eval_at_phase(f, phase, pts)
-    return f
+        return eval_polar(f, phases, radii, unit)
+    return np.array([[f(ph, r * unit) for r in radii] for ph in phases], dtype=complex)
+
+
+def _sector_sum(f, g, w_rad, w_sph) -> complex:
+    """(1/p) sum_kij w_rad_i w_sph_j f_kij g_kij over (p, R, N) grids, with
+    no product array formed."""
+    return complex(np.einsum("kij,kij,i,j->", f, g, w_rad, w_sph)) / f.shape[0]
+
+
+def _inner_product(cfg, f, g, radii, w_rad, sphere: SphereRule) -> complex:
+    fv = _ball_values(cfg, f, radii, sphere.nodes)
+    gv = _ball_values(cfg, g, radii, sphere.nodes)
+    return _sector_sum(fv, np.conjugate(gv, out=gv), w_rad, sphere.weights)
 
 
 def inner_product_sphere(cfg: KernelConfig, f, g, rule: SphereRule) -> complex:
@@ -249,31 +264,16 @@ def inner_product_sphere(cfg: KernelConfig, f, g, rule: SphereRule) -> complex:
 
     conj is literal complex conjugation of the evaluated value.
     """
-    fe, ge = _as_evaluator(f), _as_evaluator(g)
-    total = 0.0 + 0.0j
-    for j in range(cfg.p):
-        phase = cfg.sector_phase(j)
-        fv = fe(phase, rule.nodes)
-        gv = ge(phase, rule.nodes)
-        total += complex(np.sum(rule.weights * fv * np.conj(gv)))
-    return total / cfg.p
+    one = np.ones(1)
+    return _inner_product(cfg, f, g, one, one, rule)
 
 
 def inner_product_ball(cfg: KernelConfig, alpha: float, beta: float, f, g, rule: BallRule) -> complex:
     """Sector-averaged weighted ball inner product in polar composition."""
     if rule.radial.alpha != alpha or rule.radial.beta != beta or rule.radial.n != cfg.n:
         raise ValueError("ball rule weight parameters do not match the request")
-    fe, ge = _as_evaluator(f), _as_evaluator(g)
-    sph = rule.sphere
-    total = 0.0 + 0.0j
-    for j in range(cfg.p):
-        phase = cfg.sector_phase(j)
-        for r, wr in zip(rule.radial.nodes, rule.radial.weights):
-            pts = r * sph.nodes
-            fv = fe(phase, pts)
-            gv = ge(phase, pts)
-            total += wr * complex(np.sum(sph.weights * fv * np.conj(gv)))
-    return rule.normalization * total / cfg.p
+    rad = rule.radial
+    return rule.normalization * _inner_product(cfg, f, g, rad.nodes, rad.weights, rule.sphere)
 
 
 def _kernel_section_values(cfg, alpha, beta, x, m_top, radial_nodes, sphere_nodes):
@@ -324,10 +324,5 @@ def reproduce(
     sph = rule.sphere
     rad = rule.radial
     kv = _kernel_section_values(cfg, alpha, beta, x, m_top, rad.nodes, sph.nodes)
-    total = 0.0 + 0.0j
-    for k in range(cfg.p):
-        phase = cfg.sector_phase(k)
-        for i, (r, wr) in enumerate(zip(rad.nodes, rad.weights)):
-            uv = eval_at_phase(u, phase, r * sph.nodes)
-            total += wr * complex(np.sum(sph.weights * uv * kv[k, i]))
-    return rule.normalization * total / cfg.p
+    uv = _ball_values(cfg, u, rad.nodes, sph.nodes)
+    return rule.normalization * _sector_sum(uv, kv, rad.weights, sph.weights)

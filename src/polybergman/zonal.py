@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,21 +27,6 @@ BACKEND_NAME = "numpy"
 """Array backend of the zonal recurrence, reported by ``polybergman info``."""
 
 _T_DOMAIN_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ZonalParams:
-    """Gegenbauer index lam = (n-2)/2 attached to a dimension."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.n}")
-
-    @property
-    def lam(self) -> float:
-        return 0.5 * (self.n - 2)
 
 
 def gegenbauer(m: int, lam: float, t: float) -> float:

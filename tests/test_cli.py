@@ -76,14 +76,6 @@ class TestEval:
         assert lines[0].startswith("n,p,alpha,beta,phase_x,phase_y,ax1")
         assert_allclose(float(lines[1].split(",")[-3]), 255.0 / 108.0, rtol=1e-12)
 
-    def test_max_degree_override(self):
-        res = run_cli(
-            "eval", "--kernel", "wbergman", "--n", "3", "--p", "2",
-            "--x", "0.4,0,0", "--y", "0.4,0,0", "--max-degree", "30",
-        )
-        assert res.returncode == 0
-        assert json.loads(res.stdout)["truncation"] == 30
-
     def test_usage_errors_exit_2(self):
         assert run_cli("eval", "--kernel", "zonal", "--x", "0.1,0,0", "--y", "0,0,0").returncode == 2
         assert run_cli("eval", "--x", "0.1,0", "--y", "0,0,0").returncode == 2
@@ -175,6 +167,10 @@ def test_flags_a_command_does_not_read_exit_2():
         ("verify", "--suite", "growth", "--format", "csv"),
         ("verify", "--suite", "growth", "--max-degree", "2"),
         ("eval", "--x", "0,0,0", "--y", "0,0,0", "--seed", "1"),
+        ("eval", "--x", "0,0,0", "--y", "0,0,0", "--max-degree", "5"),
+        ("eval", "--kernel", "poisson", "--m", "2", "--x", "0,0,0", "--y", "0,0,0"),
+        ("grid", "--radial-steps", "1", "--angle-steps", "1", "--max-degree", "5"),
+        ("grid", "--radial-steps", "1", "--angle-steps", "1", "--kernel", "bergman", "--m", "2"),
         ("grid", "--radial-steps", "1", "--angle-steps", "1", "--seed", "1"),
         ("info", "--max-degree", "2"),
         ("info", "--format", "csv"),

@@ -21,7 +21,7 @@ from polybergman import (
     scale,
     to_json,
 )
-from polybergman.polyspace import eval_at_phase, eval_complex
+from polybergman.polyspace import eval_at_phase, eval_complex, eval_polar
 
 
 def unit(v):
@@ -74,6 +74,25 @@ class TestGenerator:
             q = random_homogeneous(cfg, m, blocks=5, seed=m)
             assert all(b.degree == m for b in q.blocks)
 
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_draw_order_is_pinned(self, homogeneous):
+        # the seed -> polynomial map every verify suite depends on: k, then d
+        # (unless homogeneous), then the pole, then the coefficient, per block
+        for n, p, degree, seed in [(2, 1, 0, 3), (3, 2, 6, 11), (4, 3, 7, 42)]:
+            cfg = KernelConfig(n=n, p=p)
+            rng = np.random.default_rng(seed)
+            want = []
+            for _ in range(5):
+                k = int(rng.integers(0, min(p - 1, degree // 2) + 1))
+                d = degree - 2 * k if homogeneous else int(rng.integers(0, degree - 2 * k + 1))
+                pole = rng.normal(size=n)
+                pole /= np.linalg.norm(pole)
+                coeff = complex(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+                want.append((k, d, pole.tolist(), coeff))
+            gen = random_homogeneous if homogeneous else random_polyharmonic
+            got = gen(cfg, degree, 5, seed)
+            assert [(b.k, b.d, b.pole.tolist(), b.coeff) for b in got.blocks] == want
+
 
 class TestEvaluate:
     def test_constant_block(self):
@@ -120,6 +139,39 @@ class TestEvaluate:
         q = random_polyharmonic(cfg, 2, blocks=2, seed=0)
         with pytest.raises(ValueError):
             evaluate(q, make_rotated_point(0.0, (0.1, 0.2)))
+
+    def test_origin_returns_the_constant_block_exactly(self):
+        cfg = KernelConfig(n=3, p=3)
+        others = random_polyharmonic(cfg, 6, blocks=8, seed=4).blocks
+        const = ZonalBlock(k=0, d=0, pole=unit([0.0, 1.0, 1.0]), coeff=0.3 - 0.7j)
+        q = PolyharmonicPolynomial(blocks=others + (const,), n=3, p=3)
+        for phase in (0.0, 1.3, -2.9):
+            assert evaluate(q, make_rotated_point(phase, np.zeros(3))) == 0.3 - 0.7j
+
+
+class TestEvalPolar:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_eval_at_phase_at_every_grid_point(self, n, p):
+        cfg = KernelConfig(n=n, p=p)
+        rng = np.random.default_rng(10 * n + p)
+        unit_nodes = rng.normal(size=(7, n))
+        unit_nodes /= np.linalg.norm(unit_nodes, axis=1)[:, None]
+        phases = [cfg.sector_phase(k) for k in range(p)]
+        radii = np.array([0.0, 0.25, 0.6, 1.0])
+        const = ZonalBlock(k=0, d=0, pole=unit(rng.normal(size=n)), coeff=1.5 + 0.5j)
+        polys = [
+            PolyharmonicPolynomial(blocks=(), n=n, p=p),
+            PolyharmonicPolynomial(blocks=(const,), n=n, p=p),
+            random_polyharmonic(cfg, 7, blocks=6, seed=n + 7 * p),
+        ]
+        for q in polys:
+            grid = eval_polar(q, phases, radii, unit_nodes)
+            assert grid.shape == (p, radii.size, unit_nodes.shape[0])
+            for k, phase in enumerate(phases):
+                for i, r in enumerate(radii):
+                    want = eval_at_phase(q, phase, r * unit_nodes)
+                    assert_allclose(grid[k, i], want, rtol=1e-13, atol=1e-14)
 
 
 class TestHomogeneousPart:

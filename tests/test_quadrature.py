@@ -21,7 +21,8 @@ from polybergman import (
     sphere_monomial_moment,
     unit_ball_volume,
 )
-from polybergman.polyspace import evaluate
+from polybergman import polyspace
+from polybergman.polyspace import eval_at_phase, evaluate
 from polybergman.quadrature import RadialRule, SphereRule, rule_from_json, rule_to_json
 
 
@@ -257,6 +258,41 @@ class TestInnerProducts:
             via_sphere = inner_product_sphere(cfg, q, q, sphere)
             factor = 3 * unit_ball_volume(3) * radial_moment(3, m, 0.0, 0.0)
             assert_allclose(via_ball.real, factor * via_sphere.real, rtol=1e-12)
+
+    @pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
+    def test_callable_route_matches_polynomial_route(self, n, p):
+        cfg = KernelConfig(n=n, p=p)
+        sphere = build_sphere_rule(n, 12)
+        ball = build_ball_rule(n, 0.0, 0.0, 12)
+        f = random_polyharmonic(cfg, 5, blocks=4, seed=n + p)
+        g = random_polyharmonic(cfg, 5, blocks=4, seed=n * p + 9)
+        fc = lambda ph, pts: eval_at_phase(f, ph, pts)  # noqa: E731
+        gc = lambda ph, pts: eval_at_phase(g, ph, pts)  # noqa: E731
+        for got, want in [
+            (inner_product_sphere(cfg, fc, gc, sphere), inner_product_sphere(cfg, f, g, sphere)),
+            (inner_product_ball(cfg, 0.0, 0.0, fc, gc, ball), inner_product_ball(cfg, 0.0, 0.0, f, g, ball)),
+        ]:
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_one_recurrence_per_polynomial_per_call(self, monkeypatch):
+        # the zonal factors depend on the sphere node only: one recurrence
+        # per operand, whatever the number of sectors and radial nodes
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return zonal_values(*args)
+
+        zonal_values = polyspace.zonal_values
+        monkeypatch.setattr(polyspace, "zonal_values", counted)
+        cfg = KernelConfig(n=3, p=3)
+        ball = build_ball_rule(3, 0.0, 0.0, 12)
+        q = random_polyharmonic(cfg, 6, blocks=5, seed=1)
+        inner_product_ball(cfg, 0.0, 0.0, q, q, ball)
+        assert len(calls) == 2
+        x = make_rotated_point(cfg.sector_phase(1), (0.2, 0.1, -0.3))
+        reproduce(cfg, 0.0, 0.0, q, x, 6, build_ball_rule(3, 0.0, 0.0, 14))
+        assert len(calls) == 3
 
     def test_weight_mismatch_rejected(self):
         cfg = KernelConfig(n=3, p=1)

@@ -236,16 +236,6 @@ class TestZonalComplexEvaluation:
                 assert abs(via_bilinear - via_phases) <= 1e-12 * max(1.0, abs(via_phases))
 
 
-class TestZonalParams:
-    def test_gegenbauer_index(self):
-        from polybergman import ZonalParams
-
-        assert ZonalParams(3).lam == 0.5
-        assert ZonalParams(6).lam == 2.0
-        with pytest.raises(ValueError):
-            ZonalParams(1)
-
-
 class TestGrowthRatio:
     def test_harmonic_degree_one(self):
         cfg = KernelConfig(n=3, p=1)
