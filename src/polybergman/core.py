@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,9 +38,9 @@ class RotatedPoint:
     phase: float
     coords: np.ndarray
 
-    @property
+    @cached_property
     def radius(self) -> float:
-        return float(np.linalg.norm(self.coords))
+        return math.sqrt(self.coords @ self.coords)
 
     @property
     def dim(self) -> int:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     KernelConfig,
+    PairInvariants,
     RotatedPoint,
     int_pow,
     pair_invariants,
@@ -30,7 +31,7 @@ from .core import (
     unit_ball_volume,
 )
 from .errors import ConvergenceDomain, NearSingular
-from .zonal import series_coefficients, zonal_growth_ratio, zonal_pair_args, zonal_poly_sum
+from .zonal import _growth_ratios, series_coefficients, zonal_pair_args, zonal_poly_sum
 
 _CAL_DEGREES = 40
 _CAL_SAMPLES = 65
@@ -51,10 +52,7 @@ class Truncation:
 
 @lru_cache(maxsize=None)
 def _calibrated_constant(n: int, p: int) -> float:
-    cfg = KernelConfig(n=n, p=p)
-    return max(
-        zonal_growth_ratio(cfg, m, _CAL_SAMPLES) for m in range(1, _CAL_DEGREES + 1)
-    )
+    return float(np.max(_growth_ratios(KernelConfig(n=n, p=p), _CAL_DEGREES, _CAL_SAMPLES)))
 
 
 def calibrated_constant(cfg: KernelConfig) -> float:
@@ -82,13 +80,22 @@ def weighted_coefficient(n: int, alpha: float, beta: float, m: int) -> float:
     return 2.0 * math.exp(math.lgamma(z + beta + 1.0) - math.lgamma(beta + 1.0) - math.lgamma(z))
 
 
-def _series_weight(cfg: KernelConfig, kind: str, m: int) -> float:
+def _series_weights(cfg: KernelConfig, kind: str, top: int) -> np.ndarray:
+    """Series weights g(0..top) of kind: 1 (poisson), n + 2m (bergman) or
+    the Gamma ratio of weighted_coefficient (weighted).
+
+    The weighted ratios come from Gamma(z+1) = z Gamma(z):
+    g(m+1) = g(m) (z + beta + 1) / z with z = m + (n+alpha)/2, so only g(0)
+    needs log-Gamma values.
+    """
     if kind == "poisson":
-        return 1.0
+        return np.ones(top + 1)
     if kind == "bergman":
-        return cfg.n + 2.0 * m
+        return cfg.n + 2.0 * np.arange(top + 1)
     if kind == "weighted":
-        return weighted_coefficient(cfg.n, cfg.alpha, cfg.beta, m)
+        z = np.arange(top) + 0.5 * (cfg.n + cfg.alpha)
+        g0 = weighted_coefficient(cfg.n, cfg.alpha, cfg.beta, 0)
+        return np.cumprod(np.concatenate(([g0], (z + cfg.beta + 1.0) / z)))
     raise ValueError(f"unknown series weight kind {kind!r}")
 
 
@@ -98,7 +105,8 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
     The tail is bounded by a geometric-ratio estimate: term ratios of
     a_m = g(m) m^(n-2) r^m decrease monotonically toward r, so
     sum_{m>M} a_m <= a_{M+1} / (1 - a_{M+2}/a_{M+1}) once that ratio is
-    below one.
+    below one.  The terms come as one array over a window of degrees that
+    starts at 64 and doubles (recomputed from degree 0) until it holds M.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -109,17 +117,21 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
     if r == 0.0:
         return 0
     chat = calibrated_constant(cfg) * cfg.p
-
-    def term(m: int) -> float:
-        return _series_weight(cfg, kind, m) * float(m) ** (cfg.n - 2) * r**m
-
     m_cap = 100_000
-    for big_m in range(m_cap):
-        a1 = term(big_m + 1)
-        rho = term(big_m + 2) / a1
-        if rho < 1.0 and chat * a1 / (1.0 - rho) < tol:
+    top = 64
+    while True:
+        m = np.arange(top + 2, dtype=float)
+        a = _series_weights(cfg, kind, top + 1) * m ** (cfg.n - 2) * r**m
+        a1, a2 = a[1:-1], a[2:]
+        # rho = a2/a1 < 1 and chat a1 / (1 - rho) < tol, without dividing
+        # by terms that may underflow to 0 far beyond M
+        done = (a2 < a1) & (chat * a1 * a1 < tol * (a1 - a2))
+        big_m = int(done.argmax())
+        if done[big_m]:
             return big_m
-    raise ConvergenceDomain(f"no truncation below {tol} found for r={r}")
+        if top >= m_cap:
+            raise ConvergenceDomain(f"no truncation below {tol} found for r={r}")
+        top = min(2 * top, m_cap)
 
 
 def make_truncation(cfg: KernelConfig, r: float, tol: float, kind: str = "poisson") -> Truncation:
@@ -147,12 +159,23 @@ def _closed_form_guard(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint):
     return inv
 
 
+def _poisson_from(cfg: KernelConfig, inv: PairInvariants, p: int) -> complex:
+    """(1 - q^p) / w^(n/2) from the pair invariants."""
+    return (1.0 - int_pow(inv.q, p)) / principal_pow(inv.w, 0.5 * cfg.n, cfg.eps_branch)
+
+
+def _bergman_from(cfg: KernelConfig, inv: PairInvariants, p: int) -> complex:
+    """The order-p Bergman closed form from the pair invariants."""
+    n = cfg.n
+    qp = int_pow(inv.q, p)
+    num = (n - 4 * p) * qp * inv.q + (8 * p * inv.s - n - 4 * p) * qp + n * (1.0 - inv.q)
+    den = n * unit_ball_volume(n) * principal_pow(inv.w, 0.5 * n + 1.0, cfg.eps_branch)
+    return num / den
+
+
 def poisson(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
     """Closed-form polyharmonic Poisson kernel (1 - q^p) / w^(n/2)."""
-    inv = _closed_form_guard(cfg, x, y)
-    num = 1.0 - int_pow(inv.q, cfg.p)
-    den = principal_pow(inv.w, 0.5 * cfg.n, cfg.eps_branch)
-    return num / den
+    return _poisson_from(cfg, _closed_form_guard(cfg, x, y), cfg.p)
 
 
 def bergman(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
@@ -161,12 +184,7 @@ def bergman(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
     [(n-4p) q^(p+1) + (8p s - n - 4p) q^p + n (1-q)] / (n Vol_n w^(n/2+1));
     p = 1 recovers the classical harmonic Bergman kernel.
     """
-    inv = _closed_form_guard(cfg, x, y)
-    n, p = cfg.n, cfg.p
-    qp = int_pow(inv.q, p)
-    num = (n - 4 * p) * qp * inv.q + (8 * p * inv.s - n - 4 * p) * qp + n * (1.0 - inv.q)
-    den = n * unit_ball_volume(n) * principal_pow(inv.w, 0.5 * n + 1.0, cfg.eps_branch)
-    return num / den
+    return _bergman_from(cfg, _closed_form_guard(cfg, x, y), cfg.p)
 
 
 def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
@@ -177,11 +195,10 @@ def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> c
     removes the spurious singularity at q = 1 exactly.
     """
     inv = _closed_form_guard(cfg, x, y)
-    cfg1 = replace(cfg, p=1)
     qpow = [int_pow(inv.q, k) for k in range(cfg.p)]
     geo = sum(qpow)
     lin = sum(4 * k * qk for k, qk in enumerate(qpow))
-    return geo * bergman(cfg1, x, y) + lin * poisson(cfg1, x, y) / (
+    return geo * _bergman_from(cfg, inv, 1) + lin * _poisson_from(cfg, inv, 1) / (
         cfg.n * unit_ball_volume(cfg.n)
     )
 
@@ -198,7 +215,7 @@ def _zonal_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Tr
     """sum_{m<=max_degree} g(m) Z^p_m(x, y) with the series weight of kind,
     normalized by n Vol_n for the Bergman kinds."""
     _series_domain_guard(cfg, x, y)
-    g = np.array([_series_weight(cfg, kind, m) for m in range(trunc.max_degree + 1)])
+    g = _series_weights(cfg, kind, trunc.max_degree)
     if kind != "poisson":
         g /= cfg.n * unit_ball_volume(cfg.n)
     return complex(zonal_poly_sum(series_coefficients(cfg.p, g), *zonal_pair_args(x, y), cfg.n))
@@ -230,9 +247,9 @@ def weighted_bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPo
     top = trunc.max_degree
     coef = np.zeros((min(cfg.p, top // 2 + 1), top + 1))
     for k in range(coef.shape[0]):
-        coef[k, : top + 1 - 2 * k] = [
-            weighted_coefficient(cfg.n, cfg.alpha + 4.0 * k, cfg.beta, l) for l in range(top + 1 - 2 * k)
-        ]
+        coef[k, : top + 1 - 2 * k] = _series_weights(
+            replace(cfg, alpha=cfg.alpha + 4.0 * k), "weighted", top - 2 * k
+        )
     coef /= cfg.n * unit_ball_volume(cfg.n)
     return complex(zonal_poly_sum(coef, *zonal_pair_args(x, y), cfg.n))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import KernelConfig, RotatedPoint, principal_pow
 from .errors import NearSingular, StencilOutOfDomain
-from .zonal import zonal_harmonic_complex, zonal_values
+from .zonal import _zonal_rows, zonal_values
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,15 @@ def random_homogeneous(
     return _random_blocks(cfg, degree, blocks, seed, homogeneous=True)
 
 
+def _block_arrays(q: PolyharmonicPolynomial):
+    """(k, d, coefficients, poles) of the blocks, one entry (row) per block."""
+    k = np.array([b.k for b in q.blocks], dtype=int)
+    d = np.array([b.d for b in q.blocks], dtype=int)
+    coeff = np.array([b.coeff for b in q.blocks], dtype=complex)
+    poles = np.array([b.pole for b in q.blocks]).reshape(-1, q.n)
+    return k, d, coeff, poles
+
+
 def _block_factors(q: PolyharmonicPolynomial, unit: np.ndarray):
     """(degrees, coefficients, Z_d(unit_j, pole)) of the blocks; the last has
     shape (blocks, N).
@@ -107,12 +116,9 @@ def _block_factors(q: PolyharmonicPolynomial, unit: np.ndarray):
     degree-0 blocks survive and z_0 = 1.  One zonal recurrence, to the
     largest d, serves every block.
     """
-    deg = np.array([b.degree for b in q.blocks], dtype=int)
-    coeff = np.array([b.coeff for b in q.blocks], dtype=complex)
-    d = np.array([b.d for b in q.blocks], dtype=int)
-    poles = np.array([b.pole for b in q.blocks]).reshape(-1, q.n)
+    k, d, coeff, poles = _block_arrays(q)
     z = zonal_values(unit @ poles.T, int(max(d, default=0)), q.n)
-    return deg, coeff, z[d, :, np.arange(d.size)]
+    return d + 2 * k, coeff, z[d, :, np.arange(d.size)]
 
 
 def eval_at_phase(q: PolyharmonicPolynomial, phase: float, coords: np.ndarray):
@@ -144,15 +150,16 @@ def eval_polar(q: PolyharmonicPolynomial, phases, radii, unit: np.ndarray):
 def eval_complex(q: PolyharmonicPolynomial, z: np.ndarray):
     """Evaluate at a batch of general complex vectors (shape (N, n)).
 
-    Uses the bilinear polynomial form of each block; agrees with
-    eval_at_phase on the rotated-point family up to roundoff.
+    Uses the bilinear polynomial form of each block, bil^k Z_d(z, pole)
+    with bil = z.z, the zonal factors of all blocks from one homogeneous
+    recurrence at s = z.pole, b = bil; agrees with eval_at_phase on the
+    rotated-point family up to roundoff.
     """
     z = np.asarray(z, dtype=complex)
     bil = np.sum(z * z, axis=-1)
-    val = np.zeros(z.shape[0], dtype=complex)
-    for b in q.blocks:
-        val += b.coeff * bil**b.k * zonal_harmonic_complex(q.n, b.d, z, b.pole)
-    return val
+    k, d, coeff, poles = _block_arrays(q)
+    zon = _zonal_rows(z @ poles.T, bil[:, None], int(max(d, default=0)), q.n)
+    return coeff @ (bil ** k[:, None] * zon[d, :, np.arange(d.size)])
 
 
 def evaluate(q: PolyharmonicPolynomial, x: RotatedPoint) -> complex:

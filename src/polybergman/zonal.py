@@ -29,15 +29,20 @@ BACKEND_NAME = "numpy"
 _T_DOMAIN_TOL = 1e-12
 
 
+def _clip_cosine(t: float) -> float:
+    """t clipped to [-1, 1]; ValueError beyond the roundoff margin or NaN."""
+    if not abs(t) <= 1.0 + _T_DOMAIN_TOL:
+        raise ValueError(f"cosine argument {t} outside [-1, 1]")
+    return min(1.0, max(-1.0, t))
+
+
 def gegenbauer(m: int, lam: float, t: float) -> float:
     """Gegenbauer polynomial C^lam_m(t) by the three-term recurrence."""
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
     if lam <= 0:
         raise ValueError(f"gegenbauer index must be positive, got {lam}")
-    if abs(t) > 1.0 + _T_DOMAIN_TOL:
-        raise ValueError(f"argument {t} outside [-1, 1]")
-    t = min(1.0, max(-1.0, t))
+    t = _clip_cosine(t)
     if m == 0:
         return 1.0
     cm2, cm1 = 1.0, 2.0 * lam * t
@@ -50,9 +55,7 @@ def chebyshev_t(m: int, t: float) -> float:
     """Chebyshev polynomial T_m(t), the n = 2 degenerate zonal backbone."""
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
-    if abs(t) > 1.0 + _T_DOMAIN_TOL:
-        raise ValueError(f"argument {t} outside [-1, 1]")
-    t = min(1.0, max(-1.0, t))
+    t = _clip_cosine(t)
     if m == 0:
         return 1.0
     tm2, tm1 = 1.0, t
@@ -74,17 +77,21 @@ def _zonal_rows(s, b, m_max: int, n: int) -> np.ndarray:
         z_m = ((m+lam)/m) (2 s z_{m-1} - c_m b z_{m-2}),
         c_m = (m+2lam-2)/(m+lam-2) for m >= 3, c_2 = 2,
 
-    started from z_0 = 1, z_1 = 2 (1+lam) s.
+    started from z_0 = 1, z_1 = 2 (1+lam) s.  The two previous rows are
+    carried as values of s's own type, so a Python float or complex s runs
+    on Python numbers and an array s on whole arrays.
     """
     lam = 0.5 * (n - 2)
     out = np.empty((m_max + 1,) + np.shape(s), dtype=np.result_type(s, b))
-    out[0] = 1.0
+    z2, z1 = 1.0, 2.0 * (1.0 + lam) * s
+    out[0] = z2
     if m_max >= 1:
-        out[1] = 2.0 * (1.0 + lam) * s
+        out[1] = z1
     for m in range(2, m_max + 1):
         c = 2.0 if m == 2 else (m + 2.0 * lam - 2.0) / (m + lam - 2.0)
         f = (m + lam) / m
-        out[m] = (2.0 * f) * s * out[m - 1] - (f * c * b) * out[m - 2]
+        z2, z1 = z1, (2.0 * f) * s * z1 - (f * c * b) * z2
+        out[m] = z1
     return out
 
 
@@ -97,10 +104,13 @@ def zonal_values(t, m_max: int, n: int) -> np.ndarray:
     n = 2, z_m = 2 T_m (Chebyshev).  The normalization is pinned by the
     Poisson generating identity sum_m z_m(t) r^m = (1-r^2)/(1-2rt+r^2)^(n/2)
     and by z_m(1) equalling the dimension of the degree-m spherical
-    harmonics.
+    harmonics.  A cosine outside [-1, 1] (beyond roundoff) or NaN raises
+    ValueError.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(np.abs(t) > 1.0 + _T_DOMAIN_TOL):
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        return _zonal_rows(_clip_cosine(float(t)), 1.0, m_max, n)[:, None]
+    if not np.all(np.abs(t) <= 1.0 + _T_DOMAIN_TOL):
         raise ValueError("cosine argument outside [-1, 1]")
     return _zonal_rows(np.clip(t, -1.0, 1.0), 1.0, m_max, n)
 
@@ -195,28 +205,27 @@ def zonal_polyharmonic(
     return complex(zonal_poly_sum(coef, *zonal_pair_args(x, y), cfg.n))
 
 
-def zonal_harmonic_complex(n: int, m: int, z: np.ndarray, pole: np.ndarray):
-    """Z_m(z, pole) for a batch of general complex vectors z (shape (N, n)).
+def _growth_ratios(cfg: KernelConfig, m_max: int, samples: int) -> np.ndarray:
+    """max over sphere-pair cosines of |Z^p_m| / (p * m^(n-2)) for m = 1..m_max.
 
-    Runs the homogeneous zonal recurrence at s = z.pole and b = z.z (bilinear,
-    no conjugation): the holomorphic continuation of the real zonal harmonic
-    in its first slot.  pole must be a real unit vector.
+    The modulus of Z^p_m at sector sphere points equals its value at the
+    underlying real pair, where zeta = 1 and Z^p_m(t) = sum_{k<p, 2k<=m}
+    z_{m-2k}(t); so one recurrence on a cosine grid (endpoints included)
+    serves every degree.  The maximum sits at t = 1.
     """
-    z = np.asarray(z, dtype=complex)
-    return _zonal_rows(z @ pole, np.sum(z * z, axis=-1), m, n)[m]
+    if m_max < 1:
+        raise ValueError(f"degree must be >= 1, got {m_max}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    z = zonal_values(np.linspace(-1.0, 1.0, max(2, samples)), m_max, cfg.n)
+    zp = z.copy()
+    for k in range(1, min(cfg.p, m_max // 2 + 1)):
+        zp[2 * k :] += z[: m_max + 1 - 2 * k]
+    m = np.arange(1, m_max + 1, dtype=float)
+    return np.max(np.abs(zp[1:]), axis=1) / (cfg.p * m ** (cfg.n - 2))
 
 
 def zonal_growth_ratio(cfg: KernelConfig, m: int, samples: int) -> float:
-    """max over sphere-pair cosines of |Z^p_m| / (p * m^(n-2)).
-
-    The modulus of Z^p_m at sector sphere points equals its value at the
-    underlying real pair, so a cosine grid (endpoints included) covers the
-    maximum; it sits at t = 1.
-    """
-    if m < 1:
-        raise ValueError(f"degree must be >= 1, got {m}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    t = np.linspace(-1.0, 1.0, max(2, samples))
-    tot = zonal_poly_sum(degree_coefficients(cfg.p, m), t, 1.0, cfg.n)
-    return float(np.max(np.abs(tot)) / (cfg.p * float(m) ** (cfg.n - 2)))
+    """max over sphere-pair cosines of |Z^p_m| / (p * m^(n-2)); see
+    _growth_ratios."""
+    return float(_growth_ratios(cfg, m, samples)[-1])

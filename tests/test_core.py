@@ -26,6 +26,14 @@ class TestMakeRotatedPoint:
         assert x.phase == 0.0
         assert x.radius == 0.5
 
+    def test_radius_is_the_euclidean_norm_computed_once(self):
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 5):
+            x = make_rotated_point(0.4, rng.normal(size=n))
+            assert x.radius == float(np.linalg.norm(x.coords))
+            assert isinstance(x.radius, float)
+            assert vars(x)["radius"] is x.radius
+
     def test_phase_periodicity(self):
         x = make_rotated_point(2 * math.pi, (0.1, 0.2, 0.3))
         assert abs(x.phase) < 1e-15

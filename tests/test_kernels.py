@@ -25,6 +25,8 @@ from polybergman import (
     weighted_bergman_series,
     weighted_coefficient,
 )
+from polybergman import kernels
+from polybergman.kernels import _series_weights
 
 
 def unit(v):
@@ -191,6 +193,22 @@ class TestBergmanDecomposed:
         o = make_rotated_point(0.0, np.zeros(4))
         assert_allclose(bergman_decomposed(cfg, o, o), 1.0 / unit_ball_volume(4), rtol=1e-14)
 
+    def test_pair_invariants_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return pair_invariants(x, y)
+
+        monkeypatch.setattr(kernels, "pair_invariants", counted)
+        cfg = KernelConfig(n=3, p=2)
+        x, y = random_sector_pair(cfg, np.random.default_rng(5))
+        expected = bergman(cfg, x, y)
+        calls.clear()
+        got = bergman_decomposed(cfg, x, y)
+        assert len(calls) == 1
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
 
 class TestWeightedCoefficient:
     def test_beta_zero_collapses(self):
@@ -220,6 +238,42 @@ class TestWeightedCoefficient:
             weighted_coefficient(3, 0.0, -1.0, 0)
         with pytest.raises(ValueError):
             weighted_coefficient(3, 0.0, 0.0, -1)
+
+
+class TestSeriesWeights:
+    def test_weighted_recurrence_matches_gamma_ratio(self):
+        # the ratio recurrence accumulates one rounding per degree; the
+        # log-Gamma form loses digits as lgamma grows, so both stay within
+        # 1e-11 relative of each other up to degree 2000
+        for n, alpha, beta in [(2, 0.0, 0.0), (3, 1.0, 0.5), (5, -0.5, 2.0), (4, 3.0, 40.0)]:
+            cfg = KernelConfig(n=n, p=1, alpha=alpha, beta=beta)
+            g = _series_weights(cfg, "weighted", 2000)
+            ref = np.array([weighted_coefficient(n, alpha, beta, m) for m in range(2001)])
+            assert_allclose(g, ref, rtol=1e-11, atol=0)
+
+    def test_unweighted_kinds(self):
+        cfg = KernelConfig(n=4, p=2)
+        assert np.array_equal(_series_weights(cfg, "poisson", 5), np.ones(6))
+        assert np.array_equal(_series_weights(cfg, "bergman", 5), 4.0 + 2.0 * np.arange(6))
+        assert _series_weights(cfg, "weighted", 0).tolist() == [weighted_coefficient(4, 0.0, 0.0, 0)]
+        with pytest.raises(ValueError):
+            _series_weights(cfg, "szego", 5)
+
+    def test_weighted_coefficient_is_called_once_per_weight_array(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return weighted_coefficient(*args)
+
+        monkeypatch.setattr(kernels, "weighted_coefficient", counted)
+        cfg = KernelConfig(n=3, p=2, alpha=1.0, beta=0.5)
+        x = make_rotated_point(0.0, (0.7, 0.0, 0.0))
+        y = make_rotated_point(cfg.sector_phase(1), (0.5, 0.5, 0.0))
+        trunc = make_truncation(cfg, x.radius * y.radius, 1e-10, "weighted")
+        weighted_bergman_series(cfg, x, y, trunc)
+        assert trunc.max_degree >= 20
+        assert len(calls) == 2
 
 
 class TestWeightedSeries:
@@ -373,6 +427,41 @@ class TestTruncationDegree:
             a = series(cfg, x, y, Truncation(m, tol, cal))
             b = series(cfg, x, y, Truncation(m + 10, tol, cal))
             assert abs(a - b) < tol
+
+
+def _reference_truncation_degree(cfg, r, tol, kind):
+    """The term-by-term search: two terms per step, weights from
+    weighted_coefficient."""
+    if r == 0.0:
+        return 0
+    chat = kernels.calibrated_constant(cfg) * cfg.p
+
+    def term(m):
+        g = {"poisson": 1.0, "bergman": cfg.n + 2.0 * m}.get(kind)
+        if g is None:
+            g = weighted_coefficient(cfg.n, cfg.alpha, cfg.beta, m)
+        return g * float(m) ** (cfg.n - 2) * r**m
+
+    for big_m in range(100_000):
+        a1 = term(big_m + 1)
+        rho = term(big_m + 2) / a1
+        if rho < 1.0 and chat * a1 / (1.0 - rho) < tol:
+            return big_m
+    raise AssertionError("reference search did not stop")
+
+
+class TestTruncationReference:
+    @pytest.mark.parametrize("kind", ["poisson", "bergman", "weighted"])
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 0.5), (-0.5, 2.0)])
+    def test_degrees_match_term_by_term_search(self, kind, alpha, beta):
+        for n in (2, 3, 4, 5):
+            for p in (1, 2, 3):
+                cfg = KernelConfig(n=n, p=p, alpha=alpha, beta=beta)
+                for r in np.linspace(0.0, cfg.r_max, 40):
+                    r = float(r)
+                    assert truncation_degree(cfg, r, 1e-10, kind) == _reference_truncation_degree(
+                        cfg, r, 1e-10, kind
+                    ), (kind, n, p, alpha, beta, r)
 
 
 class TestCrossSectorConjugateSymmetry:

@@ -22,6 +22,7 @@ from polybergman import (
     to_json,
 )
 from polybergman.polyspace import eval_at_phase, eval_complex, eval_polar
+from polybergman.zonal import _zonal_rows
 
 
 def unit(v):
@@ -133,6 +134,22 @@ class TestEvaluate:
             via_phase = evaluate(q, make_rotated_point(phase, a))
             via_complex = eval_complex(q, (np.exp(1j * phase) * a)[None, :])[0]
             assert abs(via_phase - via_complex) <= 1e-12 * max(1.0, abs(via_phase))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_complex_route_matches_block_by_block_sum(self, n):
+        # general complex vectors, not only rotated points: every block's
+        # own recurrence at s = z.pole, b = z.z, summed one block at a time
+        cfg = KernelConfig(n=n, p=3)
+        q = random_polyharmonic(cfg, 7, blocks=8, seed=n)
+        rng = np.random.default_rng(n)
+        z = rng.uniform(-0.5, 0.5, (30, n)) + 1j * rng.uniform(-0.5, 0.5, (30, n))
+        bil = np.sum(z * z, axis=-1)
+        want = sum(
+            b.coeff * bil**b.k * _zonal_rows(z @ b.pole, bil, b.d, n)[b.d] for b in q.blocks
+        )
+        assert_allclose(eval_complex(q, z), want, rtol=1e-13, atol=1e-13)
+        empty = PolyharmonicPolynomial(blocks=(), n=n, p=3)
+        assert np.array_equal(eval_complex(empty, z), np.zeros(30, dtype=complex))
 
     def test_dimension_mismatch(self):
         cfg = KernelConfig(n=3, p=1)

@@ -7,6 +7,7 @@ from scipy.special import eval_gegenbauer
 
 from polybergman import (
     KernelConfig,
+    calibrated_constant,
     gegenbauer,
     make_rotated_point,
     pair_invariants,
@@ -16,7 +17,14 @@ from polybergman import (
     zonal_harmonic,
     zonal_polyharmonic,
 )
-from polybergman.zonal import chebyshev_t, zonal_harmonic_complex, zonal_values
+from polybergman.zonal import (
+    _growth_ratios,
+    _zonal_rows,
+    chebyshev_t,
+    degree_coefficients,
+    zonal_poly_sum,
+    zonal_values,
+)
 
 
 def classical_poisson(n, x, zeta_hat):
@@ -78,6 +86,27 @@ class TestZonalValues:
             else:
                 ref = [(m + lam) / lam * gegenbauer(m, lam, tj) for tj in t]
             assert_allclose(zv[m], ref, rtol=1e-12, atol=1e-12 * m ** (n - 2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_scalar_cosine_equals_one_element_array(self, n):
+        # a scalar runs the recurrence on Python floats, an array on numpy
+        for t in (-1.0, -0.37, 0.0, 0.3, 1.0, 1.0 + 5e-13):
+            want = zonal_values(np.array([t]), 71, n)
+            for scalar in (t, np.float64(t), np.array(t)):
+                got = zonal_values(scalar, 71, n)
+                assert got.shape == (72, 1)
+                assert np.array_equal(got, want)
+
+    def test_nan_and_out_of_range_cosines_rejected(self):
+        for bad in (math.nan, 1.1, -1.0 - 1e-9):
+            with pytest.raises(ValueError):
+                zonal_values(bad, 3, 3)
+            with pytest.raises(ValueError):
+                zonal_values(np.array([0.2, bad]), 3, 3)
+            with pytest.raises(ValueError):
+                gegenbauer(3, 0.5, bad)
+            with pytest.raises(ValueError):
+                chebyshev_t(3, bad)
 
 
 class TestSphDim:
@@ -229,7 +258,7 @@ class TestZonalComplexEvaluation:
                 a = rng.uniform(-0.6, 0.6, size=n)
                 phase = rng.uniform(-math.pi, math.pi)
                 z = np.exp(1j * phase) * a
-                via_bilinear = zonal_harmonic_complex(n, m, z[None, :], pole)[0]
+                via_bilinear = _zonal_rows(complex(z @ pole), complex(z @ z), m, n)[m]
                 via_phases = zonal_harmonic(
                     n, m, make_rotated_point(phase, a), make_rotated_point(0.0, pole)
                 )
@@ -249,6 +278,20 @@ class TestGrowthRatio:
         assert max(ratios) < 10.0
         # the sector prefactors only rescale: order p stays comparable to p=1
         assert max(ratios[9:]) <= 2.0 * min(ratios[9:])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_recurrence_matches_per_degree_sums(self, n, p):
+        # Z^p_m at zeta = 1 through the general assembly, one degree at a time
+        cfg = KernelConfig(n=n, p=p)
+        t = np.linspace(-1.0, 1.0, 65)
+        ref = [
+            np.max(np.abs(zonal_poly_sum(degree_coefficients(p, m), t, 1.0, n))) / (p * float(m) ** (n - 2))
+            for m in range(1, 41)
+        ]
+        assert_allclose(_growth_ratios(cfg, 40, 65), ref, rtol=1e-13, atol=0)
+        assert_allclose(calibrated_constant(cfg), max(ref), rtol=1e-13, atol=0)
+        assert zonal_growth_ratio(cfg, 17, 65) == _growth_ratios(cfg, 40, 65)[16]
 
     def test_preconditions(self):
         cfg = KernelConfig(n=3, p=1)
