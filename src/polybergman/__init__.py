@@ -15,7 +15,6 @@ from .core import (
     make_rotated_point,
     pair_invariants,
     principal_pow,
-    scale,
     unit_ball_volume,
 )
 from .errors import (
@@ -23,7 +22,6 @@ from .errors import (
     ConvergenceDomain,
     KernelDomainError,
     NearSingular,
-    StencilOutOfDomain,
 )
 from .kernels import (
     Truncation,
@@ -46,7 +44,6 @@ from .polyspace import (
     ZonalBlock,
     evaluate,
     from_json,
-    homogeneous_part,
     laplacian_power_residual,
     mean_value_eval,
     random_homogeneous,
@@ -72,7 +69,6 @@ from .zonal import (
     gegenbauer,
     sph_dim,
     zonal_growth_ratio,
-    zonal_harmonic,
     zonal_polyharmonic,
 )
 
@@ -89,7 +85,6 @@ __all__ = [
     "RadialRule",
     "RotatedPoint",
     "SphereRule",
-    "StencilOutOfDomain",
     "SUITES",
     "Truncation",
     "ZonalBlock",
@@ -105,7 +100,6 @@ __all__ = [
     "evaluation_regime",
     "from_json",
     "gegenbauer",
-    "homogeneous_part",
     "inner_product_ball",
     "inner_product_sphere",
     "laplacian_power_residual",
@@ -121,7 +115,6 @@ __all__ = [
     "random_polyharmonic",
     "reproduce",
     "run_suite",
-    "scale",
     "sph_dim",
     "sphere_monomial_moment",
     "to_json",
@@ -131,6 +124,5 @@ __all__ = [
     "weighted_bergman_series",
     "weighted_coefficient",
     "zonal_growth_ratio",
-    "zonal_harmonic",
     "zonal_polyharmonic",
 ]

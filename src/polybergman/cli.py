@@ -300,6 +300,21 @@ _COMMANDS = {
 }
 
 
+def _checked_config(data) -> dict:
+    """The parsed --config file, which must be a JSON object whose keys
+    among DEFAULTS hold finite numbers, integers where the default is one
+    (as the flags take them); ValueError otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {json.dumps(data)[:40]}")
+    for key in DEFAULTS.keys() & data.keys():
+        val = data[key]
+        kind = int if isinstance(DEFAULTS[key], int) else (int, float)
+        if isinstance(val, bool) or not isinstance(val, kind) or not math.isfinite(val):
+            want = "an integer" if kind is int else "a finite number"
+            raise ValueError(f"{key!r} must be {want}, got {json.dumps(val)[:40]}")
+    return data
+
+
 def _emit_error(code: str, message: str):
     sys.stderr.write(json.dumps({"error": code, "message": message}) + "\n")
 
@@ -313,8 +328,8 @@ def main(argv=None) -> int:
     if args.config:
         try:
             with open(args.config) as fh:
-                args._config_data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                args._config_data = _checked_config(json.load(fh))
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             _emit_error("config", f"cannot read config file: {exc}")
             return _USAGE_EXIT
     else:

@@ -31,9 +31,13 @@ def _as_coords(coords) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RotatedPoint:
-    """A point e^{i*phase} * coords of a rotated ball or sphere."""
+    """A point e^{i*phase} * coords of a rotated ball or sphere.
+
+    Points compare and hash by identity: the generated field-wise equality
+    would compare the coords arrays, whose truth value is ambiguous.
+    """
 
     phase: float
     coords: np.ndarray
@@ -45,9 +49,6 @@ class RotatedPoint:
     @property
     def dim(self) -> int:
         return self.coords.shape[0]
-
-    def is_sphere_point(self, tol: float = 1e-12) -> bool:
-        return abs(self.radius - 1.0) <= tol
 
 
 def make_rotated_point(phase: float, coords) -> RotatedPoint:
@@ -65,15 +66,6 @@ def make_rotated_point(phase: float, coords) -> RotatedPoint:
     a = a.copy()
     a.flags.writeable = False
     return RotatedPoint(ph, a)
-
-
-def scale(x: RotatedPoint, t: float) -> RotatedPoint:
-    """Same phase, coordinates multiplied by t >= 0."""
-    if t < 0:
-        raise ValueError(f"scale factor must be nonnegative, got {t}")
-    a = x.coords * t
-    a.flags.writeable = False
-    return RotatedPoint(x.phase, a)
 
 
 @dataclass(frozen=True)
@@ -107,25 +99,11 @@ def pair_invariants(x: RotatedPoint, y: RotatedPoint) -> PairInvariants:
     return PairInvariants(s=s, u=u, v=v, q=q, w=w)
 
 
-def int_pow(z: complex, k: int) -> complex:
-    """z**k for integer k >= 0 by binary powering (branch-free)."""
-    if k < 0:
-        raise ValueError("int_pow expects a nonnegative exponent")
-    out = 1.0 + 0.0j
-    base = complex(z)
-    while k:
-        if k & 1:
-            out *= base
-        base *= base
-        k >>= 1
-    return out
-
-
 def principal_pow(w, e: float, eps_branch: float = 1e-12):
     """w**e with the principal logarithm (cut along the non-positive reals).
 
     w is a complex scalar or a numpy array of them.  Integer exponents are
-    computed by repeated multiplication and never hit the cut.  For
+    the integer power w ** k and never hit the cut.  For
     non-integer e, w = 0 and values with Re(w) <= 0 and
     |Im(w)| < eps_branch * |w| raise BranchCutProximity (for an array, if
     any element does).
@@ -146,12 +124,9 @@ def principal_pow(w, e: float, eps_branch: float = 1e-12):
         return np.exp(e * np.log(w))
     w = complex(w)
     if e == er:
-        k = int(er)
-        if k >= 0:
-            return int_pow(w, k)
-        if w == 0:
-            raise ZeroDivisionError("principal_pow of 0 to a negative power")
-        return 1.0 / int_pow(w, -k)
+        # Python's complex ** int is binary powering for |k| <= 100 and
+        # raises ZeroDivisionError at 0 for k < 0
+        return w ** int(er)
     if w == 0:
         raise BranchCutProximity("principal_pow at 0 with non-integer exponent")
     if w.real <= 0 and abs(w.imag) < eps_branch * abs(w):

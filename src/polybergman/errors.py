@@ -29,9 +29,3 @@ class ConvergenceDomain(KernelDomainError):
     """Series evaluation requested outside the configured radius cap."""
 
     code = "convergence_domain"
-
-
-class StencilOutOfDomain(KernelDomainError):
-    """A finite-difference stencil point left the valid domain."""
-
-    code = "stencil_domain"

@@ -25,7 +25,6 @@ from .core import (
     KernelConfig,
     PairInvariants,
     RotatedPoint,
-    int_pow,
     pair_invariants,
     principal_pow,
     unit_ball_volume,
@@ -161,13 +160,13 @@ def _closed_form_guard(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint):
 
 def _poisson_from(cfg: KernelConfig, inv: PairInvariants, p: int) -> complex:
     """(1 - q^p) / w^(n/2) from the pair invariants."""
-    return (1.0 - int_pow(inv.q, p)) / principal_pow(inv.w, 0.5 * cfg.n, cfg.eps_branch)
+    return (1.0 - inv.q**p) / principal_pow(inv.w, 0.5 * cfg.n, cfg.eps_branch)
 
 
 def _bergman_from(cfg: KernelConfig, inv: PairInvariants, p: int) -> complex:
     """The order-p Bergman closed form from the pair invariants."""
     n = cfg.n
-    qp = int_pow(inv.q, p)
+    qp = inv.q**p
     num = (n - 4 * p) * qp * inv.q + (8 * p * inv.s - n - 4 * p) * qp + n * (1.0 - inv.q)
     den = n * unit_ball_volume(n) * principal_pow(inv.w, 0.5 * n + 1.0, cfg.eps_branch)
     return num / den
@@ -195,7 +194,7 @@ def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> c
     removes the spurious singularity at q = 1 exactly.
     """
     inv = _closed_form_guard(cfg, x, y)
-    qpow = [int_pow(inv.q, k) for k in range(cfg.p)]
+    qpow = [inv.q**k for k in range(cfg.p)]
     geo = sum(qpow)
     lin = sum(4 * k * qk for k, qk in enumerate(qpow))
     return geo * _bergman_from(cfg, inv, 1) + lin * _poisson_from(cfg, inv, 1) / (
@@ -285,7 +284,7 @@ def derivative_form_check(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -
     order = beta + 1
     gamma_exp = 0.5 * (cfg.n + cfg.alpha) + beta
     t_jet = _power_jet((1.0, 1.0), gamma_exp, order, cfg.eps_branch)
-    num_jet = -int_pow(inv.q, cfg.p) * _power_jet((1.0, 1.0), 2 * cfg.p, order, cfg.eps_branch)
+    num_jet = -(inv.q**cfg.p) * _power_jet((1.0, 1.0), 2 * cfg.p, order, cfg.eps_branch)
     num_jet[0] += 1.0
     w_jet = _power_jet((inv.w, 2.0 * (inv.q - inv.s), inv.q), -0.5 * cfg.n, order, cfg.eps_branch)
     f = np.convolve(np.convolve(t_jet, num_jet)[: order + 1], w_jet)[: order + 1]

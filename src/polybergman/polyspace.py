@@ -2,11 +2,11 @@
 
 Test polynomials are finite sums of blocks c * |x|^(2k) * Z_d(x, pole) with
 k below the polyharmonic order, so membership in the order-p class holds by
-construction; an independent finite-difference power-of-Laplacian check is
-provided as a safety net.  Blocks evaluate along two routes: an exact
-phase-split route for rotated points, and a bilinear polynomial route for
-general complex vectors (needed off the rotated-point family by the
-mean-value formula).
+construction; an independent power-of-Laplacian check, exact up to rounding
+in every dimension n (Pizzetti's sphere-mean expansion), is provided as a
+safety net.  Blocks evaluate along two routes: an exact phase-split route
+for rotated points, and a bilinear polynomial route for general complex
+vectors (needed off the rotated-point family by the mean-value formula).
 """
 
 from __future__ import annotations
@@ -18,13 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import KernelConfig, RotatedPoint, principal_pow
-from .errors import NearSingular, StencilOutOfDomain
+from .errors import NearSingular
 from .zonal import _zonal_rows, zonal_values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZonalBlock:
-    """x -> coeff * |x|^(2k) * Z_d(x, pole); homogeneous of degree d + 2k."""
+    """x -> coeff * |x|^(2k) * Z_d(x, pole); homogeneous of degree d + 2k.
+
+    Blocks compare and hash by identity, as rotated points do: the pole is
+    an array.
+    """
 
     k: int
     d: int
@@ -168,14 +172,6 @@ def evaluate(q: PolyharmonicPolynomial, x: RotatedPoint) -> complex:
     return complex(eval_at_phase(q, x.phase, x.coords[None, :])[0])
 
 
-def homogeneous_part(q: PolyharmonicPolynomial, m: int) -> PolyharmonicPolynomial:
-    """Sub-polynomial of the blocks with total degree exactly m."""
-    if m < 0:
-        raise ValueError(f"degree must be >= 0, got {m}")
-    keep = tuple(b for b in q.blocks if b.degree == m)
-    return PolyharmonicPolynomial(blocks=keep, n=q.n, p=q.p)
-
-
 def to_json(q: PolyharmonicPolynomial) -> str:
     return json.dumps(
         {
@@ -211,47 +207,41 @@ def from_json(text: str) -> PolyharmonicPolynomial:
     return PolyharmonicPolynomial(blocks=tuple(blocks), n=int(data["n"]), p=int(data["p"]))
 
 
-def _iterated_stencil(n: int, p: int):
-    """Offset -> coefficient map of the p-fold (2n+1)-point Laplacian stencil."""
-    coef = {(0,) * n: 1.0}
-    for _ in range(p):
-        new: dict = {}
-        for off, c in coef.items():
-            new[off] = new.get(off, 0.0) - 2.0 * n * c
-            for j in range(n):
-                for sgn in (1, -1):
-                    o = off[:j] + (off[j] + sgn,) + off[j + 1 :]
-                    new[o] = new.get(o, 0.0) + c
-        coef = new
-    return coef
-
-
 def laplacian_power_residual(
-    q: PolyharmonicPolynomial, x: RotatedPoint, h: float, order: int | None = None
+    q: PolyharmonicPolynomial, x: RotatedPoint, order: int | None = None
 ) -> float:
-    """|Delta^order q(x)| estimated by the iterated second-order FD Laplacian.
+    """|Delta^order q(x)| by Pizzetti's mean-value expansion, exact up to
+    rounding in every dimension n.
 
-    order defaults to the polynomial's own class order p, where the residual
-    is pure finite-difference error; negative controls pass a lower order to
-    land on a genuinely nonzero iterated Laplacian.
+    The mean of a polynomial u over the sphere of radius rho about x is
+
+        M(rho) = sum_j rho^(2j) Delta^j u(x) / (2^j j! n (n+2) ... (n+2j-2))
+
+    (Aronszajn, Creese & Lipkin, *Polyharmonic Functions*, 1983), a
+    polynomial of degree J = deg(u) // 2 in rho^2; Delta^j u vanishes for
+    j > J.  One sphere rule exact to deg(u) gives M at rho^2 = 0, 1/J, ..., 1
+    and one Vandermonde solve in rho^2 gives every Delta^j u(x).
+
+    order defaults to the polynomial's own class order p, where the exact
+    value is 0; negative controls pass a lower order to land on a genuinely
+    nonzero iterated Laplacian.
     """
+    from .quadrature import build_sphere_rule  # quadrature imports this module
+
     p = q.p if order is None else order
     if p < 1:
         raise ValueError(f"Laplacian power must be >= 1, got {p}")
-    if q.n > 4:
-        raise ValueError("finite-difference check restricted to n <= 4")
-    if not (1e-3 <= h <= 1e-2):
-        raise ValueError(f"step h must lie in [1e-3, 1e-2], got {h}")
     if abs(math.remainder(x.phase, 2 * math.pi)) > 1e-12:
         raise ValueError("residual check expects a real (phase-0) point")
-    if x.radius + p * h * math.sqrt(q.n) >= 1.0:
-        raise StencilOutOfDomain("stencil lattice leaves the unit ball")
-    coef = _iterated_stencil(q.n, p)
-    offsets = np.array(list(coef.keys()), dtype=float)
-    weights = np.array(list(coef.values()))
-    pts = x.coords[None, :] + h * offsets
-    vals = eval_at_phase(q, 0.0, pts)
-    return float(abs(np.sum(weights * vals)) / h ** (2 * p))
+    top = q.degree // 2
+    if p > top:
+        return 0.0
+    rule = build_sphere_rule(q.n, q.degree)
+    rho2 = np.arange(top + 1) / top
+    pts = x.coords + np.sqrt(rho2)[:, None, None] * rule.nodes
+    means = eval_at_phase(q, 0.0, pts.reshape(-1, q.n)).reshape(top + 1, -1) @ rule.weights
+    lap = np.linalg.solve(np.vander(rho2, increasing=True), means)[p]
+    return float(abs(lap) * 2.0**p * math.factorial(p) * math.prod(range(q.n, q.n + 2 * p, 2)))
 
 
 def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:

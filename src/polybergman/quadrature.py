@@ -14,14 +14,14 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 from .core import KernelConfig, RotatedPoint, unit_ball_volume
-from .kernels import weighted_coefficient
+from .kernels import _series_weights
 from .polyspace import PolyharmonicPolynomial, eval_polar
 from .zonal import series_coefficients, zonal_poly_sum
 
@@ -286,8 +286,8 @@ def _kernel_section_values(cfg, alpha, beta, x, m_top, radial_nodes, sphere_node
     against x depend on the sphere node only, so one recurrence serves all
     sectors and radii.
     """
-    norm = cfg.n * unit_ball_volume(cfg.n)
-    g = np.array([weighted_coefficient(cfg.n, alpha, beta, m) / norm for m in range(m_top + 1)])
+    g = _series_weights(replace(cfg, alpha=alpha, beta=beta), "weighted", m_top)
+    g /= cfg.n * unit_ball_volume(cfg.n)
     rx = x.radius
     t = sphere_nodes @ (x.coords / rx) if rx else np.zeros(sphere_nodes.shape[0])
     phases = np.array([cfg.sector_phase(k) for k in range(cfg.p)])[:, None, None]

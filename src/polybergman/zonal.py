@@ -179,24 +179,14 @@ def sph_dim(n: int, m: int) -> int:
     return (2 * m + n - 2) * math.comb(m + n - 3, m) // (n - 2)
 
 
-def zonal_harmonic(n: int, m: int, x: RotatedPoint, y: RotatedPoint) -> complex:
-    """Extended zonal harmonic Z_m(x, y) for rotated ball points.
-
-    Z_m(x, y) = e^{i m (phi-psi)} (|a||b|)^m z_m(a.b / |a||b|); degree-m
-    homogeneous in the first slot and conjugate-homogeneous in the second.
-    """
-    if m < 0:
-        raise ValueError(f"degree must be >= 0, got {m}")
-    if x.dim != y.dim or x.dim != n:
-        raise ValueError(f"dimension mismatch: n={n}, x:{x.dim}, y:{y.dim}")
-    coef = degree_coefficients(1, m)
-    return complex(zonal_poly_sum(coef, *zonal_pair_args(x, y), n))
-
-
 def zonal_polyharmonic(
     cfg: KernelConfig, m: int, x: RotatedPoint, y: RotatedPoint
 ) -> complex:
-    """Zonal polyharmonic Z^p_m(x, y) = sum_{k<p, 2k<=m} (uv)^k Z_{m-2k}(x, y)."""
+    """Zonal polyharmonic Z^p_m(x, y) = sum_{k<p, 2k<=m} (uv)^k Z_{m-2k}(x, y).
+
+    At p = 1 this is the extended zonal harmonic
+    Z_m(x, y) = e^{i m (phi-psi)} (|a||b|)^m z_m(a.b / |a||b|).
+    """
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
     if x.dim != y.dim or x.dim != cfg.n:

@@ -7,7 +7,7 @@ import sys
 import pytest
 from numpy.testing import assert_allclose
 
-from polybergman import unit_ball_volume
+from polybergman import cli, unit_ball_volume
 
 CLI = [sys.executable, "-m", "polybergman.cli"]
 
@@ -202,6 +202,22 @@ class TestConfigPrecedence:
             "eval", "--x", "0,0,0", "--y", "0,0,0",
         )
         assert res.returncode == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]", "null", '"n=3"', "7",  # not a JSON object
+            '{"n": null}', '{"tol": [1]}', '{"p": "2"}', '{"seed": true}',
+            '{"alpha": Infinity}', '{"r_max": NaN}',  # a known key not a finite number
+            '{"n": 2.5}', '{"seed": 1e3}',  # a float where the flag takes an integer
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(text)
+        code = cli.main(["--config", str(cfgfile), "eval", "--x", "0.5,0,0", "--y", "0.5,0,0"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
 class TestInfo:

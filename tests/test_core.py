@@ -12,7 +12,6 @@ from polybergman import (
     make_rotated_point,
     pair_invariants,
     principal_pow,
-    scale,
     unit_ball_volume,
 )
 
@@ -41,7 +40,7 @@ class TestMakeRotatedPoint:
     def test_sphere_point_sector(self):
         # sector k=1 of the order-2 rotated sphere
         x = make_rotated_point(math.pi / 2, (1.0, 0.0))
-        assert x.is_sphere_point()
+        assert x.radius == 1.0
         assert_allclose(x.phase, math.pi / 2)
 
     def test_normalization_range_and_fixed_points(self):
@@ -59,6 +58,14 @@ class TestMakeRotatedPoint:
             make_rotated_point(float("inf"), (1.0, 0.0))
         with pytest.raises(ValueError):
             make_rotated_point(0.0, [[1.0, 0.0]])
+
+    def test_points_compare_and_hash_by_identity(self):
+        # equal-valued points are distinct objects; neither == nor hash may
+        # reach the coords array
+        x = make_rotated_point(0.1, [0.3, 0.4, 0.0])
+        y = make_rotated_point(0.1, [0.3, 0.4, 0.0])
+        assert x == x and x != y
+        assert len({x, y, x}) == 2
 
     @given(phase=finite_floats, coords=small_coords)
     @settings(max_examples=100, deadline=None)
@@ -167,6 +174,12 @@ class TestPrincipalPow:
         with pytest.raises(BranchCutProximity):
             principal_pow(np.array([1.0, 0.0]), 1.5)
 
+    def test_zero_to_a_negative_integer_power_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            principal_pow(0j, -2)
+        with pytest.raises(ZeroDivisionError):
+            principal_pow(np.array([1.0, 0.0]), -1)
+
     def test_integer_matches_repeated_multiplication(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -205,28 +218,6 @@ class TestUnitBallVolume:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             unit_ball_volume(0)
-
-
-class TestScale:
-    def test_identity(self):
-        x = make_rotated_point(0.4, (0.5, 0.1))
-        y = scale(x, 1.0)
-        assert y.phase == x.phase
-        assert_allclose(y.coords, x.coords)
-
-    def test_collapse_to_origin(self):
-        x = make_rotated_point(0.4, (0.5, 0.1))
-        y = scale(x, 0.0)
-        assert y.phase == x.phase
-        assert y.radius == 0.0
-
-    def test_halving(self):
-        x = make_rotated_point(0.0, (0.5, 0.0, 0.0))
-        assert_allclose(scale(x, 0.5).coords, [0.25, 0.0, 0.0])
-
-    def test_negative_factor(self):
-        with pytest.raises(ValueError):
-            scale(make_rotated_point(0.0, (0.5, 0.0)), -0.1)
 
 
 class TestKernelConfig:

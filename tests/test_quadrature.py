@@ -21,7 +21,8 @@ from polybergman import (
     sphere_monomial_moment,
     unit_ball_volume,
 )
-from polybergman import polyspace
+from polybergman import kernels, polyspace
+from polybergman.kernels import weighted_coefficient
 from polybergman.polyspace import eval_at_phase, evaluate
 from polybergman.quadrature import RadialRule, SphereRule, rule_from_json, rule_to_json
 
@@ -338,6 +339,23 @@ class TestReproduce:
             got = reproduce(cfg, 1.0, 0.5, u, x, 6, rule)
             want = evaluate(u, x)
             assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
+
+    def test_kernel_weights_take_one_log_gamma_value(self, monkeypatch):
+        # the weights of every degree come from the Gamma-ratio recurrence
+        # started at one weighted_coefficient value
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return weighted_coefficient(*args)
+
+        monkeypatch.setattr(kernels, "weighted_coefficient", counted)
+        cfg = KernelConfig(n=3, p=2)
+        rule = build_ball_rule(3, 1.0, 0.5, 16)
+        u = random_polyharmonic(cfg, 6, blocks=6, seed=40)
+        x = make_rotated_point(cfg.sector_phase(1), (0.3, -0.2, 0.1))
+        reproduce(cfg, 1.0, 0.5, u, x, 6, rule)
+        assert calls == [(3, 1.0, 0.5, 0)]
 
     def test_degree_and_exactness_guards(self):
         cfg = KernelConfig(n=3, p=1)

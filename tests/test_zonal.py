@@ -11,10 +11,8 @@ from polybergman import (
     gegenbauer,
     make_rotated_point,
     pair_invariants,
-    scale,
     sph_dim,
     zonal_growth_ratio,
-    zonal_harmonic,
     zonal_polyharmonic,
 )
 from polybergman.zonal import (
@@ -37,6 +35,11 @@ def classical_poisson(n, x, zeta_hat):
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def zonal_harmonic(n, m, x, y):
+    """Extended zonal harmonic Z_m(x, y): the order-1 zonal polyharmonic."""
+    return zonal_polyharmonic(KernelConfig(n=n, p=1), m, x, y)
 
 
 class TestGegenbauer:
@@ -172,13 +175,18 @@ class TestZonalHarmonic:
 
 class TestZonalPolyharmonic:
     def test_order_one_reduces_to_harmonic(self):
+        # Z^1_m(x, y) = e^{i m (phi-psi)} (|a||b|)^m z_m(a.b / |a||b|)
         cfg = KernelConfig(n=3, p=1)
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = make_rotated_point(rng.uniform(-3, 3), rng.uniform(-0.5, 0.5, 3))
             y = make_rotated_point(rng.uniform(-3, 3), rng.uniform(-0.5, 0.5, 3))
+            rr = x.radius * y.radius
+            z = zonal_values(float(x.coords @ y.coords) / rr, 5, 3)[:, 0]
             for m in range(0, 6):
-                assert zonal_polyharmonic(cfg, m, x, y) == zonal_harmonic(3, m, x, y)
+                want = np.exp(1j * m * (x.phase - y.phase)) * rr**m * z[m]
+                got = zonal_polyharmonic(cfg, m, x, y)
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
     def test_low_degree_drops_vanishing_terms(self):
         # order 2, degree 1: the k=1 term would need degree -1 and vanishes
@@ -206,7 +214,7 @@ class TestZonalPolyharmonic:
         for m in range(0, 9):
             base = zonal_polyharmonic(cfg, m, x, y)
             for t in (0.0, 0.3, 1.0):
-                scaled = zonal_polyharmonic(cfg, m, scale(x, t), y)
+                scaled = zonal_polyharmonic(cfg, m, make_rotated_point(x.phase, t * x.coords), y)
                 assert abs(scaled - t**m * base) <= 1e-12 * max(1.0, abs(base))
 
     def test_sector_phase_consistency(self):
