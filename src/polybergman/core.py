@@ -160,6 +160,8 @@ class KernelConfig:
             raise ValueError(f"dimension n must be >= 2, got {self.n}")
         if self.p < 1:
             raise ValueError(f"polyharmonic order p must be >= 1, got {self.p}")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         if self.n + self.alpha <= 0:
             raise ValueError(f"need n + alpha > 0, got {self.n + self.alpha}")
         if self.beta <= -1:

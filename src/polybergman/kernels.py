@@ -16,7 +16,7 @@ harmonic (order-1) kernels with shifted radial weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -79,9 +79,10 @@ def weighted_coefficient(n: int, alpha: float, beta: float, m: int) -> float:
     return 2.0 * math.exp(math.lgamma(z + beta + 1.0) - math.lgamma(beta + 1.0) - math.lgamma(z))
 
 
-def _series_weights(cfg: KernelConfig, kind: str, top: int) -> np.ndarray:
+def _series_weights(n: int, alpha: float, beta: float, kind: str, top: int) -> np.ndarray:
     """Series weights g(0..top) of kind: 1 (poisson), n + 2m (bergman) or
-    the Gamma ratio of weighted_coefficient (weighted).
+    the Gamma ratio of weighted_coefficient (weighted, which also checks
+    n + alpha > 0 and beta > -1; the other kinds read n only).
 
     The weighted ratios come from Gamma(z+1) = z Gamma(z):
     g(m+1) = g(m) (z + beta + 1) / z with z = m + (n+alpha)/2, so only g(0)
@@ -90,11 +91,11 @@ def _series_weights(cfg: KernelConfig, kind: str, top: int) -> np.ndarray:
     if kind == "poisson":
         return np.ones(top + 1)
     if kind == "bergman":
-        return cfg.n + 2.0 * np.arange(top + 1)
+        return n + 2.0 * np.arange(top + 1)
     if kind == "weighted":
-        z = np.arange(top) + 0.5 * (cfg.n + cfg.alpha)
-        g0 = weighted_coefficient(cfg.n, cfg.alpha, cfg.beta, 0)
-        return np.cumprod(np.concatenate(([g0], (z + cfg.beta + 1.0) / z)))
+        z = np.arange(top) + 0.5 * (n + alpha)
+        g0 = weighted_coefficient(n, alpha, beta, 0)
+        return np.cumprod(np.concatenate(([g0], (z + beta + 1.0) / z)))
     raise ValueError(f"unknown series weight kind {kind!r}")
 
 
@@ -107,10 +108,10 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
     below one.  The terms come as one array over a window of degrees that
     starts at 64 and doubles (recomputed from degree 0) until it holds M.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if not 0 <= r < math.inf:
+        raise ValueError(f"radius must be nonnegative and finite, got {r}")
     if r > cfg.r_max:
         raise ConvergenceDomain(f"radius {r} exceeds r_max={cfg.r_max}")
     if r == 0.0:
@@ -120,7 +121,7 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
     top = 64
     while True:
         m = np.arange(top + 2, dtype=float)
-        a = _series_weights(cfg, kind, top + 1) * m ** (cfg.n - 2) * r**m
+        a = _series_weights(cfg.n, cfg.alpha, cfg.beta, kind, top + 1) * m ** (cfg.n - 2) * r**m
         a1, a2 = a[1:-1], a[2:]
         # rho = a2/a1 < 1 and chat a1 / (1 - rho) < tol, without dividing
         # by terms that may underflow to 0 far beyond M
@@ -214,7 +215,7 @@ def _zonal_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Tr
     """sum_{m<=max_degree} g(m) Z^p_m(x, y) with the series weight of kind,
     normalized by n Vol_n for the Bergman kinds."""
     _series_domain_guard(cfg, x, y)
-    g = _series_weights(cfg, kind, trunc.max_degree)
+    g = _series_weights(cfg.n, cfg.alpha, cfg.beta, kind, trunc.max_degree)
     if kind != "poisson":
         g /= cfg.n * unit_ball_volume(cfg.n)
     return complex(zonal_poly_sum(series_coefficients(cfg.p, g), *zonal_pair_args(x, y), cfg.n))
@@ -247,7 +248,7 @@ def weighted_bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPo
     coef = np.zeros((min(cfg.p, top // 2 + 1), top + 1))
     for k in range(coef.shape[0]):
         coef[k, : top + 1 - 2 * k] = _series_weights(
-            replace(cfg, alpha=cfg.alpha + 4.0 * k), "weighted", top - 2 * k
+            cfg.n, cfg.alpha + 4.0 * k, cfg.beta, "weighted", top - 2 * k
         )
     coef /= cfg.n * unit_ball_volume(cfg.n)
     return complex(zonal_poly_sum(coef, *zonal_pair_args(x, y), cfg.n))

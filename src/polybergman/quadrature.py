@@ -6,16 +6,17 @@ and equispaced azimuth nodes, which integrate every trigonometric monomial
 of bounded degree exactly.  Radial rules use Gauss-Jacobi in t = r^2, where
 the weight r^(n-1+alpha) (1-r^2)^beta dr becomes a textbook Jacobi weight.
 Ball integrals compose the two in polar form with the n*Vol_n surface factor.
+
+Both rule builders are memoised per process (functools.lru_cache): a rule is
+built once for each distinct argument tuple and the same read-only object is
+returned on every later call.  Their cache_info() counts the hits and misses.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
-from dataclasses import dataclass, fields, replace
-from pathlib import Path
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -72,66 +73,14 @@ class BallRule:
 
     sphere: SphereRule
     radial: RadialRule
-    normalization: float
+
+    @property
+    def normalization(self) -> float:
+        """Surface factor n Vol_n of the polar composition."""
+        return self.radial.n * unit_ball_volume(self.radial.n)
 
 
-def _cache_path(name: str):
-    root = os.environ.get("POLYBERGMAN_CACHE_DIR")
-    if not root:
-        return None
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path / name
-
-
-def rule_to_json(rule) -> str:
-    """JSON text of a SphereRule or RadialRule: its fields by name, arrays as
-    nested lists (float repr round-trips exactly)."""
-    return json.dumps(
-        {
-            f.name: v.tolist() if isinstance(v := getattr(rule, f.name), np.ndarray) else v
-            for f in fields(rule)
-        }
-    )
-
-
-def rule_from_json(cls, text: str):
-    """Inverse of rule_to_json; the rule's own validation runs on the result."""
-    data = json.loads(text)
-    return cls(
-        **{
-            f.name: np.array(v, dtype=float) if isinstance(v := data[f.name], list) else v
-            for f in fields(cls)
-        }
-    )
-
-
-def _read_cache(path, cls):
-    """The rule stored at path, or None when it is missing, unreadable or
-    fails validation; the caller then rebuilds and overwrites it."""
-    if path is None:
-        return None
-    try:
-        return rule_from_json(cls, path.read_text())
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def _write_cache(path, rule):
-    """Write through a temporary file in the same directory, so readers only
-    ever see a complete file."""
-    if path is None:
-        return
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(rule_to_json(rule))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
+@lru_cache(maxsize=None)
 def build_sphere_rule(n: int, exact_degree: int) -> SphereRule:
     """Product cubature exact for all polynomials of degree <= exact_degree."""
     if n < 2 or exact_degree < 0:
@@ -141,35 +90,23 @@ def build_sphere_rule(n: int, exact_degree: int) -> SphereRule:
     count = n_azim * n_polar ** (n - 2)
     if count > NODE_CAP:
         raise ValueError(f"sphere rule would need {count} nodes (cap {NODE_CAP})")
-    cache = _cache_path(f"sphere_n{n}_d{exact_degree}.json")
-    rule = _read_cache(cache, SphereRule)
-    if rule is not None and rule.exact_degree == exact_degree and rule.nodes.shape == (count, n):
-        return rule
-
     phis = 2.0 * math.pi * np.arange(n_azim) / n_azim
-    circle = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    nodes = circle
+    nodes = np.stack([np.cos(phis), np.sin(phis)], axis=1)
     weights = np.full(n_azim, 1.0 / n_azim)
     # peel polar angles inward: at each step the existing rule covers the
-    # last coordinates and a new cos(theta) coordinate is prepended
+    # last coordinates and a new cos(theta) coordinate is prepended, one
+    # block of the existing nodes per polar node
     for j in range(n - 3, -1, -1):
         gamma = 0.5 * (n - 2 - (j + 1))
         t, w = roots_jacobi(n_polar, gamma, gamma)
         sin_t = np.sqrt(1.0 - t * t)
-        new_nodes = np.empty((t.size * nodes.shape[0], nodes.shape[1] + 1))
-        new_weights = np.empty(t.size * nodes.shape[0])
-        row = 0
-        for ti, si, wi in zip(t, sin_t, w):
-            blk = slice(row, row + nodes.shape[0])
-            new_nodes[blk, 0] = ti
-            new_nodes[blk, 1:] = si * nodes
-            new_weights[blk] = wi * weights
-            row += nodes.shape[0]
-        nodes, weights = new_nodes, new_weights
+        grid = np.empty((t.size, nodes.shape[0], nodes.shape[1] + 1))
+        grid[..., 0] = t[:, None]
+        grid[..., 1:] = sin_t[:, None, None] * nodes
+        nodes = grid.reshape(-1, grid.shape[2])
+        weights = np.outer(w, weights).ravel()
     weights = weights / np.sum(weights)
-    rule = SphereRule(nodes=nodes, weights=weights, exact_degree=exact_degree)
-    _write_cache(cache, rule)
-    return rule
+    return SphereRule(nodes=nodes, weights=weights, exact_degree=exact_degree)
 
 
 def radial_moment(n: int, m: int, alpha: float, beta: float) -> float:
@@ -180,6 +117,7 @@ def radial_moment(n: int, m: int, alpha: float, beta: float) -> float:
     return 0.5 * math.exp(math.lgamma(beta + 1.0) + math.lgamma(z) - math.lgamma(z + beta + 1.0))
 
 
+@lru_cache(maxsize=None)
 def build_radial_rule(n: int, alpha: float, beta: float, node_count: int) -> RadialRule:
     """Gauss-Jacobi rule in t = r^2; exact for polynomials in r^2 of degree
     <= node_count - 1 (in fact up to 2*node_count - 1)."""
@@ -187,19 +125,13 @@ def build_radial_rule(n: int, alpha: float, beta: float, node_count: int) -> Rad
         raise ValueError(
             f"invalid radial rule parameters n={n}, alpha={alpha}, beta={beta}, nodes={node_count}"
         )
-    cache = _cache_path(f"radial_n{n}_a{alpha!r}_b{beta!r}_k{node_count}.json")
-    rule = _read_cache(cache, RadialRule)
-    if rule is not None and (rule.n, rule.alpha, rule.beta, rule.nodes.size) == (n, alpha, beta, node_count):
-        return rule
     a = beta
     b = 0.5 * (n + alpha) - 1.0
     t, w = roots_jacobi(node_count, a, b)
     r = np.sqrt((t + 1.0) / 2.0)
     weights = w / 2.0 ** (a + b + 2.0)
     order = np.argsort(r)
-    rule = RadialRule(nodes=r[order], weights=weights[order], n=n, alpha=alpha, beta=beta)
-    _write_cache(cache, rule)
-    return rule
+    return RadialRule(nodes=r[order], weights=weights[order], n=n, alpha=alpha, beta=beta)
 
 
 def build_ball_rule(n: int, alpha: float, beta: float, exact_degree: int) -> BallRule:
@@ -207,7 +139,7 @@ def build_ball_rule(n: int, alpha: float, beta: float, exact_degree: int) -> Bal
     total degree <= exact_degree under the (alpha, beta) weight."""
     sphere = build_sphere_rule(n, exact_degree)
     radial = build_radial_rule(n, alpha, beta, exact_degree // 2 + 2)
-    return BallRule(sphere=sphere, radial=radial, normalization=n * unit_ball_volume(n))
+    return BallRule(sphere=sphere, radial=radial)
 
 
 def sphere_monomial_moment(kappa) -> float:
@@ -286,7 +218,7 @@ def _kernel_section_values(cfg, alpha, beta, x, m_top, radial_nodes, sphere_node
     against x depend on the sphere node only, so one recurrence serves all
     sectors and radii.
     """
-    g = _series_weights(replace(cfg, alpha=alpha, beta=beta), "weighted", m_top)
+    g = _series_weights(cfg.n, alpha, beta, "weighted", m_top)
     g /= cfg.n * unit_ball_volume(cfg.n)
     rx = x.radius
     t = sphere_nodes @ (x.coords / rx) if rx else np.zeros(sphere_nodes.shape[0])

@@ -85,6 +85,23 @@ class TestEval:
         )
         assert res.returncode == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--kernel", "bergman", "--beta", "nan"),
+            ("--kernel", "bergman", "--alpha", "inf"),
+            ("--kernel", "wbergman", "--alpha", "nan"),
+            ("--kernel", "wbergman", "--tol", "nan"),
+            ("--kernel", "wbergman", "--tol", "inf"),
+        ],
+    )
+    def test_non_finite_parameters_exit_2(self, capsys, flags):
+        code = cli.main(["eval", *flags, "--x", "0.4,0,0", "--y", "0.4,0,0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] in ("usage", "validation")
+
 
 class TestGrid:
     def test_row_count_and_determinism(self, tmp_path):

@@ -236,6 +236,10 @@ class TestKernelConfig:
             dict(n=2, p=1, eps_sing=0.0),
             dict(n=2, p=1, eps_branch=1e-6),
             dict(n=2, p=1, r_max=1.0),
+            dict(n=2, p=1, alpha=math.nan),
+            dict(n=2, p=1, alpha=math.inf),
+            dict(n=2, p=1, beta=math.nan),
+            dict(n=2, p=1, beta=math.inf),
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -246,18 +246,22 @@ class TestSeriesWeights:
         # log-Gamma form loses digits as lgamma grows, so both stay within
         # 1e-11 relative of each other up to degree 2000
         for n, alpha, beta in [(2, 0.0, 0.0), (3, 1.0, 0.5), (5, -0.5, 2.0), (4, 3.0, 40.0)]:
-            cfg = KernelConfig(n=n, p=1, alpha=alpha, beta=beta)
-            g = _series_weights(cfg, "weighted", 2000)
+            g = _series_weights(n, alpha, beta, "weighted", 2000)
             ref = np.array([weighted_coefficient(n, alpha, beta, m) for m in range(2001)])
             assert_allclose(g, ref, rtol=1e-11, atol=0)
 
     def test_unweighted_kinds(self):
-        cfg = KernelConfig(n=4, p=2)
-        assert np.array_equal(_series_weights(cfg, "poisson", 5), np.ones(6))
-        assert np.array_equal(_series_weights(cfg, "bergman", 5), 4.0 + 2.0 * np.arange(6))
-        assert _series_weights(cfg, "weighted", 0).tolist() == [weighted_coefficient(4, 0.0, 0.0, 0)]
+        assert np.array_equal(_series_weights(4, 0.0, 0.0, "poisson", 5), np.ones(6))
+        assert np.array_equal(_series_weights(4, 0.0, 0.0, "bergman", 5), 4.0 + 2.0 * np.arange(6))
+        assert _series_weights(4, 0.0, 0.0, "weighted", 0).tolist() == [weighted_coefficient(4, 0.0, 0.0, 0)]
         with pytest.raises(ValueError):
-            _series_weights(cfg, "szego", 5)
+            _series_weights(4, 0.0, 0.0, "szego", 5)
+
+    def test_weighted_parameters_are_checked(self):
+        with pytest.raises(ValueError):
+            _series_weights(2, -2.0, 0.0, "weighted", 5)
+        with pytest.raises(ValueError):
+            _series_weights(3, 0.0, -1.0, "weighted", 5)
 
     def test_weighted_coefficient_is_called_once_per_weight_array(self, monkeypatch):
         calls = []
@@ -406,6 +410,14 @@ class TestTruncationDegree:
         cfg = KernelConfig(n=3, p=1, r_max=0.9)
         with pytest.raises(ConvergenceDomain):
             truncation_degree(cfg, 0.95, 1e-10)
+
+    @pytest.mark.parametrize(
+        "r,tol", [(math.nan, 1e-10), (math.inf, 1e-10), (0.5, math.nan), (0.5, math.inf), (0.5, 0.0)]
+    )
+    def test_rejects_non_finite_or_non_positive_input(self, r, tol):
+        cfg = KernelConfig(n=3, p=2)
+        with pytest.raises(ValueError):
+            truncation_degree(cfg, r, tol, "weighted")
 
     @pytest.mark.parametrize("kind", ["poisson", "bergman", "weighted"])
     def test_a_posteriori_self_consistency(self, kind):

@@ -1,10 +1,10 @@
-import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 from polybergman import (
     KernelConfig,
@@ -24,7 +24,7 @@ from polybergman import (
 from polybergman import kernels, polyspace
 from polybergman.kernels import weighted_coefficient
 from polybergman.polyspace import eval_at_phase, evaluate
-from polybergman.quadrature import RadialRule, SphereRule, rule_from_json, rule_to_json
+from polybergman.quadrature import RadialRule, SphereRule
 
 
 def rule_monomial(rule, kappa):
@@ -83,36 +83,28 @@ class TestSphereRule:
             want = sphere_monomial_moment(kappa)
             assert abs(got - want) <= 1e-12
 
+    @pytest.mark.parametrize("n,degree", [(2, 9), (3, 12), (4, 7), (5, 6), (6, 4)])
+    def test_matches_polar_node_loop(self, n, degree):
+        # reference: one block of the inner rule per polar node, the same
+        # products in the same order, so the rule must agree bit for bit
+        n_azim = max(2, 2 * (degree // 2) + 2)
+        phis = 2.0 * math.pi * np.arange(n_azim) / n_azim
+        nodes = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+        weights = np.full(n_azim, 1.0 / n_azim)
+        for j in range(n - 3, -1, -1):
+            gamma = 0.5 * (n - 2 - (j + 1))
+            t, w = roots_jacobi(degree // 2 + 1, gamma, gamma)
+            sin_t = np.sqrt(1.0 - t * t)
+            nodes = np.concatenate([np.column_stack([np.full(len(nodes), ti), si * nodes])
+                                    for ti, si in zip(t, sin_t)])
+            weights = np.concatenate([wi * weights for wi in w])
+        rule = build_sphere_rule(n, degree)
+        assert np.array_equal(rule.nodes, nodes)
+        assert np.array_equal(rule.weights, weights / np.sum(weights))
+
     def test_node_cap(self):
         with pytest.raises(ValueError):
             build_sphere_rule(6, 200)
-
-    def test_json_roundtrip(self):
-        rule = build_sphere_rule(3, 8)
-        again = rule_from_json(SphereRule, rule_to_json(rule))
-        assert again.exact_degree == rule.exact_degree
-        assert np.array_equal(again.nodes, rule.nodes)
-        assert np.array_equal(again.weights, rule.weights)
-
-    def test_cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("POLYBERGMAN_CACHE_DIR", str(tmp_path))
-        rule = build_sphere_rule(3, 6)
-        cached = tmp_path / "sphere_n3_d6.json"
-        assert cached.exists()
-        again = build_sphere_rule(3, 6)
-        assert np.array_equal(rule.nodes, again.nodes)
-        assert [p.name for p in tmp_path.iterdir()] == ["sphere_n3_d6.json"]
-
-    def test_truncated_cache_is_rebuilt(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("POLYBERGMAN_CACHE_DIR", str(tmp_path))
-        rule = build_sphere_rule(3, 6)
-        cached = tmp_path / "sphere_n3_d6.json"
-        text = cached.read_text()
-        cached.write_text(text[: len(text) // 2])
-        again = build_sphere_rule(3, 6)
-        assert np.array_equal(rule.nodes, again.nodes)
-        assert np.array_equal(rule.weights, again.weights)
-        assert cached.read_text() == text
 
     def test_rejects_weight_count_mismatch(self):
         rule = build_sphere_rule(3, 4)
@@ -143,24 +135,6 @@ class TestRadialRule:
             rule = build_radial_rule(n, alpha, beta, 10)
             assert abs(float(np.sum(rule.weights)) - radial_moment(n, 0, alpha, beta)) <= 1e-13
 
-    def test_json_roundtrip(self):
-        rule = build_radial_rule(3, 1.0, 0.5, 7)
-        again = rule_from_json(RadialRule, rule_to_json(rule))
-        assert np.array_equal(rule.nodes, again.nodes)
-        assert np.array_equal(rule.weights, again.weights)
-
-    def test_cache_with_dropped_weight_is_rebuilt(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("POLYBERGMAN_CACHE_DIR", str(tmp_path))
-        rule = build_radial_rule(3, 1.0, 0.5, 7)
-        cached = tmp_path / "radial_n3_a1.0_b0.5_k7.json"
-        data = json.loads(cached.read_text())
-        data["weights"] = data["weights"][:-1]
-        cached.write_text(json.dumps(data))
-        again = build_radial_rule(3, 1.0, 0.5, 7)
-        assert np.array_equal(rule.nodes, again.nodes)
-        assert np.array_equal(rule.weights, again.weights)
-        assert len(json.loads(cached.read_text())["weights"]) == 7
-
     def test_rejects_invalid_rules(self):
         rule = build_radial_rule(3, 1.0, 0.5, 7)
         with pytest.raises(ValueError):
@@ -177,15 +151,46 @@ class TestRadialRule:
             build_radial_rule(3, 0.0, 0.0, 0)
 
 
-def test_rules_are_read_only_whether_built_or_loaded(tmp_path, monkeypatch):
-    monkeypatch.setenv("POLYBERGMAN_CACHE_DIR", str(tmp_path))
+def test_rules_are_read_only_whether_built_or_loaded():
+    # "loaded" is the memoised rule a repeated call returns
+    for build in (build_sphere_rule, build_radial_rule):
+        build.cache_clear()
     for build in (lambda: build_sphere_rule(3, 6), lambda: build_radial_rule(3, 1.0, 0.5, 7)):
         built = build()
-        loaded = build()  # served from the cache file the first call wrote
-        for arr in (built.nodes, built.weights, loaded.nodes, loaded.weights):
+        memoised = build()
+        for arr in (built.nodes, built.weights, memoised.nodes, memoised.weights):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-    assert len(list(tmp_path.iterdir())) == 2
+    assert build_sphere_rule.cache_info().hits == 1
+    assert build_radial_rule.cache_info().hits == 1
+
+
+def test_rules_are_memoised():
+    assert build_sphere_rule(3, 6) is build_sphere_rule(3, 6)
+    assert build_radial_rule(3, 1.0, 0.5, 7) is build_radial_rule(3, 1.0, 0.5, 7)
+    ball = build_ball_rule(3, 1.0, 0.5, 10)
+    assert ball.sphere is build_sphere_rule(3, 10)
+    assert ball.radial is build_radial_rule(3, 1.0, 0.5, 7)
+
+
+def test_residual_builds_its_sphere_rule_once():
+    cfg = KernelConfig(n=4, p=2)
+    q = random_polyharmonic(cfg, 7, 6, 11)
+    assert q.degree >= 2 * cfg.p  # so the residual needs a sphere rule
+    x = make_rotated_point(0.0, (0.2, -0.1, 0.3, 0.0))
+    misses = build_sphere_rule.cache_info().misses
+    first = polyspace.laplacian_power_residual(q, x)
+    second = polyspace.laplacian_power_residual(q, x)
+    assert first == second
+    assert build_sphere_rule.cache_info().misses - misses <= 1
+
+
+def test_ball_rule_normalization_is_derived():
+    for n in (2, 3, 5):
+        rule = build_ball_rule(n, 0.0, 0.0, 4)
+        assert rule.normalization == n * unit_ball_volume(n)
+    with pytest.raises(TypeError):
+        type(rule)(sphere=rule.sphere, radial=rule.radial, normalization=1.0)
 
 
 class TestRadialMoment:
