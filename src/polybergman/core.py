@@ -1,27 +1,30 @@
-"""Rotated points, complex pair invariants and principal-branch powers.
+"""Rotated points, the pair invariants and principal-branch powers.
 
 Every point handled by this package has the form ``z = e^{i*phase} * a`` with
 ``a`` a real vector; storing (phase, a) keeps all homogeneity factors exact
-phase multiplications and avoids complex square roots entirely.  The three
-bilinear invariants of a pair of such points,
-
-    s = x . conj(y),   u = |x|^2,   v = |conj(y)|^2,
-
-(with |.|^2 the bilinear sum of squares, not the Hermitian norm) are the only
-quantities any kernel formula needs.
+phase multiplications and avoids complex square roots entirely.  Every
+kernel formula reads a pair x = e^{i*phi} a, y = e^{i*psi} b through one
+record, pair_invariants(x, y): the closed forms read s = x . conj(y),
+q = |x|^2 |conj(y)|^2 (bilinear squares, not Hermitian norms) and
+w = 1 - 2s + q; the zonal series read the cosine t = a.b / (|a||b|) and
+zeta = |a||b| e^{i(phi-psi)}, with s = zeta t and q = zeta^2.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .errors import BranchCutProximity
 
 TAU = 2.0 * math.pi
+EPS_BRANCH = 1e-12  # principal_pow raises within this relative distance of its cut
+EPS_SING = 1e-12  # closed forms raise NearSingular within this of |x||y| = 1 or w = 0
 
 
 def _as_coords(coords) -> np.ndarray:
@@ -43,8 +46,12 @@ class RotatedPoint:
     coords: np.ndarray
 
     @cached_property
+    def norm2(self) -> float:
+        return float(self.coords @ self.coords)
+
+    @cached_property
     def radius(self) -> float:
-        return math.sqrt(self.coords @ self.coords)
+        return math.sqrt(self.norm2)
 
     @property
     def dim(self) -> int:
@@ -68,38 +75,41 @@ def make_rotated_point(phase: float, coords) -> RotatedPoint:
     return RotatedPoint(ph, a)
 
 
-@dataclass(frozen=True)
-class PairInvariants:
-    """Bilinear invariants of a pair of rotated points.
-
-    q = u*v and w = 1 - 2s + q are stored so kernel code never rebuilds them
-    inconsistently.
-    """
+class PairInvariants(NamedTuple):
+    """Everything a kernel formula reads about a pair of rotated points:
+    s, q and w = 1 - 2s + q for the closed forms, the cosine t and zeta for
+    the zonal series (s = zeta t, q = zeta^2 up to rounding), all from one
+    phase factor, one dot product a.b and the points' cached norms."""
 
     s: complex
-    u: complex
-    v: complex
     q: complex
     w: complex
+    t: float
+    zeta: complex
 
 
 def pair_invariants(x: RotatedPoint, y: RotatedPoint) -> PairInvariants:
-    """s, u, v, q, w for points x = e^{i*phi} a, y = e^{i*psi} b.
+    """s, q, w, t, zeta for points x = e^{i*phi} a, y = e^{i*psi} b.
 
-    Purely algebraic; no branch cuts are involved.
+    s = e^{i(phi-psi)} a.b, zeta = |a||b| e^{i(phi-psi)}, t = a.b / (|a||b|)
+    clipped to [-1, 1] (0 at a zero radius, where zeta = 0), and
+    q = e^{2i(phi-psi)} (a.a)(b.b), not the square of the rounded zeta, whose
+    two square roots add roundings that the Bergman numerator's cancellation
+    near the boundary amplifies.
     """
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    a, b = x.coords, y.coords
-    s = complex(np.exp(1j * (x.phase - y.phase)) * float(a @ b))
-    u = complex(np.exp(2j * x.phase) * float(a @ a))
-    v = complex(np.exp(-2j * y.phase) * float(b @ b))
-    q = u * v
-    w = 1.0 - 2.0 * s + q
-    return PairInvariants(s=s, u=u, v=v, q=q, w=w)
+    rot = cmath.exp(1j * (x.phase - y.phase))
+    ab = float(x.coords @ y.coords)
+    rr = x.radius * y.radius
+    t = 0.0 if rr == 0.0 else min(1.0, max(-1.0, ab / rr))
+    zeta = rr * rot
+    s = rot * ab
+    q = rot * rot * (x.norm2 * y.norm2)
+    return PairInvariants(s, q, 1.0 - 2.0 * s + q, t, zeta)
 
 
-def principal_pow(w, e: float, eps_branch: float = 1e-12):
+def principal_pow(w, e: float, eps_branch: float = EPS_BRANCH):
     """w**e with the principal logarithm (cut along the non-positive reals).
 
     w is a complex scalar or a numpy array of them.  Integer exponents are
@@ -143,33 +153,31 @@ def unit_ball_volume(n: int) -> float:
     return math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0))
 
 
+def check_weight_parameters(n: int, alpha: float, beta: float) -> None:
+    """ValueError unless the weight |y|^alpha (1-|y|^2)^beta is integrable on
+    the n-ball with finite alpha, beta; negated comparisons reject NaN."""
+    if not (math.isfinite(alpha) and math.isfinite(beta) and n + alpha > 0 and beta > -1):
+        raise ValueError(f"need finite alpha, beta, n + alpha > 0, beta > -1; got {alpha}, {beta}")
+
+
 @dataclass(frozen=True)
 class KernelConfig:
-    """Dimension, polyharmonic order, weights and numeric guards."""
+    """Dimension, polyharmonic order, weights and the series radius bound."""
 
     n: int
     p: int
     alpha: float = 0.0
     beta: float = 0.0
-    eps_branch: float = 1e-12
-    eps_sing: float = 1e-12
     r_max: float = 0.95
+    eps_branch: ClassVar[float] = EPS_BRANCH
+    eps_sing: ClassVar[float] = EPS_SING
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"dimension n must be >= 2, got {self.n}")
         if self.p < 1:
             raise ValueError(f"polyharmonic order p must be >= 1, got {self.p}")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
-        if self.n + self.alpha <= 0:
-            raise ValueError(f"need n + alpha > 0, got {self.n + self.alpha}")
-        if self.beta <= -1:
-            raise ValueError(f"need beta > -1, got {self.beta}")
-        for name in ("eps_branch", "eps_sing"):
-            v = getattr(self, name)
-            if not (0 < v <= 1e-8):
-                raise ValueError(f"{name} must lie in (0, 1e-8], got {v}")
+        check_weight_parameters(self.n, self.alpha, self.beta)
         if not (0 < self.r_max < 1):
             raise ValueError(f"r_max must lie in (0, 1), got {self.r_max}")
 

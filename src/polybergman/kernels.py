@@ -22,15 +22,17 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    EPS_SING,
     KernelConfig,
     PairInvariants,
     RotatedPoint,
+    check_weight_parameters,
     pair_invariants,
     principal_pow,
     unit_ball_volume,
 )
 from .errors import ConvergenceDomain, NearSingular
-from .zonal import _growth_ratios, series_coefficients, zonal_pair_args, zonal_poly_sum
+from .zonal import _growth_ratios, series_coefficients, zonal_poly_sum
 
 _CAL_DEGREES = 40
 _CAL_SAMPLES = 65
@@ -69,10 +71,7 @@ def weighted_coefficient(n: int, alpha: float, beta: float, m: int) -> float:
     Computed through log-Gamma differences; for beta = 0 it collapses to
     n + 2m + alpha.
     """
-    if n + alpha <= 0:
-        raise ValueError(f"need n + alpha > 0, got {n + alpha}")
-    if beta <= -1:
-        raise ValueError(f"need beta > -1, got {beta}")
+    check_weight_parameters(n, alpha, beta)
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
     z = m + 0.5 * (n + alpha)
@@ -82,7 +81,7 @@ def weighted_coefficient(n: int, alpha: float, beta: float, m: int) -> float:
 def _series_weights(n: int, alpha: float, beta: float, kind: str, top: int) -> np.ndarray:
     """Series weights g(0..top) of kind: 1 (poisson), n + 2m (bergman) or
     the Gamma ratio of weighted_coefficient (weighted, which also checks
-    n + alpha > 0 and beta > -1; the other kinds read n only).
+    alpha and beta; the other kinds read n only).
 
     The weighted ratios come from Gamma(z+1) = z Gamma(z):
     g(m+1) = g(m) (z + beta + 1) / z with z = m + (n+alpha)/2, so only g(0)
@@ -142,26 +141,27 @@ def make_truncation(cfg: KernelConfig, r: float, tol: float, kind: str = "poisso
     )
 
 
-def _check_pair(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint):
+def _checked_pair(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, series: bool) -> PairInvariants:
+    """pair_invariants(x, y) after the domain check of the zonal series
+    (ConvergenceDomain) or of the closed forms (NearSingular)."""
     if x.dim != cfg.n or y.dim != cfg.n:
         raise ValueError(f"dimension mismatch: n={cfg.n}, x:{x.dim}, y:{y.dim}")
-
-
-def _closed_form_guard(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint):
-    _check_pair(cfg, x, y)
-    if x.radius * y.radius >= 1.0 - cfg.eps_sing:
-        raise NearSingular(
-            f"radius product {x.radius * y.radius:.17g} too close to 1"
-        )
+    rr = x.radius * y.radius
+    if series:
+        if rr > cfg.r_max:
+            raise ConvergenceDomain(f"radius product {rr:.17g} exceeds r_max={cfg.r_max}")
+        return pair_invariants(x, y)
+    if rr >= 1.0 - EPS_SING:
+        raise NearSingular(f"radius product {rr:.17g} too close to 1")
     inv = pair_invariants(x, y)
-    if abs(inv.w) <= cfg.eps_sing:
-        raise NearSingular(f"|w|={abs(inv.w):.3g} within eps_sing={cfg.eps_sing:g}")
+    if abs(inv.w) <= EPS_SING:
+        raise NearSingular(f"|w|={abs(inv.w):.3g} within eps_sing={EPS_SING:g}")
     return inv
 
 
 def _poisson_from(cfg: KernelConfig, inv: PairInvariants, p: int) -> complex:
     """(1 - q^p) / w^(n/2) from the pair invariants."""
-    return (1.0 - inv.q**p) / principal_pow(inv.w, 0.5 * cfg.n, cfg.eps_branch)
+    return (1.0 - inv.q**p) / principal_pow(inv.w, 0.5 * cfg.n)
 
 
 def _bergman_from(cfg: KernelConfig, inv: PairInvariants, p: int) -> complex:
@@ -169,13 +169,13 @@ def _bergman_from(cfg: KernelConfig, inv: PairInvariants, p: int) -> complex:
     n = cfg.n
     qp = inv.q**p
     num = (n - 4 * p) * qp * inv.q + (8 * p * inv.s - n - 4 * p) * qp + n * (1.0 - inv.q)
-    den = n * unit_ball_volume(n) * principal_pow(inv.w, 0.5 * n + 1.0, cfg.eps_branch)
+    den = n * unit_ball_volume(n) * principal_pow(inv.w, 0.5 * n + 1.0)
     return num / den
 
 
 def poisson(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
     """Closed-form polyharmonic Poisson kernel (1 - q^p) / w^(n/2)."""
-    return _poisson_from(cfg, _closed_form_guard(cfg, x, y), cfg.p)
+    return _poisson_from(cfg, _checked_pair(cfg, x, y, series=False), cfg.p)
 
 
 def bergman(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
@@ -184,7 +184,7 @@ def bergman(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
     [(n-4p) q^(p+1) + (8p s - n - 4p) q^p + n (1-q)] / (n Vol_n w^(n/2+1));
     p = 1 recovers the classical harmonic Bergman kernel.
     """
-    return _bergman_from(cfg, _closed_form_guard(cfg, x, y), cfg.p)
+    return _bergman_from(cfg, _checked_pair(cfg, x, y, series=False), cfg.p)
 
 
 def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
@@ -194,7 +194,7 @@ def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> c
     geometric ratio (1-q^p)/(1-q) is always expanded as the polynomial, which
     removes the spurious singularity at q = 1 exactly.
     """
-    inv = _closed_form_guard(cfg, x, y)
+    inv = _checked_pair(cfg, x, y, series=False)
     qpow = [inv.q**k for k in range(cfg.p)]
     geo = sum(qpow)
     lin = sum(4 * k * qk for k, qk in enumerate(qpow))
@@ -203,22 +203,14 @@ def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> c
     )
 
 
-def _series_domain_guard(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint):
-    _check_pair(cfg, x, y)
-    if x.radius * y.radius > cfg.r_max:
-        raise ConvergenceDomain(
-            f"radius product {x.radius * y.radius:.17g} exceeds r_max={cfg.r_max}"
-        )
-
-
 def _zonal_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation, kind: str) -> complex:
     """sum_{m<=max_degree} g(m) Z^p_m(x, y) with the series weight of kind,
     normalized by n Vol_n for the Bergman kinds."""
-    _series_domain_guard(cfg, x, y)
+    inv = _checked_pair(cfg, x, y, series=True)
     g = _series_weights(cfg.n, cfg.alpha, cfg.beta, kind, trunc.max_degree)
     if kind != "poisson":
         g /= cfg.n * unit_ball_volume(cfg.n)
-    return complex(zonal_poly_sum(series_coefficients(cfg.p, g), *zonal_pair_args(x, y), cfg.n))
+    return complex(zonal_poly_sum(series_coefficients(cfg.p, g), inv.t, inv.zeta, cfg.n))
 
 
 def poisson_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation) -> complex:
@@ -243,7 +235,7 @@ def weighted_bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPo
     radial weight shifted by 4k; inner truncations max_degree - 2k make the
     double sum an exact rearrangement of the direct series.
     """
-    _series_domain_guard(cfg, x, y)
+    inv = _checked_pair(cfg, x, y, series=True)
     top = trunc.max_degree
     coef = np.zeros((min(cfg.p, top // 2 + 1), top + 1))
     for k in range(coef.shape[0]):
@@ -251,10 +243,10 @@ def weighted_bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPo
             cfg.n, cfg.alpha + 4.0 * k, cfg.beta, "weighted", top - 2 * k
         )
     coef /= cfg.n * unit_ball_volume(cfg.n)
-    return complex(zonal_poly_sum(coef, *zonal_pair_args(x, y), cfg.n))
+    return complex(zonal_poly_sum(coef, inv.t, inv.zeta, cfg.n))
 
 
-def _power_jet(a, e: float, order: int, eps_branch: float) -> np.ndarray:
+def _power_jet(a, e: float, order: int) -> np.ndarray:
     """Taylor coefficients 0..order of a(eps)**e, with a given by its leading
     coefficients (a[0] != 0), by J.C.P. Miller's recurrence
 
@@ -262,7 +254,7 @@ def _power_jet(a, e: float, order: int, eps_branch: float) -> np.ndarray:
     """
     a = np.pad(np.asarray(a, dtype=complex), (0, order + 1))[: order + 1]
     b = np.zeros(order + 1, dtype=complex)
-    b[0] = principal_pow(a[0], e, eps_branch)
+    b[0] = principal_pow(a[0], e)
     for k in range(1, order + 1):
         j = np.arange(1, k + 1)
         b[k] = np.sum(((e + 1.0) * j - k) * a[j] * b[k - j]) / (k * a[0])
@@ -280,22 +272,22 @@ def derivative_form_check(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -
     """
     if not float(cfg.beta).is_integer():  # KernelConfig already has beta > -1
         raise ValueError(f"derivative form needs an integer beta >= 0, got {cfg.beta}")
-    inv = _closed_form_guard(cfg, x, y)
+    inv = _checked_pair(cfg, x, y, series=False)
     beta = int(cfg.beta)
     order = beta + 1
     gamma_exp = 0.5 * (cfg.n + cfg.alpha) + beta
-    t_jet = _power_jet((1.0, 1.0), gamma_exp, order, cfg.eps_branch)
-    num_jet = -(inv.q**cfg.p) * _power_jet((1.0, 1.0), 2 * cfg.p, order, cfg.eps_branch)
+    t_jet = _power_jet((1.0, 1.0), gamma_exp, order)
+    num_jet = -(inv.q**cfg.p) * _power_jet((1.0, 1.0), 2 * cfg.p, order)
     num_jet[0] += 1.0
-    w_jet = _power_jet((inv.w, 2.0 * (inv.q - inv.s), inv.q), -0.5 * cfg.n, order, cfg.eps_branch)
+    w_jet = _power_jet((inv.w, 2.0 * (inv.q - inv.s), inv.q), -0.5 * cfg.n, order)
     f = np.convolve(np.convolve(t_jet, num_jet)[: order + 1], w_jet)[: order + 1]
     norm = 2.0 / (cfg.n * math.factorial(beta) * unit_ball_volume(cfg.n))
     return complex(norm * math.factorial(order) * f[order])
 
 
-def is_sector_phase(cfg: KernelConfig, phase: float, tol: float = 1e-9) -> bool:
-    """True when the phase is an integer multiple of pi/p."""
-    return abs(math.remainder(phase, math.pi / cfg.p)) <= tol
+def is_sector_phase(cfg: KernelConfig, phase: float) -> bool:
+    """True when the phase is within 1e-9 of an integer multiple of pi/p."""
+    return abs(math.remainder(phase, math.pi / cfg.p)) <= 1e-9
 
 
 def evaluation_regime(cfg: KernelConfig, *points: RotatedPoint) -> str:

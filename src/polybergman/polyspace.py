@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KernelConfig, RotatedPoint, principal_pow
+from .core import EPS_SING, KernelConfig, RotatedPoint, principal_pow
 from .errors import NearSingular
 from .zonal import _zonal_rows, zonal_values
 
@@ -274,9 +274,9 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
     rot = np.exp(1j * math.pi * np.arange(cfg.p) / cfg.p)[:, None]
     back = np.conj(rot)
     bsq = back * back * d2 - 2.0 * r * back * (nodes @ d) + r * r
-    if np.any(np.abs(bsq) <= cfg.eps_sing * r * r):
+    if np.any(np.abs(bsq) <= EPS_SING * r * r):
         raise NearSingular("mean-value kernel denominator vanished")
-    den = principal_pow(bsq, 0.5 * cfg.n, cfg.eps_branch)
+    den = principal_pow(bsq, 0.5 * cfg.n)
     pts = a + r * rot[:, :, None] * nodes
     uv = ufun(pts.reshape(-1, cfg.n)).reshape(den.shape)
     return complex(np.sum(rule.weights * (num * pref / den) * uv)) / cfg.p

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .core import KernelConfig, RotatedPoint, unit_ball_volume
+from .core import KernelConfig, RotatedPoint, check_weight_parameters, unit_ball_volume
 from .kernels import _series_weights
 from .polyspace import PolyharmonicPolynomial, eval_polar
 from .zonal import series_coefficients, zonal_poly_sum
@@ -111,8 +111,9 @@ def build_sphere_rule(n: int, exact_degree: int) -> SphereRule:
 
 def radial_moment(n: int, m: int, alpha: float, beta: float) -> float:
     """int_0^1 r^(n+2m+alpha-1) (1-r^2)^beta dr by the Gamma closed form."""
-    if n + alpha <= 0 or beta <= -1 or m < 0:
-        raise ValueError(f"invalid radial moment parameters n={n}, m={m}, alpha={alpha}, beta={beta}")
+    check_weight_parameters(n, alpha, beta)
+    if m < 0:
+        raise ValueError(f"degree must be >= 0, got {m}")
     z = m + 0.5 * (n + alpha)
     return 0.5 * math.exp(math.lgamma(beta + 1.0) + math.lgamma(z) - math.lgamma(z + beta + 1.0))
 
@@ -121,10 +122,9 @@ def radial_moment(n: int, m: int, alpha: float, beta: float) -> float:
 def build_radial_rule(n: int, alpha: float, beta: float, node_count: int) -> RadialRule:
     """Gauss-Jacobi rule in t = r^2; exact for polynomials in r^2 of degree
     <= node_count - 1 (in fact up to 2*node_count - 1)."""
-    if n + alpha <= 0 or beta <= -1 or node_count < 1:
-        raise ValueError(
-            f"invalid radial rule parameters n={n}, alpha={alpha}, beta={beta}, nodes={node_count}"
-        )
+    check_weight_parameters(n, alpha, beta)
+    if node_count < 1:
+        raise ValueError(f"radial rule needs at least one node, got {node_count}")
     a = beta
     b = 0.5 * (n + alpha) - 1.0
     t, w = roots_jacobi(node_count, a, b)
@@ -166,6 +166,15 @@ def sphere_monomial_moment(kappa) -> float:
     return math.exp(log_val)
 
 
+def _sector_phases(cfg: KernelConfig) -> np.ndarray:
+    return np.array([cfg.sector_phase(k) for k in range(cfg.p)])
+
+
+def _check_ball_rule(cfg: KernelConfig, alpha: float, beta: float, rule: BallRule):
+    if rule.radial.alpha != alpha or rule.radial.beta != beta or rule.radial.n != cfg.n:
+        raise ValueError("ball rule weight parameters do not match the request")
+
+
 def _ball_values(cfg: KernelConfig, f, radii, unit: np.ndarray) -> np.ndarray:
     """f at e^{ik pi/p} r_i unit_j for every sector k, radius i and node j;
     shape (p, R, N).
@@ -173,7 +182,7 @@ def _ball_values(cfg: KernelConfig, f, radii, unit: np.ndarray) -> np.ndarray:
     f is a PolyharmonicPolynomial or a callable f(phase, points) returning
     the values at the rotated points e^{i*phase} * points.
     """
-    phases = [cfg.sector_phase(k) for k in range(cfg.p)]
+    phases = _sector_phases(cfg)
     if isinstance(f, PolyharmonicPolynomial):
         return eval_polar(f, phases, radii, unit)
     return np.array([[f(ph, r * unit) for r in radii] for ph in phases], dtype=complex)
@@ -202,8 +211,7 @@ def inner_product_sphere(cfg: KernelConfig, f, g, rule: SphereRule) -> complex:
 
 def inner_product_ball(cfg: KernelConfig, alpha: float, beta: float, f, g, rule: BallRule) -> complex:
     """Sector-averaged weighted ball inner product in polar composition."""
-    if rule.radial.alpha != alpha or rule.radial.beta != beta or rule.radial.n != cfg.n:
-        raise ValueError("ball rule weight parameters do not match the request")
+    _check_ball_rule(cfg, alpha, beta, rule)
     rad = rule.radial
     return rule.normalization * _inner_product(cfg, f, g, rad.nodes, rad.weights, rule.sphere)
 
@@ -222,7 +230,7 @@ def _kernel_section_values(cfg, alpha, beta, x, m_top, radial_nodes, sphere_node
     g /= cfg.n * unit_ball_volume(cfg.n)
     rx = x.radius
     t = sphere_nodes @ (x.coords / rx) if rx else np.zeros(sphere_nodes.shape[0])
-    phases = np.array([cfg.sector_phase(k) for k in range(cfg.p)])[:, None, None]
+    phases = _sector_phases(cfg)[:, None, None]
     r = radial_nodes[:, None]
     zeta = rx * r * np.exp(1j * (x.phase - phases))
     return zonal_poly_sum(series_coefficients(cfg.p, g), t, zeta, cfg.n)
@@ -251,8 +259,7 @@ def reproduce(
         )
     if x.radius >= 1.0:
         raise ValueError("evaluation point must lie in the open rotated ball cone")
-    if rule.radial.alpha != alpha or rule.radial.beta != beta or rule.radial.n != cfg.n:
-        raise ValueError("ball rule weight parameters do not match the request")
+    _check_ball_rule(cfg, alpha, beta, rule)
     sph = rule.sphere
     rad = rule.radial
     kv = _kernel_section_values(cfg, alpha, beta, x, m_top, rad.nodes, sph.nodes)

@@ -7,21 +7,20 @@ and the radial homogeneity (|a||b|)^m, i.e. Z_m(x, y) = zeta^m z_m(t) with
 zeta = |a||b| e^{i (phi-psi)}.  Zonal polyharmonics of order p are the
 finite sums
 
-    Z^p_m(x, y) = sum_{k<p} u^k v^k Z_{m-2k}(x, y),
+    Z^p_m(x, y) = sum_{k<p} q^k Z_{m-2k}(x, y),
 
-with u, v the bilinear pair invariants (uv = zeta^2 for rotated points) and
-terms dropped once m - 2k < 0.
-Every zonal sum in the package goes through one assembly, zonal_poly_sum.
+with q = zeta^2 and terms dropped once m - 2k < 0; t and zeta of a pair come
+from core.pair_invariants, as the closed forms' s, q and w do.  Every zonal
+sum in the package goes through one assembly, zonal_poly_sum.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from .core import KernelConfig, RotatedPoint
+from .core import KernelConfig, RotatedPoint, pair_invariants
 
 BACKEND_NAME = "numpy"
 """Array backend of the zonal recurrence, reported by ``polybergman info``."""
@@ -136,7 +135,7 @@ def zonal_poly_sum(coef, t, zeta, n: int):
 
     With t the cosine between the real parts of a pair and zeta = |a||b|
     e^{i (phi-psi)}, zeta^l z_l(t) is the extended harmonic Z_l and
-    zeta^2 = uv exactly, so this is the single assembly of every zonal
+    zeta^2 = q, so this is the single assembly of every zonal
     polyharmonic sum.  t and zeta are scalars or arrays of mutually
     broadcastable shapes and the result has their broadcast shape.  A zero
     radius is zeta = 0 (any t): only the l = 0 column survives.
@@ -152,13 +151,6 @@ def zonal_poly_sum(coef, t, zeta, n: int):
     w = (qpow @ coef) * zpow
     zmat = zonal_values(t, top, n).reshape(top + 1, -1).T.reshape(np.shape(t) + (top + 1,))
     return np.einsum("...l,...l->...", w, zmat)
-
-
-def zonal_pair_args(x: RotatedPoint, y: RotatedPoint):
-    """(t, zeta) of zonal_poly_sum for one pair of rotated points."""
-    rr = x.radius * y.radius
-    t = 0.0 if rr == 0.0 else min(1.0, max(-1.0, float(x.coords @ y.coords) / rr))
-    return t, rr * cmath.exp(1j * (x.phase - y.phase))
 
 
 def degree_coefficients(p: int, m: int) -> np.ndarray:
@@ -182,7 +174,7 @@ def sph_dim(n: int, m: int) -> int:
 def zonal_polyharmonic(
     cfg: KernelConfig, m: int, x: RotatedPoint, y: RotatedPoint
 ) -> complex:
-    """Zonal polyharmonic Z^p_m(x, y) = sum_{k<p, 2k<=m} (uv)^k Z_{m-2k}(x, y).
+    """Zonal polyharmonic Z^p_m(x, y) = sum_{k<p, 2k<=m} q^k Z_{m-2k}(x, y).
 
     At p = 1 this is the extended zonal harmonic
     Z_m(x, y) = e^{i m (phi-psi)} (|a||b|)^m z_m(a.b / |a||b|).
@@ -191,8 +183,8 @@ def zonal_polyharmonic(
         raise ValueError(f"degree must be >= 0, got {m}")
     if x.dim != y.dim or x.dim != cfg.n:
         raise ValueError(f"dimension mismatch: n={cfg.n}, x:{x.dim}, y:{y.dim}")
-    coef = degree_coefficients(cfg.p, m)
-    return complex(zonal_poly_sum(coef, *zonal_pair_args(x, y), cfg.n))
+    inv = pair_invariants(x, y)
+    return complex(zonal_poly_sum(degree_coefficients(cfg.p, m), inv.t, inv.zeta, cfg.n))
 
 
 def _growth_ratios(cfg: KernelConfig, m_max: int, samples: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -79,10 +80,10 @@ class TestPairInvariants:
         x = make_rotated_point(0.0, (0.5, 0.0, 0.0))
         inv = pair_invariants(x, x)
         assert_allclose(inv.s, 0.25)
-        assert_allclose(inv.u, 0.25)
-        assert_allclose(inv.v, 0.25)
         assert_allclose(inv.q, 0.0625)
         assert_allclose(inv.w, 0.5625)
+        assert inv.t == 1.0
+        assert_allclose(inv.zeta, 0.25)
 
     def test_orthogonal_quarter_turn(self):
         # a.b = 0 kills s; q picks up the phase e^{2i phi} = e^{i pi}
@@ -99,7 +100,8 @@ class TestPairInvariants:
         o = make_rotated_point(0.3, (0.0, 0.0))
         y = make_rotated_point(0.1, (0.5, 0.2))
         inv = pair_invariants(o, y)
-        assert inv.s == 0 and inv.u == 0 and inv.q == 0 and inv.w == 1
+        assert inv.s == 0 and inv.q == 0 and inv.w == 1
+        assert inv.t == 0 and inv.zeta == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -113,37 +115,81 @@ class TestPairInvariants:
     )
     @settings(max_examples=150, deadline=None)
     def test_w_identity_and_q_factorization(self, phx, phy, a, b):
+        # the closed-form invariants are the zonal ones: s = zeta t, q = zeta^2
         m = min(len(a), len(b))
         x = make_rotated_point(phx, a[:m])
         y = make_rotated_point(phy, b[:m])
         inv = pair_invariants(x, y)
         assert abs(inv.w - (1 - 2 * inv.s + inv.q)) <= 1e-15
-        assert abs(inv.q - inv.u * inv.v) <= 1e-15 * max(1.0, abs(inv.q))
+        assert -1.0 <= inv.t <= 1.0
+        eps = np.finfo(float).eps
+        assert abs(inv.s - inv.zeta * inv.t) <= 8 * eps * max(1.0, abs(inv.zeta))
+        assert abs(inv.q - inv.zeta**2) <= 8 * eps * max(1.0, abs(inv.q))
 
     @given(phx=finite_floats, phy=finite_floats, c=finite_floats, a=small_coords, b=small_coords)
     @settings(max_examples=100, deadline=None)
     def test_phase_shift_covariance(self, phx, phy, c, a, b):
+        # a common phase shift leaves every invariant unchanged
         m = min(len(a), len(b))
         base = pair_invariants(make_rotated_point(phx, a[:m]), make_rotated_point(phy, b[:m]))
         shifted = pair_invariants(
             make_rotated_point(phx + c, a[:m]), make_rotated_point(phy + c, b[:m])
         )
-        rot = np.exp(2j * c)
-        assert abs(shifted.s - base.s) <= 1e-12 * (1 + abs(base.s))
-        assert abs(shifted.u - base.u * rot) <= 1e-12 * (1 + abs(base.u))
-        assert abs(shifted.v - base.v * np.conj(rot)) <= 1e-12 * (1 + abs(base.v))
-        assert abs(shifted.q - base.q) <= 1e-12 * (1 + abs(base.q))
-        assert abs(shifted.w - base.w) <= 1e-12 * (1 + abs(base.w))
+        for name in ("s", "q", "w", "zeta"):
+            got, want = getattr(shifted, name), getattr(base, name)
+            assert abs(got - want) <= 1e-12 * (1 + abs(want)), name
+        assert shifted.t == base.t
 
     def test_same_sector_real_specialization(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             a, b = rng.uniform(-0.7, 0.7, size=(2, 3))
             inv = pair_invariants(make_rotated_point(0.0, a), make_rotated_point(0.0, b))
-            for val in (inv.s, inv.u, inv.v, inv.q, inv.w):
+            for val in (inv.s, inv.q, inv.w, inv.zeta):
                 assert val.imag == 0.0
             assert_allclose(inv.w, float(a @ a) * float(b @ b) - 2 * float(a @ b) + 1.0)
             assert inv.w >= (1 - np.linalg.norm(a) * np.linalg.norm(b)) ** 2 - 1e-15
+
+    def test_matches_50_digit_oracle(self):
+        # every invariant within 8 ulp of mpmath on the same float inputs:
+        # s, q and zeta relative to their size, t absolutely, and w relative
+        # to its terms 1 + 2|s| + |q|, whose cancellation near the boundary
+        # is a property of the formula w = 1 - 2s + q, not of its rounding
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(2024)
+        worst = dict.fromkeys(("s", "q", "w", "t", "zeta"), 0.0)
+        for n in (2, 3, 4, 5):
+            for k in range(100):
+                a = rng.normal(size=n)
+                a /= np.linalg.norm(a)
+                if k < 50:
+                    b = rng.normal(size=n)
+                    b /= np.linalg.norm(b)
+                    ra, rb = rng.uniform(0.0, 0.9999, 2)
+                else:  # nearly aligned at radius 0.9999
+                    b = a + 1e-3 * rng.normal(size=n)
+                    b /= np.linalg.norm(b)
+                    ra = rb = 0.9999
+                x = make_rotated_point(rng.uniform(-math.pi, math.pi), ra * a)
+                y = make_rotated_point(rng.uniform(-math.pi, math.pi), rb * b)
+                inv = pair_invariants(x, y)
+                with mpmath.workdps(50):
+                    xa = [mpmath.mpf(float(c)) for c in x.coords]
+                    yb = [mpmath.mpf(float(c)) for c in y.coords]
+                    ab = mpmath.fsum(u * v for u, v in zip(xa, yb))
+                    rr = mpmath.sqrt(mpmath.fsum(u * u for u in xa)) * mpmath.sqrt(
+                        mpmath.fsum(v * v for v in yb)
+                    )
+                    rot = mpmath.expj(mpmath.mpf(x.phase) - mpmath.mpf(y.phase))
+                    s, zeta = rot * ab, rot * rr
+                    q = zeta * zeta
+                    want = dict(s=s, q=q, w=1 - 2 * s + q, t=ab / rr, zeta=zeta)
+                    scale = dict(s=rr, q=abs(q), w=1 + 2 * abs(s) + abs(q), t=1, zeta=rr)
+                    for name, val in want.items():
+                        err = abs(mpmath.mpc(getattr(inv, name)) - val) / scale[name]
+                        worst[name] = max(worst[name], float(err) / eps)
+        assert all(ulps <= 8.0 for ulps in worst.values()), worst
 
 
 class TestPrincipalPow:
@@ -226,6 +272,12 @@ class TestKernelConfig:
         assert cfg.eps_branch == 1e-12 and cfg.eps_sing == 1e-12
         assert cfg.sector_phase(1) == math.pi / 2
 
+    def test_settable_fields(self):
+        assert [f.name for f in fields(KernelConfig)] == ["n", "p", "alpha", "beta", "r_max"]
+        for guard in ("eps_sing", "eps_branch"):
+            with pytest.raises(TypeError):
+                KernelConfig(n=2, p=1, **{guard: 1e-9})
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -233,8 +285,8 @@ class TestKernelConfig:
             dict(n=3, p=0),
             dict(n=2, p=1, alpha=-2.5),
             dict(n=2, p=1, beta=-1.0),
-            dict(n=2, p=1, eps_sing=0.0),
-            dict(n=2, p=1, eps_branch=1e-6),
+            dict(n=2, p=1, r_max=0.0),
+            dict(n=2, p=1, alpha=-math.inf),
             dict(n=2, p=1, r_max=1.0),
             dict(n=2, p=1, alpha=math.nan),
             dict(n=2, p=1, alpha=math.inf),

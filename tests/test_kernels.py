@@ -24,8 +24,9 @@ from polybergman import (
     weighted_bergman_decomposed,
     weighted_bergman_series,
     weighted_coefficient,
+    zonal_polyharmonic,
 )
-from polybergman import kernels
+from polybergman import kernels, zonal
 from polybergman.kernels import _series_weights
 
 
@@ -194,6 +195,7 @@ class TestBergmanDecomposed:
         assert_allclose(bergman_decomposed(cfg, o, o), 1.0 / unit_ball_volume(4), rtol=1e-14)
 
     def test_pair_invariants_computed_once(self, monkeypatch):
+        # every kernel entry point reads exactly one PairInvariants
         calls = []
 
         def counted(x, y):
@@ -201,12 +203,24 @@ class TestBergmanDecomposed:
             return pair_invariants(x, y)
 
         monkeypatch.setattr(kernels, "pair_invariants", counted)
-        cfg = KernelConfig(n=3, p=2)
+        monkeypatch.setattr(zonal, "pair_invariants", counted)
+        cfg = KernelConfig(n=3, p=2, alpha=0.5, beta=1.0)
         x, y = random_sector_pair(cfg, np.random.default_rng(5))
         expected = bergman(cfg, x, y)
+        trunc = Truncation(max_degree=12, tol=1.0, calibrated_C=1.0)
+        for kernel in (poisson, bergman, bergman_decomposed, derivative_form_check):
+            calls.clear()
+            kernel(cfg, x, y)
+            assert len(calls) == 1, kernel.__name__
+        for kernel in (poisson_series, bergman_series, weighted_bergman_series,
+                       weighted_bergman_decomposed):
+            calls.clear()
+            kernel(cfg, x, y, trunc)
+            assert len(calls) == 1, kernel.__name__
         calls.clear()
-        got = bergman_decomposed(cfg, x, y)
+        zonal_polyharmonic(cfg, 5, x, y)
         assert len(calls) == 1
+        got = bergman_decomposed(cfg, x, y)
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
 

@@ -193,6 +193,16 @@ def test_ball_rule_normalization_is_derived():
         type(rule)(sphere=rule.sphere, radial=rule.radial, normalization=1.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 0.0), (0.0, math.nan)])
+def test_nan_weight_parameters_raise(alpha, beta):
+    with pytest.raises(ValueError):
+        weighted_coefficient(3, alpha, beta, 2)
+    with pytest.raises(ValueError):
+        radial_moment(3, 0, alpha, beta)
+    with pytest.raises(ValueError):
+        build_radial_rule(3, alpha, beta, 5)
+
+
 class TestRadialMoment:
     def test_hand_values(self):
         assert_allclose(radial_moment(3, 0, 0.0, 0.0), 1.0 / 3.0, rtol=1e-14)
