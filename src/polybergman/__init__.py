@@ -66,7 +66,6 @@ from .quadrature import (
 from .verify import SUITES, run_suite
 from .zonal import (
     BACKEND_NAME,
-    gegenbauer,
     sph_dim,
     zonal_growth_ratio,
     zonal_polyharmonic,
@@ -99,7 +98,6 @@ __all__ = [
     "evaluate",
     "evaluation_regime",
     "from_json",
-    "gegenbauer",
     "inner_product_ball",
     "inner_product_sphere",
     "laplacian_power_residual",

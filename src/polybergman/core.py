@@ -184,3 +184,7 @@ class KernelConfig:
     def sector_phase(self, k: int) -> float:
         """Phase k*pi/p of the k-th rotated copy of the ball."""
         return math.pi * (k % self.p) / self.p
+
+    def sector_phases(self) -> np.ndarray:
+        """Phases k*pi/p of all p rotated copies, k = 0..p-1."""
+        return math.pi * np.arange(self.p) / self.p

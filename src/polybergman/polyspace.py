@@ -271,7 +271,7 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
     nodes = rule.nodes
     num = r ** (2 * cfg.p) - d2**cfg.p
     pref = r ** (cfg.n - 2 * cfg.p)
-    rot = np.exp(1j * math.pi * np.arange(cfg.p) / cfg.p)[:, None]
+    rot = np.exp(1j * cfg.sector_phases())[:, None]
     back = np.conj(rot)
     bsq = back * back * d2 - 2.0 * r * back * (nodes @ d) + r * r
     if np.any(np.abs(bsq) <= EPS_SING * r * r):

@@ -24,7 +24,7 @@ from scipy.special import roots_jacobi
 from .core import KernelConfig, RotatedPoint, check_weight_parameters, unit_ball_volume
 from .kernels import _series_weights
 from .polyspace import PolyharmonicPolynomial, eval_polar
-from .zonal import series_coefficients, zonal_poly_sum
+from .zonal import series_coefficients, zonal_section
 
 NODE_CAP = 10**7
 
@@ -166,10 +166,6 @@ def sphere_monomial_moment(kappa) -> float:
     return math.exp(log_val)
 
 
-def _sector_phases(cfg: KernelConfig) -> np.ndarray:
-    return np.array([cfg.sector_phase(k) for k in range(cfg.p)])
-
-
 def _check_ball_rule(cfg: KernelConfig, alpha: float, beta: float, rule: BallRule):
     if rule.radial.alpha != alpha or rule.radial.beta != beta or rule.radial.n != cfg.n:
         raise ValueError("ball rule weight parameters do not match the request")
@@ -182,7 +178,7 @@ def _ball_values(cfg: KernelConfig, f, radii, unit: np.ndarray) -> np.ndarray:
     f is a PolyharmonicPolynomial or a callable f(phase, points) returning
     the values at the rotated points e^{i*phase} * points.
     """
-    phases = _sector_phases(cfg)
+    phases = cfg.sector_phases()
     if isinstance(f, PolyharmonicPolynomial):
         return eval_polar(f, phases, radii, unit)
     return np.array([[f(ph, r * unit) for r in radii] for ph in phases], dtype=complex)
@@ -216,26 +212,6 @@ def inner_product_ball(cfg: KernelConfig, alpha: float, beta: float, f, g, rule:
     return rule.normalization * _inner_product(cfg, f, g, rad.nodes, rad.weights, rule.sphere)
 
 
-def _kernel_section_values(cfg, alpha, beta, x, m_top, radial_nodes, sphere_nodes):
-    """Truncated weighted kernel sum_{m<=M} c_m Z^p_m(x, .) / (n Vol_n) at the
-    ball nodes of every sector; shape (p, n_radial, n_sphere).
-
-    The kernel's second-slot dependence is already conjugate-symmetric (its
-    zonal expansion carries reversed phase factors), so reproducing integrals
-    consume these values directly without further conjugation.  The cosines
-    against x depend on the sphere node only, so one recurrence serves all
-    sectors and radii.
-    """
-    g = _series_weights(cfg.n, alpha, beta, "weighted", m_top)
-    g /= cfg.n * unit_ball_volume(cfg.n)
-    rx = x.radius
-    t = sphere_nodes @ (x.coords / rx) if rx else np.zeros(sphere_nodes.shape[0])
-    phases = _sector_phases(cfg)[:, None, None]
-    r = radial_nodes[:, None]
-    zeta = rx * r * np.exp(1j * (x.phase - phases))
-    return zonal_poly_sum(series_coefficients(cfg.p, g), t, zeta, cfg.n)
-
-
 def reproduce(
     cfg: KernelConfig,
     alpha: float,
@@ -262,6 +238,9 @@ def reproduce(
     _check_ball_rule(cfg, alpha, beta, rule)
     sph = rule.sphere
     rad = rule.radial
-    kv = _kernel_section_values(cfg, alpha, beta, x, m_top, rad.nodes, sph.nodes)
-    uv = _ball_values(cfg, u, rad.nodes, sph.nodes)
+    g = _series_weights(cfg.n, alpha, beta, "weighted", m_top) / rule.normalization
+    phases = cfg.sector_phases()
+    # the kernel's second slot is conjugate-symmetric already: no conjugation
+    kv = zonal_section(series_coefficients(cfg.p, g), x, phases, rad.nodes, sph.nodes, cfg.n)
+    uv = eval_polar(u, phases, rad.nodes, sph.nodes)
     return rule.normalization * _sector_sum(uv, kv, rad.weights, sph.weights)

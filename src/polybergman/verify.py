@@ -28,7 +28,7 @@ from .kernels import (
     weighted_coefficient,
 )
 from .polyspace import (
-    eval_at_phase,
+    eval_polar,
     evaluate,
     mean_value_eval,
     random_homogeneous,
@@ -41,7 +41,7 @@ from .quadrature import (
     inner_product_sphere,
     reproduce,
 )
-from .zonal import degree_coefficients, zonal_growth_ratio, zonal_poly_sum
+from .zonal import degree_coefficients, zonal_growth_ratio, zonal_section
 
 DEFAULT_DIMS = (2, 3, 4, 5)
 DEFAULT_ORDERS = (1, 2, 3)
@@ -84,13 +84,16 @@ def _random_point(cfg, rng, r_hi=0.7) -> RotatedPoint:
     return make_rotated_point(cfg.sector_phase(sector), radius * direction)
 
 
-def _pair_sweep(seed, cases, dims=DEFAULT_DIMS, orders=DEFAULT_ORDERS, r_hi=0.7):
+def _pair_sweep(seed, cases, weights=((0.0, 0.0),), r_hi=0.7):
+    """(cfg, x, y) for cases pairs per dimension, order and (alpha, beta)
+    weight, drawn from one seeded generator in that loop order."""
     rng = np.random.default_rng(seed)
-    for n in dims:
-        for p in orders:
-            cfg = KernelConfig(n=n, p=p)
-            for _ in range(cases):
-                yield cfg, _random_point(cfg, rng, r_hi), _random_point(cfg, rng, r_hi)
+    for n in DEFAULT_DIMS:
+        for p in DEFAULT_ORDERS:
+            for alpha, beta in weights:
+                cfg = KernelConfig(n=n, p=p, alpha=alpha, beta=beta)
+                for _ in range(cases):
+                    yield cfg, _random_point(cfg, rng, r_hi), _random_point(cfg, rng, r_hi)
 
 
 def _series_suite(suite, kind, closed_fn, series_fn, tol, seed, cases):
@@ -130,26 +133,20 @@ def suite_weighted(seed: int = 42, cases: int = 200) -> dict:
     """
     tol = 1e-9
     termwise_tol = 1e-12
+    termwise_rel = max(
+        abs(weighted_coefficient(n, 0.0, 0.0, m) - (n + 2 * m)) / (n + 2 * m)
+        for n in DEFAULT_DIMS
+        for m in range(0, 61)
+    )
     sweep = _Sweep()
-    termwise_rel = 0.0
-    rng = np.random.default_rng(seed)
-    for n in DEFAULT_DIMS:
-        for m in range(0, 61):
-            cm = weighted_coefficient(n, 0.0, 0.0, m)
-            termwise_rel = max(termwise_rel, abs(cm - (n + 2 * m)) / (n + 2 * m))
-        for p in DEFAULT_ORDERS:
-            for alpha, beta in ((0.0, 0.0), (1.0, 0.5), (-0.5, 2.0)):
-                cfg = KernelConfig(n=n, p=p, alpha=alpha, beta=beta)
-                for _ in range(cases // 4):
-                    x = _random_point(cfg, rng)
-                    y = _random_point(cfg, rng)
-                    trunc = make_truncation(cfg, x.radius * y.radius, tol / 10, "weighted")
-                    series = weighted_bergman_series(cfg, x, y, trunc)
-                    decomposed = weighted_bergman_decomposed(cfg, x, y, trunc)
-                    sweep.add(abs(series - decomposed), abs(series))
-                    if alpha == 0.0 and beta == 0.0:
-                        closed = bergman(cfg, x, y)
-                        sweep.add(abs(series - closed), abs(closed), cases=0)
+    for cfg, x, y in _pair_sweep(seed, cases // 4, ((0.0, 0.0), (1.0, 0.5), (-0.5, 2.0))):
+        trunc = make_truncation(cfg, x.radius * y.radius, tol / 10, "weighted")
+        series = weighted_bergman_series(cfg, x, y, trunc)
+        decomposed = weighted_bergman_decomposed(cfg, x, y, trunc)
+        sweep.add(abs(series - decomposed), abs(series))
+        if cfg.alpha == 0.0 and cfg.beta == 0.0:
+            closed = bergman(cfg, x, y)
+            sweep.add(abs(series - closed), abs(closed), cases=0)
     return sweep.report(
         "weighted", tol, "max_abs_err", termwise_rel <= termwise_tol,
         termwise_rel_err=termwise_rel, termwise_tolerance=termwise_tol, seed=seed,
@@ -160,19 +157,11 @@ def suite_derivative_form(seed: int = 42, cases: int = 200) -> dict:
     """Exact derivative form versus the weighted series."""
     tol = 1e-11
     sweep = _Sweep()
-    rng = np.random.default_rng(seed)
-    for n in DEFAULT_DIMS:
-        for p in DEFAULT_ORDERS:
-            for beta in (0.0, 1.0):
-                for alpha in (0.0, 1.0):
-                    cfg = KernelConfig(n=n, p=p, alpha=alpha, beta=beta)
-                    for _ in range(cases // 8):
-                        x = _random_point(cfg, rng)
-                        y = _random_point(cfg, rng)
-                        got = derivative_form_check(cfg, x, y)
-                        trunc = make_truncation(cfg, x.radius * y.radius, tol / 10, "weighted")
-                        ref = weighted_bergman_series(cfg, x, y, trunc)
-                        sweep.add(abs(got - ref), abs(ref))
+    for cfg, x, y in _pair_sweep(seed, cases // 8, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))):
+        got = derivative_form_check(cfg, x, y)
+        trunc = make_truncation(cfg, x.radius * y.radius, tol / 10, "weighted")
+        ref = weighted_bergman_series(cfg, x, y, trunc)
+        sweep.add(abs(got - ref), abs(ref))
     return sweep.report("derivative_form", tol, "max_abs_err", seed=seed)
 
 
@@ -199,56 +188,40 @@ def suite_reproduce(seed: int = 42, cases: int = 50) -> dict:
     return sweep.report("reproduce", tol, "max_rel_err", seed=seed)
 
 
-def _zonal_poly_first_slot(cfg, m, eta):
-    """Z^p_m(e^{i phase} pts, eta) as a batched sector evaluator."""
-    eta_hat = eta.coords / eta.radius
-    coef = degree_coefficients(cfg.p, m)
-
-    def g(phase, pts):
-        pts = np.asarray(pts, dtype=float)
-        r = np.linalg.norm(pts, axis=-1)
-        t = (pts / np.where(r == 0.0, 1.0, r)[:, None]) @ eta_hat
-        zeta = np.exp(1j * (phase - eta.phase)) * r * eta.radius
-        return zonal_poly_sum(coef, t, zeta, cfg.n)
-
-    return g
-
-
-def _zonal_poly_second_slot(cfg, m, x, pts):
-    """Z^p_m(x, zeta_j) at real sphere nodes zeta_j (phase 0, radius 1)."""
-    rx = x.radius
-    t = pts @ (x.coords / rx) if rx else np.zeros(pts.shape[0])
-    coef = degree_coefficients(cfg.p, m)
-    return zonal_poly_sum(coef, t, np.exp(1j * x.phase) * rx, cfg.n)
-
-
 def suite_zonal_reproduce(seed: int = 42, cases: int = 20) -> dict:
     """Sphere reproduction of homogeneous polynomials by zonal polyharmonics.
 
-    Checks both the sector-averaged inner-product form against the kernel in
-    its first slot and the single-sphere integral against the second slot.
+    Both slots are sphere sums of q against a zonal_section of Z^p_m: the
+    sector-averaged sum against the kernel in its first slot, reproducing
+    q(eta) at a unit point eta, and the single-sphere sum against its second
+    slot, reproducing q(x) at a ball point x.  The zonal factors are real, so
+    Z^p_m(., eta) conjugated is the section Z^p_m(eta, .).
     """
     tol = 1e-8
     sweep = _Sweep()
     rng = np.random.default_rng(seed)
+    one = np.ones(1)
     for n in (2, 3):
         rule = build_sphere_rule(n, 20)
         for p in DEFAULT_ORDERS:
             cfg = KernelConfig(n=n, p=p)
+            phases = cfg.sector_phases()
             for m in range(0, 9):
+                coef = degree_coefficients(p, m)
                 for i in range(max(1, cases // 9)):
                     q = random_homogeneous(cfg, m, blocks=4, seed=seed + 977 * n + 61 * p + 13 * m + i)
+                    qv = eval_polar(q, phases, one, rule.nodes)
                     direction = rng.normal(size=n)
                     direction /= np.linalg.norm(direction)
                     eta = make_rotated_point(cfg.sector_phase(int(rng.integers(0, p))), direction)
+                    kv = zonal_section(coef, eta, phases, one, rule.nodes, n)
+                    got = complex(np.sum(rule.weights * qv * kv)) / p
                     expected = evaluate(q, eta)
-                    got = inner_product_sphere(cfg, q, _zonal_poly_first_slot(cfg, m, eta), rule)
                     sweep.add(abs(got - expected), 1.0 + abs(expected))
 
                     xin = _random_point(cfg, rng)
-                    kv = _zonal_poly_second_slot(cfg, m, xin, rule.nodes)
-                    qv = eval_at_phase(q, 0.0, rule.nodes)
-                    got_ball = complex(np.sum(rule.weights * qv * kv))
+                    kv = zonal_section(coef, xin, [0.0], one, rule.nodes, n)[0, 0]
+                    got_ball = complex(np.sum(rule.weights * qv[0, 0] * kv))
                     expected_ball = evaluate(q, xin)
                     sweep.add(abs(got_ball - expected_ball), 1.0 + abs(expected_ball))
     return sweep.report("zonal_reproduce", tol, "max_rel_err", seed=seed)

@@ -1,17 +1,18 @@
 """Zonal harmonics and zonal polyharmonics on rotated balls.
 
-The real zonal kernel z_m on S x S is evaluated through the Gegenbauer
-recurrence (Chebyshev for the degenerate n = 2 case); the extension to pairs
-of rotated ball points multiplies in the exact phase factor e^{i m (phi-psi)}
-and the radial homogeneity (|a||b|)^m, i.e. Z_m(x, y) = zeta^m z_m(t) with
-zeta = |a||b| e^{i (phi-psi)}.  Zonal polyharmonics of order p are the
-finite sums
+The real zonal kernel z_m on S x S is evaluated through one recurrence,
+_zonal_rows (Gegenbauer; Chebyshev for the degenerate n = 2 case); the
+extension to pairs of rotated ball points multiplies in the exact phase
+factor e^{i m (phi-psi)} and the radial homogeneity (|a||b|)^m, i.e.
+Z_m(x, y) = zeta^m z_m(t) with zeta = |a||b| e^{i (phi-psi)}.  Zonal
+polyharmonics of order p are the finite sums
 
     Z^p_m(x, y) = sum_{k<p} q^k Z_{m-2k}(x, y),
 
 with q = zeta^2 and terms dropped once m - 2k < 0; t and zeta of a pair come
-from core.pair_invariants, as the closed forms' s, q and w do.  Every zonal
-sum in the package goes through one assembly, zonal_poly_sum.
+from core.pair_invariants, as the closed forms' s, q and w do, and those of
+a polar grid of pairs from zonal_section.  Every zonal sum in the package
+goes through one assembly, zonal_poly_sum.
 """
 
 from __future__ import annotations
@@ -33,34 +34,6 @@ def _clip_cosine(t: float) -> float:
     if not abs(t) <= 1.0 + _T_DOMAIN_TOL:
         raise ValueError(f"cosine argument {t} outside [-1, 1]")
     return min(1.0, max(-1.0, t))
-
-
-def gegenbauer(m: int, lam: float, t: float) -> float:
-    """Gegenbauer polynomial C^lam_m(t) by the three-term recurrence."""
-    if m < 0:
-        raise ValueError(f"degree must be >= 0, got {m}")
-    if lam <= 0:
-        raise ValueError(f"gegenbauer index must be positive, got {lam}")
-    t = _clip_cosine(t)
-    if m == 0:
-        return 1.0
-    cm2, cm1 = 1.0, 2.0 * lam * t
-    for k in range(2, m + 1):
-        cm2, cm1 = cm1, (2.0 * t * (k + lam - 1.0) * cm1 - (k + 2.0 * lam - 2.0) * cm2) / k
-    return cm1
-
-
-def chebyshev_t(m: int, t: float) -> float:
-    """Chebyshev polynomial T_m(t), the n = 2 degenerate zonal backbone."""
-    if m < 0:
-        raise ValueError(f"degree must be >= 0, got {m}")
-    t = _clip_cosine(t)
-    if m == 0:
-        return 1.0
-    tm2, tm1 = 1.0, t
-    for _ in range(2, m + 1):
-        tm2, tm1 = tm1, 2.0 * t * tm1 - tm2
-    return tm1
 
 
 def _zonal_rows(s, b, m_max: int, n: int) -> np.ndarray:
@@ -151,6 +124,23 @@ def zonal_poly_sum(coef, t, zeta, n: int):
     w = (qpow @ coef) * zpow
     zmat = zonal_values(t, top, n).reshape(top + 1, -1).T.reshape(np.shape(t) + (top + 1,))
     return np.einsum("...l,...l->...", w, zmat)
+
+
+def zonal_section(coef, x: RotatedPoint, phases, radii, unit: np.ndarray, n: int) -> np.ndarray:
+    """zonal_poly_sum(coef, t, zeta, n) at the pairs (x, e^{i phases_k} radii_i unit_j),
+    shape (K, I, J).
+
+    The array form of pair_invariants on a polar grid of unit vectors: the
+    cosine t = unit_j . x/|x| depends on the node only (0 when x is the
+    origin, where zeta = 0) and zeta = |x| radii_i e^{i (phase(x) - phases_k)}
+    on the phase and radius only, so one recurrence serves the whole grid.
+    """
+    rx = x.radius
+    t = unit @ (x.coords / rx) if rx else np.zeros(unit.shape[0])
+    radii = np.asarray(radii, dtype=float)
+    phases = np.asarray(phases, dtype=float)
+    zeta = rx * radii[:, None] * np.exp(1j * (x.phase - phases[:, None, None]))
+    return zonal_poly_sum(coef, t, zeta, n)
 
 
 def degree_coefficients(p: int, m: int) -> np.ndarray:

@@ -3,24 +3,23 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import eval_gegenbauer
 
 from polybergman import (
     KernelConfig,
     calibrated_constant,
-    gegenbauer,
     make_rotated_point,
     pair_invariants,
     sph_dim,
     zonal_growth_ratio,
     zonal_polyharmonic,
 )
+from polybergman import zonal
 from polybergman.zonal import (
     _growth_ratios,
     _zonal_rows,
-    chebyshev_t,
     degree_coefficients,
     zonal_poly_sum,
+    zonal_section,
     zonal_values,
 )
 
@@ -42,53 +41,26 @@ def zonal_harmonic(n, m, x, y):
     return zonal_polyharmonic(KernelConfig(n=n, p=1), m, x, y)
 
 
-class TestGegenbauer:
-    def test_degree_zero(self):
-        for lam in (0.5, 1.0, 2.5):
-            for t in (-1.0, 0.0, 0.7):
-                assert gegenbauer(0, lam, t) == 1.0
-
-    def test_degree_two_at_one(self):
-        # 2 lam (lam+1) t^2 - lam evaluated by hand at lam = 1/2, t = 1
-        assert_allclose(gegenbauer(2, 0.5, 1.0), 1.0, rtol=1e-14)
-
-    def test_degree_one(self):
-        assert_allclose(gegenbauer(1, 0.5, 0.5), 0.5, rtol=1e-15)
-
-    def test_against_scipy(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            m = int(rng.integers(0, 40))
-            lam = float(rng.uniform(0.1, 4.0))
-            t = float(rng.uniform(-1.0, 1.0))
-            ours = gegenbauer(m, lam, t)
-            ref = eval_gegenbauer(m, lam, t)
-            assert_allclose(ours, ref, rtol=1e-10, atol=1e-10)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            gegenbauer(2, 0.5, 1.1)
-        with pytest.raises(ValueError):
-            gegenbauer(2, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            gegenbauer(-1, 0.5, 0.5)
-
-
 class TestZonalValues:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_scalar_oracles(self, n):
+        # z_m = 2 T_m (n = 2) or ((m+lam)/lam) C^lam_m, evaluated by mpmath
+        # at 30 digits; the error is scaled by the growth m^(n-2) of z_m(1)
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(n)
-        t = rng.uniform(-1.0, 1.0, size=40)
+        t = rng.uniform(-1.0, 1.0, size=20)
         zv = zonal_values(t, 60, n)
-        assert zv.shape == (61, 40)
+        assert zv.shape == (61, 20)
         assert_allclose(zv[0], 1.0)
-        lam = 0.5 * (n - 2)
-        for m in range(1, 61):
-            if n == 2:
-                ref = [2.0 * chebyshev_t(m, tj) for tj in t]
-            else:
-                ref = [(m + lam) / lam * gegenbauer(m, lam, tj) for tj in t]
-            assert_allclose(zv[m], ref, rtol=1e-12, atol=1e-12 * m ** (n - 2))
+        lam = mpmath.mpf(n - 2) / 2
+        with mpmath.workdps(30):
+            for m in range(1, 61):
+                for tj, got in zip(t, zv[m]):
+                    if n == 2:
+                        ref = 2 * mpmath.chebyt(m, tj)
+                    else:
+                        ref = (m + lam) / lam * mpmath.gegenbauer(m, lam, tj)
+                    assert abs(got - ref) <= 1e-13 * max(1, m ** (n - 2)), (m, tj)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_scalar_cosine_equals_one_element_array(self, n):
@@ -106,10 +78,6 @@ class TestZonalValues:
                 zonal_values(bad, 3, 3)
             with pytest.raises(ValueError):
                 zonal_values(np.array([0.2, bad]), 3, 3)
-            with pytest.raises(ValueError):
-                gegenbauer(3, 0.5, bad)
-            with pytest.raises(ValueError):
-                chebyshev_t(3, bad)
 
 
 class TestSphDim:
@@ -255,6 +223,49 @@ class TestZonalPolyharmonic:
         x = make_rotated_point(0.0, (0.1, 0.0, 0.0))
         with pytest.raises(ValueError):
             zonal_polyharmonic(cfg, -1, x, x)
+
+
+class TestZonalSection:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_scalar_pairs(self, n, p, monkeypatch):
+        # every entry of the (phase, radius, node) grid equals the scalar
+        # Z^p_m(x, e^{i phase} r u) within 8 ulp of its scale: the same sum
+        # with every cosine and phase factor set to 1 (|z_l(t)| <= z_l(1)),
+        # times 1 + m^2 for the two routes' differently rounded cosines
+        # (|z_l'(t)| <= z_l'(1) = l (l+n-2)/(n-1) z_l(1) <= m^2 z_l(1))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return zonal_values(*args)
+
+        cfg = KernelConfig(n=n, p=p)
+        rng = np.random.default_rng(10 * n + p)
+        unit_nodes = np.array([unit(rng.normal(size=n)) for _ in range(7)])
+        phases = np.concatenate([cfg.sector_phases(), [0.37, -2.5]])
+        radii = np.array([0.0, 0.3, 0.9])
+        points = [
+            make_rotated_point(0.0, np.zeros(n)),
+            make_rotated_point(cfg.sector_phase(p - 1), 0.6 * unit(rng.normal(size=n))),
+            make_rotated_point(1.1, 0.8 * unit(rng.normal(size=n))),
+        ]
+        eps = np.finfo(float).eps
+        for x in points:
+            for m in range(0, 7):
+                coef = degree_coefficients(p, m)
+                with monkeypatch.context() as mp:
+                    mp.setattr(zonal, "zonal_values", counted)
+                    got = zonal_section(coef, x, phases, radii, unit_nodes, n)
+                assert len(calls) == 1
+                calls.clear()
+                assert got.shape == (phases.size, radii.size, len(unit_nodes))
+                for k, ph in enumerate(phases):
+                    for i, r in enumerate(radii):
+                        scale = (1 + m * m) * abs(zonal_poly_sum(coef, 1.0, x.radius * r, n))
+                        for j, u in enumerate(unit_nodes):
+                            want = zonal_polyharmonic(cfg, m, x, make_rotated_point(ph, r * u))
+                            assert abs(got[k, i, j] - want) <= 8 * eps * scale, (m, k, i, j)
 
 
 class TestZonalComplexEvaluation:
