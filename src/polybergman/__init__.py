@@ -67,7 +67,6 @@ from .verify import SUITES, run_suite
 from .zonal import (
     BACKEND_NAME,
     sph_dim,
-    zonal_growth_ratio,
     zonal_polyharmonic,
 )
 
@@ -121,6 +120,5 @@ __all__ = [
     "weighted_bergman_decomposed",
     "weighted_bergman_series",
     "weighted_coefficient",
-    "zonal_growth_ratio",
     "zonal_polyharmonic",
 ]

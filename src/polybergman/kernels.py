@@ -5,8 +5,8 @@ tested against each other:
 
   * closed forms in the pair invariants (rational in s, q over a principal
     power of w = 1 - 2s + q),
-  * zonal series sum_m g(m) Z^p_m(x, y) with truncation degrees derived from
-    a calibrated growth bound.
+  * zonal series sum_m g(m) Z^p_m(x, y) truncated by the proven bound
+    |Z^p_m(x, y)| <= D_p(m) (|x||y|)^m (zonal.polyharmonic_dims).
 
 The weighted family replaces the g(m) = n + 2m weight with a Gamma-ratio
 coefficient and admits both a direct series and a decomposition into
@@ -32,10 +32,7 @@ from .core import (
     unit_ball_volume,
 )
 from .errors import ConvergenceDomain, NearSingular
-from .zonal import _growth_ratios, series_coefficients, zonal_poly_sum
-
-_CAL_DEGREES = 40
-_CAL_SAMPLES = 65
+from .zonal import polyharmonic_dims, series_coefficients, zonal_poly_sum
 
 
 @dataclass(frozen=True)
@@ -47,21 +44,20 @@ class Truncation:
     calibrated_C: float
 
     def __post_init__(self):
-        if self.max_degree < 0 or self.tol <= 0 or self.calibrated_C <= 0:
+        if not (self.max_degree >= 0 and 0 < self.tol < math.inf and 0 < self.calibrated_C < math.inf):
             raise ValueError("invalid truncation parameters")
 
 
 @lru_cache(maxsize=None)
 def _calibrated_constant(n: int, p: int) -> float:
-    return float(np.max(_growth_ratios(KernelConfig(n=n, p=p), _CAL_DEGREES, _CAL_SAMPLES)))
+    return float(np.max(polyharmonic_dims(n, p, 40)[1:] / (p * np.arange(1.0, 41.0) ** (n - 2))))
 
 
 def calibrated_constant(cfg: KernelConfig) -> float:
-    """Empirical constant C with |Z^p_m(x,y)| <= C p m^(n-2) (r_x r_y)^m.
+    """max_{1<=m<=40} D_p(m) / (p m^(n-2)), Truncation's record field.
 
-    Maximized over sphere-pair samples for m <= 40; the growth-ratio suite
-    checks the sequence stays bounded beyond the calibration window.
-    """
+    Nothing in the library reads it: truncation_degree bounds |Z^p_m| by
+    D_p(m) itself (zonal.polyharmonic_dims)."""
     return _calibrated_constant(cfg.n, cfg.p)
 
 
@@ -99,10 +95,11 @@ def _series_weights(n: int, alpha: float, beta: float, kind: str, top: int) -> n
 
 
 def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "poisson") -> int:
-    """Smallest M with C p sum_{m>M} g(m) m^(n-2) r^m below tol.
+    """Smallest M with sum_{m>M} g(m) D_p(m) r^m below tol: a bound on the
+    series tail at radius product r, as |Z^p_m| <= D_p(m) (|x||y|)^m.
 
     The tail is bounded by a geometric-ratio estimate: term ratios of
-    a_m = g(m) m^(n-2) r^m decrease monotonically toward r, so
+    a_m = g(m) D_p(m) r^m decrease monotonically toward r, so
     sum_{m>M} a_m <= a_{M+1} / (1 - a_{M+2}/a_{M+1}) once that ratio is
     below one.  The terms come as one array over a window of degrees that
     starts at 64 and doubles (recomputed from degree 0) until it holds M.
@@ -115,16 +112,15 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
         raise ConvergenceDomain(f"radius {r} exceeds r_max={cfg.r_max}")
     if r == 0.0:
         return 0
-    chat = calibrated_constant(cfg) * cfg.p
     m_cap = 100_000
     top = 64
     while True:
-        m = np.arange(top + 2, dtype=float)
-        a = _series_weights(cfg.n, cfg.alpha, cfg.beta, kind, top + 1) * m ** (cfg.n - 2) * r**m
+        g = _series_weights(cfg.n, cfg.alpha, cfg.beta, kind, top + 1)
+        a = g * polyharmonic_dims(cfg.n, cfg.p, top + 1) * r ** np.arange(top + 2, dtype=float)
         a1, a2 = a[1:-1], a[2:]
-        # rho = a2/a1 < 1 and chat a1 / (1 - rho) < tol, without dividing
-        # by terms that may underflow to 0 far beyond M
-        done = (a2 < a1) & (chat * a1 * a1 < tol * (a1 - a2))
+        # rho = a2/a1 < 1 and a1 / (1 - rho) < tol, without dividing by
+        # terms that may underflow to 0 far beyond M
+        done = (a2 < a1) & (a1 * a1 < tol * (a1 - a2))
         big_m = int(done.argmax())
         if done[big_m]:
             return big_m
@@ -291,11 +287,12 @@ def is_sector_phase(cfg: KernelConfig, phase: float) -> bool:
 
 
 def evaluation_regime(cfg: KernelConfig, *points: RotatedPoint) -> str:
-    """'standard' inside the calibrated domain, 'extension' otherwise.
+    """'standard' inside the series domain, 'extension' otherwise.
 
     Points at radius >= r_max or at non-sector phases are flagged as the
-    extension regime: the closed forms still evaluate there, but series
-    guarantees are only calibrated on sector data below r_max.
+    extension regime: the closed forms still evaluate there, but the series
+    serves radius products up to r_max only and the union of rotated balls
+    holds sector points only.
     """
     for pt in points:
         if pt.radius >= cfg.r_max or not is_sector_phase(cfg, pt.phase):

@@ -238,9 +238,10 @@ def reproduce(
     _check_ball_rule(cfg, alpha, beta, rule)
     sph = rule.sphere
     rad = rule.radial
-    g = _series_weights(cfg.n, alpha, beta, "weighted", m_top) / rule.normalization
+    # the kernel's factor 1/(n Vol_n) cancels the rule's normalization n Vol_n
+    g = _series_weights(cfg.n, alpha, beta, "weighted", m_top)
     phases = cfg.sector_phases()
     # the kernel's second slot is conjugate-symmetric already: no conjugation
     kv = zonal_section(series_coefficients(cfg.p, g), x, phases, rad.nodes, sph.nodes, cfg.n)
     uv = eval_polar(u, phases, rad.nodes, sph.nodes)
-    return rule.normalization * _sector_sum(uv, kv, rad.weights, sph.weights)
+    return _sector_sum(uv, kv, rad.weights, sph.weights)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import KernelConfig, RotatedPoint, make_rotated_point
+from .core import KernelConfig, RotatedPoint, make_rotated_point, pair_invariants
 from .kernels import (
     bergman,
     bergman_decomposed,
@@ -41,7 +41,7 @@ from .quadrature import (
     inner_product_sphere,
     reproduce,
 )
-from .zonal import degree_coefficients, zonal_growth_ratio, zonal_section
+from .zonal import degree_coefficients, polyharmonic_dims, zonal_poly_sum, zonal_section
 
 DEFAULT_DIMS = (2, 3, 4, 5)
 DEFAULT_ORDERS = (1, 2, 3)
@@ -76,10 +76,10 @@ class _Sweep:
         }
 
 
-def _random_point(cfg, rng, r_hi=0.7) -> RotatedPoint:
+def _random_point(cfg, rng, r_hi=0.7, r_lo=0.0) -> RotatedPoint:
     direction = rng.normal(size=cfg.n)
     direction /= np.linalg.norm(direction)
-    radius = rng.uniform(0.0, r_hi)
+    radius = rng.uniform(r_lo, r_hi)
     sector = int(rng.integers(0, cfg.p))
     return make_rotated_point(cfg.sector_phase(sector), radius * direction)
 
@@ -281,18 +281,27 @@ def suite_mean_value(seed: int = 42, cases: int = 50) -> dict:
 
 
 def suite_growth(seed: int = 42, cases: int = 65) -> dict:
-    """Boundedness of |Z^p_m| / (p m^(n-2)) across the degree window 10..40."""
-    factor_tol = 2.0
+    """The proven bound |Z^p_m(x, y)| <= D_p(m) (|x||y|)^m for m = 0..40.
+
+    Per dimension and order: cases random sector pairs with radii in
+    [0.5, 1), and the pairs (x, 0.8 x) and (x, -0.8 x), where the bound is
+    attained (t = 1 and t = -1).  The errors are the ratios of the two sides.
+    """
     sweep = _Sweep()
-    for n in (3, 4):
+    rng = np.random.default_rng(seed)
+    for n in DEFAULT_DIMS:
         for p in DEFAULT_ORDERS:
             cfg = KernelConfig(n=n, p=p)
-            ratios = [zonal_growth_ratio(cfg, m, cases) for m in range(10, 41)]
-            sweep.add(max(ratios) / min(ratios), 1.0, cases=len(ratios))
-    return sweep.report(
-        "growth", factor_tol, "max_abs_err", seed=seed,
-        note="errors are max/min trend factors, not absolute errors",
-    )
+            pairs = [(_random_point(cfg, rng, 1.0, 0.5), _random_point(cfg, rng, 1.0, 0.5)) for _ in range(cases)]
+            x = _random_point(cfg, rng, 1.0, 0.5)
+            pairs += [(x, make_rotated_point(x.phase, c * x.coords)) for c in (0.8, -0.8)]
+            inv = [pair_invariants(x, y) for x, y in pairs]
+            t, zeta = np.array([i.t for i in inv]), np.array([i.zeta for i in inv])
+            for m, dim in enumerate(polyharmonic_dims(n, p, 40)):
+                z = zonal_poly_sum(degree_coefficients(p, m), t, zeta, n)
+                sweep.add(float(np.max(np.abs(z) / (dim * np.abs(zeta) ** m))), 1.0, cases=len(pairs))
+    note = "errors are ratios |Z^p_m| / (D_p(m) (|x||y|)^m), not absolute errors"
+    return sweep.report("growth", 1.0 + 1e-12, "max_abs_err", seed=seed, note=note)
 
 
 SUITES = {

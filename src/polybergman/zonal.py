@@ -18,6 +18,7 @@ goes through one assembly, zonal_poly_sum.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,6 +162,23 @@ def sph_dim(n: int, m: int) -> int:
     return (2 * m + n - 2) * math.comb(m + n - 3, m) // (n - 2)
 
 
+@lru_cache(maxsize=None)
+def polyharmonic_dims(n: int, p: int, top: int) -> np.ndarray:
+    """Read-only D_p(m) = sum_{k<p, 2k<=m} sph_dim(n, m-2k) for m = 0..top:
+    the dimension of the degree-m order-p homogeneous polyharmonics and the
+    sharp bound |Z^p_m(x, y)| <= D_p(m) (|x||y|)^m, since Z^p_m = zeta^m
+    sum_k z_{m-2k}(t) and |z_l(t)| <= z_l(1) = sph_dim(n, l) on [-1, 1]
+    (Szego, Orthogonal Polynomials, Thm 7.33.1)."""
+    if p < 1 or top < 0:
+        raise ValueError(f"invalid range p={p}, top={top}")
+    dims = np.array([sph_dim(n, m) for m in range(top + 1)], dtype=float)
+    out = dims.copy()
+    for k in range(1, min(p, top // 2 + 1)):
+        out[2 * k :] += dims[: top + 1 - 2 * k]
+    out.flags.writeable = False
+    return out
+
+
 def zonal_polyharmonic(
     cfg: KernelConfig, m: int, x: RotatedPoint, y: RotatedPoint
 ) -> complex:
@@ -175,29 +193,3 @@ def zonal_polyharmonic(
         raise ValueError(f"dimension mismatch: n={cfg.n}, x:{x.dim}, y:{y.dim}")
     inv = pair_invariants(x, y)
     return complex(zonal_poly_sum(degree_coefficients(cfg.p, m), inv.t, inv.zeta, cfg.n))
-
-
-def _growth_ratios(cfg: KernelConfig, m_max: int, samples: int) -> np.ndarray:
-    """max over sphere-pair cosines of |Z^p_m| / (p * m^(n-2)) for m = 1..m_max.
-
-    The modulus of Z^p_m at sector sphere points equals its value at the
-    underlying real pair, where zeta = 1 and Z^p_m(t) = sum_{k<p, 2k<=m}
-    z_{m-2k}(t); so one recurrence on a cosine grid (endpoints included)
-    serves every degree.  The maximum sits at t = 1.
-    """
-    if m_max < 1:
-        raise ValueError(f"degree must be >= 1, got {m_max}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    z = zonal_values(np.linspace(-1.0, 1.0, max(2, samples)), m_max, cfg.n)
-    zp = z.copy()
-    for k in range(1, min(cfg.p, m_max // 2 + 1)):
-        zp[2 * k :] += z[: m_max + 1 - 2 * k]
-    m = np.arange(1, m_max + 1, dtype=float)
-    return np.max(np.abs(zp[1:]), axis=1) / (cfg.p * m ** (cfg.n - 2))
-
-
-def zonal_growth_ratio(cfg: KernelConfig, m: int, samples: int) -> float:
-    """max over sphere-pair cosines of |Z^p_m| / (p * m^(n-2)); see
-    _growth_ratios."""
-    return float(_growth_ratios(cfg, m, samples)[-1])

@@ -74,7 +74,7 @@ def test_criterion_8_mean_value_formula():
 
 
 def test_criterion_9_growth_bound_sanity():
-    _announce(9, "zonal growth-ratio boundedness", suite_growth(seed=42))
+    _announce(9, "proven zonal growth bound |Z^p_m| <= D_p(m) (|x||y|)^m", suite_growth(seed=42))
 
 
 def test_criterion_10_quadrature_self_tests():

@@ -19,6 +19,7 @@ from polybergman import (
     pair_invariants,
     poisson,
     poisson_series,
+    sph_dim,
     truncation_degree,
     unit_ball_volume,
     weighted_bergman_decomposed,
@@ -433,6 +434,23 @@ class TestTruncationDegree:
         with pytest.raises(ValueError):
             truncation_degree(cfg, r, tol, "weighted")
 
+    @pytest.mark.parametrize(
+        "max_degree,tol,cal",
+        [
+            (3, math.nan, math.nan),
+            (3, math.nan, 1.0),
+            (3, math.inf, 1.0),
+            (3, 0.0, 1.0),
+            (3, 1e-10, math.nan),
+            (3, 1e-10, math.inf),
+            (3, 1e-10, -1.0),
+            (-1, 1e-10, 1.0),
+        ],
+    )
+    def test_truncation_rejects_invalid_parameters(self, max_degree, tol, cal):
+        with pytest.raises(ValueError):
+            Truncation(max_degree=max_degree, tol=tol, calibrated_C=cal)
+
     @pytest.mark.parametrize("kind", ["poisson", "bergman", "weighted"])
     def test_a_posteriori_self_consistency(self, kind):
         # enlarging the truncation by 10 degrees moves the sum by < tol
@@ -456,24 +474,29 @@ class TestTruncationDegree:
 
 
 def _reference_truncation_degree(cfg, r, tol, kind):
-    """The term-by-term search: two terms per step, weights from
+    """The term-by-term search on the bound sum_{m>M} g(m) D_p(m) r^m: two
+    terms per step, D_p(m) summed in integers from sph_dim, weights from
     weighted_coefficient."""
     if r == 0.0:
         return 0
-    chat = kernels.calibrated_constant(cfg) * cfg.p
 
     def term(m):
         g = {"poisson": 1.0, "bergman": cfg.n + 2.0 * m}.get(kind)
         if g is None:
             g = weighted_coefficient(cfg.n, cfg.alpha, cfg.beta, m)
-        return g * float(m) ** (cfg.n - 2) * r**m
+        return g * _polyharmonic_dim(cfg.n, cfg.p, m) * r**m
 
     for big_m in range(100_000):
         a1 = term(big_m + 1)
         rho = term(big_m + 2) / a1
-        if rho < 1.0 and chat * a1 / (1.0 - rho) < tol:
+        if rho < 1.0 and a1 / (1.0 - rho) < tol:
             return big_m
     raise AssertionError("reference search did not stop")
+
+
+def _polyharmonic_dim(n, p, m):
+    """D_p(m) = sum_{k<p, 2k<=m} sph_dim(n, m-2k), an exact integer."""
+    return sum(sph_dim(n, m - 2 * k) for k in range(p) if 2 * k <= m)
 
 
 class TestTruncationReference:
@@ -488,6 +511,23 @@ class TestTruncationReference:
                     assert truncation_degree(cfg, r, 1e-10, kind) == _reference_truncation_degree(
                         cfg, r, 1e-10, kind
                     ), (kind, n, p, alpha, beta, r)
+
+
+class TestTruncationSoundness:
+    @pytest.mark.parametrize("kind", ["poisson", "bergman"])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("r", [0.9, 0.95])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_summed_tail_below_tolerance(self, p, r, tol, kind):
+        # n = 3, p >= 2: D_p(m) / (p m) nears 2 only beyond m = 40, where a
+        # constant fitted on degrees up to 40 undershoots the bound
+        cfg = KernelConfig(n=3, p=p)
+        big_m = truncation_degree(cfg, r, tol, kind)
+        g = {"poisson": lambda m: 1.0, "bergman": lambda m: 3.0 + 2.0 * m}[kind]
+        tail = math.fsum(
+            g(m) * _polyharmonic_dim(3, p, m) * r**m for m in range(big_m + 1, big_m + 4001)
+        )
+        assert tail < tol, (big_m, tail / tol)
 
 
 class TestCrossSectorConjugateSymmetry:

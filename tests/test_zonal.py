@@ -6,18 +6,16 @@ from numpy.testing import assert_allclose
 
 from polybergman import (
     KernelConfig,
-    calibrated_constant,
     make_rotated_point,
     pair_invariants,
     sph_dim,
-    zonal_growth_ratio,
     zonal_polyharmonic,
 )
 from polybergman import zonal
 from polybergman.zonal import (
-    _growth_ratios,
     _zonal_rows,
     degree_coefficients,
+    polyharmonic_dims,
     zonal_poly_sum,
     zonal_section,
     zonal_values,
@@ -117,7 +115,7 @@ class TestZonalHarmonic:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_poisson_generating_identity(self, n):
         # sum_m Z_m(x, zeta) reproduces the classical Poisson kernel; the
-        # truncation degree comes from the calibrated tail bound
+        # truncation degree comes from the proven tail bound
         from polybergman import truncation_degree
 
         rng = np.random.default_rng(n)
@@ -285,36 +283,57 @@ class TestZonalComplexEvaluation:
 
 
 class TestGrowthRatio:
+    """|Z^p_m(x, y)| <= D_p(m) (|x||y|)^m with D_p(m) = polyharmonic_dims."""
+
     def test_harmonic_degree_one(self):
+        # D_1(1) = sph_dim(3, 1) = 3, attained on the diagonal
         cfg = KernelConfig(n=3, p=1)
-        # max at coincident poles: Z_1 diagonal value is 3
-        assert_allclose(zonal_growth_ratio(cfg, 1, 65), 3.0, rtol=1e-12)
+        x = make_rotated_point(0.0, (0.0, 0.75, 0.0))
+        assert polyharmonic_dims(3, 1, 1).tolist() == [1.0, 3.0]
+        assert_allclose(zonal_polyharmonic(cfg, 1, x, x), 3.0 * 0.75**2, rtol=1e-15)
 
     @pytest.mark.parametrize("n,p", [(3, 1), (3, 2), (4, 2), (4, 3)])
     def test_bounded_over_degrees(self, n, p):
+        # random sector pairs, both radii in [0.5, 1): the ratio to the bound
+        # stays at most 1 beyond the degrees 0..40 that the growth suite checks
         cfg = KernelConfig(n=n, p=p)
-        ratios = [zonal_growth_ratio(cfg, m, 65) for m in range(1, 41)]
-        assert max(ratios) < 10.0
-        # the sector prefactors only rescale: order p stays comparable to p=1
-        assert max(ratios[9:]) <= 2.0 * min(ratios[9:])
+        rng = np.random.default_rng(10 * n + p)
+        dims = polyharmonic_dims(n, p, 60)
+        def point():
+            radius = rng.uniform(0.5, 1.0)
+            return make_rotated_point(cfg.sector_phase(int(rng.integers(0, p))), radius * unit(rng.normal(size=n)))
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    @pytest.mark.parametrize("p", [1, 2, 3])
+        for _ in range(10):
+            x, y = point(), point()
+            for m in range(61):
+                bound = dims[m] * (x.radius * y.radius) ** m
+                assert abs(zonal_polyharmonic(cfg, m, x, y)) <= (1.0 + 1e-13) * bound
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_one_recurrence_matches_per_degree_sums(self, n, p):
-        # Z^p_m at zeta = 1 through the general assembly, one degree at a time
-        cfg = KernelConfig(n=n, p=p)
-        t = np.linspace(-1.0, 1.0, 65)
-        ref = [
-            np.max(np.abs(zonal_poly_sum(degree_coefficients(p, m), t, 1.0, n))) / (p * float(m) ** (n - 2))
-            for m in range(1, 41)
-        ]
-        assert_allclose(_growth_ratios(cfg, 40, 65), ref, rtol=1e-13, atol=0)
-        assert_allclose(calibrated_constant(cfg), max(ref), rtol=1e-13, atol=0)
-        assert zonal_growth_ratio(cfg, 17, 65) == _growth_ratios(cfg, 40, 65)[16]
+        # one pass of shifted adds against the integer sums, degree by degree
+        dims = polyharmonic_dims(n, p, 200)
+        ref = [sum(sph_dim(n, m - 2 * k) for k in range(p) if 2 * k <= m) for m in range(201)]
+        assert dims.tolist() == ref
+        assert not dims.flags.writeable
+        assert polyharmonic_dims(n, p, 200) is dims
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_bound_attained_at_coincident_points(self, n):
+        # Z^p_m(x, x) = D_p(m) |x|^(2m) at phase 0, where t = 1 exactly; the
+        # recurrence adds a few ulp of rounding per degree
+        for p in (1, 2, 3, 4):
+            cfg = KernelConfig(n=n, p=p)
+            dims = polyharmonic_dims(n, p, 60)
+            for r in (0.5, 0.75, 1.0):
+                x = make_rotated_point(0.0, np.eye(n)[n - 1] * r)
+                for m in range(61):
+                    ref = dims[m] * r ** (2 * m)
+                    got = zonal_polyharmonic(cfg, m, x, x)
+                    assert abs(got - ref) <= 4 * (m + 1) * np.spacing(ref), (p, r, m)
 
     def test_preconditions(self):
-        cfg = KernelConfig(n=3, p=1)
-        with pytest.raises(ValueError):
-            zonal_growth_ratio(cfg, 0, 10)
-        with pytest.raises(ValueError):
-            zonal_growth_ratio(cfg, 1, 0)
+        for n, p, top in ((1, 1, 3), (3, 0, 3), (3, 1, -1)):
+            with pytest.raises(ValueError):
+                polyharmonic_dims(n, p, top)
