@@ -100,7 +100,7 @@ def pair_invariants(x: RotatedPoint, y: RotatedPoint) -> PairInvariants:
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     rot = cmath.exp(1j * (x.phase - y.phase))
-    ab = float(x.coords @ y.coords)
+    ab = float(x.coords.dot(y.coords))
     rr = x.radius * y.radius
     t = 0.0 if rr == 0.0 else min(1.0, max(-1.0, ab / rr))
     zeta = rr * rot
@@ -143,7 +143,7 @@ def principal_pow(w, e: float, eps_branch: float = EPS_BRANCH):
         raise BranchCutProximity(
             f"w={w!r} within eps_branch={eps_branch:g} of the branch cut"
         )
-    return complex(np.exp(e * np.log(w)))
+    return cmath.exp(e * cmath.log(w))
 
 
 def unit_ball_volume(n: int) -> float:

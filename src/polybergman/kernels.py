@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .core import (
     unit_ball_volume,
 )
 from .errors import ConvergenceDomain, NearSingular
-from .zonal import polyharmonic_dims, series_coefficients, zonal_poly_sum
+from .zonal import _window, polyharmonic_dims, zonal_poly_sum
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,8 @@ def _series_weights(n: int, alpha: float, beta: float, kind: str, top: int) -> n
 
     The weighted ratios come from Gamma(z+1) = z Gamma(z):
     g(m+1) = g(m) (z + beta + 1) / z with z = m + (n+alpha)/2, so only g(0)
-    needs log-Gamma values.
+    needs log-Gamma values.  The product runs in degree order, so a larger
+    top repeats the smaller one's values bit for bit.
     """
     if kind == "poisson":
         return np.ones(top + 1)
@@ -94,6 +96,21 @@ def _series_weights(n: int, alpha: float, beta: float, kind: str, top: int) -> n
     raise ValueError(f"unknown series weight kind {kind!r}")
 
 
+@lru_cache(maxsize=None)
+def _weight_table(n: int, alpha: float, beta: float, kind: str, window: int) -> tuple[float, ...]:
+    """_series_weights of degrees 0..window-1 as Python floats: the memo of
+    one configuration and window."""
+    return tuple(_series_weights(n, alpha, beta, kind, window - 1).tolist())
+
+
+@lru_cache(maxsize=None)
+def _tail_terms(n: int, p: int, alpha: float, beta: float, kind: str, window: int) -> tuple[float, ...]:
+    """g(m) D_p(m) for m = 0..window-1 as Python floats: the tail bound's
+    terms without their factor r^m."""
+    dims = polyharmonic_dims(n, p, window - 1).tolist()
+    return tuple(map(mul, _weight_table(n, alpha, beta, kind, window), dims))
+
+
 def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "poisson") -> int:
     """Smallest M with sum_{m>M} g(m) D_p(m) r^m below tol: a bound on the
     series tail at radius product r, as |Z^p_m| <= D_p(m) (|x||y|)^m.
@@ -101,8 +118,10 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
     The tail is bounded by a geometric-ratio estimate: term ratios of
     a_m = g(m) D_p(m) r^m decrease monotonically toward r, so
     sum_{m>M} a_m <= a_{M+1} / (1 - a_{M+2}/a_{M+1}) once that ratio is
-    below one.  The terms come as one array over a window of degrees that
-    starts at 64 and doubles (recomputed from degree 0) until it holds M.
+    below one.  The terms are scanned on Python floats in degree order and
+    the scan stops at the first M that passes; their factors g(m) D_p(m)
+    come from a table per configuration whose window starts at 64 and
+    doubles while the scan runs past it.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -113,20 +132,22 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
     if r == 0.0:
         return 0
     m_cap = 100_000
-    top = 64
+    config = (cfg.n, cfg.p, cfg.alpha, cfg.beta, kind)
+    lo, window = 0, 64
+    c = _tail_terms(*config, window)
+    a1 = c[1] * r
     while True:
-        g = _series_weights(cfg.n, cfg.alpha, cfg.beta, kind, top + 1)
-        a = g * polyharmonic_dims(cfg.n, cfg.p, top + 1) * r ** np.arange(top + 2, dtype=float)
-        a1, a2 = a[1:-1], a[2:]
-        # rho = a2/a1 < 1 and a1 / (1 - rho) < tol, without dividing by
-        # terms that may underflow to 0 far beyond M
-        done = (a2 < a1) & (a1 * a1 < tol * (a1 - a2))
-        big_m = int(done.argmax())
-        if done[big_m]:
-            return big_m
-        if top >= m_cap:
+        for big_m in range(lo, min(window - 2, m_cap)):
+            a2 = c[big_m + 2] * r ** (big_m + 2)
+            # rho = a2/a1 < 1 and a1 / (1 - rho) < tol, without dividing by
+            # terms that may underflow to 0 far beyond M
+            if a2 < a1 and a1 * a1 < tol * (a1 - a2):
+                return big_m
+            a1 = a2
+        if window - 2 >= m_cap:
             raise ConvergenceDomain(f"no truncation below {tol} found for r={r}")
-        top = min(2 * top, m_cap)
+        lo, window = window - 2, 2 * window
+        c = _tail_terms(*config, window)
 
 
 def make_truncation(cfg: KernelConfig, r: float, tol: float, kind: str = "poisson") -> Truncation:
@@ -201,12 +222,14 @@ def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> c
 
 def _zonal_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation, kind: str) -> complex:
     """sum_{m<=max_degree} g(m) Z^p_m(x, y) with the series weight of kind,
-    normalized by n Vol_n for the Bergman kinds."""
+    normalized by n Vol_n for the Bergman kinds.  Row k of the harmonic
+    rearrangement (zonal.series_coefficients) is g(2k..max_degree)."""
     inv = _checked_pair(cfg, x, y, series=True)
-    g = _series_weights(cfg.n, cfg.alpha, cfg.beta, kind, trunc.max_degree)
-    if kind != "poisson":
-        g /= cfg.n * unit_ball_volume(cfg.n)
-    return complex(zonal_poly_sum(series_coefficients(cfg.p, g), inv.t, inv.zeta, cfg.n))
+    top = trunc.max_degree
+    g = _weight_table(cfg.n, cfg.alpha, cfg.beta, kind, _window(top))
+    rows = [g[2 * k : top + 1] for k in range(min(cfg.p, top // 2 + 1))]
+    total = zonal_poly_sum(rows, inv.t, inv.zeta, cfg.n)
+    return total if kind == "poisson" else total / (cfg.n * unit_ball_volume(cfg.n))
 
 
 def poisson_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation) -> complex:
@@ -233,13 +256,12 @@ def weighted_bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPo
     """
     inv = _checked_pair(cfg, x, y, series=True)
     top = trunc.max_degree
-    coef = np.zeros((min(cfg.p, top // 2 + 1), top + 1))
-    for k in range(coef.shape[0]):
-        coef[k, : top + 1 - 2 * k] = _series_weights(
-            cfg.n, cfg.alpha + 4.0 * k, cfg.beta, "weighted", top - 2 * k
-        )
-    coef /= cfg.n * unit_ball_volume(cfg.n)
-    return complex(zonal_poly_sum(coef, inv.t, inv.zeta, cfg.n))
+    window = _window(top)
+    rows = [
+        _weight_table(cfg.n, cfg.alpha + 4.0 * k, cfg.beta, "weighted", window)[: top + 1 - 2 * k]
+        for k in range(min(cfg.p, top // 2 + 1))
+    ]
+    return zonal_poly_sum(rows, inv.t, inv.zeta, cfg.n) / (cfg.n * unit_ball_volume(cfg.n))
 
 
 def _power_jet(a, e: float, order: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Zonal harmonics and zonal polyharmonics on rotated balls.
 
 The real zonal kernel z_m on S x S is evaluated through one recurrence,
-_zonal_rows (Gegenbauer; Chebyshev for the degenerate n = 2 case); the
+_zonal_iter (Gegenbauer; Chebyshev for the degenerate n = 2 case); the
 extension to pairs of rotated ball points multiplies in the exact phase
 factor e^{i m (phi-psi)} and the radial homogeneity (|a||b|)^m, i.e.
 Z_m(x, y) = zeta^m z_m(t) with zeta = |a||b| e^{i (phi-psi)}.  Zonal
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -37,8 +38,35 @@ def _clip_cosine(t: float) -> float:
     return min(1.0, max(-1.0, t))
 
 
-def _zonal_rows(s, b, m_max: int, n: int) -> np.ndarray:
-    """Rows m = 0..m_max of the homogeneous zonal form b^(m/2) z_m(s / sqrt(b)).
+_RECURRENCE: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
+"""Recurrence constants per dimension n, filled by _recurrence_constants."""
+
+
+def _window(top: int) -> int:
+    """Smallest 64 * 2^j above top: the doubling window of degree tables."""
+    return 64 << (top >> 6).bit_length()
+
+
+def _recurrence_constants(n: int, m_max: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The constants (2 f_m, f_m c_m) of _zonal_iter for m = 0..(at least
+    m_max), with 2 f_1 = 2 (1+lam) the start z_1 / s; entries m < 2 of
+    f_m c_m are unused.  One table per n, rebuilt at twice its window when
+    a higher degree is asked for."""
+    table = _RECURRENCE.get(n)
+    if table is None or len(table[0]) <= m_max:
+        lam = 0.5 * (n - 2)
+        two_f, fc = [0.0, 2.0 * (1.0 + lam)], [0.0, 0.0]
+        for m in range(2, _window(m_max)):
+            c = 2.0 if m == 2 else (m + 2.0 * lam - 2.0) / (m + lam - 2.0)
+            f = (m + lam) / m
+            two_f.append(2.0 * f)
+            fc.append(f * c)
+        table = _RECURRENCE[n] = (tuple(two_f), tuple(fc))
+    return table
+
+
+def _zonal_iter(s, b, m_max: int, n: int):
+    """Yields the homogeneous zonal forms b^(m/2) z_m(s / sqrt(b)), m = 0..m_max.
 
     The Gegenbauer recurrence in homogeneous form,
     m C_m = 2(m+lam-1) s C_{m-1} - (m+2lam-2) b C_{m-2} with lam = (n-2)/2
@@ -54,17 +82,21 @@ def _zonal_rows(s, b, m_max: int, n: int) -> np.ndarray:
     carried as values of s's own type, so a Python float or complex s runs
     on Python numbers and an array s on whole arrays.
     """
-    lam = 0.5 * (n - 2)
-    out = np.empty((m_max + 1,) + np.shape(s), dtype=np.result_type(s, b))
-    z2, z1 = 1.0, 2.0 * (1.0 + lam) * s
-    out[0] = z2
+    two_f, fc = _recurrence_constants(n, m_max)
+    z2, z1 = 1.0, two_f[1] * s
+    yield z2
     if m_max >= 1:
-        out[1] = z1
+        yield z1
     for m in range(2, m_max + 1):
-        c = 2.0 if m == 2 else (m + 2.0 * lam - 2.0) / (m + lam - 2.0)
-        f = (m + lam) / m
-        z2, z1 = z1, (2.0 * f) * s * z1 - (f * c * b) * z2
-        out[m] = z1
+        z2, z1 = z1, two_f[m] * s * z1 - (fc[m] * b) * z2
+        yield z1
+
+
+def _zonal_rows(s, b, m_max: int, n: int) -> np.ndarray:
+    """Rows m = 0..m_max of _zonal_iter(s, b, m_max, n) as one array."""
+    out = np.empty((m_max + 1,) + np.shape(s), dtype=np.result_type(s, b))
+    for m, z in enumerate(_zonal_iter(s, b, m_max, n)):
+        out[m] = z
     return out
 
 
@@ -113,7 +145,14 @@ def zonal_poly_sum(coef, t, zeta, n: int):
     polyharmonic sum.  t and zeta are scalars or arrays of mutually
     broadcastable shapes and the result has their broadcast shape.  A zero
     radius is zeta = 0 (any t): only the l = 0 column survives.
+
+    For a scalar t and zeta the sum runs on Python numbers, with no numpy
+    call: the recurrence forward, then Horner backward in zeta over l and
+    in q = zeta^2 over k; coef may then also be a sequence of rows of
+    unequal lengths (row k holding the weights of l = 0..len-1).
     """
+    if isinstance(t, (int, float)) and isinstance(zeta, (int, float, complex)):
+        return _scalar_poly_sum(coef.tolist() if isinstance(coef, np.ndarray) else coef, t, zeta, n)
     coef = np.asarray(coef)
     top = coef.shape[1] - 1
     zeta = np.asarray(zeta, dtype=complex)[..., None]
@@ -125,6 +164,20 @@ def zonal_poly_sum(coef, t, zeta, n: int):
     w = (qpow @ coef) * zpow
     zmat = zonal_values(t, top, n).reshape(top + 1, -1).T.reshape(np.shape(t) + (top + 1,))
     return np.einsum("...l,...l->...", w, zmat)
+
+
+def _scalar_poly_sum(rows, t: float, zeta: complex, n: int) -> complex:
+    """zonal_poly_sum at one pair, with rows[k][l] = coef[k, l]: Horner in
+    zeta over l within each row, then in q = zeta^2 over k."""
+    z = list(_zonal_iter(_clip_cosine(t), 1.0, max(map(len, rows)) - 1, n))
+    q = zeta * zeta
+    total = 0j
+    for row in reversed(rows):
+        inner = 0j
+        for v in map(mul, row[::-1], z[len(row) - 1 :: -1]):
+            inner = inner * zeta + v
+        total = total * q + inner
+    return total
 
 
 def zonal_section(coef, x: RotatedPoint, phases, radii, unit: np.ndarray, n: int) -> np.ndarray:

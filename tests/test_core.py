@@ -103,6 +103,11 @@ class TestPairInvariants:
         assert inv.s == 0 and inv.q == 0 and inv.w == 1
         assert inv.t == 0 and inv.zeta == 0
 
+    def test_invariants_are_python_numbers(self):
+        # the scalar zonal sum runs on Python numbers, never numpy scalars
+        inv = pair_invariants(make_rotated_point(0.4, (0.3, 0.1, 0.2)), make_rotated_point(0.0, (0.1, 0.5, 0.0)))
+        assert [type(v) for v in inv] == [complex, complex, complex, float, complex]
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             pair_invariants(
@@ -237,6 +242,36 @@ class TestPrincipalPow:
                 for _ in range(k):
                     direct *= w
                 assert abs(principal_pow(w, k) - direct) <= 1e-13 * max(1.0, abs(direct))
+
+    def test_matches_30_digit_oracle(self):
+        # the kernel exponents n/2 and n/2 + 1 for |w| in [1e-6, 1e3], at
+        # random phases and just off the cut.  Integer exponents are binary
+        # powering, within a few ulp.  A non-integer one is exp(e log w),
+        # whose result carries the rounding of e log w times |e log w|, so
+        # its ulp count is scaled by 1 + |e log w| (up to about 30 ulp
+        # unscaled near |w| = 1e3, under 1 scaled)
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(12)
+        worst_int = worst_frac = 0.0
+        for n in range(2, 7):
+            for e in (n / 2, n / 2 + 1):
+                for k in range(300):
+                    if k % 2:  # within 1e-11..1e-3 radians of the cut
+                        angle = math.copysign(math.pi - 10 ** rng.uniform(-11, -3), rng.uniform(-1, 1))
+                    else:
+                        angle = rng.uniform(-math.pi, math.pi)
+                    w = complex(10 ** rng.uniform(-6, 3) * np.exp(1j * angle))
+                    got = principal_pow(w, e)
+                    with mpmath.workdps(30):
+                        want = mpmath.power(mpmath.mpc(w.real, w.imag), mpmath.mpf(e))
+                        ulps = float(abs(mpmath.mpc(got.real, got.imag) - want) / abs(want)) / eps
+                    if e == round(e):
+                        worst_int = max(worst_int, ulps)
+                    else:
+                        worst_frac = max(worst_frac, ulps / (1.0 + abs(e * np.log(w))))
+        assert worst_int <= 4.0, worst_int
+        assert worst_frac <= 2.0, worst_frac
 
     @given(
         re=st.floats(0.05, 3.0), im=st.floats(-3.0, 3.0),

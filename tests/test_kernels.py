@@ -279,6 +279,9 @@ class TestSeriesWeights:
             _series_weights(3, 0.0, -1.0, "weighted", 5)
 
     def test_weighted_coefficient_is_called_once_per_weight_array(self, monkeypatch):
+        # the weight tables are memoised per configuration and window: one
+        # log-Gamma evaluation builds a table, and a later pair and radius at
+        # the same configuration build nothing
         calls = []
 
         def counted(*args):
@@ -286,13 +289,20 @@ class TestSeriesWeights:
             return weighted_coefficient(*args)
 
         monkeypatch.setattr(kernels, "weighted_coefficient", counted)
+        kernels._weight_table.cache_clear()
+        kernels._tail_terms.cache_clear()
         cfg = KernelConfig(n=3, p=2, alpha=1.0, beta=0.5)
         x = make_rotated_point(0.0, (0.7, 0.0, 0.0))
         y = make_rotated_point(cfg.sector_phase(1), (0.5, 0.5, 0.0))
         trunc = make_truncation(cfg, x.radius * y.radius, 1e-10, "weighted")
         weighted_bergman_series(cfg, x, y, trunc)
         assert trunc.max_degree >= 20
-        assert len(calls) == 2
+        assert len(calls) == kernels._weight_table.cache_info().misses == 1
+        x2 = make_rotated_point(0.0, (0.0, 0.6, 0.1))
+        y2 = make_rotated_point(0.0, (0.3, 0.0, 0.4))
+        trunc2 = make_truncation(cfg, x2.radius * y2.radius, 1e-10, "weighted")
+        weighted_bergman_series(cfg, x2, y2, trunc2)
+        assert len(calls) == 1
 
 
 class TestWeightedSeries:
@@ -511,6 +521,81 @@ class TestTruncationReference:
                     assert truncation_degree(cfg, r, 1e-10, kind) == _reference_truncation_degree(
                         cfg, r, 1e-10, kind
                     ), (kind, n, p, alpha, beta, r)
+
+
+def _numpy_window_truncation_degree(cfg, r, tol, kind):
+    """The truncation search as one numpy array of terms per window: 64
+    degrees, doubled and recomputed from degree 0 until it holds M."""
+    if r == 0.0:
+        return 0
+    m_cap = 100_000
+    top = 64
+    while True:
+        g = _series_weights(cfg.n, cfg.alpha, cfg.beta, kind, top + 1)
+        a = g * zonal.polyharmonic_dims(cfg.n, cfg.p, top + 1) * r ** np.arange(top + 2, dtype=float)
+        a1, a2 = a[1:-1], a[2:]
+        done = (a2 < a1) & (a1 * a1 < tol * (a1 - a2))
+        big_m = int(done.argmax())
+        if done[big_m]:
+            return big_m
+        if top >= m_cap:
+            raise ConvergenceDomain(f"no truncation below {tol} found for r={r}")
+        top = min(2 * top, m_cap)
+
+
+SIX_KINDS = (
+    ("poisson", 0.0, 0.0),
+    ("bergman", 0.0, 0.0),
+    ("weighted", 0.0, 0.0),
+    ("weighted", 1.0, 0.5),
+    ("weighted", -0.5, 2.0),
+    ("weighted", 0.5, 1.7),
+)
+
+
+class TestTruncationScan:
+    @pytest.mark.parametrize("kind,alpha,beta", SIX_KINDS)
+    def test_early_exit_scan_matches_numpy_window_search(self, kind, alpha, beta):
+        radii = [0.049 * k for k in range(1, 11)] + [0.9, 0.95]
+        for n in range(2, 7):
+            for p in range(1, 5):
+                cfg = KernelConfig(n=n, p=p, alpha=alpha, beta=beta)
+                for r in radii:
+                    for tol in (1e-6, 1e-10, 1e-12):
+                        want = _numpy_window_truncation_degree(cfg, r, tol, kind)
+                        assert truncation_degree(cfg, r, tol, kind) == want, (n, p, r, tol)
+
+    def test_memos_do_not_grow_with_pairs_radii_or_tolerances(self):
+        # the weight and tail tables are keyed by configuration and window
+        # only: after one warm-up op per kind, new pairs, radius products and
+        # tolerances at the same configuration build no table
+        cfg = KernelConfig(n=3, p=2, alpha=1.0, beta=0.5)
+        rng = np.random.default_rng(44)
+        routes = (
+            ("poisson", poisson_series),
+            ("bergman", bergman_series),
+            ("weighted", weighted_bergman_series),
+            ("weighted", weighted_bergman_decomposed),
+        )
+
+        def evaluate(x, y, tol):
+            for kind, series in routes:
+                trunc = make_truncation(cfg, x.radius * y.radius, tol, kind)
+                assert trunc.max_degree < 62  # one window of 64 degrees
+                series(cfg, x, y, trunc)
+
+        far = make_rotated_point(0.0, (0.67, 0.0, 0.0))
+        evaluate(far, far, 1e-10)
+        memos = (kernels._weight_table, kernels._tail_terms)
+        sizes = [memo.cache_info().currsize for memo in memos]
+        recurrence = dict(zonal._RECURRENCE)
+        for tol in (1e-6, 1e-10):
+            for _ in range(10):
+                x, y = random_sector_pair(cfg, rng, r_hi=0.67)
+                evaluate(x, y, tol)
+        assert [memo.cache_info().currsize for memo in memos] == sizes
+        assert zonal._RECURRENCE == recurrence
+        assert type(kernels._weight_table(3, 1.0, 0.5, "weighted", 64)) is tuple
 
 
 class TestTruncationSoundness:

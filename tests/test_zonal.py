@@ -266,6 +266,72 @@ class TestZonalSection:
                             assert abs(got[k, i, j] - want) <= 8 * eps * scale, (m, k, i, j)
 
 
+def _inline_zonal_rows(s, b, m_max, n):
+    """The recurrence of _zonal_rows with its constants computed inline, as
+    it was written before they moved into one table per n."""
+    lam = 0.5 * (n - 2)
+    out = np.empty((m_max + 1,) + np.shape(s), dtype=np.result_type(s, b))
+    z2, z1 = 1.0, 2.0 * (1.0 + lam) * s
+    out[0] = z2
+    if m_max >= 1:
+        out[1] = z1
+    for m in range(2, m_max + 1):
+        c = 2.0 if m == 2 else (m + 2.0 * lam - 2.0) / (m + lam - 2.0)
+        f = (m + lam) / m
+        z2, z1 = z1, (2.0 * f) * s * z1 - (f * c * b) * z2
+        out[m] = z1
+    return out
+
+
+class TestRecurrenceTable:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_rows_bit_identical_to_inline_constants(self, n):
+        rng = np.random.default_rng(40 + n)
+        t = rng.uniform(-1.0, 1.0, size=9)
+        s = rng.normal(size=4) + 1j * rng.normal(size=4)
+        b = rng.normal(size=4) + 1j * rng.normal(size=4)
+        for m_max in (0, 1, 2, 63, 64, 300):
+            for args in ((t, 1.0), (s, b), (0.3, 1.0), (0.2 + 0.1j, 0.5 - 0.2j)):
+                assert np.array_equal(_zonal_rows(*args, m_max, n), _inline_zonal_rows(*args, m_max, n))
+
+    def test_one_table_per_dimension_grown_by_doubling(self):
+        zonal._RECURRENCE.pop(7, None)
+        zonal_values(0.5, 10, 7)
+        table = zonal._RECURRENCE[7]
+        assert len(table[0]) == len(table[1]) == 64
+        zonal_values(0.5, 63, 7)
+        assert zonal._RECURRENCE[7] is table
+        zonal_values(0.5, 64, 7)
+        assert len(zonal._RECURRENCE[7][0]) == 128
+        assert zonal._RECURRENCE[7][0][:64] == table[0]
+        zonal_values(0.5, 300, 7)
+        assert len(zonal._RECURRENCE[7][0]) == 512
+
+
+class TestScalarAssembly:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_scalar_branch_matches_array_path(self, n, p):
+        # Python-number Horner against the numpy assembly on one-element
+        # arrays, relative to the sum of the terms' magnitudes
+        rng = np.random.default_rng(100 * n + p)
+        for top in (0, 1, 2, 3, 7, 40, 300):
+            coef = zonal.series_coefficients(p, rng.uniform(0.5, 2.0, top + 1))
+            for t in (-1.0, 0.0, 1.0, float(rng.uniform(-1.0, 1.0))):
+                zv = np.abs(zonal_values(t, top, n)[:, 0])
+                for zeta in (0j, complex(rng.uniform(0.0, 0.99) * np.exp(1j * rng.uniform(-math.pi, math.pi)))):
+                    got = zonal_poly_sum(coef, t, zeta, n)
+                    assert type(got) is complex
+                    want = zonal_poly_sum(coef, np.array([t]), np.array([zeta]), n)[0]
+                    k = np.arange(coef.shape[0])[:, None]
+                    l = np.arange(top + 1)
+                    terms = np.sum(np.abs(coef) * zv * abs(zeta) ** (l + 2 * k))
+                    assert abs(got - want) <= 1e-14 * terms, (top, t, zeta)
+                    # rows of unequal lengths: row k without its trailing zeros
+                    rows = [coef[j, : top + 1 - 2 * j].tolist() for j in range(coef.shape[0])]
+                    assert zonal_poly_sum(rows, t, zeta, n) == got
+
+
 class TestZonalComplexEvaluation:
     def test_coefficient_form_matches_phase_form(self):
         rng = np.random.default_rng(8)
