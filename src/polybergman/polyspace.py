@@ -137,18 +137,25 @@ def eval_at_phase(q: PolyharmonicPolynomial, phase: float, coords: np.ndarray):
     return (coeff * np.exp(1j * deg * phase)) @ (r ** deg[:, None] * zon)
 
 
-def eval_polar(q: PolyharmonicPolynomial, phases, radii, unit: np.ndarray):
-    """Values at the polar grid e^{i phases_k} radii_i unit_j, shape (K, I, J).
+def polar_factors(q: PolyharmonicPolynomial, phases, radii, unit: np.ndarray):
+    """Separable factors (rot, rad, zon) of q on the polar grid
+    e^{i phases_k} radii_i unit_j: q there is sum_b rot[b, k] rad[b, i] zon[b, j].
 
-    A block c |x|^(2k) Z_d(x, pole) there is
+    A block c |x|^(2k) Z_d(x, pole) at a grid point is
     c e^{i deg phases_k} radii_i^deg Z_d(unit_j, pole), so each block's
     zonal factor is computed once on the unit vectors, whatever the number
-    of phases and radii.
+    of phases and radii.  Shapes are (B, K), (B, I) and (B, J) for B blocks.
     """
     deg, coeff, zon = _block_factors(q, np.asarray(unit, dtype=float))
     rot = coeff[:, None] * np.exp(1j * np.outer(deg, phases))
     rad = np.asarray(radii, dtype=float)[None, :] ** deg[:, None]
-    return np.einsum("bk,bi,bj->kij", rot, rad, zon)
+    return rot, rad, zon
+
+
+def eval_polar(q: PolyharmonicPolynomial, phases, radii, unit: np.ndarray):
+    """Values at the polar grid e^{i phases_k} radii_i unit_j, shape (K, I, J):
+    the grid contraction of polar_factors."""
+    return np.einsum("bk,bi,bj->kij", *polar_factors(q, phases, radii, unit))
 
 
 def eval_complex(q: PolyharmonicPolynomial, z: np.ndarray):
@@ -251,11 +258,15 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
                       / (r^(2p-n) |e^{-i k pi/p}(x-a) - r zeta|^n)
                       u(a + r e^{i k pi/p} zeta) dsigma(zeta),
     where |.|^n is the principal power of the bilinear square.  Exact for
-    polyharmonic u up to cubature error.
+    polyharmonic u of order at most p up to cubature error; a polynomial u
+    of another dimension or a higher order raises ValueError.
     """
     a = np.asarray(a, dtype=float)
-    if a.shape != (cfg.n,) or x.dim != cfg.n:
+    polynomial = isinstance(u, PolyharmonicPolynomial)
+    if a.shape != (cfg.n,) or x.dim != cfg.n or (polynomial and u.n != cfg.n):
         raise ValueError("dimension mismatch in mean_value_eval")
+    if polynomial and u.p > cfg.p:
+        raise ValueError(f"polynomial order {u.p} above the kernel order {cfg.p}")
     if np.linalg.norm(a) + r >= 1.0:
         raise ValueError("ball B(a, r) must stay inside the unit ball")
     if abs(math.remainder(x.phase, 2 * math.pi)) > 1e-12:
@@ -264,7 +275,7 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
     d2 = float(d @ d)
     if d2 >= r * r:
         raise ValueError("need |x - a| < r")
-    if hasattr(u, "blocks"):
+    if polynomial:
         ufun = lambda z: eval_complex(u, z)  # noqa: E731
     else:
         ufun = u

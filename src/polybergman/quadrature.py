@@ -7,6 +7,16 @@ of bounded degree exactly.  Radial rules use Gauss-Jacobi in t = r^2, where
 the weight r^(n-1+alpha) (1-r^2)^beta dr becomes a textbook Jacobi weight.
 Ball integrals compose the two in polar form with the n*Vol_n surface factor.
 
+The sector inner products and reproduce sum over the product grid
+sector k x radial node i x sphere node j.  A polynomial operand is separable
+there, sum_b rot[b, k] rad[b, i] zon[b, j] (polyspace.polar_factors), and so
+is the kernel section, sum_l W[k, i, l] z[l, j] (zonal.section_factors).  The
+grid sum is then contracted one factor at a time through small Gram matrices,
+and no (p, R, N) array is formed: with N sphere nodes, operands of B and B'
+blocks cost O(B B' N) and reproduce with L kernel degrees O(B L N), where the
+values on the grid cost O(p R N (B + B')) and O(p R N (B + L)).  The grid
+route is kept for callable operands only.
+
 Both rule builders are memoised per process (functools.lru_cache): a rule is
 built once for each distinct argument tuple and the same read-only object is
 returned on every later call.  Their cache_info() counts the hits and misses.
@@ -22,9 +32,9 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .core import KernelConfig, RotatedPoint, check_weight_parameters, unit_ball_volume
-from .kernels import _series_weights
-from .polyspace import PolyharmonicPolynomial, eval_polar
-from .zonal import series_coefficients, zonal_section
+from .kernels import _weight_table
+from .polyspace import PolyharmonicPolynomial, eval_polar, polar_factors
+from .zonal import _window, section_factors, series_coefficients
 
 NODE_CAP = 10**7
 
@@ -191,6 +201,25 @@ def _sector_sum(f, g, w_rad, w_sph) -> complex:
 
 
 def _inner_product(cfg, f, g, radii, w_rad, sphere: SphereRule) -> complex:
+    """(1/p) sum_kij w_rad_i w_sph_j f_kij conj(g_kij) on the sector x radius
+    x sphere grid.
+
+    Two polynomial operands are contracted factor by factor: with
+    f = sum_b rot_bk rad_bi zon_bj (polar_factors) and g likewise, the sum is
+    sum_{b,b'} (rot_f rot_g^H)_{bb'} ((rad_f w_rad) rad_g^T)_{bb'}
+    ((zon_f w_sph) zon_g^T)_{bb'} / p, O(B_f B_g N) work for N sphere nodes
+    against O(p R N (B_f + B_g)) for the values on the grid.  A callable
+    operand takes the grid route: p R calls of N points each.
+    """
+    polys = [h for h in (f, g) if isinstance(h, PolyharmonicPolynomial)]
+    if any(h.n != cfg.n for h in polys):
+        raise ValueError(f"dimension mismatch: n={cfg.n}, polynomials {[h.n for h in polys]}")
+    if len(polys) == 2:
+        phases = cfg.sector_phases()
+        rot_f, rad_f, zon_f = polar_factors(f, phases, radii, sphere.nodes)
+        rot_g, rad_g, zon_g = polar_factors(g, phases, radii, sphere.nodes)
+        gram = (rot_f @ rot_g.conj().T) * ((rad_f * w_rad) @ rad_g.T) * ((zon_f * sphere.weights) @ zon_g.T)
+        return complex(gram.sum()) / len(phases)
     fv = _ball_values(cfg, f, radii, sphere.nodes)
     gv = _ball_values(cfg, g, radii, sphere.nodes)
     return _sector_sum(fv, np.conjugate(gv, out=gv), w_rad, sphere.weights)
@@ -225,8 +254,19 @@ def reproduce(
 
     Returns (1/p) sum_k int_B u(e^{ik pi/p} y) K(x, e^{ik pi/p} y)
     |y|^alpha (1-|y|^2)^beta dy, which equals u(x) up to cubature error when
-    the rule is exact to 2*m_top + 2.
+    the rule is exact to 2*m_top + 2 and u is of order at most p.
+
+    Both factors are separable on the rule's grid: u = sum_b rot_bk rad_bi
+    zon_bj (polar_factors) and K = sum_l W_kil z_lj (section_factors), so the
+    sum is sum_{b,l} H_bl G_bl / p with
+    H = sum_ki rot_bk rad_bi w_rad_i W_kil and G = (zon w_sph) z^T:
+    O(B L N) work for B blocks, L = m_top + 1 degrees and N sphere nodes,
+    against O(p R N (B + L)) for both factors' values on the grid.
     """
+    if u.n != cfg.n or x.dim != cfg.n:
+        raise ValueError(f"dimension mismatch: n={cfg.n}, polynomial {u.n}, point {x.dim}")
+    if u.p > cfg.p:
+        raise ValueError(f"polynomial order {u.p} above the kernel order {cfg.p}")
     if u.degree > m_top:
         raise ValueError(f"kernel truncation {m_top} below polynomial degree {u.degree}")
     if rule.sphere.exact_degree < 2 * m_top + 2:
@@ -239,9 +279,10 @@ def reproduce(
     sph = rule.sphere
     rad = rule.radial
     # the kernel's factor 1/(n Vol_n) cancels the rule's normalization n Vol_n
-    g = _series_weights(cfg.n, alpha, beta, "weighted", m_top)
+    g = np.array(_weight_table(cfg.n, alpha, beta, "weighted", _window(m_top))[: m_top + 1])
     phases = cfg.sector_phases()
+    rot, radial, zon = polar_factors(u, phases, rad.nodes, sph.nodes)
     # the kernel's second slot is conjugate-symmetric already: no conjugation
-    kv = zonal_section(series_coefficients(cfg.p, g), x, phases, rad.nodes, sph.nodes, cfg.n)
-    uv = eval_polar(u, phases, rad.nodes, sph.nodes)
-    return _sector_sum(uv, kv, rad.weights, sph.weights)
+    w, z = section_factors(series_coefficients(cfg.p, g), x, phases, rad.nodes, sph.nodes, cfg.n)
+    h = np.einsum("bk,bi,kil->bl", rot, radial * rad.weights, w)
+    return complex(np.sum(h * ((zon * sph.weights) @ z.T))) / len(phases)

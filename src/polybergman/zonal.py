@@ -11,8 +11,10 @@ polyharmonics of order p are the finite sums
 
 with q = zeta^2 and terms dropped once m - 2k < 0; t and zeta of a pair come
 from core.pair_invariants, as the closed forms' s, q and w do, and those of
-a polar grid of pairs from zonal_section.  Every zonal sum in the package
-goes through one assembly, zonal_poly_sum.
+a polar grid of pairs from section_factors.  Every zonal sum in the package
+goes through one assembly, zonal_poly_sum; on a polar grid, section_factors
+returns its two factors, the weights W[l] (the same _degree_weights) and
+z_l(t), for the caller to contract.
 """
 
 from __future__ import annotations
@@ -153,17 +155,24 @@ def zonal_poly_sum(coef, t, zeta, n: int):
     """
     if isinstance(t, (int, float)) and isinstance(zeta, (int, float, complex)):
         return _scalar_poly_sum(coef.tolist() if isinstance(coef, np.ndarray) else coef, t, zeta, n)
-    coef = np.asarray(coef)
-    top = coef.shape[1] - 1
-    zeta = np.asarray(zeta, dtype=complex)[..., None]
-    zpow = zeta ** np.arange(top + 1)
-    qpow = zeta ** np.arange(0, 2 * coef.shape[0], 2)
-    # contract k first: when t varies along other axes than zeta (the
-    # ball nodes of every sector and radius), no array of that full shape
-    # times the degree axis is ever formed
-    w = (qpow @ coef) * zpow
+    w = _degree_weights(coef, zeta)
+    top = w.shape[-1] - 1
     zmat = zonal_values(t, top, n).reshape(top + 1, -1).T.reshape(np.shape(t) + (top + 1,))
     return np.einsum("...l,...l->...", w, zmat)
+
+
+def _degree_weights(coef, zeta) -> np.ndarray:
+    """W[..., l] = zeta^l sum_k coef[k, l] zeta^(2k), the factor of z_l(t) in
+    zonal_poly_sum, with the degree axis appended to zeta's shape.
+
+    k is contracted first: when t varies along other axes than zeta (the
+    ball nodes of every sector and radius), no array of that full shape
+    times the degree axis is ever formed.
+    """
+    coef = np.asarray(coef)
+    zeta = np.asarray(zeta, dtype=complex)[..., None]
+    qpow = zeta ** np.arange(0, 2 * coef.shape[0], 2)
+    return (qpow @ coef) * zeta ** np.arange(coef.shape[1])
 
 
 def _scalar_poly_sum(rows, t: float, zeta: complex, n: int) -> complex:
@@ -180,21 +189,29 @@ def _scalar_poly_sum(rows, t: float, zeta: complex, n: int) -> complex:
     return total
 
 
-def zonal_section(coef, x: RotatedPoint, phases, radii, unit: np.ndarray, n: int) -> np.ndarray:
-    """zonal_poly_sum(coef, t, zeta, n) at the pairs (x, e^{i phases_k} radii_i unit_j),
-    shape (K, I, J).
+def section_factors(coef, x: RotatedPoint, phases, radii, unit: np.ndarray, n: int):
+    """Separable factors (W, z) of zonal_poly_sum(coef, t, zeta, n) at the pairs
+    (x, e^{i phases_k} radii_i unit_j): the sum there is sum_l W[k, i, l] z[l, j].
 
     The array form of pair_invariants on a polar grid of unit vectors: the
     cosine t = unit_j . x/|x| depends on the node only (0 when x is the
     origin, where zeta = 0) and zeta = |x| radii_i e^{i (phase(x) - phases_k)}
-    on the phase and radius only, so one recurrence serves the whole grid.
+    on the phase and radius only, so W = _degree_weights(coef, zeta) has
+    shape (K, I, L) and one recurrence gives z_l(t_j), shape (L, J).
     """
     rx = x.radius
     t = unit @ (x.coords / rx) if rx else np.zeros(unit.shape[0])
     radii = np.asarray(radii, dtype=float)
     phases = np.asarray(phases, dtype=float)
-    zeta = rx * radii[:, None] * np.exp(1j * (x.phase - phases[:, None, None]))
-    return zonal_poly_sum(coef, t, zeta, n)
+    zeta = rx * radii * np.exp(1j * (x.phase - phases[:, None]))
+    w = _degree_weights(coef, zeta)
+    return w, zonal_values(t, w.shape[-1] - 1, n)
+
+
+def zonal_section(coef, x: RotatedPoint, phases, radii, unit: np.ndarray, n: int) -> np.ndarray:
+    """zonal_poly_sum(coef, t, zeta, n) at the pairs (x, e^{i phases_k} radii_i unit_j),
+    shape (K, I, J): the grid contraction of section_factors."""
+    return np.einsum("kil,lj->kij", *section_factors(coef, x, phases, radii, unit, n))
 
 
 def degree_coefficients(p: int, m: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from polybergman import (
     inner_product_ball,
     inner_product_sphere,
     make_rotated_point,
+    mean_value_eval,
     radial_moment,
     random_homogeneous,
     random_polyharmonic,
@@ -21,10 +23,11 @@ from polybergman import (
     sphere_monomial_moment,
     unit_ball_volume,
 )
-from polybergman import kernels, polyspace
-from polybergman.kernels import weighted_coefficient
-from polybergman.polyspace import eval_at_phase, evaluate
+from polybergman import kernels, polyspace, quadrature, zonal
+from polybergman.kernels import _series_weights, weighted_coefficient
+from polybergman.polyspace import eval_at_phase, eval_polar, evaluate
 from polybergman.quadrature import RadialRule, SphereRule
+from polybergman.zonal import series_coefficients, zonal_section
 
 
 def rule_monomial(rule, kappa):
@@ -357,7 +360,8 @@ class TestReproduce:
 
     def test_kernel_weights_take_one_log_gamma_value(self, monkeypatch):
         # the weights of every degree come from the Gamma-ratio recurrence
-        # started at one weighted_coefficient value
+        # started at one weighted_coefficient value, built once into the
+        # memoised weight table and read from it on every later call
         calls = []
 
         def counted(*args):
@@ -365,12 +369,17 @@ class TestReproduce:
             return weighted_coefficient(*args)
 
         monkeypatch.setattr(kernels, "weighted_coefficient", counted)
+        kernels._weight_table.cache_clear()
         cfg = KernelConfig(n=3, p=2)
         rule = build_ball_rule(3, 1.0, 0.5, 16)
         u = random_polyharmonic(cfg, 6, blocks=6, seed=40)
         x = make_rotated_point(cfg.sector_phase(1), (0.3, -0.2, 0.1))
         reproduce(cfg, 1.0, 0.5, u, x, 6, rule)
         assert calls == [(3, 1.0, 0.5, 0)]
+        calls.clear()
+        y = make_rotated_point(0.4, (-0.1, 0.2, 0.3))
+        reproduce(cfg, 1.0, 0.5, random_polyharmonic(cfg, 5, blocks=3, seed=41), y, 6, rule)
+        assert calls == []
 
     def test_degree_and_exactness_guards(self):
         cfg = KernelConfig(n=3, p=1)
@@ -381,6 +390,153 @@ class TestReproduce:
             reproduce(cfg, 0.0, 0.0, u, x, 4, rule)  # truncation below degree
         with pytest.raises(ValueError):
             reproduce(cfg, 0.0, 0.0, u, x, 6, rule)  # rule too weak for 2M+2
+
+
+def _grid_sum(fv, gv, w_rad, w_sph):
+    """(1/p) sum_kij w_rad_i w_sph_j f_kij g_kij over (p, R, N) value grids,
+    and the same sum of magnitudes, the scale of its rounding error."""
+    w = w_rad[:, None] * w_sph[None, :]
+    p = fv.shape[0]
+    return complex(np.sum(w * fv * gv)) / p, float(np.sum(w * np.abs(fv * gv))) / p
+
+
+class TestFactorRoute:
+    """The factor contraction against the grid it replaces, built here from
+    eval_polar, zonal_section and the rule weights."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1.0, 0.5)])
+    def test_matches_grid_reference(self, n, p, alpha, beta):
+        cfg = KernelConfig(n=n, p=p)
+        m_top = 5
+        rule = build_ball_rule(n, alpha, beta, 2 * m_top + 2)
+        sphere = build_sphere_rule(n, 10)
+        phases = cfg.sector_phases()
+        rad, sph = rule.radial, rule.sphere
+        f = random_polyharmonic(cfg, m_top, blocks=5, seed=10 * n + p)
+        g = random_polyharmonic(cfg, m_top, blocks=4, seed=10 * n + p + 100)
+        one = np.ones(1)
+
+        fv = eval_polar(f, phases, one, sphere.nodes)
+        gv = eval_polar(g, phases, one, sphere.nodes)
+        want, scale = _grid_sum(fv, np.conj(gv), one, sphere.weights)
+        got = inner_product_sphere(cfg, f, g, sphere)
+        assert abs(got - want) <= 1e-13 * scale
+
+        fv = eval_polar(f, phases, rad.nodes, sph.nodes)
+        gv = eval_polar(g, phases, rad.nodes, sph.nodes)
+        want, scale = _grid_sum(fv, np.conj(gv), rad.weights, sph.weights)
+        got = inner_product_ball(cfg, alpha, beta, f, g, rule)
+        assert abs(got - rule.normalization * want) <= 1e-13 * rule.normalization * scale
+
+        coef = series_coefficients(p, _series_weights(n, alpha, beta, "weighted", m_top))
+        direction = np.random.default_rng(n + 7 * p).normal(size=n)
+        direction /= np.linalg.norm(direction)
+        for x in (
+            make_rotated_point(0.0, np.zeros(n)),
+            make_rotated_point(cfg.sector_phase(p - 1), 0.6 * direction),
+            make_rotated_point(0.37, 0.45 * direction),
+        ):
+            kv = zonal_section(coef, x, phases, rad.nodes, sph.nodes, n)
+            want, scale = _grid_sum(fv, kv, rad.weights, sph.weights)
+            got = reproduce(cfg, alpha, beta, f, x, m_top, rule)
+            assert abs(got - want) <= 1e-13 * scale, x
+
+    def test_polynomial_operands_never_reach_the_grid(self, monkeypatch):
+        def grid(*args):
+            raise AssertionError("polynomial operand evaluated on the grid")
+
+        for module, name in [
+            (quadrature, "eval_polar"),
+            (quadrature, "_ball_values"),
+            (quadrature, "_sector_sum"),
+            (polyspace, "eval_polar"),
+            (zonal, "zonal_section"),
+        ]:
+            monkeypatch.setattr(module, name, grid)
+        cfg = KernelConfig(n=3, p=2)
+        ball = build_ball_rule(3, 1.0, 0.5, 14)
+        f = random_polyharmonic(cfg, 6, blocks=4, seed=3)
+        g = random_polyharmonic(cfg, 6, blocks=4, seed=4)
+        x = make_rotated_point(0.3, (0.2, -0.1, 0.3))
+        inner_product_sphere(cfg, f, g, ball.sphere)
+        inner_product_ball(cfg, 1.0, 0.5, f, g, ball)
+        reproduce(cfg, 1.0, 0.5, f, x, 6, ball)
+
+    def test_peak_memory_below_one_value_grid(self):
+        # the grid route holds at least one complex (p, R, N) array of
+        # values; the factor route's largest array is the blocks' zonal rows
+        cfg = KernelConfig(n=3, p=3)
+        ball = build_ball_rule(3, 0.0, 0.0, 40)
+        grid_bytes = 16 * cfg.p * ball.radial.nodes.size * ball.sphere.nodes.shape[0]
+        f = random_polyharmonic(cfg, 4, blocks=3, seed=5)
+        g = random_polyharmonic(cfg, 4, blocks=3, seed=6)
+        x = make_rotated_point(cfg.sector_phase(1), (0.2, 0.1, -0.3))
+        for call in (
+            lambda: inner_product_ball(cfg, 0.0, 0.0, f, g, ball),
+            lambda: reproduce(cfg, 0.0, 0.0, f, x, 4, ball),
+        ):
+            call()  # warm the memos
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < grid_bytes / 2, (peak, grid_bytes)
+
+
+class TestMismatchedInputs:
+    """Inputs of another dimension or a higher order raise a ValueError that
+    names the mismatch, instead of a wrong answer or a raw matmul error."""
+
+    CFG = KernelConfig(n=3, p=1)
+    X = make_rotated_point(0.0, (0.1, 0.2, 0.0))
+
+    @pytest.mark.parametrize(
+        "u_cfg, x, match",
+        [
+            (KernelConfig(n=3, p=3), X, "order"),
+            (KernelConfig(n=3, p=2), X, "order"),
+            (KernelConfig(n=2, p=1), X, "dimension mismatch"),
+            (KernelConfig(n=4, p=1), X, "dimension mismatch"),
+            (KernelConfig(n=3, p=1), make_rotated_point(0.0, (0.1, 0.2)), "dimension mismatch"),
+        ],
+    )
+    def test_reproduce(self, u_cfg, x, match):
+        u = random_polyharmonic(u_cfg, 5, blocks=3, seed=7)
+        rule = build_ball_rule(3, 0.0, 0.0, 14)
+        with pytest.raises(ValueError, match=match):
+            reproduce(self.CFG, 0.0, 0.0, u, x, 6, rule)
+
+    @pytest.mark.parametrize(
+        "u_cfg, match",
+        [
+            (KernelConfig(n=3, p=3), "order"),
+            (KernelConfig(n=2, p=1), "dimension mismatch"),
+            (KernelConfig(n=4, p=1), "dimension mismatch"),
+        ],
+    )
+    def test_mean_value_eval(self, u_cfg, match):
+        u = random_polyharmonic(u_cfg, 5, blocks=3, seed=8)
+        with pytest.raises(ValueError, match=match):
+            mean_value_eval(self.CFG, u, np.zeros(3), 0.6, self.X, build_sphere_rule(3, 20))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("slot", [0, 1])
+    @pytest.mark.parametrize("callable_other", [False, True])
+    def test_inner_products(self, n, slot, callable_other):
+        bad = random_polyharmonic(KernelConfig(n=n, p=1), 4, blocks=3, seed=9)
+        good = random_polyharmonic(self.CFG, 4, blocks=3, seed=10)
+        if callable_other:
+            good = lambda ph, pts, q=good: eval_at_phase(q, ph, pts)  # noqa: E731
+        ops = (bad, good) if slot == 0 else (good, bad)
+        ball = build_ball_rule(3, 0.0, 0.0, 10)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            inner_product_sphere(self.CFG, *ops, ball.sphere)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            inner_product_ball(self.CFG, 0.0, 0.0, *ops, ball)
 
 
 class TestMeanValueInequality:
