@@ -262,6 +262,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.cases is not None and args.cases < 1:
+        raise CliError("--cases must be >= 1")
     seed = int(_resolve(args, "seed"))
     report = run_suite(args.suite, seed=seed, cases=args.cases)
     text = json.dumps(report) + "\n"

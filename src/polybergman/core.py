@@ -116,33 +116,41 @@ def principal_pow(w, e: float, eps_branch: float = EPS_BRANCH):
     the integer power w ** k and never hit the cut.  For
     non-integer e, w = 0 and values with Re(w) <= 0 and
     |Im(w)| < eps_branch * |w| raise BranchCutProximity (for an array, if
-    any element does).
+    any element does).  A half-integer e (the kernels' n/2 at odd n) is
+    w ** (e - 1/2) * sqrt(w): the principal square root has the same cut,
+    and the result is within a few ulp, where exp(e log w), which serves
+    every other e, carries the rounding of e log w times |e log w|.
     """
-    er = round(e)
+    frac = e % 1.0  # 0 for an integer e, 0.5 for a half-integer one
     if isinstance(w, np.ndarray):
         w = w.astype(complex)
-        if e == er:
-            if er < 0 and np.any(w == 0):
+        if frac == 0.0:
+            if e < 0 and np.any(w == 0):
                 raise ZeroDivisionError("principal_pow of 0 to a negative power")
-            return w ** int(er)
+            return w ** int(e)
         near = (w == 0) | ((w.real <= 0) & (np.abs(w.imag) < eps_branch * np.abs(w)))
         if np.any(near):
             raise BranchCutProximity(
                 f"{np.count_nonzero(near)} of {w.size} values within "
                 f"eps_branch={eps_branch:g} of the branch cut"
             )
+        if frac == 0.5:
+            return w ** (e - 0.5) * np.sqrt(w)
         return np.exp(e * np.log(w))
     w = complex(w)
-    if e == er:
+    if frac == 0.0:
         # Python's complex ** int is binary powering for |k| <= 100 and
         # raises ZeroDivisionError at 0 for k < 0
-        return w ** int(er)
+        return w ** int(e)
     if w == 0:
         raise BranchCutProximity("principal_pow at 0 with non-integer exponent")
     if w.real <= 0 and abs(w.imag) < eps_branch * abs(w):
         raise BranchCutProximity(
             f"w={w!r} within eps_branch={eps_branch:g} of the branch cut"
         )
+    if frac == 0.5:
+        # an integral float exponent takes the same binary powering
+        return w ** (e - 0.5) * cmath.sqrt(w)
     return cmath.exp(e * cmath.log(w))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import EPS_SING, KernelConfig, RotatedPoint, principal_pow
 from .errors import NearSingular
-from .zonal import _zonal_rows, zonal_values
+from .zonal import _zonal_iter, zonal_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,15 +103,6 @@ def random_homogeneous(
     return _random_blocks(cfg, degree, blocks, seed, homogeneous=True)
 
 
-def _block_arrays(q: PolyharmonicPolynomial):
-    """(k, d, coefficients, poles) of the blocks, one entry (row) per block."""
-    k = np.array([b.k for b in q.blocks], dtype=int)
-    d = np.array([b.d for b in q.blocks], dtype=int)
-    coeff = np.array([b.coeff for b in q.blocks], dtype=complex)
-    poles = np.array([b.pole for b in q.blocks]).reshape(-1, q.n)
-    return k, d, coeff, poles
-
-
 def _block_factors(q: PolyharmonicPolynomial, unit: np.ndarray):
     """(degrees, coefficients, Z_d(unit_j, pole)) of the blocks; the last has
     shape (blocks, N).
@@ -120,7 +111,10 @@ def _block_factors(q: PolyharmonicPolynomial, unit: np.ndarray):
     degree-0 blocks survive and z_0 = 1.  One zonal recurrence, to the
     largest d, serves every block.
     """
-    k, d, coeff, poles = _block_arrays(q)
+    k = np.array([b.k for b in q.blocks], dtype=int)
+    d = np.array([b.d for b in q.blocks], dtype=int)
+    coeff = np.array([b.coeff for b in q.blocks], dtype=complex)
+    poles = np.array([b.pole for b in q.blocks]).reshape(-1, q.n)
     z = zonal_values(unit @ poles.T, int(max(d, default=0)), q.n)
     return d + 2 * k, coeff, z[d, :, np.arange(d.size)]
 
@@ -159,18 +153,30 @@ def eval_polar(q: PolyharmonicPolynomial, phases, radii, unit: np.ndarray):
 
 
 def eval_complex(q: PolyharmonicPolynomial, z: np.ndarray):
-    """Evaluate at a batch of general complex vectors (shape (N, n)).
+    """Evaluate at a batch of general complex vectors (shape (M, n)).
 
     Uses the bilinear polynomial form of each block, bil^k Z_d(z, pole)
-    with bil = z.z, the zonal factors of all blocks from one homogeneous
-    recurrence at s = z.pole, b = bil; agrees with eval_at_phase on the
-    rotated-point family up to roundoff.
+    with bil = z.z: each block runs its own homogeneous recurrence at
+    s = z.pole, b = bil up to its own degree d and keeps the last row, and
+    the rows summed per radial index k are combined by Horner in bil.  The
+    cost is sum_b (d_b + 1) recurrence rows of M values, and no array has a
+    degree axis.  Agrees with eval_at_phase on the rotated-point family up
+    to roundoff; z of any shape but (M, q.n) raises ValueError.
     """
     z = np.asarray(z, dtype=complex)
+    if z.ndim != 2 or z.shape[1] != q.n:
+        raise ValueError(f"dimension mismatch: polynomial n={q.n}, points of shape {z.shape}")
     bil = np.sum(z * z, axis=-1)
-    k, d, coeff, poles = _block_arrays(q)
-    zon = _zonal_rows(z @ poles.T, bil[:, None], int(max(d, default=0)), q.n)
-    return coeff @ (bil ** k[:, None] * zon[d, :, np.arange(d.size)])
+    s = np.array([b.pole for b in q.blocks]).reshape(-1, q.n) @ z.T
+    acc = np.zeros((1 + max((b.k for b in q.blocks), default=0), len(z)), dtype=complex)
+    for b, s_b in zip(q.blocks, s):
+        for z_d in _zonal_iter(s_b, bil, b.d, q.n):
+            pass
+        acc[b.k] += b.coeff * z_d
+    out = acc[-1]
+    for row in acc[-2::-1]:
+        out = out * bil + row
+    return out
 
 
 def evaluate(q: PolyharmonicPolynomial, x: RotatedPoint) -> complex:
@@ -260,6 +266,11 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
     where |.|^n is the principal power of the bilinear square.  Exact for
     polyharmonic u of order at most p up to cubature error; a polynomial u
     of another dimension or a higher order raises ValueError.
+
+    With N sphere nodes, a polynomial u is evaluated at the p N points by
+    eval_complex, sum_b (d_b + 1) recurrence rows of p N values, which is
+    most of the cost; the denominator's power n/2 is, at odd n, one
+    integer power and one square root (principal_pow).
     """
     a = np.asarray(a, dtype=float)
     polynomial = isinstance(u, PolyharmonicPolynomial)

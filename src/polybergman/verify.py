@@ -62,8 +62,9 @@ class _Sweep:
         self.count += cases
 
     def report(self, suite, tol, bounds, ok=True, **extra):
-        """Report dict; the suite passes when the error named by bounds
-        ("max_abs_err" or "max_rel_err") is within tol and ok holds."""
+        """Report dict; the suite passes when it checked at least one case,
+        the error named by bounds ("max_abs_err" or "max_rel_err") is within
+        tol and ok holds."""
         errors = {"max_abs_err": self.max_abs, "max_rel_err": self.max_rel}
         return {
             "suite": suite,
@@ -71,7 +72,7 @@ class _Sweep:
             **errors,
             "tolerance": tol,
             "bounds": bounds,
-            "pass": bool(errors[bounds] <= tol and ok),
+            "pass": bool(self.count > 0 and errors[bounds] <= tol and ok),
             **extra,
         }
 

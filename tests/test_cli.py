@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from polybergman import cli, unit_ball_volume
+from polybergman.verify import run_suite
 
 CLI = [sys.executable, "-m", "polybergman.cli"]
 
@@ -176,6 +177,20 @@ class TestVerify:
 
     def test_unknown_suite_exits_2(self):
         assert run_cli("verify", "--suite", "nonsense").returncode == 2
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_cases_below_one_exits_2(self, cases):
+        res = run_cli("verify", "--suite", "mean_value", "--cases", cases)
+        assert res.returncode == 2
+        assert json.loads(res.stderr)["error"] == "usage"
+        assert res.stdout == ""
+
+    # derivative_form sweeps cases // 8 pairs per combination
+    @pytest.mark.parametrize("suite, cases", [("mean_value", 0), ("derivative_form", 7)])
+    def test_a_suite_that_checked_nothing_fails(self, suite, cases):
+        rep = run_suite(suite, cases=cases)
+        assert rep["cases"] == 0
+        assert rep["pass"] is False
 
 
 def test_flags_a_command_does_not_read_exit_2():

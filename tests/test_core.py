@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import fields
 
@@ -272,6 +273,37 @@ class TestPrincipalPow:
                         worst_frac = max(worst_frac, ulps / (1.0 + abs(e * np.log(w))))
         assert worst_int <= 4.0, worst_int
         assert worst_frac <= 2.0, worst_frac
+
+    # |w| from 1e-2 to 1e2 in all four quadrants, and within 1e-11..1e-3
+    # radians of the cut on both sides (outside the eps_branch guard)
+    HALF_INTEGER_W = [
+        r * cmath.exp(1j * angle)
+        for r in (1e-2, 0.37, 1.0, 2.9, 1e2)
+        for angle in (0.3, 1.9, -2.4, -0.8, math.pi - 1e-3, math.pi - 1e-11, 1e-11 - math.pi)
+    ]
+
+    @pytest.mark.parametrize("e", [-1.5, -0.5, 0.5, 1.5, 2.5, 3.5])
+    def test_half_integer_matches_50_digit_oracle(self, e):
+        # w ** (e - 1/2) * sqrt(w) is a few correctly rounded operations,
+        # within 1e-15 relative wherever |w| lies
+        mpmath = pytest.importorskip("mpmath")
+        w = np.array(self.HALF_INTEGER_W)
+        got_array = principal_pow(w, e)
+        got_scalar = [principal_pow(v, e) for v in self.HALF_INTEGER_W]
+        with mpmath.workdps(50):
+            want = [mpmath.power(mpmath.mpc(v.real, v.imag), mpmath.mpf(e)) for v in w]
+            for got in (got_array, got_scalar):
+                rel = max(float(abs(mpmath.mpc(g.real, g.imag) - x) / abs(x)) for g, x in zip(got, want))
+                assert rel <= 1e-15, rel
+        assert_allclose(got_array, got_scalar, rtol=1e-15)
+
+    @pytest.mark.parametrize("e", [-1.5, 0.5, 3.5])
+    def test_half_integer_guards_the_cut_and_zero(self, e):
+        for w in (complex(-1.0, 1e-14), complex(-1.0, -1e-14), 0j):
+            with pytest.raises(BranchCutProximity):
+                principal_pow(w, e)
+            with pytest.raises(BranchCutProximity):
+                principal_pow(np.array([4.0, w]), e)
 
     @given(
         re=st.floats(0.05, 3.0), im=st.floats(-3.0, 3.0),

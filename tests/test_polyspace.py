@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from polybergman import (
     random_polyharmonic,
     to_json,
 )
+from polybergman import polyspace, zonal
 from polybergman.polyspace import eval_at_phase, eval_complex, eval_polar
 from polybergman.zonal import _zonal_rows
 
@@ -132,12 +134,16 @@ class TestEvaluate:
             via_complex = eval_complex(q, (np.exp(1j * phase) * a)[None, :])[0]
             assert abs(via_phase - via_complex) <= 1e-12 * max(1.0, abs(via_phase))
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_complex_route_matches_block_by_block_sum(self, n):
         # general complex vectors, not only rotated points: every block's
-        # own recurrence at s = z.pole, b = z.z, summed one block at a time
+        # own recurrence at s = z.pole, b = z.z, summed one block at a time;
+        # degree-0 blocks (z_0 = 1) at every radial index
         cfg = KernelConfig(n=n, p=3)
         q = random_polyharmonic(cfg, 7, blocks=8, seed=n)
+        pole = unit(np.arange(1.0, n + 1))
+        const = tuple(ZonalBlock(k=k, d=0, pole=pole, coeff=0.5 - 0.25j * k) for k in range(3))
+        q = PolyharmonicPolynomial(blocks=q.blocks + const, n=n, p=3)
         rng = np.random.default_rng(n)
         z = rng.uniform(-0.5, 0.5, (30, n)) + 1j * rng.uniform(-0.5, 0.5, (30, n))
         bil = np.sum(z * z, axis=-1)
@@ -153,6 +159,45 @@ class TestEvaluate:
         q = random_polyharmonic(cfg, 2, blocks=2, seed=0)
         with pytest.raises(ValueError):
             evaluate(q, make_rotated_point(0.0, (0.1, 0.2)))
+
+    def test_complex_route_rejects_points_of_another_shape(self):
+        q = random_polyharmonic(KernelConfig(n=3, p=2), 4, blocks=3, seed=0)
+        for z in (np.ones(3), np.ones((5, 2)), np.ones((5, 4)), np.ones((2, 5, 3))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                eval_complex(q, z)
+
+    def test_complex_route_runs_each_block_to_its_own_degree(self, monkeypatch):
+        cfg = KernelConfig(n=3, p=3)
+        q = random_polyharmonic(cfg, 6, blocks=6, seed=42 + 71 * 3)
+        rows = []
+
+        def counted(*args):
+            for row in zonal._zonal_iter(*args):
+                rows.append(1)
+                yield row
+
+        monkeypatch.setattr(polyspace, "_zonal_iter", counted)
+        eval_complex(q, np.ones((4, 3), dtype=complex))
+        assert len(rows) == sum(b.d + 1 for b in q.blocks)
+
+    def test_complex_route_forms_no_degree_axis(self):
+        # one call at the mean-value suite's 4056 points (n = 3, p = 3,
+        # degree-50 sphere rule) peaks below half of one complex
+        # (max_d + 1, points, blocks) array
+        cfg = KernelConfig(n=3, p=3)
+        q = random_polyharmonic(cfg, 6, blocks=6, seed=42 + 71 * 3)
+        rot = np.exp(1j * cfg.sector_phases())[:, None, None]
+        z = (0.6 * rot * build_sphere_rule(3, 50).nodes).reshape(-1, 3)
+        eval_complex(q, z)
+        tracemalloc.start()
+        try:
+            eval_complex(q, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        max_d = max(b.d for b in q.blocks)
+        assert len(z) == 4056 and max_d == 6
+        assert peak < 0.5 * (max_d + 1) * len(z) * len(q.blocks) * 16
 
     def test_origin_returns_the_constant_block_exactly(self):
         cfg = KernelConfig(n=3, p=3)
