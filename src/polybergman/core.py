@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -97,7 +98,7 @@ def pair_invariants(x: RotatedPoint, y: RotatedPoint) -> PairInvariants:
     two square roots add roundings that the Bergman numerator's cancellation
     near the boundary amplifies.
     """
-    if x.dim != y.dim:
+    if x.coords.shape != y.coords.shape:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     rot = cmath.exp(1j * (x.phase - y.phase))
     ab = float(x.coords.dot(y.coords))
@@ -120,24 +121,31 @@ def principal_pow(w, e: float, eps_branch: float = EPS_BRANCH):
     w ** (e - 1/2) * sqrt(w): the principal square root has the same cut,
     and the result is within a few ulp, where exp(e log w), which serves
     every other e, carries the rounding of e log w times |e log w|.
+
+    A Python complex (what pair_invariants returns) takes the scalar route
+    after one type test; any other scalar (a float, a numpy complex) is
+    converted to complex first, and an array takes the numpy route.  The
+    scalar and array routes agree to a few ulp, not bit for bit: numpy's
+    complex multiply and log round differently from CPython's.
     """
     frac = e % 1.0  # 0 for an integer e, 0.5 for a half-integer one
-    if isinstance(w, np.ndarray):
-        w = w.astype(complex)
-        if frac == 0.0:
-            if e < 0 and np.any(w == 0):
-                raise ZeroDivisionError("principal_pow of 0 to a negative power")
-            return w ** int(e)
-        near = (w == 0) | ((w.real <= 0) & (np.abs(w.imag) < eps_branch * np.abs(w)))
-        if np.any(near):
-            raise BranchCutProximity(
-                f"{np.count_nonzero(near)} of {w.size} values within "
-                f"eps_branch={eps_branch:g} of the branch cut"
-            )
-        if frac == 0.5:
-            return w ** (e - 0.5) * np.sqrt(w)
-        return np.exp(e * np.log(w))
-    w = complex(w)
+    if type(w) is not complex:
+        if isinstance(w, np.ndarray):
+            w = w.astype(complex)
+            if frac == 0.0:
+                if e < 0 and np.any(w == 0):
+                    raise ZeroDivisionError("principal_pow of 0 to a negative power")
+                return w ** int(e)
+            near = (w == 0) | ((w.real <= 0) & (np.abs(w.imag) < eps_branch * np.abs(w)))
+            if np.any(near):
+                raise BranchCutProximity(
+                    f"{np.count_nonzero(near)} of {w.size} values within "
+                    f"eps_branch={eps_branch:g} of the branch cut"
+                )
+            if frac == 0.5:
+                return w ** (e - 0.5) * np.sqrt(w)
+            return np.exp(e * np.log(w))
+        w = complex(w)
     if frac == 0.0:
         # Python's complex ** int is binary powering for |k| <= 100 and
         # raises ZeroDivisionError at 0 for k < 0
@@ -161,6 +169,27 @@ def unit_ball_volume(n: int) -> float:
     return math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0))
 
 
+@lru_cache(maxsize=None)
+def sphere_area(n: int) -> float:
+    """n Vol_n, the area of the unit sphere in R^n: the Bergman kernels'
+    normalization and the ball rules' polar factor, computed once per n."""
+    return n * unit_ball_volume(n)
+
+
+def check_integer(name: str, value, low: int) -> int:
+    """value as an int, if it is an integer (numpy integers pass, bools do
+    not) and at least low; ValueError otherwise."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if k < low:
+        raise ValueError(f"{name} must be >= {low}, got {k}")
+    return k
+
+
 def check_weight_parameters(n: int, alpha: float, beta: float) -> None:
     """ValueError unless the weight |y|^alpha (1-|y|^2)^beta is integrable on
     the n-ball with finite alpha, beta; negated comparisons reject NaN."""
@@ -181,10 +210,9 @@ class KernelConfig:
     eps_sing: ClassVar[float] = EPS_SING
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"dimension n must be >= 2, got {self.n}")
-        if self.p < 1:
-            raise ValueError(f"polyharmonic order p must be >= 1, got {self.p}")
+        # stored as Python ints, so a numpy integer behaves as its value
+        object.__setattr__(self, "n", check_integer("dimension n", self.n, 2))
+        object.__setattr__(self, "p", check_integer("polyharmonic order p", self.p, 1))
         check_weight_parameters(self.n, self.alpha, self.beta)
         if not (0 < self.r_max < 1):
             raise ValueError(f"r_max must lie in (0, 1), got {self.r_max}")

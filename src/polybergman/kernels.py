@@ -27,10 +27,11 @@ from .core import (
     KernelConfig,
     PairInvariants,
     RotatedPoint,
+    check_integer,
     check_weight_parameters,
     pair_invariants,
     principal_pow,
-    unit_ball_volume,
+    sphere_area,
 )
 from .errors import ConvergenceDomain, NearSingular
 from .zonal import _window, polyharmonic_dims, zonal_poly_sum
@@ -45,7 +46,8 @@ class Truncation:
     calibrated_C: float
 
     def __post_init__(self):
-        if not (self.max_degree >= 0 and 0 < self.tol < math.inf and 0 < self.calibrated_C < math.inf):
+        check_integer("max_degree", self.max_degree, 0)
+        if not (0 < self.tol < math.inf and 0 < self.calibrated_C < math.inf):
             raise ValueError("invalid truncation parameters")
 
 
@@ -69,8 +71,7 @@ def weighted_coefficient(n: int, alpha: float, beta: float, m: int) -> float:
     n + 2m + alpha.
     """
     check_weight_parameters(n, alpha, beta)
-    if m < 0:
-        raise ValueError(f"degree must be >= 0, got {m}")
+    m = check_integer("degree", m, 0)
     z = m + 0.5 * (n + alpha)
     return 2.0 * math.exp(math.lgamma(z + beta + 1.0) - math.lgamma(beta + 1.0) - math.lgamma(z))
 
@@ -159,9 +160,14 @@ def make_truncation(cfg: KernelConfig, r: float, tol: float, kind: str = "poisso
 
 
 def _checked_pair(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, series: bool) -> PairInvariants:
-    """pair_invariants(x, y) after the domain check of the zonal series
-    (ConvergenceDomain) or of the closed forms (NearSingular)."""
-    if x.dim != cfg.n or y.dim != cfg.n:
+    """pair_invariants(x, y) after the dimension check (ValueError) and the
+    domain check of the zonal series (ConvergenceDomain) or of the closed
+    forms (NearSingular).
+
+    The dimensions are read from the coordinate shapes directly: a closed
+    form costs a few µs, and each property call is a noticeable share of it.
+    """
+    if x.coords.shape[0] != cfg.n or y.coords.shape[0] != cfg.n:
         raise ValueError(f"dimension mismatch: n={cfg.n}, x:{x.dim}, y:{y.dim}")
     rr = x.radius * y.radius
     if series:
@@ -186,7 +192,7 @@ def _bergman_from(cfg: KernelConfig, inv: PairInvariants, p: int) -> complex:
     n = cfg.n
     qp = inv.q**p
     num = (n - 4 * p) * qp * inv.q + (8 * p * inv.s - n - 4 * p) * qp + n * (1.0 - inv.q)
-    den = n * unit_ball_volume(n) * principal_pow(inv.w, 0.5 * n + 1.0)
+    den = sphere_area(n) * principal_pow(inv.w, 0.5 * n + 1.0)
     return num / den
 
 
@@ -209,15 +215,17 @@ def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> c
 
     R_p = (sum_{k<p} q^k) R_1 + (sum_{k<p} 4k q^k) P_1 / (n Vol_n); the
     geometric ratio (1-q^p)/(1-q) is always expanded as the polynomial, which
-    removes the spurious singularity at q = 1 exactly.
+    removes the spurious singularity at q = 1 exactly.  Both polynomials are
+    summed by one Horner loop.  R_1 and P_1 each take their own power of w,
+    so p = 1 (geo = 1, lin = 0) is bergman exactly.
     """
     inv = _checked_pair(cfg, x, y, series=False)
-    qpow = [inv.q**k for k in range(cfg.p)]
-    geo = sum(qpow)
-    lin = sum(4 * k * qk for k, qk in enumerate(qpow))
-    return geo * _bergman_from(cfg, inv, 1) + lin * _poisson_from(cfg, inv, 1) / (
-        cfg.n * unit_ball_volume(cfg.n)
-    )
+    q = inv.q
+    geo, lin = 1.0, 4.0 * (cfg.p - 1)
+    for k in range(cfg.p - 2, -1, -1):
+        geo = geo * q + 1.0
+        lin = lin * q + 4 * k
+    return geo * _bergman_from(cfg, inv, 1) + lin * _poisson_from(cfg, inv, 1) / sphere_area(cfg.n)
 
 
 def _zonal_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation, kind: str) -> complex:
@@ -229,7 +237,7 @@ def _zonal_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Tr
     g = _weight_table(cfg.n, cfg.alpha, cfg.beta, kind, _window(top))
     rows = [g[2 * k : top + 1] for k in range(min(cfg.p, top // 2 + 1))]
     total = zonal_poly_sum(rows, inv.t, inv.zeta, cfg.n)
-    return total if kind == "poisson" else total / (cfg.n * unit_ball_volume(cfg.n))
+    return total if kind == "poisson" else total / sphere_area(cfg.n)
 
 
 def poisson_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation) -> complex:
@@ -261,22 +269,28 @@ def weighted_bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPo
         _weight_table(cfg.n, cfg.alpha + 4.0 * k, cfg.beta, "weighted", window)[: top + 1 - 2 * k]
         for k in range(min(cfg.p, top // 2 + 1))
     ]
-    return zonal_poly_sum(rows, inv.t, inv.zeta, cfg.n) / (cfg.n * unit_ball_volume(cfg.n))
+    return zonal_poly_sum(rows, inv.t, inv.zeta, cfg.n) / sphere_area(cfg.n)
 
 
-def _power_jet(a, e: float, order: int) -> np.ndarray:
+def _power_jet(a, e: float, order: int) -> list:
     """Taylor coefficients 0..order of a(eps)**e, with a given by its leading
-    coefficients (a[0] != 0), by J.C.P. Miller's recurrence
+    coefficients (a[0] != 0, the rest zero), by J.C.P. Miller's recurrence
 
-        b_k = sum_{j=1..k} ((e+1) j - k) a_j b_{k-j} / (k a_0).
+        b_k = sum_{j=1..k} ((e+1) j - k) a_j b_{k-j} / (k a_0),
+
+    on Python numbers: the jets have a few terms, where numpy's per-call
+    cost outweighs the arithmetic.
     """
-    a = np.pad(np.asarray(a, dtype=complex), (0, order + 1))[: order + 1]
-    b = np.zeros(order + 1, dtype=complex)
-    b[0] = principal_pow(a[0], e)
+    b = [principal_pow(a[0], e)]
     for k in range(1, order + 1):
-        j = np.arange(1, k + 1)
-        b[k] = np.sum(((e + 1.0) * j - k) * a[j] * b[k - j]) / (k * a[0])
+        terms = (((e + 1.0) * j - k) * a[j] * b[k - j] for j in range(1, min(k, len(a) - 1) + 1))
+        b.append(sum(terms) / (k * a[0]))
     return b
+
+
+def _jet_mul(f: list, g: list) -> list:
+    """Product of two Taylor jets, truncated to the shorter one's order."""
+    return [sum(f[j] * g[k - j] for j in range(k + 1)) for k in range(min(len(f), len(g)))]
 
 
 def derivative_form_check(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
@@ -286,7 +300,8 @@ def derivative_form_check(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -
     [t^((n+alpha)/2+b) P_p(t x, y)] at t = 1 exactly, as (b+1)! times the
     coefficient of eps^(b+1) in the product of three Taylor jets in
     eps = t - 1: (1+eps)^gamma, 1 - q^p (1+eps)^(2p), and w(t)^(-n/2) with
-    w(t) = w + 2 (q - s) eps + q eps^2.
+    w(t) = w + 2 (q - s) eps + q eps^2.  The jets have b + 2 terms and are
+    Python lists of complex numbers: no numpy call per term.
     """
     if not float(cfg.beta).is_integer():  # KernelConfig already has beta > -1
         raise ValueError(f"derivative form needs an integer beta >= 0, got {cfg.beta}")
@@ -295,11 +310,12 @@ def derivative_form_check(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -
     order = beta + 1
     gamma_exp = 0.5 * (cfg.n + cfg.alpha) + beta
     t_jet = _power_jet((1.0, 1.0), gamma_exp, order)
-    num_jet = -(inv.q**cfg.p) * _power_jet((1.0, 1.0), 2 * cfg.p, order)
+    qp = inv.q**cfg.p
+    num_jet = [-qp * c for c in _power_jet((1.0, 1.0), 2 * cfg.p, order)]
     num_jet[0] += 1.0
     w_jet = _power_jet((inv.w, 2.0 * (inv.q - inv.s), inv.q), -0.5 * cfg.n, order)
-    f = np.convolve(np.convolve(t_jet, num_jet)[: order + 1], w_jet)[: order + 1]
-    norm = 2.0 / (cfg.n * math.factorial(beta) * unit_ball_volume(cfg.n))
+    f = _jet_mul(_jet_mul(t_jet, num_jet), w_jet)
+    norm = 2.0 / (math.factorial(beta) * sphere_area(cfg.n))
     return complex(norm * math.factorial(order) * f[order])
 
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .core import KernelConfig, RotatedPoint, check_weight_parameters, unit_ball_volume
+from .core import KernelConfig, RotatedPoint, check_weight_parameters, sphere_area
 from .kernels import _weight_table
 from .polyspace import PolyharmonicPolynomial, eval_polar, polar_factors
 from .zonal import _window, section_factors, series_coefficients
@@ -87,7 +87,7 @@ class BallRule:
     @property
     def normalization(self) -> float:
         """Surface factor n Vol_n of the polar composition."""
-        return self.radial.n * unit_ball_volume(self.radial.n)
+        return sphere_area(self.radial.n)
 
 
 @lru_cache(maxsize=None)

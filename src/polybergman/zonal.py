@@ -25,7 +25,7 @@ from operator import mul
 
 import numpy as np
 
-from .core import KernelConfig, RotatedPoint, pair_invariants
+from .core import KernelConfig, RotatedPoint, check_integer, pair_invariants
 
 BACKEND_NAME = "numpy"
 """Array backend of the zonal recurrence, reported by ``polybergman info``."""
@@ -257,8 +257,7 @@ def zonal_polyharmonic(
     At p = 1 this is the extended zonal harmonic
     Z_m(x, y) = e^{i m (phi-psi)} (|a||b|)^m z_m(a.b / |a||b|).
     """
-    if m < 0:
-        raise ValueError(f"degree must be >= 0, got {m}")
+    m = check_integer("degree", m, 0)
     if x.dim != y.dim or x.dim != cfg.n:
         raise ValueError(f"dimension mismatch: n={cfg.n}, x:{x.dim}, y:{y.dim}")
     inv = pair_invariants(x, y)

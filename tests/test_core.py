@@ -305,6 +305,36 @@ class TestPrincipalPow:
             with pytest.raises(BranchCutProximity):
                 principal_pow(np.array([4.0, w]), e)
 
+    # integer, half-integer and other exponents
+    EXPONENTS = [-3, -1, 0, 2, 3.0, 7, -2.5, -0.5, 0.5, 1.5, 3.5, -1.7, 0.3, 2.25]
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_scalar_routes_agree_and_match_the_array_route(self, e):
+        # a Python complex takes the scalar route directly, a numpy complex
+        # or a float after conversion: the same bits.  The array route runs
+        # numpy's complex arithmetic (vectorised multiplies, its own division
+        # and log), which rounds differently: within 1e-15 relative
+        rng = np.random.default_rng(17)
+        w = [cmath.rect(r, a) for r in (1e-2, 0.37, 1.0, 2.9, 1e2) for a in (0.3, 1.9, -2.4, -0.8)]
+        w += [complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(60)]
+        scalar = [principal_pow(v, e) for v in w]
+        assert all(type(v) is complex for v in scalar)
+        for v, want in zip(w, scalar):
+            got = principal_pow(np.complex128(v), e)
+            assert (got.real, got.imag) == (want.real, want.imag)
+        for v in (0.37, 2.9):
+            got, want = principal_pow(v, e), principal_pow(complex(v), e)
+            assert (got.real, got.imag) == (want.real, want.imag)
+        array = principal_pow(np.array(w), e)
+        assert_allclose(array, scalar, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("e", [-1.5, 0.5, 0.3])
+    @pytest.mark.parametrize("w", [complex(-1.0, 1e-14), complex(-1.0, -1e-14), 0j])
+    def test_every_input_type_guards_the_cut(self, e, w):
+        for arg in (w, np.complex128(w), np.array([w])):
+            with pytest.raises(BranchCutProximity):
+                principal_pow(arg, e)
+
     @given(
         re=st.floats(0.05, 3.0), im=st.floats(-3.0, 3.0),
         a=st.floats(-1.5, 1.5), b=st.floats(-1.5, 1.5),
@@ -359,8 +389,21 @@ class TestKernelConfig:
             dict(n=2, p=1, alpha=math.inf),
             dict(n=2, p=1, beta=math.nan),
             dict(n=2, p=1, beta=math.inf),
+            dict(n=3, p=1.5),
+            dict(n=3.5, p=1),
+            dict(n=3.0, p=1),
+            dict(n=3, p=np.float64(2.0)),
+            dict(n=True, p=1),
+            dict(n=3, p=True),
+            dict(n=3, p=math.nan),
+            dict(n="3", p=1),
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             KernelConfig(**kwargs)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        cfg = KernelConfig(n=np.int64(4), p=np.int32(2))
+        assert (type(cfg.n), type(cfg.p)) == (int, int)
+        assert cfg == KernelConfig(n=4, p=2)

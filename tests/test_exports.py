@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import polybergman
@@ -24,3 +25,22 @@ def test_all_lists_exactly_the_bound_public_names():
 def test_every_exported_name_resolves():
     for name in polybergman.__all__:
         assert hasattr(polybergman, name), name
+
+
+def _parameters(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_names_the_benchmark_calls_keep_their_signatures():
+    # perfbench calls these positionally or by keyword; a renamed or
+    # reordered parameter would fail its traced run
+    from polybergman import polyspace, zonal
+
+    assert _parameters(polybergman.principal_pow) == ["w", "e", "eps_branch"]
+    assert _parameters(polybergman.pair_invariants) == ["x", "y"]
+    assert _parameters(polybergman.calibrated_constant) == ["cfg"]
+    assert _parameters(polybergman.Truncation) == ["max_degree", "tol", "calibrated_C"]
+    assert _parameters(zonal.zonal_values) == ["t", "m_max", "n"]
+    assert len(_parameters(polyspace.eval_at_phase)) == 3  # (polynomial, phase, coords)
+    assert isinstance(polybergman.BACKEND_NAME, str) and polybergman.BACKEND_NAME == zonal.BACKEND_NAME
+    assert isinstance(polybergman.KernelConfig.eps_branch, float)

@@ -28,7 +28,7 @@ from polybergman import (
     zonal_polyharmonic,
 )
 from polybergman import kernels, zonal
-from polybergman.kernels import _series_weights
+from polybergman.kernels import _power_jet, _series_weights
 
 
 def unit(v):
@@ -48,6 +48,8 @@ def random_sector_pair(cfg, rng, r_hi=0.7):
 
 ORIGIN3 = make_rotated_point(0.0, (0.0, 0.0, 0.0))
 DIAG3 = make_rotated_point(0.0, (0.5, 0.0, 0.0))
+PAIR_KERNELS = (poisson, bergman, bergman_decomposed, derivative_form_check)
+SERIES_KERNELS = (poisson_series, bergman_series, weighted_bergman_series, weighted_bergman_decomposed)
 
 
 class TestPoissonClosedForm:
@@ -182,10 +184,14 @@ class TestBergmanDecomposed:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_matches_direct_closed_form(self, n, p):
+        # radius products up to 0.49, half of the pairs at arbitrary phases
         cfg = KernelConfig(n=n, p=p)
         rng = np.random.default_rng(13 * n + p)
-        for _ in range(100):
+        for k in range(200):
             x, y = random_sector_pair(cfg, rng)
+            if k % 2:
+                x = make_rotated_point(rng.uniform(-math.pi, math.pi), x.coords)
+                y = make_rotated_point(rng.uniform(-math.pi, math.pi), y.coords)
             direct = bergman(cfg, x, y)
             decomposed = bergman_decomposed(cfg, x, y)
             assert abs(decomposed - direct) <= 1e-12 * abs(direct)
@@ -209,12 +215,11 @@ class TestBergmanDecomposed:
         x, y = random_sector_pair(cfg, np.random.default_rng(5))
         expected = bergman(cfg, x, y)
         trunc = Truncation(max_degree=12, tol=1.0, calibrated_C=1.0)
-        for kernel in (poisson, bergman, bergman_decomposed, derivative_form_check):
+        for kernel in PAIR_KERNELS:
             calls.clear()
             kernel(cfg, x, y)
             assert len(calls) == 1, kernel.__name__
-        for kernel in (poisson_series, bergman_series, weighted_bergman_series,
-                       weighted_bergman_decomposed):
+        for kernel in SERIES_KERNELS:
             calls.clear()
             kernel(cfg, x, y, trunc)
             assert len(calls) == 1, kernel.__name__
@@ -223,6 +228,24 @@ class TestBergmanDecomposed:
         assert len(calls) == 1
         got = bergman_decomposed(cfg, x, y)
         assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+class TestDimensionMismatch:
+    # pairs whose dimensions differ from each other or from cfg.n = 3
+    PAIRS = [((0.1, 0.2, 0.0), (0.3, 0.1)), ((0.1, 0.2), (0.3, 0.1)), ((0.1, 0.2, 0.0), (0.3, 0.1, 0.0, 0.2))]
+
+    @pytest.mark.parametrize("a,b", PAIRS)
+    @pytest.mark.parametrize("kernel", PAIR_KERNELS + SERIES_KERNELS + (zonal_polyharmonic,))
+    def test_every_entry_point_raises(self, kernel, a, b):
+        cfg = KernelConfig(n=3, p=2, beta=1.0)
+        x, y = make_rotated_point(0.0, a), make_rotated_point(0.0, b)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            if kernel in SERIES_KERNELS:
+                kernel(cfg, x, y, Truncation(max_degree=6, tol=1e-10, calibrated_C=1.0))
+            elif kernel is zonal_polyharmonic:
+                kernel(cfg, 4, x, y)
+            else:
+                kernel(cfg, x, y)
 
 
 class TestWeightedCoefficient:
@@ -251,8 +274,10 @@ class TestWeightedCoefficient:
             weighted_coefficient(2, -2.0, 0.0, 0)
         with pytest.raises(ValueError):
             weighted_coefficient(3, 0.0, -1.0, 0)
-        with pytest.raises(ValueError):
-            weighted_coefficient(3, 0.0, 0.0, -1)
+        for m in (-1, 1.5, 2.0, math.nan, True):
+            with pytest.raises(ValueError, match="degree"):
+                weighted_coefficient(3, 0.0, 0.0, m)
+        assert weighted_coefficient(3, 0.0, 0.0, np.int64(2)) == weighted_coefficient(3, 0.0, 0.0, 2)
 
 
 class TestSeriesWeights:
@@ -417,6 +442,27 @@ class TestDerivativeForm:
             with pytest.raises(ValueError):
                 derivative_form_check(KernelConfig(n=3, p=1, beta=beta), DIAG3, DIAG3)
 
+    @pytest.mark.parametrize("e", [-2.5, -1.5, 2, 3.5])
+    def test_power_jet_matches_50_digit_taylor_expansion(self, e):
+        # (a0 + a1 eps + a2 eps^2)^e, the shape of the w(t) jet; a coefficient
+        # that is exactly 0 (past degree 2e for an integer e) is checked
+        # against the jet's largest one
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            a = [complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(3)]
+            a[0] *= rng.uniform(0.5, 2.0) / abs(a[0])
+            for order in range(1, 6):
+                got = _power_jet(a, e, order)
+                assert len(got) == order + 1 and all(type(b) is complex for b in got)
+                with mpmath.workdps(50):
+                    c = [mpmath.mpc(v.real, v.imag) for v in a]
+                    want = mpmath.taylor(lambda t: (c[0] + c[1] * t + c[2] * t * t) ** e, 0, order)
+                    scale = max(abs(v) for v in want)
+                    for g, v in zip(got, want):
+                        err = abs(mpmath.mpc(g.real, g.imag) - v)
+                        assert err <= 1e-14 * (abs(v) if abs(v) > 1e-30 * scale else scale)
+
 
 class TestTruncationDegree:
     def test_zero_radius(self):
@@ -455,6 +501,10 @@ class TestTruncationDegree:
             (3, 1e-10, math.inf),
             (3, 1e-10, -1.0),
             (-1, 1e-10, 1.0),
+            (2.5, 1e-10, 1.0),
+            (3.0, 1e-10, 1.0),
+            (math.nan, 1e-10, 1.0),
+            (True, 1e-10, 1.0),
         ],
     )
     def test_truncation_rejects_invalid_parameters(self, max_degree, tol, cal):

@@ -222,6 +222,13 @@ class TestZonalPolyharmonic:
         with pytest.raises(ValueError):
             zonal_polyharmonic(cfg, -1, x, x)
 
+    @pytest.mark.parametrize("m", [1.5, 2.0, True])
+    def test_non_integral_degree_rejected(self, m):
+        cfg = KernelConfig(n=3, p=2)
+        x = make_rotated_point(0.0, (0.1, 0.0, 0.0))
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            zonal_polyharmonic(cfg, m, x, x)
+
 
 class TestZonalSection:
     @pytest.mark.parametrize("n", [2, 3, 4])
