@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -190,11 +191,25 @@ def check_integer(name: str, value, low: int) -> int:
     return k
 
 
-def check_weight_parameters(n: int, alpha: float, beta: float) -> None:
-    """ValueError unless the weight |y|^alpha (1-|y|^2)^beta is integrable on
+def check_real(name: str, value) -> float:
+    """value as a float, if it is a real number (numpy reals pass; bools,
+    strings and complex numbers do not); ValueError otherwise.  A float
+    returns at once: the numbers.Real test costs about 1 µs."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def check_weight_parameters(n: int, alpha, beta) -> tuple[float, float]:
+    """(alpha, beta) as floats; ValueError unless both are real numbers
+    (check_real) and the weight |y|^alpha (1-|y|^2)^beta is integrable on
     the n-ball with finite alpha, beta; negated comparisons reject NaN."""
+    alpha, beta = check_real("alpha", alpha), check_real("beta", beta)
     if not (math.isfinite(alpha) and math.isfinite(beta) and n + alpha > 0 and beta > -1):
         raise ValueError(f"need finite alpha, beta, n + alpha > 0, beta > -1; got {alpha}, {beta}")
+    return alpha, beta
 
 
 @dataclass(frozen=True)
@@ -213,9 +228,14 @@ class KernelConfig:
         # stored as Python ints, so a numpy integer behaves as its value
         object.__setattr__(self, "n", check_integer("dimension n", self.n, 2))
         object.__setattr__(self, "p", check_integer("polyharmonic order p", self.p, 1))
-        check_weight_parameters(self.n, self.alpha, self.beta)
-        if not (0 < self.r_max < 1):
-            raise ValueError(f"r_max must lie in (0, 1), got {self.r_max}")
+        # stored as floats, so a bool or a string never reaches a formula
+        alpha, beta = check_weight_parameters(self.n, self.alpha, self.beta)
+        r_max = check_real("r_max", self.r_max)
+        if not (0 < r_max < 1):
+            raise ValueError(f"r_max must lie in (0, 1), got {r_max}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "r_max", r_max)
 
     def sector_phase(self, k: int) -> float:
         """Phase k*pi/p of the k-th rotated copy of the ball."""

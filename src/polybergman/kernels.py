@@ -70,7 +70,7 @@ def weighted_coefficient(n: int, alpha: float, beta: float, m: int) -> float:
     Computed through log-Gamma differences; for beta = 0 it collapses to
     n + 2m + alpha.
     """
-    check_weight_parameters(n, alpha, beta)
+    alpha, beta = check_weight_parameters(n, alpha, beta)
     m = check_integer("degree", m, 0)
     z = m + 0.5 * (n + alpha)
     return 2.0 * math.exp(math.lgamma(z + beta + 1.0) - math.lgamma(beta + 1.0) - math.lgamma(z))

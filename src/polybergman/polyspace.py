@@ -6,7 +6,8 @@ construction; an independent power-of-Laplacian check, exact up to rounding
 in every dimension n (Pizzetti's sphere-mean expansion), is provided as a
 safety net.  Blocks evaluate along two routes: an exact phase-split route
 for rotated points, and a bilinear polynomial route for general complex
-vectors (needed off the rotated-point family by the mean-value formula).
+vectors (needed off the rotated-point family by the mean-value formula on
+an off-centre ball).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .core import EPS_SING, KernelConfig, RotatedPoint, principal_pow
 from .errors import NearSingular
-from .zonal import _zonal_iter, zonal_values
+from .zonal import _section_weights, _zonal_iter, zonal_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,53 +104,79 @@ def random_homogeneous(
     return _random_blocks(cfg, degree, blocks, seed, homogeneous=True)
 
 
-def _block_factors(q: PolyharmonicPolynomial, unit: np.ndarray):
-    """(degrees, coefficients, Z_d(unit_j, pole)) of the blocks; the last has
-    shape (blocks, N).
+def _stacked_factors(phases, radii, unit: np.ndarray, polys, section=None):
+    """polar_factors of each polynomial in polys and, for section = (coef, x),
+    zonal.section_factors of that kernel section, all on the polar grid
+    e^{i phases_k} radii_i unit_j and from one zonal recurrence.
 
-    unit holds unit vectors; a zero row stands for the origin, where only
-    degree-0 blocks survive and z_0 = 1.  One zonal recurrence, to the
-    largest d, serves every block.
+    The recurrence runs on the stacked cosines
+    [poles of every block; x/|x|] @ unit^T, one row of node cosines per
+    pole, up to the largest block degree d and the section's top degree:
+    each block's zonal factor is z_d of its own row and the section's z is
+    z_0..z_L of the last row.  A block c |x|^(2k) Z_d(x, pole) at a grid
+    point is c e^{i deg phases_k} radii_i^deg Z_d(unit_j, pole) with
+    deg = d + 2k; the section's weights come from zonal._section_weights.
+    Returns a list of (rot, rad, zon) per polynomial, shapes (B, K), (B, I)
+    and (B, J) for B blocks, followed by (W, z) when section is given.
     """
-    k = np.array([b.k for b in q.blocks], dtype=int)
-    d = np.array([b.d for b in q.blocks], dtype=int)
-    coeff = np.array([b.coeff for b in q.blocks], dtype=complex)
-    poles = np.array([b.pole for b in q.blocks]).reshape(-1, q.n)
-    z = zonal_values(unit @ poles.T, int(max(d, default=0)), q.n)
-    return d + 2 * k, coeff, z[d, :, np.arange(d.size)]
+    blocks = [b for q in polys for b in q.blocks]
+    d = np.array([b.d for b in blocks], dtype=int)
+    poles = [b.pole for b in blocks]
+    top = int(d.max(initial=0))
+    if section is not None:
+        w, pole = _section_weights(*section, phases, radii)
+        poles.append(pole)
+        top = max(top, w.shape[-1] - 1)
+    z = zonal_values(np.reshape(poles, (-1, unit.shape[1])) @ unit.T, top, unit.shape[1])
+    zon = z[d, np.arange(d.size)]
+    deg = d + 2 * np.array([b.k for b in blocks], dtype=int)
+    coeff = np.array([b.coeff for b in blocks], dtype=complex)
+    rot = coeff[:, None] * np.exp(1j * np.outer(deg, phases))
+    rad = np.asarray(radii, dtype=float)[None, :] ** deg[:, None]
+    out, start = [], 0
+    for q in polys:
+        part = slice(start, start + len(q.blocks))
+        out.append((rot[part], rad[part], zon[part]))
+        start = part.stop
+    if section is not None:
+        out.append((w, z[: w.shape[-1], -1]))
+    return out
 
 
 def eval_at_phase(q: PolyharmonicPolynomial, phase: float, coords: np.ndarray):
     """Evaluate at the batch of rotated points e^{i*phase} * coords.
 
     coords is (N, n) real; the |x|^(2k) factors become exact phase
-    multiplications e^{2ik*phase} r^(2k).
+    multiplications e^{2ik*phase} r^(2k): the one-phase contraction of
+    polar_factors with each point's own radius.
     """
     coords = np.asarray(coords, dtype=float)
     r = np.linalg.norm(coords, axis=-1)
-    deg, coeff, zon = _block_factors(q, coords / np.where(r == 0.0, 1.0, r)[:, None])
-    return (coeff * np.exp(1j * deg * phase)) @ (r ** deg[:, None] * zon)
+    rot, rad, zon = polar_factors(q, [phase], r, coords / np.where(r == 0.0, 1.0, r)[:, None])
+    return rot[:, 0] @ (rad * zon)
 
 
 def polar_factors(q: PolyharmonicPolynomial, phases, radii, unit: np.ndarray):
     """Separable factors (rot, rad, zon) of q on the polar grid
     e^{i phases_k} radii_i unit_j: q there is sum_b rot[b, k] rad[b, i] zon[b, j].
 
-    A block c |x|^(2k) Z_d(x, pole) at a grid point is
-    c e^{i deg phases_k} radii_i^deg Z_d(unit_j, pole), so each block's
-    zonal factor is computed once on the unit vectors, whatever the number
-    of phases and radii.  Shapes are (B, K), (B, I) and (B, J) for B blocks.
+    Each block's zonal factor is computed once on the unit vectors, whatever
+    the number of phases and radii, by one recurrence for all blocks
+    (_stacked_factors).  unit holds unit vectors; a zero row stands for the
+    origin, where only degree-0 blocks survive and z_0 = 1.  Shapes are
+    (B, K), (B, I) and (B, J) for B blocks.
     """
-    deg, coeff, zon = _block_factors(q, np.asarray(unit, dtype=float))
-    rot = coeff[:, None] * np.exp(1j * np.outer(deg, phases))
-    rad = np.asarray(radii, dtype=float)[None, :] ** deg[:, None]
-    return rot, rad, zon
+    return _stacked_factors(phases, radii, np.asarray(unit, dtype=float), (q,))[0]
 
 
 def eval_polar(q: PolyharmonicPolynomial, phases, radii, unit: np.ndarray):
     """Values at the polar grid e^{i phases_k} radii_i unit_j, shape (K, I, J):
-    the grid contraction of polar_factors."""
-    return np.einsum("bk,bi,bj->kij", *polar_factors(q, phases, radii, unit))
+    the grid contraction of polar_factors, one matmul of the (K I, B) outer
+    products of the phase and radial factors with the (B, J) zonal ones."""
+    rot, rad, zon = polar_factors(q, phases, radii, unit)
+    (b, k), i = rot.shape, rad.shape[1]
+    outer = (rot[:, :, None] * rad[:, None, :]).reshape(b, k * i)
+    return (outer.T @ zon).reshape(k, i, zon.shape[1])
 
 
 def eval_complex(q: PolyharmonicPolynomial, z: np.ndarray):
@@ -267,10 +294,14 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
     polyharmonic u of order at most p up to cubature error; a polynomial u
     of another dimension or a higher order raises ValueError.
 
-    With N sphere nodes, a polynomial u is evaluated at the p N points by
-    eval_complex, sum_b (d_b + 1) recurrence rows of p N values, which is
-    most of the cost; the denominator's power n/2 is, at odd n, one
-    integer power and one square root (principal_pow).
+    With a = 0 the points r e^{i k pi/p} zeta_j are rotated points, so a
+    polynomial u there is eval_polar on the sector phases and the one
+    radius r: one real recurrence on the N sphere nodes, to the largest
+    block degree, shared by the p sectors.  An off-centre ball takes
+    eval_complex on the p N complex points, sum_b (d_b + 1) recurrence
+    rows of p N values, and a callable u is called once on them.  The
+    denominator's power n/2 is, at odd n, one integer power and one square
+    root (principal_pow).
     """
     a = np.asarray(a, dtype=float)
     polynomial = isinstance(u, PolyharmonicPolynomial)
@@ -286,19 +317,19 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
     d2 = float(d @ d)
     if d2 >= r * r:
         raise ValueError("need |x - a| < r")
-    if polynomial:
-        ufun = lambda z: eval_complex(u, z)  # noqa: E731
-    else:
-        ufun = u
     nodes = rule.nodes
     num = r ** (2 * cfg.p) - d2**cfg.p
     pref = r ** (cfg.n - 2 * cfg.p)
-    rot = np.exp(1j * cfg.sector_phases())[:, None]
+    phases = cfg.sector_phases()
+    rot = np.exp(1j * phases)[:, None]
     back = np.conj(rot)
     bsq = back * back * d2 - 2.0 * r * back * (nodes @ d) + r * r
     if np.any(np.abs(bsq) <= EPS_SING * r * r):
         raise NearSingular("mean-value kernel denominator vanished")
     den = principal_pow(bsq, 0.5 * cfg.n)
-    pts = a + r * rot[:, :, None] * nodes
-    uv = ufun(pts.reshape(-1, cfg.n)).reshape(den.shape)
+    if polynomial and not a.any():
+        uv = eval_polar(u, phases, (r,), nodes)[:, 0]
+    else:
+        pts = (a + r * rot[:, :, None] * nodes).reshape(-1, cfg.n)
+        uv = (eval_complex(u, pts) if polynomial else u(pts)).reshape(den.shape)
     return complex(np.sum(rule.weights * (num * pref / den) * uv)) / cfg.p

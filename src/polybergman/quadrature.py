@@ -14,8 +14,13 @@ is the kernel section, sum_l W[k, i, l] z[l, j] (zonal.section_factors).  The
 grid sum is then contracted one factor at a time through small Gram matrices,
 and no (p, R, N) array is formed: with N sphere nodes, operands of B and B'
 blocks cost O(B B' N) and reproduce with L kernel degrees O(B L N), where the
-values on the grid cost O(p R N (B + B')) and O(p R N (B + L)).  The grid
-route is kept for callable operands only.
+values on the grid cost O(p R N (B + B')) and O(p R N (B + L)).  Each op
+pays for one real zonal recurrence over its N sphere nodes
+(polyspace._stacked_factors): the node cosines of both operands' poles, or
+of the polynomial's poles and x/|x|, are stacked into one (C, N) array and
+run to the largest degree any of them needs, so an op makes one round of
+numpy calls per degree whatever its number of blocks.  The grid route is
+kept for callable operands only.
 
 Both rule builders are memoised per process (functools.lru_cache): a rule is
 built once for each distinct argument tuple and the same read-only object is
@@ -33,8 +38,8 @@ from scipy.special import roots_jacobi
 
 from .core import KernelConfig, RotatedPoint, check_weight_parameters, sphere_area
 from .kernels import _weight_table
-from .polyspace import PolyharmonicPolynomial, eval_polar, polar_factors
-from .zonal import _window, section_factors, series_coefficients
+from .polyspace import PolyharmonicPolynomial, _stacked_factors, eval_polar
+from .zonal import _window, series_coefficients
 
 NODE_CAP = 10**7
 
@@ -121,18 +126,22 @@ def build_sphere_rule(n: int, exact_degree: int) -> SphereRule:
 
 def radial_moment(n: int, m: int, alpha: float, beta: float) -> float:
     """int_0^1 r^(n+2m+alpha-1) (1-r^2)^beta dr by the Gamma closed form."""
-    check_weight_parameters(n, alpha, beta)
+    alpha, beta = check_weight_parameters(n, alpha, beta)
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
     z = m + 0.5 * (n + alpha)
     return 0.5 * math.exp(math.lgamma(beta + 1.0) + math.lgamma(z) - math.lgamma(z + beta + 1.0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_radial_rule(n: int, alpha: float, beta: float, node_count: int) -> RadialRule:
     """Gauss-Jacobi rule in t = r^2; exact for polynomials in r^2 of degree
-    <= node_count - 1 (in fact up to 2*node_count - 1)."""
-    check_weight_parameters(n, alpha, beta)
+    <= node_count - 1 (in fact up to 2*node_count - 1).
+
+    The memo is keyed by argument types too, so a bool or complex weight
+    that equals a memoised float one (True == 1.0, 0j == 0.0) is checked
+    and rejected rather than answered from the memo."""
+    alpha, beta = check_weight_parameters(n, alpha, beta)
     if node_count < 1:
         raise ValueError(f"radial rule needs at least one node, got {node_count}")
     a = beta
@@ -208,16 +217,16 @@ def _inner_product(cfg, f, g, radii, w_rad, sphere: SphereRule) -> complex:
     f = sum_b rot_bk rad_bi zon_bj (polar_factors) and g likewise, the sum is
     sum_{b,b'} (rot_f rot_g^H)_{bb'} ((rad_f w_rad) rad_g^T)_{bb'}
     ((zon_f w_sph) zon_g^T)_{bb'} / p, O(B_f B_g N) work for N sphere nodes
-    against O(p R N (B_f + B_g)) for the values on the grid.  A callable
-    operand takes the grid route: p R calls of N points each.
+    against O(p R N (B_f + B_g)) for the values on the grid; both operands'
+    zonal factors come from one recurrence on their stacked poles.  A
+    callable operand takes the grid route: p R calls of N points each.
     """
     polys = [h for h in (f, g) if isinstance(h, PolyharmonicPolynomial)]
     if any(h.n != cfg.n for h in polys):
         raise ValueError(f"dimension mismatch: n={cfg.n}, polynomials {[h.n for h in polys]}")
     if len(polys) == 2:
         phases = cfg.sector_phases()
-        rot_f, rad_f, zon_f = polar_factors(f, phases, radii, sphere.nodes)
-        rot_g, rad_g, zon_g = polar_factors(g, phases, radii, sphere.nodes)
+        (rot_f, rad_f, zon_f), (rot_g, rad_g, zon_g) = _stacked_factors(phases, radii, sphere.nodes, (f, g))
         gram = (rot_f @ rot_g.conj().T) * ((rad_f * w_rad) @ rad_g.T) * ((zon_f * sphere.weights) @ zon_g.T)
         return complex(gram.sum()) / len(phases)
     fv = _ball_values(cfg, f, radii, sphere.nodes)
@@ -261,7 +270,9 @@ def reproduce(
     sum is sum_{b,l} H_bl G_bl / p with
     H = sum_ki rot_bk rad_bi w_rad_i W_kil and G = (zon w_sph) z^T:
     O(B L N) work for B blocks, L = m_top + 1 degrees and N sphere nodes,
-    against O(p R N (B + L)) for both factors' values on the grid.
+    against O(p R N (B + L)) for both factors' values on the grid.  zon and
+    z are slices of one recurrence, to degree m_top, on the stacked
+    cosines [poles; x/|x|] @ sph.nodes^T.
     """
     if u.n != cfg.n or x.dim != cfg.n:
         raise ValueError(f"dimension mismatch: n={cfg.n}, polynomial {u.n}, point {x.dim}")
@@ -281,8 +292,8 @@ def reproduce(
     # the kernel's factor 1/(n Vol_n) cancels the rule's normalization n Vol_n
     g = np.array(_weight_table(cfg.n, alpha, beta, "weighted", _window(m_top))[: m_top + 1])
     phases = cfg.sector_phases()
-    rot, radial, zon = polar_factors(u, phases, rad.nodes, sph.nodes)
     # the kernel's second slot is conjugate-symmetric already: no conjugation
-    w, z = section_factors(series_coefficients(cfg.p, g), x, phases, rad.nodes, sph.nodes, cfg.n)
+    section = (series_coefficients(cfg.p, g), x)
+    (rot, radial, zon), (w, z) = _stacked_factors(phases, rad.nodes, sph.nodes, (u,), section)
     h = np.einsum("bk,bi,kil->bl", rot, radial * rad.weights, w)
     return complex(np.sum(h * ((zon * sph.weights) @ z.T))) / len(phases)

@@ -48,33 +48,57 @@ DEFAULT_ORDERS = (1, 2, 3)
 
 
 class _Sweep:
-    """Running worst absolute and relative error and case count of a suite."""
+    """Running worst absolute and relative error and case count of a suite,
+    and the case of the worst error of the kind the tolerance bounds
+    ("max_abs_err" or "max_rel_err")."""
 
-    def __init__(self):
+    def __init__(self, bounds):
+        self.bounds = bounds
         self.max_abs = self.max_rel = 0.0
         self.count = 0
+        self.worst = None
 
-    def add(self, err, scale, cases=1):
+    def add(self, err, scale, cases=1, **case):
         """Record one error against its scale; cases=0 adds a second check
-        to a case already counted."""
+        to a case already counted.  case names what re-runs the check (cfg,
+        the points x and y, the truncation degree, ...); it is kept while
+        its bounded error is the largest so far."""
+        rel = err / max(1e-300, scale)
+        if self.worst is None or (err if self.bounds == "max_abs_err" else rel) > self._bounded():
+            self.worst = case
         self.max_abs = max(self.max_abs, err)
-        self.max_rel = max(self.max_rel, err / max(1e-300, scale))
+        self.max_rel = max(self.max_rel, rel)
         self.count += cases
 
-    def report(self, suite, tol, bounds, ok=True, **extra):
+    def _bounded(self):
+        return self.max_abs if self.bounds == "max_abs_err" else self.max_rel
+
+    def report(self, suite, tol, ok=True, **extra):
         """Report dict; the suite passes when it checked at least one case,
-        the error named by bounds ("max_abs_err" or "max_rel_err") is within
-        tol and ok holds."""
-        errors = {"max_abs_err": self.max_abs, "max_rel_err": self.max_rel}
+        the bounded error is within tol and ok holds.  "worst" is the case
+        of the bounded error as JSON values (None when nothing was checked):
+        a config as its fields, a point as its phase and coords."""
         return {
             "suite": suite,
             "cases": self.count,
-            **errors,
+            "max_abs_err": self.max_abs,
+            "max_rel_err": self.max_rel,
             "tolerance": tol,
-            "bounds": bounds,
-            "pass": bool(self.count > 0 and errors[bounds] <= tol and ok),
+            "bounds": self.bounds,
+            "pass": bool(self.count > 0 and self._bounded() <= tol and ok),
+            "worst": None if self.worst is None else {k: _as_json(v) for k, v in self.worst.items()},
             **extra,
         }
+
+
+def _as_json(value):
+    """A case field as JSON values: KernelConfig -> its fields, RotatedPoint
+    -> {phase, coords}; numbers and strings as they are."""
+    if isinstance(value, KernelConfig):
+        return {"n": value.n, "p": value.p, "alpha": value.alpha, "beta": value.beta}
+    if isinstance(value, RotatedPoint):
+        return {"phase": value.phase, "coords": value.coords.tolist()}
+    return value
 
 
 def _random_point(cfg, rng, r_hi=0.7, r_lo=0.0) -> RotatedPoint:
@@ -98,12 +122,13 @@ def _pair_sweep(seed, cases, weights=((0.0, 0.0),), r_hi=0.7):
 
 
 def _series_suite(suite, kind, closed_fn, series_fn, tol, seed, cases):
-    sweep = _Sweep()
+    sweep = _Sweep("max_abs_err")
     for cfg, x, y in _pair_sweep(seed, cases):
         trunc = make_truncation(cfg, x.radius * y.radius, tol, kind)
         closed = closed_fn(cfg, x, y)
-        sweep.add(abs(series_fn(cfg, x, y, trunc) - closed), abs(closed))
-    return sweep.report(suite, tol, "max_abs_err", seed=seed)
+        err = abs(series_fn(cfg, x, y, trunc) - closed)
+        sweep.add(err, abs(closed), cfg=cfg, x=x, y=y, degree=trunc.max_degree)
+    return sweep.report(suite, tol, seed=seed)
 
 
 def suite_poisson_series(seed: int = 42, cases: int = 200) -> dict:
@@ -119,11 +144,11 @@ def suite_bergman_series(seed: int = 42, cases: int = 200) -> dict:
 def suite_decomposition(seed: int = 42, cases: int = 200) -> dict:
     """Harmonic-kernel decomposition versus the direct closed form."""
     tol = 1e-12
-    sweep = _Sweep()
+    sweep = _Sweep("max_rel_err")
     for cfg, x, y in _pair_sweep(seed, cases):
         direct = bergman(cfg, x, y)
-        sweep.add(abs(bergman_decomposed(cfg, x, y) - direct), abs(direct))
-    return sweep.report("decomposition", tol, "max_rel_err", seed=seed)
+        sweep.add(abs(bergman_decomposed(cfg, x, y) - direct), abs(direct), cfg=cfg, x=x, y=y)
+    return sweep.report("decomposition", tol, seed=seed)
 
 
 def suite_weighted(seed: int = 42, cases: int = 200) -> dict:
@@ -139,17 +164,18 @@ def suite_weighted(seed: int = 42, cases: int = 200) -> dict:
         for n in DEFAULT_DIMS
         for m in range(0, 61)
     )
-    sweep = _Sweep()
+    sweep = _Sweep("max_abs_err")
     for cfg, x, y in _pair_sweep(seed, cases // 4, ((0.0, 0.0), (1.0, 0.5), (-0.5, 2.0))):
         trunc = make_truncation(cfg, x.radius * y.radius, tol / 10, "weighted")
         series = weighted_bergman_series(cfg, x, y, trunc)
         decomposed = weighted_bergman_decomposed(cfg, x, y, trunc)
-        sweep.add(abs(series - decomposed), abs(series))
+        case = dict(cfg=cfg, x=x, y=y, degree=trunc.max_degree)
+        sweep.add(abs(series - decomposed), abs(series), check="decomposed", **case)
         if cfg.alpha == 0.0 and cfg.beta == 0.0:
             closed = bergman(cfg, x, y)
-            sweep.add(abs(series - closed), abs(closed), cases=0)
+            sweep.add(abs(series - closed), abs(closed), cases=0, check="closed", **case)
     return sweep.report(
-        "weighted", tol, "max_abs_err", termwise_rel <= termwise_tol,
+        "weighted", tol, termwise_rel <= termwise_tol,
         termwise_rel_err=termwise_rel, termwise_tolerance=termwise_tol, seed=seed,
     )
 
@@ -157,13 +183,13 @@ def suite_weighted(seed: int = 42, cases: int = 200) -> dict:
 def suite_derivative_form(seed: int = 42, cases: int = 200) -> dict:
     """Exact derivative form versus the weighted series."""
     tol = 1e-11
-    sweep = _Sweep()
+    sweep = _Sweep("max_abs_err")
     for cfg, x, y in _pair_sweep(seed, cases // 8, ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))):
         got = derivative_form_check(cfg, x, y)
         trunc = make_truncation(cfg, x.radius * y.radius, tol / 10, "weighted")
         ref = weighted_bergman_series(cfg, x, y, trunc)
-        sweep.add(abs(got - ref), abs(ref))
-    return sweep.report("derivative_form", tol, "max_abs_err", seed=seed)
+        sweep.add(abs(got - ref), abs(ref), cfg=cfg, x=x, y=y, degree=trunc.max_degree)
+    return sweep.report("derivative_form", tol, seed=seed)
 
 
 def suite_reproduce(seed: int = 42, cases: int = 50) -> dict:
@@ -171,22 +197,23 @@ def suite_reproduce(seed: int = 42, cases: int = 50) -> dict:
     tol = 1e-8
     degree = 6
     m_top = degree
-    sweep = _Sweep()
+    sweep = _Sweep("max_rel_err")
     rng = np.random.default_rng(seed)
     rules = {}
     for n in (2, 3):
         for alpha, beta in ((0.0, 0.0), (1.0, 0.5)):
             rules[(n, alpha, beta)] = build_ball_rule(n, alpha, beta, 2 * m_top + 4)
         for p in DEFAULT_ORDERS:
-            cfg = KernelConfig(n=n, p=p)
+            cfgs = [KernelConfig(n=n, p=p, alpha=alpha, beta=beta) for alpha, beta in ((0.0, 0.0), (1.0, 0.5))]
             for i in range(cases):
-                u = random_polyharmonic(cfg, degree, blocks=6, seed=seed + 1000 * n + 100 * p + i)
-                x = _random_point(cfg, rng)
+                u_seed = seed + 1000 * n + 100 * p + i
+                u = random_polyharmonic(cfgs[0], degree, blocks=6, seed=u_seed)
+                x = _random_point(cfgs[0], rng)
                 ux = evaluate(u, x)
-                for alpha, beta in ((0.0, 0.0), (1.0, 0.5)):
-                    got = reproduce(cfg, alpha, beta, u, x, m_top, rules[(n, alpha, beta)])
-                    sweep.add(abs(got - ux), 1.0 + abs(ux))
-    return sweep.report("reproduce", tol, "max_rel_err", seed=seed)
+                for cfg in cfgs:
+                    got = reproduce(cfg, cfg.alpha, cfg.beta, u, x, m_top, rules[(n, cfg.alpha, cfg.beta)])
+                    sweep.add(abs(got - ux), 1.0 + abs(ux), cfg=cfg, x=x, u_seed=u_seed)
+    return sweep.report("reproduce", tol, seed=seed)
 
 
 def suite_zonal_reproduce(seed: int = 42, cases: int = 20) -> dict:
@@ -199,7 +226,7 @@ def suite_zonal_reproduce(seed: int = 42, cases: int = 20) -> dict:
     Z^p_m(., eta) conjugated is the section Z^p_m(eta, .).
     """
     tol = 1e-8
-    sweep = _Sweep()
+    sweep = _Sweep("max_rel_err")
     rng = np.random.default_rng(seed)
     one = np.ones(1)
     for n in (2, 3):
@@ -210,7 +237,8 @@ def suite_zonal_reproduce(seed: int = 42, cases: int = 20) -> dict:
             for m in range(0, 9):
                 coef = degree_coefficients(p, m)
                 for i in range(max(1, cases // 9)):
-                    q = random_homogeneous(cfg, m, blocks=4, seed=seed + 977 * n + 61 * p + 13 * m + i)
+                    q_seed = seed + 977 * n + 61 * p + 13 * m + i
+                    q = random_homogeneous(cfg, m, blocks=4, seed=q_seed)
                     qv = eval_polar(q, phases, one, rule.nodes)
                     direction = rng.normal(size=n)
                     direction /= np.linalg.norm(direction)
@@ -218,20 +246,20 @@ def suite_zonal_reproduce(seed: int = 42, cases: int = 20) -> dict:
                     kv = zonal_section(coef, eta, phases, one, rule.nodes, n)
                     got = complex(np.sum(rule.weights * qv * kv)) / p
                     expected = evaluate(q, eta)
-                    sweep.add(abs(got - expected), 1.0 + abs(expected))
+                    sweep.add(abs(got - expected), 1.0 + abs(expected), cfg=cfg, degree=m, x=eta, q_seed=q_seed)
 
                     xin = _random_point(cfg, rng)
                     kv = zonal_section(coef, xin, [0.0], one, rule.nodes, n)[0, 0]
                     got_ball = complex(np.sum(rule.weights * qv[0, 0] * kv))
                     expected_ball = evaluate(q, xin)
-                    sweep.add(abs(got_ball - expected_ball), 1.0 + abs(expected_ball))
-    return sweep.report("zonal_reproduce", tol, "max_rel_err", seed=seed)
+                    sweep.add(abs(got_ball - expected_ball), 1.0 + abs(expected_ball), cfg=cfg, degree=m, x=xin, q_seed=q_seed)
+    return sweep.report("zonal_reproduce", tol, seed=seed)
 
 
 def suite_orthogonality(seed: int = 42, cases: int = 12) -> dict:
     """Cross-degree inner products vanish on both the spheres and the balls."""
     tol = 1e-9
-    sweep = _Sweep()
+    sweep = _Sweep("max_rel_err")
     for n in (2, 3):
         sphere = build_sphere_rule(n, 20)
         ball = build_ball_rule(n, 0.0, 0.0, 20)
@@ -253,15 +281,15 @@ def suite_orthogonality(seed: int = 42, cases: int = 12) -> dict:
                 for l in range(m + 1, 9):
                     ip_s = inner_product_sphere(cfg, polys[m], polys[l], sphere)
                     ip_b = inner_product_ball(cfg, 0.0, 0.0, polys[m], polys[l], ball)
-                    sweep.add(abs(ip_s), norms_s[m] * norms_s[l])
-                    sweep.add(abs(ip_b), norms_b[m] * norms_b[l])
-    return sweep.report("orthogonality", tol, "max_rel_err", seed=seed)
+                    sweep.add(abs(ip_s), norms_s[m] * norms_s[l], cfg=cfg, degrees=[m, l], domain="sphere")
+                    sweep.add(abs(ip_b), norms_b[m] * norms_b[l], cfg=cfg, degrees=[m, l], domain="ball")
+    return sweep.report("orthogonality", tol, seed=seed)
 
 
 def suite_mean_value(seed: int = 42, cases: int = 50) -> dict:
     """Rotated mean-value formula against direct evaluation (n = 3)."""
     tol = 1e-8
-    sweep = _Sweep()
+    sweep = _Sweep("max_abs_err")
     rng = np.random.default_rng(seed)
     # degree-50 rule: the non-polynomial weight decays like (|x|/r)^m, so
     # capping |x| at 0.3 leaves the cubature tail far below tolerance
@@ -270,15 +298,16 @@ def suite_mean_value(seed: int = 42, cases: int = 50) -> dict:
     for p in DEFAULT_ORDERS:
         cfg = KernelConfig(n=3, p=p)
         for i in range(cases):
-            u = random_polyharmonic(cfg, 6, blocks=6, seed=seed + 71 * p + i)
+            u_seed = seed + 71 * p + i
+            u = random_polyharmonic(cfg, 6, blocks=6, seed=u_seed)
             direction = rng.normal(size=3)
             direction /= np.linalg.norm(direction)
             x = make_rotated_point(0.0, rng.uniform(0.0, 0.3) * direction)
             got = mean_value_eval(cfg, u, np.zeros(3), r, x, rule)
             expected = evaluate(u, x)
-            sweep.add(abs(got - expected), 1.0 + abs(expected))
+            sweep.add(abs(got - expected), 1.0 + abs(expected), cfg=cfg, x=x, radius=r, u_seed=u_seed)
     # the scale 1 + |u(x)| >= 1 makes the relative error at most the absolute
-    return sweep.report("mean_value", tol, "max_abs_err", seed=seed)
+    return sweep.report("mean_value", tol, seed=seed)
 
 
 def suite_growth(seed: int = 42, cases: int = 65) -> dict:
@@ -288,7 +317,7 @@ def suite_growth(seed: int = 42, cases: int = 65) -> dict:
     [0.5, 1), and the pairs (x, 0.8 x) and (x, -0.8 x), where the bound is
     attained (t = 1 and t = -1).  The errors are the ratios of the two sides.
     """
-    sweep = _Sweep()
+    sweep = _Sweep("max_abs_err")
     rng = np.random.default_rng(seed)
     for n in DEFAULT_DIMS:
         for p in DEFAULT_ORDERS:
@@ -300,9 +329,11 @@ def suite_growth(seed: int = 42, cases: int = 65) -> dict:
             t, zeta = np.array([i.t for i in inv]), np.array([i.zeta for i in inv])
             for m, dim in enumerate(polyharmonic_dims(n, p, 40)):
                 z = zonal_poly_sum(degree_coefficients(p, m), t, zeta, n)
-                sweep.add(float(np.max(np.abs(z) / (dim * np.abs(zeta) ** m))), 1.0, cases=len(pairs))
+                ratios = np.abs(z) / (dim * np.abs(zeta) ** m)
+                j = int(np.argmax(ratios))
+                sweep.add(float(ratios[j]), 1.0, cases=len(pairs), cfg=cfg, x=pairs[j][0], y=pairs[j][1], degree=m)
     note = "errors are ratios |Z^p_m| / (D_p(m) (|x||y|)^m), not absolute errors"
-    return sweep.report("growth", 1.0 + 1e-12, "max_abs_err", seed=seed, note=note)
+    return sweep.report("growth", 1.0 + 1e-12, seed=seed, note=note)
 
 
 SUITES = {

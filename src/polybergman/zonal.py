@@ -95,10 +95,35 @@ def _zonal_iter(s, b, m_max: int, n: int):
 
 
 def _zonal_rows(s, b, m_max: int, n: int) -> np.ndarray:
-    """Rows m = 0..m_max of _zonal_iter(s, b, m_max, n) as one array."""
+    """Rows m = 0..m_max of _zonal_iter(s, b, m_max, n) as one array.
+
+    For an array s each row is written in place into the preallocated
+    result by ufuncs given their output, with one scratch row for the
+    b-term: no temporaries per row and no copy.  The association of
+    _zonal_iter, (2 f_m s) z_{m-1} - (f_m c_m b) z_{m-2}, is kept, so the
+    rows are the same bits.  A scalar s runs _zonal_iter on Python numbers.
+    """
     out = np.empty((m_max + 1,) + np.shape(s), dtype=np.result_type(s, b))
-    for m, z in enumerate(_zonal_iter(s, b, m_max, n)):
-        out[m] = z
+    if not isinstance(s, np.ndarray):
+        for m, z in enumerate(_zonal_iter(s, b, m_max, n)):
+            out[m] = z
+        return out
+    two_f, fc = _recurrence_constants(n, m_max)
+    # one view per row and positional out arguments: on a few hundred
+    # cosines the per-call overhead is most of a row's cost
+    rows = list(out)
+    out[0] = 1.0
+    if m_max >= 1:
+        np.multiply(two_f[1], s, rows[1])
+    tmp = np.empty_like(rows[0])
+    for m in range(2, m_max + 1):
+        # operands in the expression's order: numpy's complex loops may use
+        # fused multiply-adds, which are not symmetric in their operands
+        row = rows[m]
+        np.multiply(two_f[m], s, row)
+        np.multiply(row, rows[m - 1], row)
+        np.multiply(fc[m] * b, rows[m - 2], tmp)
+        np.subtract(row, tmp, row)
     return out
 
 
@@ -189,23 +214,32 @@ def _scalar_poly_sum(rows, t: float, zeta: complex, n: int) -> complex:
     return total
 
 
+def _section_weights(coef, x: RotatedPoint, phases, radii):
+    """(W, pole) of the section of zonal_poly_sum(coef, ., ., n) at x over a
+    polar grid: W = _degree_weights(coef, zeta) at
+    zeta = |x| radii_i e^{i (phase(x) - phases_k)}, shape (K, I, L), and the
+    unit vector x/|x| whose cosines with the nodes are t (the zero vector
+    at the origin, where zeta = 0 and t = 0)."""
+    rx = x.radius
+    radii = np.asarray(radii, dtype=float)
+    phases = np.asarray(phases, dtype=float)
+    zeta = rx * radii * np.exp(1j * (x.phase - phases[:, None]))
+    return _degree_weights(coef, zeta), (x.coords / rx if rx else np.zeros(x.coords.shape[0]))
+
+
 def section_factors(coef, x: RotatedPoint, phases, radii, unit: np.ndarray, n: int):
     """Separable factors (W, z) of zonal_poly_sum(coef, t, zeta, n) at the pairs
     (x, e^{i phases_k} radii_i unit_j): the sum there is sum_l W[k, i, l] z[l, j].
 
     The array form of pair_invariants on a polar grid of unit vectors: the
-    cosine t = unit_j . x/|x| depends on the node only (0 when x is the
-    origin, where zeta = 0) and zeta = |x| radii_i e^{i (phase(x) - phases_k)}
-    on the phase and radius only, so W = _degree_weights(coef, zeta) has
-    shape (K, I, L) and one recurrence gives z_l(t_j), shape (L, J).
+    cosine t = unit_j . x/|x| depends on the node only and zeta on the phase
+    and radius only (_section_weights), so W has shape (K, I, L) and one
+    recurrence gives z_l(t_j), shape (L, J).  reproduce runs that
+    recurrence on the test polynomial's poles too
+    (polyspace._stacked_factors).
     """
-    rx = x.radius
-    t = unit @ (x.coords / rx) if rx else np.zeros(unit.shape[0])
-    radii = np.asarray(radii, dtype=float)
-    phases = np.asarray(phases, dtype=float)
-    zeta = rx * radii * np.exp(1j * (x.phase - phases[:, None]))
-    w = _degree_weights(coef, zeta)
-    return w, zonal_values(t, w.shape[-1] - 1, n)
+    w, pole = _section_weights(coef, x, phases, radii)
+    return w, zonal_values(unit @ pole, w.shape[-1] - 1, n)
 
 
 def zonal_section(coef, x: RotatedPoint, phases, radii, unit: np.ndarray, n: int) -> np.ndarray:

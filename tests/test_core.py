@@ -11,11 +11,15 @@ from numpy.testing import assert_allclose
 from polybergman import (
     BranchCutProximity,
     KernelConfig,
+    build_radial_rule,
     make_rotated_point,
     pair_invariants,
     principal_pow,
+    radial_moment,
     unit_ball_volume,
+    weighted_coefficient,
 )
+from polybergman.core import check_weight_parameters
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 small_coords = st.lists(st.floats(-0.9, 0.9), min_size=2, max_size=4)
@@ -397,11 +401,44 @@ class TestKernelConfig:
             dict(n=3, p=True),
             dict(n=3, p=math.nan),
             dict(n="3", p=1),
+            dict(n=3, p=1, alpha=False, beta=True),
+            dict(n=3, p=1, beta=True),
+            dict(n=3, p=1, alpha=np.True_),
+            dict(n=3, p=1, alpha="1"),
+            dict(n=3, p=1, beta="0"),
+            dict(n=3, p=1, alpha=1 + 0j),
+            dict(n=3, p=1, beta=np.complex128(0.5)),
+            dict(n=3, p=1, alpha=None),
+            dict(n=3, p=1, r_max="0.5"),
+            dict(n=3, p=1, r_max=True),
+            dict(n=3, p=1, r_max=0.5 + 0j),
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             KernelConfig(**kwargs)
+
+    def test_weights_and_radius_bound_are_stored_as_floats(self):
+        cfg = KernelConfig(n=3, p=1, alpha=1, beta=np.float32(0.5), r_max=np.float64(0.9))
+        assert [type(v) for v in (cfg.alpha, cfg.beta, cfg.r_max)] == [float, float, float]
+        assert (cfg.alpha, cfg.beta, cfg.r_max) == (1.0, 0.5, 0.9)
+        assert cfg == KernelConfig(n=3, p=1, alpha=1.0, beta=0.5, r_max=0.9)
+
+    @pytest.mark.parametrize("alpha, beta", [(False, 0.0), (0.0, True), ("1", 0.0), (0.0, "0"), (1j, 0.0), (None, 0.0)])
+    def test_weight_checks_reject_non_real_values(self, alpha, beta):
+        # one check serves the config, the radial moments, the series weights
+        # and the radial rules; memoised rules at the equal float weights
+        # (False == 0.0, True == 1.0) do not answer for a bool
+        build_radial_rule(3, 0.0, 0.0, 4)
+        build_radial_rule(3, 0.0, 1.0, 4)
+        for call in (
+            lambda: check_weight_parameters(3, alpha, beta),
+            lambda: radial_moment(3, 1, alpha, beta),
+            lambda: weighted_coefficient(3, alpha, beta, 2),
+            lambda: build_radial_rule(3, alpha, beta, 4),
+        ):
+            with pytest.raises(ValueError, match="real number"):
+                call()
 
     def test_numpy_integers_are_stored_as_ints(self):
         cfg = KernelConfig(n=np.int64(4), p=np.int32(2))

@@ -354,6 +354,39 @@ class TestMeanValue:
                 want = evaluate(u, x)
                 assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
 
+    def test_centred_ball_makes_no_complex_evaluation(self, monkeypatch):
+        def complex_route(*args):
+            raise AssertionError("centred mean value took eval_complex")
+
+        monkeypatch.setattr(polyspace, "eval_complex", complex_route)
+        rule = build_sphere_rule(3, 20)
+        cfg = KernelConfig(n=3, p=2)
+        u = random_polyharmonic(cfg, 6, blocks=4, seed=3)
+        x = make_rotated_point(0.0, (0.1, -0.2, 0.05))
+        got = mean_value_eval(cfg, u, np.zeros(3), 0.6, x, rule)
+        assert abs(got - evaluate(u, x)) <= 1e-8 * (1.0 + abs(evaluate(u, x)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_centred_route_matches_complex_route(self, n, p):
+        # the centred nodes r e^{ik pi/p} zeta_j as rotated points (the
+        # polynomial route) against the same nodes as complex vectors
+        # (eval_complex, which a callable u reaches)
+        cfg = KernelConfig(n=n, p=p)
+        rule = build_sphere_rule(n, 12)
+        r = 0.6
+        u = random_polyharmonic(cfg, 6, blocks=6, seed=10 * n + p)
+        polar = eval_polar(u, cfg.sector_phases(), (r,), rule.nodes)[:, 0]
+        rot = np.exp(1j * cfg.sector_phases())[:, None, None]
+        pts = (r * rot * rule.nodes).reshape(-1, n)
+        direct = eval_complex(u, pts).reshape(polar.shape)
+        assert_allclose(polar, direct, rtol=1e-13, atol=1e-13 * np.max(np.abs(direct)))
+        direction = unit(np.arange(1.0, n + 1))
+        x = make_rotated_point(0.0, 0.25 * direction)
+        got = mean_value_eval(cfg, u, np.zeros(n), r, x, rule)
+        want = mean_value_eval(cfg, lambda z: eval_complex(u, z), np.zeros(n), r, x, rule)
+        assert_allclose(got, want, rtol=1e-13)
+
     def test_harmonic_case_is_classical_poisson_integral(self):
         # single sector: the weight reduces to the textbook Poisson kernel
         rule = build_sphere_rule(3, 30)

@@ -293,25 +293,38 @@ class TestInnerProducts:
         ]:
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
-    def test_one_recurrence_per_polynomial_per_call(self, monkeypatch):
-        # the zonal factors depend on the sphere node only: one recurrence
-        # per operand, whatever the number of sectors and radial nodes
+    def test_one_recurrence_per_op(self, monkeypatch):
+        # every array recurrence runs through zonal._zonal_rows, whichever
+        # binding of zonal_values calls it; the zonal factors depend on the
+        # sphere node only, so each op stacks all its node cosines (both
+        # operands' poles, or the polynomial's poles and x/|x|) into one
+        # recurrence, whatever the number of sectors and radial nodes
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return zonal_values(*args)
+            return zonal_rows(*args)
 
-        zonal_values = polyspace.zonal_values
-        monkeypatch.setattr(polyspace, "zonal_values", counted)
+        zonal_rows = zonal._zonal_rows
+        monkeypatch.setattr(zonal, "_zonal_rows", counted)
         cfg = KernelConfig(n=3, p=3)
-        ball = build_ball_rule(3, 0.0, 0.0, 12)
-        q = random_polyharmonic(cfg, 6, blocks=5, seed=1)
-        inner_product_ball(cfg, 0.0, 0.0, q, q, ball)
-        assert len(calls) == 2
+        ball = build_ball_rule(3, 0.0, 0.0, 14)
+        f = random_polyharmonic(cfg, 6, blocks=5, seed=1)
+        g = random_polyharmonic(cfg, 6, blocks=4, seed=2)
         x = make_rotated_point(cfg.sector_phase(1), (0.2, 0.1, -0.3))
-        reproduce(cfg, 0.0, 0.0, q, x, 6, build_ball_rule(3, 0.0, 0.0, 14))
-        assert len(calls) == 3
+        for op in (
+            lambda: inner_product_ball(cfg, 0.0, 0.0, f, g, ball),
+            lambda: inner_product_sphere(cfg, f, g, ball.sphere),
+            lambda: reproduce(cfg, 0.0, 0.0, f, x, 6, ball),
+            lambda: mean_value_eval(cfg, f, np.zeros(3), 0.6, make_rotated_point(0.0, (0.1, 0.2, 0.0)), ball.sphere),
+        ):
+            calls.clear()
+            op()
+            assert len(calls) == 1
+        # the recurrence reaches the largest degree the op needs
+        calls.clear()
+        reproduce(cfg, 0.0, 0.0, f, x, 6, ball)
+        assert calls[0][2] == 6 and calls[0][0].shape == (6, ball.sphere.nodes.shape[0])
 
     def test_weight_mismatch_rejected(self):
         cfg = KernelConfig(n=3, p=1)
