@@ -132,7 +132,7 @@ def principal_pow(w, e: float, eps_branch: float = EPS_BRANCH):
     frac = e % 1.0  # 0 for an integer e, 0.5 for a half-integer one
     if type(w) is not complex:
         if isinstance(w, np.ndarray):
-            w = w.astype(complex)
+            w = w.astype(complex, copy=False)  # never written to
             if frac == 0.0:
                 if e < 0 and np.any(w == 0):
                     raise ZeroDivisionError("principal_pow of 0 to a negative power")
@@ -222,7 +222,6 @@ class KernelConfig:
     beta: float = 0.0
     r_max: float = 0.95
     eps_branch: ClassVar[float] = EPS_BRANCH
-    eps_sing: ClassVar[float] = EPS_SING
 
     def __post_init__(self):
         # stored as Python ints, so a numpy integer behaves as its value

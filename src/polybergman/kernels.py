@@ -34,7 +34,7 @@ from .core import (
     sphere_area,
 )
 from .errors import ConvergenceDomain, NearSingular
-from .zonal import _window, polyharmonic_dims, zonal_poly_sum
+from .zonal import _window, polyharmonic_dims, series_coefficients, zonal_poly_sum
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,12 @@ def _weight_table(n: int, alpha: float, beta: float, kind: str, window: int) -> 
     return tuple(_series_weights(n, alpha, beta, kind, window - 1).tolist())
 
 
+def _series_rows(n: int, p: int, alpha: float, beta: float, kind: str, top: int) -> list:
+    """Rows of sum_{m<=top} g(m) Z^p_m for the series weight g of kind:
+    zonal.series_coefficients of the memoised weights of degrees 0..top."""
+    return series_coefficients(p, _weight_table(n, alpha, beta, kind, _window(top))[: top + 1])
+
+
 @lru_cache(maxsize=None)
 def _tail_terms(n: int, p: int, alpha: float, beta: float, kind: str, window: int) -> tuple[float, ...]:
     """g(m) D_p(m) for m = 0..window-1 as Python floats: the tail bound's
@@ -130,12 +136,12 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
         raise ValueError(f"radius must be nonnegative and finite, got {r}")
     if r > cfg.r_max:
         raise ConvergenceDomain(f"radius {r} exceeds r_max={cfg.r_max}")
-    if r == 0.0:
-        return 0
     m_cap = 100_000
     config = (cfg.n, cfg.p, cfg.alpha, cfg.beta, kind)
     lo, window = 0, 64
-    c = _tail_terms(*config, window)
+    c = _tail_terms(*config, window)  # raises ValueError for an unknown kind
+    if r == 0.0:
+        return 0
     a1 = c[1] * r
     while True:
         for big_m in range(lo, min(window - 2, m_cap)):
@@ -231,11 +237,9 @@ def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> c
 def _zonal_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation, kind: str) -> complex:
     """sum_{m<=max_degree} g(m) Z^p_m(x, y) with the series weight of kind,
     normalized by n Vol_n for the Bergman kinds.  Row k of the harmonic
-    rearrangement (zonal.series_coefficients) is g(2k..max_degree)."""
+    rearrangement (_series_rows) is g(2k..max_degree)."""
     inv = _checked_pair(cfg, x, y, series=True)
-    top = trunc.max_degree
-    g = _weight_table(cfg.n, cfg.alpha, cfg.beta, kind, _window(top))
-    rows = [g[2 * k : top + 1] for k in range(min(cfg.p, top // 2 + 1))]
+    rows = _series_rows(cfg.n, cfg.p, cfg.alpha, cfg.beta, kind, trunc.max_degree)
     total = zonal_poly_sum(rows, inv.t, inv.zeta, cfg.n)
     return total if kind == "poisson" else total / sphere_area(cfg.n)
 

@@ -8,6 +8,11 @@ safety net.  Blocks evaluate along two routes: an exact phase-split route
 for rotated points, and a bilinear polynomial route for general complex
 vectors (needed off the rotated-point family by the mean-value formula on
 an off-centre ball).
+
+On a polar grid e^{i phases_k} radii_i unit_j, test polynomials and kernel
+sections are separable, and _stacked_factors is the one producer of their
+factors: eval_at_phase, eval_polar, zonal_section and the cubature of
+quadrature all contract what it returns.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_SING, KernelConfig, RotatedPoint, principal_pow
+from .core import EPS_SING, KernelConfig, RotatedPoint, check_integer, principal_pow
 from .errors import NearSingular
-from .zonal import _section_weights, _zonal_iter, zonal_values
+from .zonal import _degree_weights, _zonal_iter, zonal_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,8 +42,8 @@ class ZonalBlock:
     coeff: complex
 
     def __post_init__(self):
-        if self.k < 0 or self.d < 0:
-            raise ValueError("block indices must be nonnegative")
+        object.__setattr__(self, "k", check_integer("block radial index k", self.k, 0))
+        object.__setattr__(self, "d", check_integer("block harmonic degree d", self.d, 0))
         if abs(np.linalg.norm(self.pole) - 1.0) > 1e-12:
             raise ValueError("block pole must be a unit vector")
 
@@ -54,6 +59,8 @@ class PolyharmonicPolynomial:
     p: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", check_integer("dimension n", self.n, 2))
+        object.__setattr__(self, "p", check_integer("polyharmonic order p", self.p, 1))
         for b in self.blocks:
             if b.k >= self.p:
                 raise ValueError(f"block radial index {b.k} not below order {self.p}")
@@ -104,35 +111,50 @@ def random_homogeneous(
     return _random_blocks(cfg, degree, blocks, seed, homogeneous=True)
 
 
-def _stacked_factors(phases, radii, unit: np.ndarray, polys, section=None):
-    """polar_factors of each polynomial in polys and, for section = (coef, x),
-    zonal.section_factors of that kernel section, all on the polar grid
-    e^{i phases_k} radii_i unit_j and from one zonal recurrence.
+def _stacked_factors(phases, radii, unit, polys, section=None):
+    """Separable factors of each polynomial in polys and, for
+    section = (coef, x), of that kernel section, all on the polar grid
+    e^{i phases_k} radii_i unit_j and from one zonal recurrence: the only
+    producer of polar-grid factors.
+
+    A polynomial there is sum_b rot[b, k] rad[b, i] zon[b, j]: a block
+    c |x|^(2k) Z_d(x, pole) at a grid point is c e^{i deg phases_k}
+    radii_i^deg Z_d(unit_j, pole) with deg = d + 2k.  The section
+    zonal_poly_sum(coef, t, zeta, n) at the pairs (x, grid point) is
+    sum_l W[k, i, l] z[l, j]: its cosine t = unit_j . x/|x| depends on the
+    node only and zeta = |x| radii_i e^{i (phase(x) - phases_k)} on the
+    phase and radius only, so W = _degree_weights(coef, zeta).  The origin
+    x = 0 takes the zero vector for x/|x|, where zeta = 0 and t = 0.
 
     The recurrence runs on the stacked cosines
     [poles of every block; x/|x|] @ unit^T, one row of node cosines per
     pole, up to the largest block degree d and the section's top degree:
     each block's zonal factor is z_d of its own row and the section's z is
-    z_0..z_L of the last row.  A block c |x|^(2k) Z_d(x, pole) at a grid
-    point is c e^{i deg phases_k} radii_i^deg Z_d(unit_j, pole) with
-    deg = d + 2k; the section's weights come from zonal._section_weights.
+    z_0..z_L of the last row.  unit holds unit vectors; a zero row stands
+    for the origin, where only degree-0 blocks survive and z_0 = 1.
     Returns a list of (rot, rad, zon) per polynomial, shapes (B, K), (B, I)
-    and (B, J) for B blocks, followed by (W, z) when section is given.
+    and (B, J) for B blocks, followed by (W, z), shapes (K, I, L) and
+    (L, J), when section is given.
     """
+    unit = np.asarray(unit, dtype=float)
+    phases = np.asarray(phases, dtype=float)
+    radii = np.asarray(radii, dtype=float)
     blocks = [b for q in polys for b in q.blocks]
     d = np.array([b.d for b in blocks], dtype=int)
     poles = [b.pole for b in blocks]
     top = int(d.max(initial=0))
     if section is not None:
-        w, pole = _section_weights(*section, phases, radii)
-        poles.append(pole)
+        coef, x = section
+        rx = x.radius
+        w = _degree_weights(coef, rx * radii * np.exp(1j * (x.phase - phases[:, None])))
+        poles.append(x.coords / rx if rx else np.zeros(x.coords.shape[0]))
         top = max(top, w.shape[-1] - 1)
     z = zonal_values(np.reshape(poles, (-1, unit.shape[1])) @ unit.T, top, unit.shape[1])
     zon = z[d, np.arange(d.size)]
     deg = d + 2 * np.array([b.k for b in blocks], dtype=int)
     coeff = np.array([b.coeff for b in blocks], dtype=complex)
     rot = coeff[:, None] * np.exp(1j * np.outer(deg, phases))
-    rad = np.asarray(radii, dtype=float)[None, :] ** deg[:, None]
+    rad = radii[None, :] ** deg[:, None]
     out, start = [], 0
     for q in polys:
         part = slice(start, start + len(q.blocks))
@@ -147,36 +169,33 @@ def eval_at_phase(q: PolyharmonicPolynomial, phase: float, coords: np.ndarray):
     """Evaluate at the batch of rotated points e^{i*phase} * coords.
 
     coords is (N, n) real; the |x|^(2k) factors become exact phase
-    multiplications e^{2ik*phase} r^(2k): the one-phase contraction of
-    polar_factors with each point's own radius.
+    multiplications e^{2ik*phase} r^(2k): the one-phase contraction of the
+    polar factors (_stacked_factors) with each point's own radius.
     """
     coords = np.asarray(coords, dtype=float)
     r = np.linalg.norm(coords, axis=-1)
-    rot, rad, zon = polar_factors(q, [phase], r, coords / np.where(r == 0.0, 1.0, r)[:, None])
+    rot, rad, zon = _stacked_factors([phase], r, coords / np.where(r == 0.0, 1.0, r)[:, None], (q,))[0]
     return rot[:, 0] @ (rad * zon)
-
-
-def polar_factors(q: PolyharmonicPolynomial, phases, radii, unit: np.ndarray):
-    """Separable factors (rot, rad, zon) of q on the polar grid
-    e^{i phases_k} radii_i unit_j: q there is sum_b rot[b, k] rad[b, i] zon[b, j].
-
-    Each block's zonal factor is computed once on the unit vectors, whatever
-    the number of phases and radii, by one recurrence for all blocks
-    (_stacked_factors).  unit holds unit vectors; a zero row stands for the
-    origin, where only degree-0 blocks survive and z_0 = 1.  Shapes are
-    (B, K), (B, I) and (B, J) for B blocks.
-    """
-    return _stacked_factors(phases, radii, np.asarray(unit, dtype=float), (q,))[0]
 
 
 def eval_polar(q: PolyharmonicPolynomial, phases, radii, unit: np.ndarray):
     """Values at the polar grid e^{i phases_k} radii_i unit_j, shape (K, I, J):
-    the grid contraction of polar_factors, one matmul of the (K I, B) outer
-    products of the phase and radial factors with the (B, J) zonal ones."""
-    rot, rad, zon = polar_factors(q, phases, radii, unit)
+    the grid contraction of the polar factors (_stacked_factors), one
+    matmul of the (K I, B) outer products of the phase and radial factors
+    with the (B, J) zonal ones."""
+    rot, rad, zon = _stacked_factors(phases, radii, unit, (q,))[0]
     (b, k), i = rot.shape, rad.shape[1]
     outer = (rot[:, :, None] * rad[:, None, :]).reshape(b, k * i)
     return (outer.T @ zon).reshape(k, i, zon.shape[1])
+
+
+def zonal_section(coef, x: RotatedPoint, phases, radii, unit: np.ndarray, n: int) -> np.ndarray:
+    """zonal_poly_sum(coef, t, zeta, n) at the pairs (x, e^{i phases_k} radii_i unit_j),
+    shape (K, I, J): the grid contraction of the section's factors
+    (_stacked_factors).  x and the rows of unit are n-vectors."""
+    if x.dim != n or np.shape(unit)[-1] != n:
+        raise ValueError(f"dimension mismatch: n={n}, x:{x.dim}, unit vectors of shape {np.shape(unit)}")
+    return np.einsum("kil,lj->kij", *_stacked_factors(phases, radii, unit, (), (coef, x))[0])
 
 
 def eval_complex(q: PolyharmonicPolynomial, z: np.ndarray):
@@ -238,13 +257,13 @@ def from_json(text: str) -> PolyharmonicPolynomial:
         pole.flags.writeable = False
         blocks.append(
             ZonalBlock(
-                k=int(b["k"]),
-                d=int(b["d"]),
+                k=b["k"],
+                d=b["d"],
                 pole=pole,
                 coeff=complex(float(b["coeff"][0]), float(b["coeff"][1])),
             )
         )
-    return PolyharmonicPolynomial(blocks=tuple(blocks), n=int(data["n"]), p=int(data["p"]))
+    return PolyharmonicPolynomial(blocks=tuple(blocks), n=data["n"], p=data["p"])
 
 
 def laplacian_power_residual(

@@ -9,18 +9,18 @@ Ball integrals compose the two in polar form with the n*Vol_n surface factor.
 
 The sector inner products and reproduce sum over the product grid
 sector k x radial node i x sphere node j.  A polynomial operand is separable
-there, sum_b rot[b, k] rad[b, i] zon[b, j] (polyspace.polar_factors), and so
-is the kernel section, sum_l W[k, i, l] z[l, j] (zonal.section_factors).  The
-grid sum is then contracted one factor at a time through small Gram matrices,
-and no (p, R, N) array is formed: with N sphere nodes, operands of B and B'
-blocks cost O(B B' N) and reproduce with L kernel degrees O(B L N), where the
-values on the grid cost O(p R N (B + B')) and O(p R N (B + L)).  Each op
-pays for one real zonal recurrence over its N sphere nodes
-(polyspace._stacked_factors): the node cosines of both operands' poles, or
-of the polynomial's poles and x/|x|, are stacked into one (C, N) array and
-run to the largest degree any of them needs, so an op makes one round of
-numpy calls per degree whatever its number of blocks.  The grid route is
-kept for callable operands only.
+there, sum_b rot[b, k] rad[b, i] zon[b, j], and so is the kernel section,
+sum_l W[k, i, l] z[l, j]; polyspace._stacked_factors is the one producer of
+both.  The grid sum is then contracted one factor at a time through small
+Gram matrices, and no (p, R, N) array is formed: with N sphere nodes,
+operands of B and B' blocks cost O(B B' N) and reproduce with L kernel
+degrees O(B L N), where the values on the grid cost O(p R N (B + B')) and
+O(p R N (B + L)).  Each op pays for one real zonal recurrence over its N
+sphere nodes: the node cosines of both operands' poles, or of the
+polynomial's poles and x/|x|, are stacked into one (C, N) array and run to
+the largest degree any of them needs, so an op makes one round of numpy
+calls per degree whatever its number of blocks.  The grid route is kept for
+callable operands only.
 
 Both rule builders are memoised per process (functools.lru_cache): a rule is
 built once for each distinct argument tuple and the same read-only object is
@@ -36,10 +36,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .core import KernelConfig, RotatedPoint, check_weight_parameters, sphere_area
-from .kernels import _weight_table
+from .core import KernelConfig, RotatedPoint, check_integer, check_weight_parameters, sphere_area
+from .kernels import _series_rows
 from .polyspace import PolyharmonicPolynomial, _stacked_factors, eval_polar
-from .zonal import _window, series_coefficients
 
 NODE_CAP = 10**7
 
@@ -95,11 +94,14 @@ class BallRule:
         return sphere_area(self.radial.n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_sphere_rule(n: int, exact_degree: int) -> SphereRule:
-    """Product cubature exact for all polynomials of degree <= exact_degree."""
-    if n < 2 or exact_degree < 0:
-        raise ValueError(f"invalid sphere rule request n={n}, degree={exact_degree}")
+    """Product cubature exact for all polynomials of degree <= exact_degree.
+
+    The memo is keyed by argument types too, as build_radial_rule's is, so
+    a bool or float equal to a memoised integer is checked and rejected."""
+    n = check_integer("dimension n", n, 2)
+    exact_degree = check_integer("exactness degree", exact_degree, 0)
     n_azim = max(2, 2 * (exact_degree // 2) + 2)
     n_polar = exact_degree // 2 + 1
     count = n_azim * n_polar ** (n - 2)
@@ -126,9 +128,9 @@ def build_sphere_rule(n: int, exact_degree: int) -> SphereRule:
 
 def radial_moment(n: int, m: int, alpha: float, beta: float) -> float:
     """int_0^1 r^(n+2m+alpha-1) (1-r^2)^beta dr by the Gamma closed form."""
+    n = check_integer("dimension n", n, 1)
+    m = check_integer("degree", m, 0)
     alpha, beta = check_weight_parameters(n, alpha, beta)
-    if m < 0:
-        raise ValueError(f"degree must be >= 0, got {m}")
     z = m + 0.5 * (n + alpha)
     return 0.5 * math.exp(math.lgamma(beta + 1.0) + math.lgamma(z) - math.lgamma(z + beta + 1.0))
 
@@ -141,9 +143,9 @@ def build_radial_rule(n: int, alpha: float, beta: float, node_count: int) -> Rad
     The memo is keyed by argument types too, so a bool or complex weight
     that equals a memoised float one (True == 1.0, 0j == 0.0) is checked
     and rejected rather than answered from the memo."""
+    n = check_integer("dimension n", n, 1)
+    node_count = check_integer("node count", node_count, 1)
     alpha, beta = check_weight_parameters(n, alpha, beta)
-    if node_count < 1:
-        raise ValueError(f"radial rule needs at least one node, got {node_count}")
     a = beta
     b = 0.5 * (n + alpha) - 1.0
     t, w = roots_jacobi(node_count, a, b)
@@ -214,7 +216,7 @@ def _inner_product(cfg, f, g, radii, w_rad, sphere: SphereRule) -> complex:
     x sphere grid.
 
     Two polynomial operands are contracted factor by factor: with
-    f = sum_b rot_bk rad_bi zon_bj (polar_factors) and g likewise, the sum is
+    f = sum_b rot_bk rad_bi zon_bj (_stacked_factors) and g likewise, the sum is
     sum_{b,b'} (rot_f rot_g^H)_{bb'} ((rad_f w_rad) rad_g^T)_{bb'}
     ((zon_f w_sph) zon_g^T)_{bb'} / p, O(B_f B_g N) work for N sphere nodes
     against O(p R N (B_f + B_g)) for the values on the grid; both operands'
@@ -265,9 +267,10 @@ def reproduce(
     |y|^alpha (1-|y|^2)^beta dy, which equals u(x) up to cubature error when
     the rule is exact to 2*m_top + 2 and u is of order at most p.
 
-    Both factors are separable on the rule's grid: u = sum_b rot_bk rad_bi
-    zon_bj (polar_factors) and K = sum_l W_kil z_lj (section_factors), so the
-    sum is sum_{b,l} H_bl G_bl / p with
+    Both factors are separable on the rule's grid and come from one
+    _stacked_factors call: u = sum_b rot_bk rad_bi zon_bj and
+    K = sum_l W_kil z_lj, with the kernel's rows from kernels._series_rows,
+    so the sum is sum_{b,l} H_bl G_bl / p with
     H = sum_ki rot_bk rad_bi w_rad_i W_kil and G = (zon w_sph) z^T:
     O(B L N) work for B blocks, L = m_top + 1 degrees and N sphere nodes,
     against O(p R N (B + L)) for both factors' values on the grid.  zon and
@@ -289,11 +292,10 @@ def reproduce(
     _check_ball_rule(cfg, alpha, beta, rule)
     sph = rule.sphere
     rad = rule.radial
-    # the kernel's factor 1/(n Vol_n) cancels the rule's normalization n Vol_n
-    g = np.array(_weight_table(cfg.n, alpha, beta, "weighted", _window(m_top))[: m_top + 1])
     phases = cfg.sector_phases()
-    # the kernel's second slot is conjugate-symmetric already: no conjugation
-    section = (series_coefficients(cfg.p, g), x)
+    # the kernel's factor 1/(n Vol_n) cancels the rule's normalization n Vol_n,
+    # and its second slot is conjugate-symmetric already: no conjugation
+    section = (_series_rows(cfg.n, cfg.p, alpha, beta, "weighted", m_top), x)
     (rot, radial, zon), (w, z) = _stacked_factors(phases, rad.nodes, sph.nodes, (u,), section)
     h = np.einsum("bk,bi,kil->bl", rot, radial * rad.weights, w)
     return complex(np.sum(h * ((zon * sph.weights) @ z.T))) / len(phases)

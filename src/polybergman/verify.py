@@ -33,6 +33,7 @@ from .polyspace import (
     mean_value_eval,
     random_homogeneous,
     random_polyharmonic,
+    zonal_section,
 )
 from .quadrature import (
     build_ball_rule,
@@ -41,7 +42,7 @@ from .quadrature import (
     inner_product_sphere,
     reproduce,
 )
-from .zonal import degree_coefficients, polyharmonic_dims, zonal_poly_sum, zonal_section
+from .zonal import degree_coefficients, polyharmonic_dims, zonal_poly_sum
 
 DEFAULT_DIMS = (2, 3, 4, 5)
 DEFAULT_ORDERS = (1, 2, 3)

@@ -10,11 +10,11 @@ polyharmonics of order p are the finite sums
     Z^p_m(x, y) = sum_{k<p} q^k Z_{m-2k}(x, y),
 
 with q = zeta^2 and terms dropped once m - 2k < 0; t and zeta of a pair come
-from core.pair_invariants, as the closed forms' s, q and w do, and those of
-a polar grid of pairs from section_factors.  Every zonal sum in the package
-goes through one assembly, zonal_poly_sum; on a polar grid, section_factors
-returns its two factors, the weights W[l] (the same _degree_weights) and
-z_l(t), for the caller to contract.
+from core.pair_invariants, as the closed forms' s, q and w do.  Every zonal
+sum in the package goes through one assembly, zonal_poly_sum, of the rows
+that series_coefficients gives; on a polar grid of pairs,
+polyspace._stacked_factors returns its two factors, the weights W[l] (the
+same _degree_weights) and z_l(t), for the caller to contract.
 """
 
 from __future__ import annotations
@@ -147,62 +147,63 @@ def zonal_values(t, m_max: int, n: int) -> np.ndarray:
     return _zonal_rows(np.clip(t, -1.0, 1.0), 1.0, m_max, n)
 
 
-def series_coefficients(p: int, g) -> np.ndarray:
-    """Matrix C[k, l] = g[l + 2k] of the harmonic rearrangement
+def series_coefficients(p: int, g) -> list:
+    """Rows g[2k:], k < p, of the harmonic rearrangement
 
         sum_{m<=M} g[m] Z^p_m = sum_{k<p} q^k sum_{l<=M-2k} g[l+2k] Z_l,
 
-    in the form zonal_poly_sum consumes; g holds the weights of degrees
-    0..M.  A one-hot g at degree m gives Z^p_m itself.
+    the coefficients zonal_poly_sum consumes; g is a sequence of the
+    weights of degrees 0..M, and row k holds the weights of l = 0..M-2k.  A
+    one-hot g at degree m gives Z^p_m itself (degree_coefficients).
     """
-    g = np.asarray(g)
-    top = g.shape[0] - 1
-    coef = np.zeros((min(p, top // 2 + 1), top + 1), dtype=g.dtype)
-    for k in range(coef.shape[0]):
-        coef[k, : top + 1 - 2 * k] = g[2 * k :]
-    return coef
+    top = len(g) - 1
+    return [g[2 * k :] for k in range(min(p, top // 2 + 1))]
 
 
 def zonal_poly_sum(coef, t, zeta, n: int):
-    """sum_k zeta^(2k) sum_l coef[k, l] zeta^l z_l(t), broadcast over t, zeta.
+    """sum_k zeta^(2k) sum_l coef[k][l] zeta^l z_l(t), broadcast over t, zeta.
 
     With t the cosine between the real parts of a pair and zeta = |a||b|
     e^{i (phi-psi)}, zeta^l z_l(t) is the extended harmonic Z_l and
     zeta^2 = q, so this is the single assembly of every zonal
-    polyharmonic sum.  t and zeta are scalars or arrays of mutually
-    broadcastable shapes and the result has their broadcast shape.  A zero
-    radius is zeta = 0 (any t): only the l = 0 column survives.
+    polyharmonic sum.  coef is a sequence of rows of any lengths, row k
+    holding the real weights of l = 0..len-1 (series_coefficients).  t and zeta
+    are scalars or arrays of mutually broadcastable shapes and the result
+    has their broadcast shape.  A zero radius is zeta = 0 (any t): only the
+    l = 0 column survives.
 
     For a scalar t and zeta the sum runs on Python numbers, with no numpy
     call: the recurrence forward, then Horner backward in zeta over l and
-    in q = zeta^2 over k; coef may then also be a sequence of rows of
-    unequal lengths (row k holding the weights of l = 0..len-1).
+    in q = zeta^2 over k.
     """
     if isinstance(t, (int, float)) and isinstance(zeta, (int, float, complex)):
-        return _scalar_poly_sum(coef.tolist() if isinstance(coef, np.ndarray) else coef, t, zeta, n)
+        return _scalar_poly_sum(coef, t, zeta, n)
     w = _degree_weights(coef, zeta)
     top = w.shape[-1] - 1
     zmat = zonal_values(t, top, n).reshape(top + 1, -1).T.reshape(np.shape(t) + (top + 1,))
     return np.einsum("...l,...l->...", w, zmat)
 
 
-def _degree_weights(coef, zeta) -> np.ndarray:
-    """W[..., l] = zeta^l sum_k coef[k, l] zeta^(2k), the factor of z_l(t) in
+def _degree_weights(rows, zeta) -> np.ndarray:
+    """W[..., l] = zeta^l sum_k rows[k][l] zeta^(2k), the factor of z_l(t) in
     zonal_poly_sum, with the degree axis appended to zeta's shape.
 
-    k is contracted first: when t varies along other axes than zeta (the
-    ball nodes of every sector and radius), no array of that full shape
-    times the degree axis is ever formed.
+    The rows are zero-padded into one (K, L) matrix, the only dense form of
+    the coefficients.  k is contracted first: when t varies along other
+    axes than zeta (the ball nodes of every sector and radius), no array of
+    that full shape times the degree axis is ever formed.
     """
-    coef = np.asarray(coef)
+    coef = np.zeros((len(rows), max(map(len, rows))))
+    for k, row in enumerate(rows):
+        coef[k, : len(row)] = row
     zeta = np.asarray(zeta, dtype=complex)[..., None]
     qpow = zeta ** np.arange(0, 2 * coef.shape[0], 2)
     return (qpow @ coef) * zeta ** np.arange(coef.shape[1])
 
 
 def _scalar_poly_sum(rows, t: float, zeta: complex, n: int) -> complex:
-    """zonal_poly_sum at one pair, with rows[k][l] = coef[k, l]: Horner in
-    zeta over l within each row, then in q = zeta^2 over k."""
+    """zonal_poly_sum at one pair: Horner in zeta over l within each row,
+    then in q = zeta^2 over k."""
     z = list(_zonal_iter(_clip_cosine(t), 1.0, max(map(len, rows)) - 1, n))
     q = zeta * zeta
     total = 0j
@@ -214,45 +215,9 @@ def _scalar_poly_sum(rows, t: float, zeta: complex, n: int) -> complex:
     return total
 
 
-def _section_weights(coef, x: RotatedPoint, phases, radii):
-    """(W, pole) of the section of zonal_poly_sum(coef, ., ., n) at x over a
-    polar grid: W = _degree_weights(coef, zeta) at
-    zeta = |x| radii_i e^{i (phase(x) - phases_k)}, shape (K, I, L), and the
-    unit vector x/|x| whose cosines with the nodes are t (the zero vector
-    at the origin, where zeta = 0 and t = 0)."""
-    rx = x.radius
-    radii = np.asarray(radii, dtype=float)
-    phases = np.asarray(phases, dtype=float)
-    zeta = rx * radii * np.exp(1j * (x.phase - phases[:, None]))
-    return _degree_weights(coef, zeta), (x.coords / rx if rx else np.zeros(x.coords.shape[0]))
-
-
-def section_factors(coef, x: RotatedPoint, phases, radii, unit: np.ndarray, n: int):
-    """Separable factors (W, z) of zonal_poly_sum(coef, t, zeta, n) at the pairs
-    (x, e^{i phases_k} radii_i unit_j): the sum there is sum_l W[k, i, l] z[l, j].
-
-    The array form of pair_invariants on a polar grid of unit vectors: the
-    cosine t = unit_j . x/|x| depends on the node only and zeta on the phase
-    and radius only (_section_weights), so W has shape (K, I, L) and one
-    recurrence gives z_l(t_j), shape (L, J).  reproduce runs that
-    recurrence on the test polynomial's poles too
-    (polyspace._stacked_factors).
-    """
-    w, pole = _section_weights(coef, x, phases, radii)
-    return w, zonal_values(unit @ pole, w.shape[-1] - 1, n)
-
-
-def zonal_section(coef, x: RotatedPoint, phases, radii, unit: np.ndarray, n: int) -> np.ndarray:
-    """zonal_poly_sum(coef, t, zeta, n) at the pairs (x, e^{i phases_k} radii_i unit_j),
-    shape (K, I, J): the grid contraction of section_factors."""
-    return np.einsum("kil,lj->kij", *section_factors(coef, x, phases, radii, unit, n))
-
-
-def degree_coefficients(p: int, m: int) -> np.ndarray:
+def degree_coefficients(p: int, m: int) -> list:
     """zonal_poly_sum coefficients of Z^p_m alone (one-hot weight at m)."""
-    g = np.zeros(m + 1)
-    g[m] = 1.0
-    return series_coefficients(p, g)
+    return series_coefficients(p, [0.0] * m + [1.0])
 
 
 def sph_dim(n: int, m: int) -> int:

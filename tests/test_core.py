@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -230,6 +231,21 @@ class TestPrincipalPow:
         with pytest.raises(BranchCutProximity):
             principal_pow(np.array([1.0, 0.0]), 1.5)
 
+    def test_array_route_does_not_copy_a_complex_input(self):
+        # the input is only read: a read-only complex array is taken as it
+        # is, and an integer power allocates its result and nothing else
+        w = np.exp(1j * np.linspace(-3.0, 3.0, 100_000))
+        w.flags.writeable = False
+        want = principal_pow(w.copy(), 2)
+        tracemalloc.start()
+        try:
+            got = principal_pow(w, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 1.5 * w.nbytes, (peak, w.nbytes)
+
     def test_zero_to_a_negative_integer_power_raises(self):
         with pytest.raises(ZeroDivisionError):
             principal_pow(0j, -2)
@@ -370,7 +386,9 @@ class TestUnitBallVolume:
 class TestKernelConfig:
     def test_defaults_valid(self):
         cfg = KernelConfig(n=3, p=2)
-        assert cfg.eps_branch == 1e-12 and cfg.eps_sing == 1e-12
+        assert cfg.eps_branch == 1e-12
+        # the library reads core.EPS_SING; the config carries no copy of it
+        assert not hasattr(cfg, "eps_sing")
         assert cfg.sector_phase(1) == math.pi / 2
 
     def test_settable_fields(self):

@@ -469,6 +469,14 @@ class TestTruncationDegree:
         cfg = KernelConfig(n=3, p=2)
         assert truncation_degree(cfg, 0.0, 1e-10) == 0
 
+    @pytest.mark.parametrize("r", [0.0, 0.3])
+    def test_unknown_kind_raises_at_every_radius(self, r):
+        cfg = KernelConfig(n=3, p=2)
+        with pytest.raises(ValueError, match="kind"):
+            truncation_degree(cfg, r, 1e-10, "nonsense")
+        with pytest.raises(ValueError, match="kind"):
+            make_truncation(cfg, r, 1e-10, "nonsense")
+
     def test_monotone_in_radius(self):
         cfg = KernelConfig(n=3, p=2)
         assert truncation_degree(cfg, 0.8, 1e-10) >= truncation_degree(cfg, 0.5, 1e-10)

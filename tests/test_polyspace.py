@@ -323,6 +323,42 @@ class TestSerialization:
         assert len(data["blocks"][0]["coeff"]) == 2
 
 
+class TestIntegerFields:
+    """Block indices, dimension and order go through core.check_integer,
+    whether they come from code or from JSON."""
+
+    POLE = np.array([1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("k, d", [(0.5, 1), (1, 2.9), (True, 1), (1, "2"), (-1, 0), (0, -1)])
+    def test_block_rejects_non_integer_indices(self, k, d):
+        with pytest.raises(ValueError):
+            ZonalBlock(k=k, d=d, pole=self.POLE, coeff=1j)
+
+    def test_block_stores_python_ints(self):
+        block = ZonalBlock(k=np.int64(1), d=np.int32(2), pole=self.POLE, coeff=1j)
+        assert type(block.k) is int and type(block.d) is int and block.degree == 4
+
+    @pytest.mark.parametrize("n, p", [(3, 0), (1, 1), (3.0, 1), (3, 1.5), (True, 1), (3, True)])
+    def test_polynomial_rejects_invalid_dimension_or_order(self, n, p):
+        with pytest.raises(ValueError):
+            PolyharmonicPolynomial(blocks=(), n=n, p=p)
+
+    @pytest.mark.parametrize(
+        "field, value", [("k", 1.7), ("d", 2.9), ("k", 1.0), ("d", "2"), ("p", 0), ("p", 2.0), ("n", 3.5)]
+    )
+    def test_from_json_rejects_non_integer_fields(self, field, value):
+        import json
+
+        data = json.loads(to_json(random_polyharmonic(KernelConfig(n=3, p=2), 4, blocks=2, seed=7)))
+        if field in ("n", "p"):
+            data["blocks"] = []  # no block whose pole or index could fail first
+            data[field] = value
+        else:
+            data["blocks"][0][field] = value
+        with pytest.raises(ValueError):
+            from_json(json.dumps(data))
+
+
 class TestMeanValue:
     def test_constant_function_at_center(self):
         # at x = a every node weight collapses to 1: exact up to roundoff

@@ -25,9 +25,9 @@ from polybergman import (
 )
 from polybergman import kernels, polyspace, quadrature, zonal
 from polybergman.kernels import _series_weights, weighted_coefficient
-from polybergman.polyspace import eval_at_phase, eval_polar, evaluate
+from polybergman.polyspace import eval_at_phase, eval_polar, evaluate, zonal_section
 from polybergman.quadrature import RadialRule, SphereRule
-from polybergman.zonal import series_coefficients, zonal_section
+from polybergman.zonal import series_coefficients
 
 
 def rule_monomial(rule, kappa):
@@ -152,6 +152,34 @@ class TestRadialRule:
             build_radial_rule(3, 0.0, -1.0, 5)
         with pytest.raises(ValueError):
             build_radial_rule(3, 0.0, 0.0, 0)
+
+
+class TestIntegerArguments:
+    """The rule builders and radial_moment reject non-integer and bool
+    integer arguments with ValueError, also when an equal integer call is
+    memoised."""
+
+    @pytest.mark.parametrize("n, degree", [(3, 4.0), (3.0, 4), (True, 4), (3, True), (3, -1), (1, 4), (3, "4")])
+    def test_sphere_rule(self, n, degree):
+        build_sphere_rule(3, 4)
+        build_sphere_rule(3, 1)
+        with pytest.raises(ValueError):
+            build_sphere_rule(n, degree)
+
+    @pytest.mark.parametrize("n, nodes", [(3, True), (3, 1.0), (3.0, 1), (3, 0), (3, "1")])
+    def test_radial_rule(self, n, nodes):
+        build_radial_rule(3, 0.0, 0.0, 1)
+        with pytest.raises(ValueError):
+            build_radial_rule(n, 0.0, 0.0, nodes)
+
+    @pytest.mark.parametrize("n, m", [(3, 1.5), (3, True), (3, 1.0), (3.0, 1), (True, 1), (3, -1)])
+    def test_radial_moment(self, n, m):
+        with pytest.raises(ValueError):
+            radial_moment(n, m, 0.0, 0.0)
+
+    def test_numpy_integers_pass(self):
+        assert radial_moment(np.int64(3), np.int32(1), 0.0, 0.0) == radial_moment(3, 1, 0.0, 0.0)
+        assert np.array_equal(build_sphere_rule(np.int64(3), np.int64(4)).nodes, build_sphere_rule(3, 4).nodes)
 
 
 def test_rules_are_read_only_whether_built_or_loaded():
@@ -465,7 +493,7 @@ class TestFactorRoute:
             (quadrature, "_ball_values"),
             (quadrature, "_sector_sum"),
             (polyspace, "eval_polar"),
-            (zonal, "zonal_section"),
+            (polyspace, "zonal_section"),
         ]:
             monkeypatch.setattr(module, name, grid)
         cfg = KernelConfig(n=3, p=2)

@@ -12,12 +12,12 @@ from polybergman import (
     zonal_polyharmonic,
 )
 from polybergman import zonal
+from polybergman.polyspace import zonal_section
 from polybergman.zonal import (
     _zonal_rows,
     degree_coefficients,
     polyharmonic_dims,
     zonal_poly_sum,
-    zonal_section,
     zonal_values,
 )
 
@@ -238,12 +238,16 @@ class TestZonalSection:
         # Z^p_m(x, e^{i phase} r u) within 8 ulp of its scale: the same sum
         # with every cosine and phase factor set to 1 (|z_l(t)| <= z_l(1)),
         # times 1 + m^2 for the two routes' differently rounded cosines
-        # (|z_l'(t)| <= z_l'(1) = l (l+n-2)/(n-1) z_l(1) <= m^2 z_l(1))
+        # (|z_l'(t)| <= z_l'(1) = l (l+n-2)/(n-1) z_l(1) <= m^2 z_l(1));
+        # every array recurrence runs through zonal._zonal_rows, and a
+        # section runs one
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return zonal_values(*args)
+            return zonal_rows(*args)
+
+        zonal_rows = zonal._zonal_rows
 
         cfg = KernelConfig(n=n, p=p)
         rng = np.random.default_rng(10 * n + p)
@@ -260,7 +264,7 @@ class TestZonalSection:
             for m in range(0, 7):
                 coef = degree_coefficients(p, m)
                 with monkeypatch.context() as mp:
-                    mp.setattr(zonal, "zonal_values", counted)
+                    mp.setattr(zonal, "_zonal_rows", counted)
                     got = zonal_section(coef, x, phases, radii, unit_nodes, n)
                 assert len(calls) == 1
                 calls.clear()
@@ -271,6 +275,15 @@ class TestZonalSection:
                         for j, u in enumerate(unit_nodes):
                             want = zonal_polyharmonic(cfg, m, x, make_rotated_point(ph, r * u))
                             assert abs(got[k, i, j] - want) <= 8 * eps * scale, (m, k, i, j)
+
+
+    def test_dimension_mismatch(self):
+        x = make_rotated_point(0.0, (0.1, 0.2, 0.3))
+        nodes = np.eye(3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            zonal_section(degree_coefficients(1, 2), x, [0.0], [0.5], nodes, 4)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            zonal_section(degree_coefficients(1, 2), x, [0.0], [0.5], nodes[:, :2], 3)
 
 
 def _inline_zonal_rows(s, b, m_max, n):
@@ -323,20 +336,21 @@ class TestScalarAssembly:
         # arrays, relative to the sum of the terms' magnitudes
         rng = np.random.default_rng(100 * n + p)
         for top in (0, 1, 2, 3, 7, 40, 300):
-            coef = zonal.series_coefficients(p, rng.uniform(0.5, 2.0, top + 1))
+            g = rng.uniform(0.5, 2.0, top + 1)
+            rows = zonal.series_coefficients(p, g.tolist())
+            assert [len(row) for row in rows] == [top + 1 - 2 * k for k in range(min(p, top // 2 + 1))]
             for t in (-1.0, 0.0, 1.0, float(rng.uniform(-1.0, 1.0))):
                 zv = np.abs(zonal_values(t, top, n)[:, 0])
                 for zeta in (0j, complex(rng.uniform(0.0, 0.99) * np.exp(1j * rng.uniform(-math.pi, math.pi)))):
-                    got = zonal_poly_sum(coef, t, zeta, n)
+                    got = zonal_poly_sum(rows, t, zeta, n)
                     assert type(got) is complex
-                    want = zonal_poly_sum(coef, np.array([t]), np.array([zeta]), n)[0]
-                    k = np.arange(coef.shape[0])[:, None]
-                    l = np.arange(top + 1)
-                    terms = np.sum(np.abs(coef) * zv * abs(zeta) ** (l + 2 * k))
+                    want = zonal_poly_sum(rows, np.array([t]), np.array([zeta]), n)[0]
+                    terms = sum(
+                        c * zv[l] * abs(zeta) ** (l + 2 * k) for k, row in enumerate(rows) for l, c in enumerate(row)
+                    )
                     assert abs(got - want) <= 1e-14 * terms, (top, t, zeta)
-                    # rows of unequal lengths: row k without its trailing zeros
-                    rows = [coef[j, : top + 1 - 2 * j].tolist() for j in range(coef.shape[0])]
-                    assert zonal_poly_sum(rows, t, zeta, n) == got
+                    # rows that are numpy views of g: the same Python arithmetic
+                    assert zonal_poly_sum(zonal.series_coefficients(p, g), t, zeta, n) == got
 
 
 class TestZonalComplexEvaluation:
