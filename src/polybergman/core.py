@@ -7,7 +7,10 @@ kernel formula reads a pair x = e^{i*phi} a, y = e^{i*psi} b through one
 record, pair_invariants(x, y): the closed forms read s = x . conj(y),
 q = |x|^2 |conj(y)|^2 (bilinear squares, not Hermitian norms) and
 w = 1 - 2s + q; the zonal series read the cosine t = a.b / (|a||b|) and
-zeta = |a||b| e^{i(phi-psi)}, with s = zeta t and q = zeta^2.
+zeta = |a||b| e^{i(phi-psi)}, with s = zeta t and q = zeta^2.  The pair
+layer runs on Python numbers: each point stores its coordinates as a tuple
+of floats, and a closed form spends a few Python operations per pair where
+a numpy call on a vector of 2-5 coordinates would cost a microsecond.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import cmath
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import ClassVar, NamedTuple
 
@@ -42,10 +45,19 @@ class RotatedPoint:
 
     Points compare and hash by identity: the generated field-wise equality
     would compare the coords arrays, whose truth value is ambiguous.
+
+    The coordinates as a tuple of Python floats (float_coords, what
+    pair_invariants reads) are stored when the point is built: on CPython
+    3.11 a cached_property's first read costs 1.5-3 µs, several times the
+    tuple itself.  The squared norm and the radius are cached on first use.
     """
 
     phase: float
     coords: np.ndarray
+    float_coords: tuple[float, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "float_coords", tuple(self.coords.tolist()))
 
     @cached_property
     def norm2(self) -> float:
@@ -90,6 +102,9 @@ class PairInvariants(NamedTuple):
     zeta: complex
 
 
+_tuple_new = tuple.__new__  # PairInvariants without its Python-level __new__
+
+
 def pair_invariants(x: RotatedPoint, y: RotatedPoint) -> PairInvariants:
     """s, q, w, t, zeta for points x = e^{i*phi} a, y = e^{i*psi} b.
 
@@ -98,17 +113,27 @@ def pair_invariants(x: RotatedPoint, y: RotatedPoint) -> PairInvariants:
     q = e^{2i(phi-psi)} (a.a)(b.b), not the square of the rounded zeta, whose
     two square roots add roundings that the Bergman numerator's cancellation
     near the boundary amplifies.
+
+    Everything runs on Python numbers: a.b is math.fsum of the products of
+    the points' stored float_coords (each product rounded once, their sum
+    exactly), and the record is built by tuple.__new__, which skips the
+    NamedTuple's Python-level __new__.
     """
-    if x.coords.shape != y.coords.shape:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    a, b = x.float_coords, y.float_coords
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     rot = cmath.exp(1j * (x.phase - y.phase))
-    ab = float(x.coords.dot(y.coords))
+    ab = math.fsum(map(operator.mul, a, b))
     rr = x.radius * y.radius
-    t = 0.0 if rr == 0.0 else min(1.0, max(-1.0, ab / rr))
+    t = 0.0 if rr == 0.0 else ab / rr
+    if t > 1.0:
+        t = 1.0
+    elif t < -1.0:
+        t = -1.0
     zeta = rr * rot
     s = rot * ab
     q = rot * rot * (x.norm2 * y.norm2)
-    return PairInvariants(s, q, 1.0 - 2.0 * s + q, t, zeta)
+    return _tuple_new(PairInvariants, (s, q, 1.0 - 2.0 * s + q, t, zeta))
 
 
 def principal_pow(w, e: float, eps_branch: float = EPS_BRANCH):
@@ -137,14 +162,18 @@ def principal_pow(w, e: float, eps_branch: float = EPS_BRANCH):
                 if e < 0 and np.any(w == 0):
                     raise ZeroDivisionError("principal_pow of 0 to a negative power")
                 return w ** int(e)
-            near = (w == 0) | ((w.real <= 0) & (np.abs(w.imag) < eps_branch * np.abs(w)))
+            mod = np.abs(w)
+            near = (mod == 0) | ((w.real <= 0) & (np.abs(w.imag) < eps_branch * mod))
             if np.any(near):
                 raise BranchCutProximity(
                     f"{np.count_nonzero(near)} of {w.size} values within "
                     f"eps_branch={eps_branch:g} of the branch cut"
                 )
             if frac == 0.5:
-                return w ** (e - 0.5) * np.sqrt(w)
+                # an integer exponent: numpy's complex power by a float one
+                # (and by 1) is a general power, several times the cost
+                k = int(e - 0.5)
+                return (w if k == 1 else w**k) * np.sqrt(w)
             return np.exp(e * np.log(w))
         w = complex(w)
     if frac == 0.0:

@@ -170,10 +170,11 @@ def _checked_pair(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, series: b
     domain check of the zonal series (ConvergenceDomain) or of the closed
     forms (NearSingular).
 
-    The dimensions are read from the coordinate shapes directly: a closed
-    form costs a few µs, and each property call is a noticeable share of it.
+    The dimensions are the lengths of the points' stored float_coords: a
+    closed form costs a few µs, and each numpy attribute read is a
+    noticeable share of it.
     """
-    if x.coords.shape[0] != cfg.n or y.coords.shape[0] != cfg.n:
+    if len(x.float_coords) != cfg.n or len(y.float_coords) != cfg.n:
         raise ValueError(f"dimension mismatch: n={cfg.n}, x:{x.dim}, y:{y.dim}")
     rr = x.radius * y.radius
     if series:
@@ -188,23 +189,25 @@ def _checked_pair(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, series: b
     return inv
 
 
-def _poisson_from(cfg: KernelConfig, inv: PairInvariants, p: int) -> complex:
-    """(1 - q^p) / w^(n/2) from the pair invariants."""
-    return (1.0 - inv.q**p) / principal_pow(inv.w, 0.5 * cfg.n)
+def _poisson_from(inv: PairInvariants, p: int, root: complex) -> complex:
+    """(1 - q^p) / w^(n/2) from the pair invariants and root = w^(n/2)."""
+    return (1.0 - inv.q**p) / root
 
 
-def _bergman_from(cfg: KernelConfig, inv: PairInvariants, p: int) -> complex:
-    """The order-p Bergman closed form from the pair invariants."""
+def _bergman_from(cfg: KernelConfig, inv: PairInvariants, p: int, root: complex) -> complex:
+    """The order-p Bergman closed form from the pair invariants and
+    root = w^(n/2): the numerator over n Vol_n * root * w, so w^(n/2+1)
+    costs one multiplication more than the Poisson kernel's power."""
     n = cfg.n
     qp = inv.q**p
     num = (n - 4 * p) * qp * inv.q + (8 * p * inv.s - n - 4 * p) * qp + n * (1.0 - inv.q)
-    den = sphere_area(n) * principal_pow(inv.w, 0.5 * n + 1.0)
-    return num / den
+    return num / (sphere_area(n) * root * inv.w)
 
 
 def poisson(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
     """Closed-form polyharmonic Poisson kernel (1 - q^p) / w^(n/2)."""
-    return _poisson_from(cfg, _checked_pair(cfg, x, y, series=False), cfg.p)
+    inv = _checked_pair(cfg, x, y, series=False)
+    return _poisson_from(inv, cfg.p, principal_pow(inv.w, 0.5 * cfg.n))
 
 
 def bergman(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
@@ -213,7 +216,8 @@ def bergman(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
     [(n-4p) q^(p+1) + (8p s - n - 4p) q^p + n (1-q)] / (n Vol_n w^(n/2+1));
     p = 1 recovers the classical harmonic Bergman kernel.
     """
-    return _bergman_from(cfg, _checked_pair(cfg, x, y, series=False), cfg.p)
+    inv = _checked_pair(cfg, x, y, series=False)
+    return _bergman_from(cfg, inv, cfg.p, principal_pow(inv.w, 0.5 * cfg.n))
 
 
 def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
@@ -222,16 +226,18 @@ def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> c
     R_p = (sum_{k<p} q^k) R_1 + (sum_{k<p} 4k q^k) P_1 / (n Vol_n); the
     geometric ratio (1-q^p)/(1-q) is always expanded as the polynomial, which
     removes the spurious singularity at q = 1 exactly.  Both polynomials are
-    summed by one Horner loop.  R_1 and P_1 each take their own power of w,
-    so p = 1 (geo = 1, lin = 0) is bergman exactly.
+    summed by one Horner loop.  R_1 and P_1 share the pair's one root
+    w^(n/2), the power bergman takes too, so p = 1 (geo = 1, lin = 0) is
+    bergman exactly.
     """
     inv = _checked_pair(cfg, x, y, series=False)
+    root = principal_pow(inv.w, 0.5 * cfg.n)
     q = inv.q
     geo, lin = 1.0, 4.0 * (cfg.p - 1)
     for k in range(cfg.p - 2, -1, -1):
         geo = geo * q + 1.0
         lin = lin * q + 4 * k
-    return geo * _bergman_from(cfg, inv, 1) + lin * _poisson_from(cfg, inv, 1) / sphere_area(cfg.n)
+    return geo * _bergman_from(cfg, inv, 1, root) + lin * _poisson_from(inv, 1, root) / sphere_area(cfg.n)
 
 
 def _zonal_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation, kind: str) -> complex:

@@ -22,9 +22,12 @@ the largest degree any of them needs, so an op makes one round of numpy
 calls per degree whatever its number of blocks.  The grid route is kept for
 callable operands only.
 
-Both rule builders are memoised per process (functools.lru_cache): a rule is
-built once for each distinct argument tuple and the same read-only object is
-returned on every later call.  Their cache_info() counts the hits and misses.
+Both rule builders are memoised per process (functools.lru_cache): each
+checks and converts its arguments first (Python ints, and floats for the
+weights) and looks the converted tuple up in one memo, so a rule is built
+once for each distinct request whatever the numeric types it came in, and
+the same read-only object is returned on every later call.  Their
+cache_info() and cache_clear() are the memo's.
 """
 
 from __future__ import annotations
@@ -94,14 +97,17 @@ class BallRule:
         return sphere_area(self.radial.n)
 
 
-@lru_cache(maxsize=None, typed=True)
 def build_sphere_rule(n: int, exact_degree: int) -> SphereRule:
     """Product cubature exact for all polynomials of degree <= exact_degree.
 
-    The memo is keyed by argument types too, as build_radial_rule's is, so
-    a bool or float equal to a memoised integer is checked and rejected."""
-    n = check_integer("dimension n", n, 2)
-    exact_degree = check_integer("exactness degree", exact_degree, 0)
+    The arguments are checked (check_integer: numpy integers pass, bools
+    and floats do not) before the memo lookup, so equal integers of any
+    type share one rule."""
+    return _sphere_rule(check_integer("dimension n", n, 2), check_integer("exactness degree", exact_degree, 0))
+
+
+@lru_cache(maxsize=None)
+def _sphere_rule(n: int, exact_degree: int) -> SphereRule:
     n_azim = max(2, 2 * (exact_degree // 2) + 2)
     n_polar = exact_degree // 2 + 1
     count = n_azim * n_polar ** (n - 2)
@@ -126,6 +132,9 @@ def build_sphere_rule(n: int, exact_degree: int) -> SphereRule:
     return SphereRule(nodes=nodes, weights=weights, exact_degree=exact_degree)
 
 
+build_sphere_rule.cache_info, build_sphere_rule.cache_clear = _sphere_rule.cache_info, _sphere_rule.cache_clear
+
+
 def radial_moment(n: int, m: int, alpha: float, beta: float) -> float:
     """int_0^1 r^(n+2m+alpha-1) (1-r^2)^beta dr by the Gamma closed form."""
     n = check_integer("dimension n", n, 1)
@@ -135,17 +144,22 @@ def radial_moment(n: int, m: int, alpha: float, beta: float) -> float:
     return 0.5 * math.exp(math.lgamma(beta + 1.0) + math.lgamma(z) - math.lgamma(z + beta + 1.0))
 
 
-@lru_cache(maxsize=None, typed=True)
 def build_radial_rule(n: int, alpha: float, beta: float, node_count: int) -> RadialRule:
     """Gauss-Jacobi rule in t = r^2; exact for polynomials in r^2 of degree
     <= node_count - 1 (in fact up to 2*node_count - 1).
 
-    The memo is keyed by argument types too, so a bool or complex weight
-    that equals a memoised float one (True == 1.0, 0j == 0.0) is checked
-    and rejected rather than answered from the memo."""
+    The arguments are checked before the memo lookup (check_integer,
+    check_weight_parameters), so a numpy integer or an integral weight
+    shares the rule of the equal int and float request, and a bool or
+    complex weight is rejected rather than answered from the memo."""
     n = check_integer("dimension n", n, 1)
     node_count = check_integer("node count", node_count, 1)
     alpha, beta = check_weight_parameters(n, alpha, beta)
+    return _radial_rule(n, alpha, beta, node_count)
+
+
+@lru_cache(maxsize=None)
+def _radial_rule(n: int, alpha: float, beta: float, node_count: int) -> RadialRule:
     a = beta
     b = 0.5 * (n + alpha) - 1.0
     t, w = roots_jacobi(node_count, a, b)
@@ -153,6 +167,9 @@ def build_radial_rule(n: int, alpha: float, beta: float, node_count: int) -> Rad
     weights = w / 2.0 ** (a + b + 2.0)
     order = np.argsort(r)
     return RadialRule(nodes=r[order], weights=weights[order], n=n, alpha=alpha, beta=beta)
+
+
+build_radial_rule.cache_info, build_radial_rule.cache_clear = _radial_rule.cache_info, _radial_rule.cache_clear
 
 
 def build_ball_rule(n: int, alpha: float, beta: float, exact_degree: int) -> BallRule:

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from polybergman import (
     BranchCutProximity,
     KernelConfig,
+    RotatedPoint,
     build_radial_rule,
     make_rotated_point,
     pair_invariants,
@@ -39,6 +40,18 @@ class TestMakeRotatedPoint:
             assert x.radius == float(np.linalg.norm(x.coords))
             assert isinstance(x.radius, float)
             assert vars(x)["radius"] is x.radius
+
+    def test_float_coords_are_python_floats_stored_at_construction(self):
+        # pair_invariants reads the coordinates as a tuple of Python floats,
+        # built once with the point, also when RotatedPoint is called directly
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 5):
+            x = make_rotated_point(-1.2, rng.normal(size=n))
+            for pt in (x, RotatedPoint(x.phase, x.coords)):
+                assert "float_coords" in vars(pt)
+                assert type(pt.float_coords) is tuple
+                assert [type(c) for c in pt.float_coords] == [float] * n
+                assert pt.float_coords == tuple(x.coords)
 
     def test_phase_periodicity(self):
         x = make_rotated_point(2 * math.pi, (0.1, 0.2, 0.3))
@@ -115,10 +128,10 @@ class TestPairInvariants:
         assert [type(v) for v in inv] == [complex, complex, complex, float, complex]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            pair_invariants(
-                make_rotated_point(0.0, (1.0, 0.0)), make_rotated_point(0.0, (1.0, 0.0, 0.0))
-            )
+        x, y = make_rotated_point(0.0, (1.0, 0.0)), make_rotated_point(0.0, (1.0, 0.0, 0.0))
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                pair_invariants(a, b)
 
     @given(
         phx=finite_floats, phy=finite_floats,
@@ -162,10 +175,12 @@ class TestPairInvariants:
             assert inv.w >= (1 - np.linalg.norm(a) * np.linalg.norm(b)) ** 2 - 1e-15
 
     def test_matches_50_digit_oracle(self):
-        # every invariant within 8 ulp of mpmath on the same float inputs:
-        # s, q and zeta relative to their size, t absolutely, and w relative
-        # to its terms 1 + 2|s| + |q|, whose cancellation near the boundary
-        # is a property of the formula w = 1 - 2s + q, not of its rounding
+        # every invariant within a few ulp of mpmath on the same float
+        # inputs: s, q and zeta relative to their size, t absolutely, and w
+        # relative to its terms 1 + 2|s| + |q|, whose cancellation near the
+        # boundary is a property of the formula w = 1 - 2s + q, not of its
+        # rounding.  Measured worst: s 2.4, q 4.5, w 1.8, t 1.06 (1.41 with
+        # a numpy dot, before the fsum one) and zeta 2.4 ulp
         mpmath = pytest.importorskip("mpmath")
         eps = np.finfo(float).eps
         rng = np.random.default_rng(2024)
@@ -200,7 +215,8 @@ class TestPairInvariants:
                     for name, val in want.items():
                         err = abs(mpmath.mpc(getattr(inv, name)) - val) / scale[name]
                         worst[name] = max(worst[name], float(err) / eps)
-        assert all(ulps <= 8.0 for ulps in worst.values()), worst
+        bound = dict(s=3.0, q=6.0, w=3.0, t=1.25, zeta=3.0)
+        assert all(worst[name] <= bound[name] for name in worst), worst
 
 
 class TestPrincipalPow:

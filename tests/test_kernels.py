@@ -19,6 +19,7 @@ from polybergman import (
     pair_invariants,
     poisson,
     poisson_series,
+    principal_pow,
     sph_dim,
     truncation_degree,
     unit_ball_volume,
@@ -175,11 +176,37 @@ class TestBergman:
 
 class TestBergmanDecomposed:
     def test_order_one_is_exact_identity(self):
-        cfg = KernelConfig(n=3, p=1)
+        # both routes divide by the same n Vol_n w^(n/2) w, so geo = 1 and
+        # lin = 0 leave bergman's bits, on the sectors and off them, at
+        # radius products up to 0.9
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            x, y = random_sector_pair(cfg, rng)
-            assert bergman_decomposed(cfg, x, y) == bergman(cfg, x, y)
+        for n in (2, 3, 4, 5):
+            cfg = KernelConfig(n=n, p=1)
+            for k in range(40):
+                x, y = random_sector_pair(cfg, rng, r_hi=0.95)
+                if k % 2:
+                    x = make_rotated_point(rng.uniform(-math.pi, math.pi), x.coords)
+                    y = make_rotated_point(rng.uniform(-math.pi, math.pi), y.coords)
+                assert bergman_decomposed(cfg, x, y) == bergman(cfg, x, y)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_principal_power_per_pair(self, monkeypatch, n, p):
+        # each closed form takes w^(n/2) once; bergman's w^(n/2+1) and the
+        # decomposition's R_1 and P_1 reuse it
+        calls = []
+
+        def counted(w, e, *rest):
+            calls.append(e)
+            return principal_pow(w, e, *rest)
+
+        monkeypatch.setattr(kernels, "principal_pow", counted)
+        cfg = KernelConfig(n=n, p=p)
+        x, y = random_sector_pair(cfg, np.random.default_rng(7 * n + p))
+        for kernel in (poisson, bergman, bergman_decomposed):
+            calls.clear()
+            kernel(cfg, x, y)
+            assert calls == [0.5 * n], kernel.__name__
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("p", [1, 2, 3])

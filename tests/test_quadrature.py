@@ -179,7 +179,19 @@ class TestIntegerArguments:
 
     def test_numpy_integers_pass(self):
         assert radial_moment(np.int64(3), np.int32(1), 0.0, 0.0) == radial_moment(3, 1, 0.0, 0.0)
-        assert np.array_equal(build_sphere_rule(np.int64(3), np.int64(4)).nodes, build_sphere_rule(3, 4).nodes)
+        assert build_sphere_rule(np.int64(3), np.int64(4)) is build_sphere_rule(3, 4)
+
+    def test_equal_requests_share_one_rule(self):
+        # the arguments are converted before the memo lookup, so equal
+        # requests of other numeric types neither build nor keep a second rule
+        sphere, radial = build_sphere_rule(3, 40), build_radial_rule(3, 0.0, 0.0, 4)
+        misses = build_sphere_rule.cache_info().misses, build_radial_rule.cache_info().misses
+        assert build_sphere_rule(np.int64(3), 40) is sphere
+        assert build_sphere_rule(3, np.int32(40)) is sphere
+        for args in ((3, 0, 0, 4), (np.int64(3), np.float64(0.0), np.float32(0.0), np.int64(4)), (3, -0.0, 0, 4)):
+            assert build_radial_rule(*args) is radial
+        assert (build_sphere_rule.cache_info().misses, build_radial_rule.cache_info().misses) == misses
+        assert (type(radial.n), type(radial.alpha), type(radial.beta)) == (int, float, float)
 
 
 def test_rules_are_read_only_whether_built_or_loaded():
