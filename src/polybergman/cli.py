@@ -13,8 +13,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .core import KernelConfig, make_rotated_point, unit_ball_volume
 from .errors import KernelDomainError
@@ -145,6 +143,8 @@ def _eval_kernel(cfg, kernel, x, y, tol, m=None):
     """Returns (complex value, truncation degree or None)."""
     if (m is not None) != (kernel == "zonal"):
         raise CliError("--m is required by --kernel zonal and read by no other kernel")
+    if (cfg.alpha or cfg.beta) and kernel != "wbergman":
+        raise CliError(f"--alpha and --beta weight --kernel wbergman only, not {kernel}")
     if kernel == "poisson":
         return poisson(cfg, x, y), None
     if kernel == "bergman":
@@ -240,10 +240,7 @@ def cmd_grid(args) -> int:
         r = (i + 1) / (radial + 1) * args.r_hi
         for j in range(angular):
             theta = math.pi * j / angular
-            direction = np.zeros(cfg.n)
-            direction[0] = math.cos(theta)
-            direction[1] = math.sin(theta)
-            coords = r * direction
+            coords = [r * math.cos(theta), r * math.sin(theta)] + [0.0] * (cfg.n - 2)
             x = make_rotated_point(phase_x, coords)
             y = make_rotated_point(phase_y, coords)
             value, _ = _eval_kernel(cfg, args.kernel, x, y, tol, args.m)

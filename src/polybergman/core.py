@@ -7,10 +7,11 @@ kernel formula reads a pair x = e^{i*phi} a, y = e^{i*psi} b through one
 record, pair_invariants(x, y): the closed forms read s = x . conj(y),
 q = |x|^2 |conj(y)|^2 (bilinear squares, not Hermitian norms) and
 w = 1 - 2s + q; the zonal series read the cosine t = a.b / (|a||b|) and
-zeta = |a||b| e^{i(phi-psi)}, with s = zeta t and q = zeta^2.  The pair
-layer runs on Python numbers: each point stores its coordinates as a tuple
-of floats, and a closed form spends a few Python operations per pair where
-a numpy call on a vector of 2-5 coordinates would cost a microsecond.
+zeta = |a||b| e^{i(phi-psi)}, with s = zeta t and q = zeta^2.  A point is
+checked, converted and frozen by its own constructor, as KernelConfig is,
+and stores what the pair layer reads: its coordinates as a tuple of floats,
+its squared norm and its radius.  So a closed form spends a few Python
+operations per pair, where a numpy call on 2-5 coordinates costs a µs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -32,61 +33,53 @@ EPS_BRANCH = 1e-12  # principal_pow raises within this relative distance of its 
 EPS_SING = 1e-12  # closed forms raise NearSingular within this of |x||y| = 1 or w = 0
 
 
-def _as_coords(coords) -> np.ndarray:
-    a = np.asarray(coords, dtype=float)
-    if a.ndim != 1:
-        raise ValueError(f"coordinate vector must be 1-d, got shape {a.shape}")
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class RotatedPoint:
-    """A point e^{i*phase} * coords of a rotated ball or sphere.
+    """A point e^{i*phase} * coords of a rotated ball or sphere, checked and
+    frozen when it is built; make_rotated_point is the same constructor.
+
+    The phase is a real number (check_real), normalized into (-pi, pi],
+    where the sector phases k*pi/p, 0 <= k < p, are fixed points; coords is
+    a non-empty 1-d vector of finite reals (numpy integer or float dtype;
+    no bools, complex numbers or strings); ValueError otherwise.  The point
+    stores a read-only float copy of coords and, at construction, all that
+    pair_invariants reads: the coordinates as a tuple of Python floats
+    (float_coords), the squared norm coords @ coords and the radius.
 
     Points compare and hash by identity: the generated field-wise equality
     would compare the coords arrays, whose truth value is ambiguous.
-
-    The coordinates as a tuple of Python floats (float_coords, what
-    pair_invariants reads) are stored when the point is built: on CPython
-    3.11 a cached_property's first read costs 1.5-3 µs, several times the
-    tuple itself.  The squared norm and the radius are cached on first use.
     """
 
     phase: float
     coords: np.ndarray
     float_coords: tuple[float, ...] = field(init=False, repr=False)
+    norm2: float = field(init=False, repr=False)
+    radius: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "float_coords", tuple(self.coords.tolist()))
-
-    @cached_property
-    def norm2(self) -> float:
-        return float(self.coords @ self.coords)
-
-    @cached_property
-    def radius(self) -> float:
-        return math.sqrt(self.norm2)
+        phase = check_real("phase", self.phase)
+        a = np.array(self.coords)  # a copy, whatever the caller passed
+        if a.dtype.kind not in "iuf" or a.ndim != 1 or a.size == 0:
+            raise ValueError(f"coordinates must be a non-empty real vector, got {self.coords!r}")
+        a = a.astype(float, copy=False)
+        a.flags.writeable = False
+        coords = tuple(a.tolist())
+        if not (math.isfinite(phase) and all(map(math.isfinite, coords))):
+            raise ValueError(f"non-finite point: phase {phase!r}, coordinates {coords!r}")
+        phase = math.remainder(phase, TAU)
+        norm2 = float(a @ a)
+        object.__setattr__(self, "phase", phase + TAU if phase <= -math.pi else phase)
+        object.__setattr__(self, "coords", a)
+        object.__setattr__(self, "float_coords", coords)
+        object.__setattr__(self, "norm2", norm2)
+        object.__setattr__(self, "radius", math.sqrt(norm2))
 
     @property
     def dim(self) -> int:
-        return self.coords.shape[0]
+        return len(self.float_coords)
 
 
-def make_rotated_point(phase: float, coords) -> RotatedPoint:
-    """Validated constructor: normalizes the phase into (-pi, pi].
-
-    Sector phases k*pi/p with 0 <= k < p are fixed points of the
-    normalization.
-    """
-    a = _as_coords(coords)
-    if not np.all(np.isfinite(a)) or not math.isfinite(phase):
-        raise ValueError("non-finite input to make_rotated_point")
-    ph = math.remainder(phase, TAU)
-    if ph <= -math.pi:
-        ph += TAU
-    a = a.copy()
-    a.flags.writeable = False
-    return RotatedPoint(ph, a)
+make_rotated_point = RotatedPoint
 
 
 class PairInvariants(NamedTuple):
@@ -193,9 +186,8 @@ def principal_pow(w, e: float, eps_branch: float = EPS_BRANCH):
 
 
 def unit_ball_volume(n: int) -> float:
-    """Volume pi^(n/2) / Gamma(n/2 + 1) of the unit ball in R^n."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    """Volume pi^(n/2) / Gamma(n/2 + 1) of the unit ball in R^n, integer n >= 1."""
+    n = check_integer("dimension n", n, 1)
     return math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import mul
 
 import numpy as np
@@ -76,32 +77,27 @@ def weighted_coefficient(n: int, alpha: float, beta: float, m: int) -> float:
     return 2.0 * math.exp(math.lgamma(z + beta + 1.0) - math.lgamma(beta + 1.0) - math.lgamma(z))
 
 
-def _series_weights(n: int, alpha: float, beta: float, kind: str, top: int) -> np.ndarray:
-    """Series weights g(0..top) of kind: 1 (poisson), n + 2m (bergman) or
-    the Gamma ratio of weighted_coefficient (weighted, which also checks
-    alpha and beta; the other kinds read n only).
+@lru_cache(maxsize=None)
+def _weight_table(n: int, alpha: float, beta: float, kind: str, window: int) -> tuple[float, ...]:
+    """Series weights g(0..window-1) of kind as Python floats, the memo of
+    one configuration and window: 1 (poisson), n + 2m (bergman) or the
+    Gamma ratio of weighted_coefficient (weighted, which also checks alpha
+    and beta; the other kinds read n only).
 
     The weighted ratios come from Gamma(z+1) = z Gamma(z):
     g(m+1) = g(m) (z + beta + 1) / z with z = m + (n+alpha)/2, so only g(0)
     needs log-Gamma values.  The product runs in degree order, so a larger
-    top repeats the smaller one's values bit for bit.
+    window repeats the smaller one's values bit for bit.
     """
     if kind == "poisson":
-        return np.ones(top + 1)
+        return (1.0,) * window
     if kind == "bergman":
-        return n + 2.0 * np.arange(top + 1)
+        return tuple(n + 2.0 * m for m in range(window))
     if kind == "weighted":
-        z = np.arange(top) + 0.5 * (n + alpha)
-        g0 = weighted_coefficient(n, alpha, beta, 0)
-        return np.cumprod(np.concatenate(([g0], (z + beta + 1.0) / z)))
+        half = 0.5 * (n + alpha)
+        ratios = ((m + half + beta + 1.0) / (m + half) for m in range(window - 1))
+        return tuple(accumulate(ratios, mul, initial=weighted_coefficient(n, alpha, beta, 0)))
     raise ValueError(f"unknown series weight kind {kind!r}")
-
-
-@lru_cache(maxsize=None)
-def _weight_table(n: int, alpha: float, beta: float, kind: str, window: int) -> tuple[float, ...]:
-    """_series_weights of degrees 0..window-1 as Python floats: the memo of
-    one configuration and window."""
-    return tuple(_series_weights(n, alpha, beta, kind, window - 1).tolist())
 
 
 def _series_rows(n: int, p: int, alpha: float, beta: float, kind: str, top: int) -> list:

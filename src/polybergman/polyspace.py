@@ -17,8 +17,10 @@ quadrature all contract what it returns.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,9 @@ from .zonal import _degree_weights, _zonal_iter, zonal_values
 class ZonalBlock:
     """x -> coeff * |x|^(2k) * Z_d(x, pole); homogeneous of degree d + 2k.
 
+    Checked and frozen when it is built: k and d are stored as ints, the
+    pole as a read-only float copy of a real 1-d unit vector (to 1e-12) and
+    the coefficient as a finite Python complex; ValueError otherwise.
     Blocks compare and hash by identity, as rotated points do: the pole is
     an array.
     """
@@ -44,8 +49,17 @@ class ZonalBlock:
     def __post_init__(self):
         object.__setattr__(self, "k", check_integer("block radial index k", self.k, 0))
         object.__setattr__(self, "d", check_integer("block harmonic degree d", self.d, 0))
-        if abs(np.linalg.norm(self.pole) - 1.0) > 1e-12:
-            raise ValueError("block pole must be a unit vector")
+        pole = np.array(self.pole)  # a copy, whatever the caller passed
+        # the negated comparison rejects a NaN norm
+        if pole.dtype.kind not in "iuf" or pole.ndim != 1 or not abs(np.linalg.norm(pole) - 1.0) <= 1e-12:
+            raise ValueError(f"block pole must be a real unit vector, got {self.pole!r}")
+        pole = pole.astype(float, copy=False)
+        pole.flags.writeable = False
+        object.__setattr__(self, "pole", pole)
+        c = self.coeff
+        if isinstance(c, bool) or not isinstance(c, numbers.Complex) or not cmath.isfinite(c):
+            raise ValueError(f"block coefficient must be a finite number, got {c!r}")
+        object.__setattr__(self, "coeff", complex(c))
 
     @property
     def degree(self) -> int:
@@ -54,6 +68,9 @@ class ZonalBlock:
 
 @dataclass(frozen=True)
 class PolyharmonicPolynomial:
+    """Sum of its blocks, stored as a tuple of ZonalBlocks of dimension n
+    and radial index below the order p."""
+
     blocks: tuple
     n: int
     p: int
@@ -61,7 +78,10 @@ class PolyharmonicPolynomial:
     def __post_init__(self):
         object.__setattr__(self, "n", check_integer("dimension n", self.n, 2))
         object.__setattr__(self, "p", check_integer("polyharmonic order p", self.p, 1))
+        object.__setattr__(self, "blocks", tuple(self.blocks))
         for b in self.blocks:
+            if not isinstance(b, ZonalBlock):
+                raise ValueError(f"blocks must be ZonalBlocks, got {b!r}")
             if b.k >= self.p:
                 raise ValueError(f"block radial index {b.k} not below order {self.p}")
             if b.pole.shape != (self.n,):
@@ -91,7 +111,6 @@ def _random_blocks(cfg: KernelConfig, degree: int, blocks: int, seed: int, homog
         d = degree - 2 * k if homogeneous else int(rng.integers(0, degree - 2 * k + 1))
         pole = rng.normal(size=cfg.n)
         pole /= np.linalg.norm(pole)
-        pole.flags.writeable = False
         coeff = complex(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
         out.append(ZonalBlock(k=k, d=d, pole=pole, coeff=coeff))
     return PolyharmonicPolynomial(blocks=tuple(out), n=cfg.n, p=cfg.p)
@@ -251,19 +270,12 @@ def to_json(q: PolyharmonicPolynomial) -> str:
 
 def from_json(text: str) -> PolyharmonicPolynomial:
     data = json.loads(text)
-    blocks = []
-    for b in data["blocks"]:
-        pole = np.array([float(c) for c in b["pole"]])
-        pole.flags.writeable = False
-        blocks.append(
-            ZonalBlock(
-                k=b["k"],
-                d=b["d"],
-                pole=pole,
-                coeff=complex(float(b["coeff"][0]), float(b["coeff"][1])),
-            )
-        )
-    return PolyharmonicPolynomial(blocks=tuple(blocks), n=data["n"], p=data["p"])
+    blocks = [
+        ZonalBlock(k=b["k"], d=b["d"], pole=[float(c) for c in b["pole"]],
+                   coeff=complex(float(b["coeff"][0]), float(b["coeff"][1])))
+        for b in data["blocks"]
+    ]
+    return PolyharmonicPolynomial(blocks=blocks, n=data["n"], p=data["p"])
 
 
 def laplacian_power_residual(

@@ -186,11 +186,12 @@ def sphere_monomial_moment(kappa) -> float:
     Zero whenever an exponent is odd; otherwise
     Gamma(n/2) prod_j Gamma((kappa_j+1)/2) / (pi^(n/2) Gamma((n+|kappa|)/2)),
     the Gamma form of the double-factorial ratio.  Serves as the independent
-    exactness oracle for the sphere rules.
+    exactness oracle for the sphere rules.  kappa is a non-empty sequence
+    of integer exponents >= 0 (check_integer); ValueError otherwise.
     """
-    kappa = list(kappa)
-    if any(k < 0 for k in kappa):
-        raise ValueError("exponents must be nonnegative")
+    kappa = [check_integer("exponent", k, 0) for k in kappa]
+    if not kappa:
+        raise ValueError("need at least one exponent")
     if any(k % 2 for k in kappa):
         return 0.0
     n = len(kappa)

@@ -136,9 +136,11 @@ def zonal_values(t, m_max: int, n: int) -> np.ndarray:
     n = 2, z_m = 2 T_m (Chebyshev).  The normalization is pinned by the
     Poisson generating identity sum_m z_m(t) r^m = (1-r^2)/(1-2rt+r^2)^(n/2)
     and by z_m(1) equalling the dimension of the degree-m spherical
-    harmonics.  A cosine outside [-1, 1] (beyond roundoff) or NaN raises
-    ValueError.
+    harmonics.  ValueError for a cosine outside [-1, 1] (beyond roundoff)
+    or NaN, and unless m_max >= 0 and n >= 2 are integers (check_integer).
     """
+    m_max = check_integer("degree m_max", m_max, 0)
+    n = check_integer("dimension n", n, 2)
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:
         return _zonal_rows(_clip_cosine(float(t)), 1.0, m_max, n)[:, None]
@@ -221,9 +223,8 @@ def degree_coefficients(p: int, m: int) -> list:
 
 
 def sph_dim(n: int, m: int) -> int:
-    """Dimension of the space of degree-m spherical harmonics in R^n."""
-    if n < 2 or m < 0:
-        raise ValueError(f"invalid range n={n}, m={m}")
+    """Dimension of the space of degree-m spherical harmonics in R^n, integers n >= 2, m >= 0."""
+    n, m = check_integer("dimension n", n, 2), check_integer("degree m", m, 0)
     if m == 0:
         return 1
     if n == 2:

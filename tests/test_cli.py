@@ -104,6 +104,36 @@ class TestEval:
         assert json.loads(captured.err)["error"] in ("usage", "validation")
 
 
+    def test_bergman_value_with_explicit_zero_weights(self, capsys):
+        # the unweighted kernels take --alpha 0 --beta 0 as their defaults
+        code = cli.main([
+            "eval", "--kernel", "bergman", "--alpha", "0", "--beta", "0",
+            "--x", "0.5,0,0", "--y", "0.4,0.1,0",
+        ])
+        rec = json.loads(capsys.readouterr().out)
+        assert code == 0 and (rec["alpha"], rec["beta"]) == (0.0, 0.0)
+        assert rec["re"] == 0.6873432900304872
+
+
+@pytest.mark.parametrize("command", ["eval", "grid"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--kernel", "bergman", "--alpha", "1", "--beta", "2"),
+        ("--kernel", "poisson", "--alpha", "1"),
+        ("--kernel", "zonal", "--m", "2", "--beta", "0.5"),
+    ],
+)
+def test_weights_on_an_unweighted_kernel_exit_2(capsys, command, flags):
+    # poisson, bergman and zonal have no weight: a nonzero one would be
+    # printed beside the unweighted value
+    where = ("--x", "0.5,0,0", "--y", "0.4,0.1,0") if command == "eval" else ("--radial-steps", "2")
+    code = cli.main([command, *flags, *where])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage"
+
+
 class TestGrid:
     def test_row_count_and_determinism(self, tmp_path):
         out1 = tmp_path / "a.csv"

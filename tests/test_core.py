@@ -53,6 +53,48 @@ class TestMakeRotatedPoint:
                 assert [type(c) for c in pt.float_coords] == [float] * n
                 assert pt.float_coords == tuple(x.coords)
 
+    def test_direct_construction_is_the_checked_constructor(self):
+        # one construction path: a list, a numpy phase and a phase outside
+        # (-pi, pi] are taken as make_rotated_point takes them, and every
+        # value pair_invariants reads is stored when the point is built
+        assert make_rotated_point is RotatedPoint
+        x = RotatedPoint(np.float64(7.0), [3, 4])
+        assert type(x.phase) is float and x.phase == math.remainder(7.0, 2 * math.pi)
+        assert {"float_coords", "norm2", "radius"} <= set(vars(x))
+        assert x.coords.dtype == float and x.float_coords == (3.0, 4.0)
+        assert x.norm2 == 25.0 and x.radius == 5.0 and x.dim == 2
+
+    @pytest.mark.parametrize(
+        "phase, coords",
+        [
+            (7.0, np.array([np.nan, 0.0, 0.0])),
+            (0.0, np.array([0.1, np.inf])),
+            (np.nan, np.array([0.1, 0.2])),
+            (True, (0.1, 0.2)),
+            ("0.5", (0.1, 0.2)),
+            (0.5j, (0.1, 0.2)),
+            (0.0, [1j, 0.0]),
+            (0.0, np.array([0.1 + 0j, 0.2])),
+            (0.0, ["0.1", "0.2"]),
+            (0.0, [True, False]),
+            (0.0, []),
+            (0.0, 0.5),
+            (0.0, [0.1, [0.2]]),
+        ],
+    )
+    def test_direct_construction_rejects_invalid_input(self, phase, coords):
+        with pytest.raises(ValueError):
+            RotatedPoint(phase, coords)
+
+    def test_caller_writes_after_the_build_change_nothing(self):
+        a = np.array([0.3, 0.4, 0.0])
+        x = RotatedPoint(0.2, a)
+        a[:] = [1.0, 2.0, 3.0]
+        assert x.coords.tolist() == [0.3, 0.4, 0.0] and x.float_coords == (0.3, 0.4, 0.0)
+        assert x.radius == 0.5
+        with pytest.raises(ValueError):
+            x.coords[0] = 1.0
+
     def test_phase_periodicity(self):
         x = make_rotated_point(2 * math.pi, (0.1, 0.2, 0.3))
         assert abs(x.phase) < 1e-15
@@ -395,8 +437,12 @@ class TestUnitBallVolume:
         assert_allclose(unit_ball_volume(5), 8 * math.pi**2 / 15, rtol=1e-14)
 
     def test_invalid_dimension(self):
-        with pytest.raises(ValueError):
-            unit_ball_volume(0)
+        for n in (0, 2.5, True, "3"):
+            with pytest.raises(ValueError):
+                unit_ball_volume(n)
+
+    def test_numpy_integer_dimension(self):
+        assert unit_ball_volume(np.int64(3)) == unit_ball_volume(3)
 
 
 class TestKernelConfig:

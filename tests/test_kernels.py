@@ -29,7 +29,7 @@ from polybergman import (
     zonal_polyharmonic,
 )
 from polybergman import kernels, zonal
-from polybergman.kernels import _power_jet, _series_weights
+from polybergman.kernels import _power_jet, _weight_table
 
 
 def unit(v):
@@ -313,22 +313,22 @@ class TestSeriesWeights:
         # log-Gamma form loses digits as lgamma grows, so both stay within
         # 1e-11 relative of each other up to degree 2000
         for n, alpha, beta in [(2, 0.0, 0.0), (3, 1.0, 0.5), (5, -0.5, 2.0), (4, 3.0, 40.0)]:
-            g = _series_weights(n, alpha, beta, "weighted", 2000)
+            g = _weight_table(n, alpha, beta, "weighted", 2001)
             ref = np.array([weighted_coefficient(n, alpha, beta, m) for m in range(2001)])
             assert_allclose(g, ref, rtol=1e-11, atol=0)
 
     def test_unweighted_kinds(self):
-        assert np.array_equal(_series_weights(4, 0.0, 0.0, "poisson", 5), np.ones(6))
-        assert np.array_equal(_series_weights(4, 0.0, 0.0, "bergman", 5), 4.0 + 2.0 * np.arange(6))
-        assert _series_weights(4, 0.0, 0.0, "weighted", 0).tolist() == [weighted_coefficient(4, 0.0, 0.0, 0)]
+        assert np.array_equal(_weight_table(4, 0.0, 0.0, "poisson", 6), np.ones(6))
+        assert np.array_equal(_weight_table(4, 0.0, 0.0, "bergman", 6), 4.0 + 2.0 * np.arange(6))
+        assert _weight_table(4, 0.0, 0.0, "weighted", 1) == (weighted_coefficient(4, 0.0, 0.0, 0),)
         with pytest.raises(ValueError):
-            _series_weights(4, 0.0, 0.0, "szego", 5)
+            _weight_table(4, 0.0, 0.0, "szego", 6)
 
     def test_weighted_parameters_are_checked(self):
         with pytest.raises(ValueError):
-            _series_weights(2, -2.0, 0.0, "weighted", 5)
+            _weight_table(2, -2.0, 0.0, "weighted", 6)
         with pytest.raises(ValueError):
-            _series_weights(3, 0.0, -1.0, "weighted", 5)
+            _weight_table(3, 0.0, -1.0, "weighted", 6)
 
     def test_weighted_coefficient_is_called_once_per_weight_array(self, monkeypatch):
         # the weight tables are memoised per configuration and window: one
@@ -616,7 +616,7 @@ def _numpy_window_truncation_degree(cfg, r, tol, kind):
     m_cap = 100_000
     top = 64
     while True:
-        g = _series_weights(cfg.n, cfg.alpha, cfg.beta, kind, top + 1)
+        g = np.array(_weight_table(cfg.n, cfg.alpha, cfg.beta, kind, top + 2))
         a = g * zonal.polyharmonic_dims(cfg.n, cfg.p, top + 1) * r ** np.arange(top + 2, dtype=float)
         a1, a2 = a[1:-1], a[2:]
         done = (a2 < a1) & (a1 * a1 < tol * (a1 - a2))

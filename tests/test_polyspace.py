@@ -359,6 +359,50 @@ class TestIntegerFields:
             from_json(json.dumps(data))
 
 
+class TestBlockValues:
+    """A block stores a read-only float copy of a real unit pole and a
+    finite complex coefficient; a polynomial stores a tuple of blocks."""
+
+    POLE = np.array([1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "pole",
+        [
+            [np.nan, 0.0, 0.0],
+            np.array([np.nan, 0.0, 0.0]),
+            np.array([1.0 + 0j, 0.0, 0.0]),
+            [1j, 0.0, 0.0],
+            [[1.0, 0.0, 0.0]],
+            np.eye(3)[:1],
+            ["1", "0", "0"],
+        ],
+    )
+    def test_block_rejects_a_pole_that_is_not_a_real_unit_vector(self, pole):
+        with pytest.raises(ValueError):
+            ZonalBlock(k=0, d=1, pole=pole, coeff=1j)
+
+    @pytest.mark.parametrize("coeff", [math.nan, complex(1.0, math.inf), "1+2j", None, True, np.array([1.0, 2.0])])
+    def test_block_rejects_a_non_numeric_or_non_finite_coefficient(self, coeff):
+        with pytest.raises(ValueError):
+            ZonalBlock(k=0, d=1, pole=self.POLE, coeff=coeff)
+
+    def test_block_stores_a_read_only_float_pole_and_a_complex_coefficient(self):
+        pole = np.array([0.6, 0.8, 0.0])
+        block = ZonalBlock(k=0, d=2, pole=pole, coeff=np.float64(0.5))
+        pole[:] = [1.0, 0.0, 0.0]  # the caller's vector, not the block's
+        assert block.pole.tolist() == [0.6, 0.8, 0.0] and not block.pole.flags.writeable
+        assert type(block.coeff) is complex and block.coeff == 0.5
+        listed = ZonalBlock(k=0, d=2, pole=[0, 1, 0], coeff=2)
+        assert listed.pole.dtype == float and type(listed.coeff) is complex
+        q = PolyharmonicPolynomial(blocks=[block, listed], n=3, p=1)
+        assert q.blocks == (block, listed)
+        assert from_json(to_json(q)).blocks[0].coeff == 0.5
+
+    def test_polynomial_rejects_blocks_that_are_not_zonal_blocks(self):
+        with pytest.raises(ValueError):
+            PolyharmonicPolynomial(blocks=((0, 1, self.POLE, 1j),), n=3, p=1)
+
+
 class TestMeanValue:
     def test_constant_function_at_center(self):
         # at x = a every node weight collapses to 1: exact up to roundoff

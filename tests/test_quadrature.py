@@ -24,7 +24,7 @@ from polybergman import (
     unit_ball_volume,
 )
 from polybergman import kernels, polyspace, quadrature, zonal
-from polybergman.kernels import _series_weights, weighted_coefficient
+from polybergman.kernels import _weight_table, weighted_coefficient
 from polybergman.polyspace import eval_at_phase, eval_polar, evaluate, zonal_section
 from polybergman.quadrature import RadialRule, SphereRule
 from polybergman.zonal import series_coefficients
@@ -36,6 +36,14 @@ def rule_monomial(rule, kappa):
 
 
 class TestSphereMonomialMoment:
+    @pytest.mark.parametrize("kappa", [[1.5, 0], [2.0, 0], [True, 0], ["2", 0], []])
+    def test_rejects_non_integer_or_missing_exponents(self, kappa):
+        with pytest.raises(ValueError, match="exponent"):
+            sphere_monomial_moment(kappa)
+
+    def test_numpy_integer_exponents(self):
+        assert sphere_monomial_moment(np.array([2, 0, 2])) == sphere_monomial_moment((2, 0, 2))
+
     def test_odd_exponents_vanish(self):
         assert sphere_monomial_moment((1, 0, 0)) == 0.0
         assert sphere_monomial_moment((2, 3, 0)) == 0.0
@@ -483,7 +491,7 @@ class TestFactorRoute:
         got = inner_product_ball(cfg, alpha, beta, f, g, rule)
         assert abs(got - rule.normalization * want) <= 1e-13 * rule.normalization * scale
 
-        coef = series_coefficients(p, _series_weights(n, alpha, beta, "weighted", m_top))
+        coef = series_coefficients(p, _weight_table(n, alpha, beta, "weighted", m_top + 1))
         direction = np.random.default_rng(n + 7 * p).normal(size=n)
         direction /= np.linalg.norm(direction)
         for x in (

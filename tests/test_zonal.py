@@ -70,6 +70,12 @@ class TestZonalValues:
                 assert got.shape == (72, 1)
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("m_max, n", [(-1, 3), (2.5, 3), (True, 3), (3, 1), (3, 2.5), (3, True)])
+    def test_non_integer_degree_or_dimension_rejected(self, m_max, n):
+        for t in (0.3, np.array([0.3, -0.2])):
+            with pytest.raises(ValueError):
+                zonal_values(t, m_max, n)
+
     def test_nan_and_out_of_range_cosines_rejected(self):
         for bad in (math.nan, 1.1, -1.0 - 1e-9):
             with pytest.raises(ValueError):
@@ -87,10 +93,9 @@ class TestSphDim:
         assert sph_dim(4, 2) == 9  # (m+1)^2 for n=4
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            sph_dim(1, 0)
-        with pytest.raises(ValueError):
-            sph_dim(3, -1)
+        for n, m in ((1, 0), (3, -1), (2, 1.5), (3, 1.5), (2.5, 3), (True, 2), (3, True)):
+            with pytest.raises(ValueError):
+                sph_dim(n, m)
 
 
 class TestZonalHarmonic:
