@@ -258,8 +258,9 @@ class KernelConfig:
         object.__setattr__(self, "r_max", r_max)
 
     def sector_phase(self, k: int) -> float:
-        """Phase k*pi/p of the k-th rotated copy of the ball."""
-        return math.pi * (k % self.p) / self.p
+        """Phase k*pi/p of the k-th rotated copy of the ball, for an integer
+        k taken modulo p (check_integer: bools and floats raise ValueError)."""
+        return math.pi * (check_integer("sector index k", k, -math.inf) % self.p) / self.p
 
     def sector_phases(self) -> np.ndarray:
         """Phases k*pi/p of all p rotated copies, k = 0..p-1."""

@@ -47,7 +47,8 @@ class Truncation:
     calibrated_C: float
 
     def __post_init__(self):
-        check_integer("max_degree", self.max_degree, 0)
+        # stored as a Python int, so a numpy integer behaves as its value
+        object.__setattr__(self, "max_degree", check_integer("max_degree", self.max_degree, 0))
         if not (0 < self.tol < math.inf and 0 < self.calibrated_C < math.inf):
             raise ValueError("invalid truncation parameters")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_SING, KernelConfig, RotatedPoint, check_integer, principal_pow
+from .core import EPS_SING, KernelConfig, RotatedPoint, check_integer, check_real, principal_pow
 from .errors import NearSingular
 from .zonal import _degree_weights, _zonal_iter, zonal_values
 
@@ -151,17 +151,23 @@ def _stacked_factors(phases, radii, unit, polys, section=None):
     each block's zonal factor is z_d of its own row and the section's z is
     z_0..z_L of the last row.  unit holds unit vectors; a zero row stands
     for the origin, where only degree-0 blocks survive and z_0 = 1.
-    Returns a list of (rot, rad, zon) per polynomial, shapes (B, K), (B, I)
-    and (B, J) for B blocks, followed by (W, z), shapes (K, I, L) and
-    (L, J), when section is given.
+    Each set of zonal rows comes with its parities: z_d(-t) = (-1)^d z_d(t)
+    (Szego, Orthogonal Polynomials, 4.7), bit for bit, since the recurrence
+    is odd or even in t by degree, so at the node -unit_j a block's zonal
+    factor is sign[b] zon[b, j] and the section's z[l, j] is sign[l] z[l, j]
+    with sign = (-1)^degree.  Returns a list of (rot, rad, zon, sign) per
+    polynomial, shapes (B, K), (B, I), (B, J) and (B,) for B blocks,
+    followed by (W, z, sign), shapes (K, I, L), (L, J) and (L,), when
+    section is given.
     """
     unit = np.asarray(unit, dtype=float)
     phases = np.asarray(phases, dtype=float)
     radii = np.asarray(radii, dtype=float)
     blocks = [b for q in polys for b in q.blocks]
-    d = np.array([b.d for b in blocks], dtype=int)
+    degrees = [b.d for b in blocks]
+    d = np.array(degrees, dtype=int)
     poles = [b.pole for b in blocks]
-    top = int(d.max(initial=0))
+    top = max(degrees, default=0)
     if section is not None:
         coef, x = section
         rx = x.radius
@@ -172,15 +178,16 @@ def _stacked_factors(phases, radii, unit, polys, section=None):
     zon = z[d, np.arange(d.size)]
     deg = d + 2 * np.array([b.k for b in blocks], dtype=int)
     coeff = np.array([b.coeff for b in blocks], dtype=complex)
-    rot = coeff[:, None] * np.exp(1j * np.outer(deg, phases))
+    rot = coeff[:, None] * np.exp(1j * (deg[:, None] * phases))
     rad = radii[None, :] ** deg[:, None]
+    sign = (-1.0) ** d
     out, start = [], 0
     for q in polys:
         part = slice(start, start + len(q.blocks))
-        out.append((rot[part], rad[part], zon[part]))
+        out.append((rot[part], rad[part], zon[part], sign[part]))
         start = part.stop
     if section is not None:
-        out.append((w, z[: w.shape[-1], -1]))
+        out.append((w, z[: w.shape[-1], -1], (-1.0) ** np.arange(w.shape[-1])))
     return out
 
 
@@ -193,7 +200,7 @@ def eval_at_phase(q: PolyharmonicPolynomial, phase: float, coords: np.ndarray):
     """
     coords = np.asarray(coords, dtype=float)
     r = np.linalg.norm(coords, axis=-1)
-    rot, rad, zon = _stacked_factors([phase], r, coords / np.where(r == 0.0, 1.0, r)[:, None], (q,))[0]
+    rot, rad, zon, _ = _stacked_factors([phase], r, coords / np.where(r == 0.0, 1.0, r)[:, None], (q,))[0]
     return rot[:, 0] @ (rad * zon)
 
 
@@ -202,7 +209,7 @@ def eval_polar(q: PolyharmonicPolynomial, phases, radii, unit: np.ndarray):
     the grid contraction of the polar factors (_stacked_factors), one
     matmul of the (K I, B) outer products of the phase and radial factors
     with the (B, J) zonal ones."""
-    rot, rad, zon = _stacked_factors(phases, radii, unit, (q,))[0]
+    rot, rad, zon, _ = _stacked_factors(phases, radii, unit, (q,))[0]
     (b, k), i = rot.shape, rad.shape[1]
     outer = (rot[:, :, None] * rad[:, None, :]).reshape(b, k * i)
     return (outer.T @ zon).reshape(k, i, zon.shape[1])
@@ -214,7 +221,8 @@ def zonal_section(coef, x: RotatedPoint, phases, radii, unit: np.ndarray, n: int
     (_stacked_factors).  x and the rows of unit are n-vectors."""
     if x.dim != n or np.shape(unit)[-1] != n:
         raise ValueError(f"dimension mismatch: n={n}, x:{x.dim}, unit vectors of shape {np.shape(unit)}")
-    return np.einsum("kil,lj->kij", *_stacked_factors(phases, radii, unit, (), (coef, x))[0])
+    w, z, _ = _stacked_factors(phases, radii, unit, (), (coef, x))[0]
+    return np.einsum("kil,lj->kij", w, z)
 
 
 def eval_complex(q: PolyharmonicPolynomial, z: np.ndarray):
@@ -269,12 +277,16 @@ def to_json(q: PolyharmonicPolynomial) -> str:
 
 
 def from_json(text: str) -> PolyharmonicPolynomial:
+    """The polynomial to_json wrote; ValueError for a block coeff that is not
+    a list of exactly two entries [real, imag], and for invalid fields."""
     data = json.loads(text)
-    blocks = [
-        ZonalBlock(k=b["k"], d=b["d"], pole=[float(c) for c in b["pole"]],
-                   coeff=complex(float(b["coeff"][0]), float(b["coeff"][1])))
-        for b in data["blocks"]
-    ]
+    blocks = []
+    for b in data["blocks"]:
+        coeff = b["coeff"]
+        if not isinstance(coeff, list) or len(coeff) != 2:
+            raise ValueError(f"block coeff must be a list [real, imag], got {coeff!r}")
+        blocks.append(ZonalBlock(k=b["k"], d=b["d"], pole=[float(c) for c in b["pole"]],
+                                 coeff=complex(float(coeff[0]), float(coeff[1]))))
     return PolyharmonicPolynomial(blocks=blocks, n=data["n"], p=data["p"])
 
 
@@ -323,16 +335,19 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
                       u(a + r e^{i k pi/p} zeta) dsigma(zeta),
     where |.|^n is the principal power of the bilinear square.  Exact for
     polyharmonic u of order at most p up to cubature error; a polynomial u
-    of another dimension or a higher order raises ValueError.
+    of another dimension or a higher order raises ValueError, and so does a
+    radius r that is not a positive real number (check_real).
 
     With a = 0 the points r e^{i k pi/p} zeta_j are rotated points, so a
-    polynomial u there is eval_polar on the sector phases and the one
-    radius r: one real recurrence on the N sphere nodes, to the largest
-    block degree, shared by the p sectors.  An off-centre ball takes
-    eval_complex on the p N complex points, sum_b (d_b + 1) recurrence
-    rows of p N values, and a callable u is called once on them.  The
-    denominator's power n/2 is, at odd n, one integer power and one square
-    root (principal_pow).
+    polynomial u there is the contraction of its polar factors
+    (_stacked_factors) on the sector phases and the one radius r.  They
+    are taken on the half H of the antipodal rule [H; -H]: one real
+    recurrence on its N/2 nodes, to the largest block degree, shared by
+    the p sectors; on -H each block's zonal row is mirrored by its parity
+    (-1)^d.  An off-centre ball takes eval_complex on the p N complex
+    points, sum_b (d_b + 1) recurrence rows of p N values, and a callable
+    u is called once on them.  The denominator's power n/2 is, at odd n,
+    one integer power and one square root (principal_pow).
     """
     a = np.asarray(a, dtype=float)
     polynomial = isinstance(u, PolyharmonicPolynomial)
@@ -340,6 +355,9 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
         raise ValueError("dimension mismatch in mean_value_eval")
     if polynomial and u.p > cfg.p:
         raise ValueError(f"polynomial order {u.p} above the kernel order {cfg.p}")
+    r = check_real("radius r", r)
+    if not 0.0 < r:
+        raise ValueError(f"radius r must be positive, got {r}")
     if np.linalg.norm(a) + r >= 1.0:
         raise ValueError("ball B(a, r) must stay inside the unit ball")
     if abs(math.remainder(x.phase, 2 * math.pi)) > 1e-12:
@@ -359,7 +377,9 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
         raise NearSingular("mean-value kernel denominator vanished")
     den = principal_pow(bsq, 0.5 * cfg.n)
     if polynomial and not a.any():
-        uv = eval_polar(u, phases, (r,), nodes)[:, 0]
+        rot_u, rad_u, zon, sign = _stacked_factors(phases, (r,), rule.half_nodes, (u,))[0]
+        coef = (rot_u * rad_u).T
+        uv = np.concatenate((coef @ zon, (coef * sign) @ zon), axis=1)
     else:
         pts = (a + r * rot[:, :, None] * nodes).reshape(-1, cfg.n)
         uv = (eval_complex(u, pts) if polynomial else u(pts)).reshape(den.shape)

@@ -3,9 +3,13 @@
 The sphere rule is a product rule in spherical angles: Gauss-Jacobi nodes in
 the cosine of each polar angle (weight exponents from the surface measure)
 and equispaced azimuth nodes, which integrate every trigonometric monomial
-of bounded degree exactly.  Radial rules use Gauss-Jacobi in t = r^2, where
-the weight r^(n-1+alpha) (1-r^2)^beta dr becomes a textbook Jacobi weight.
-Ball integrals compose the two in polar form with the n*Vol_n surface factor.
+of bounded degree exactly.  The azimuth count is even and the polar nodes
+are symmetric, so the rule is antipodal, and it is stored that way: nodes
+[H; -H] and weights [w_H; w_H], where the half H takes the first half of
+the azimuths through the same polar peel.  Radial rules use Gauss-Jacobi in
+t = r^2, where the weight r^(n-1+alpha) (1-r^2)^beta dr becomes a textbook
+Jacobi weight.  Ball integrals compose the two in polar form with the
+n*Vol_n surface factor.
 
 The sector inner products and reproduce sum over the product grid
 sector k x radial node i x sphere node j.  A polynomial operand is separable
@@ -15,12 +19,15 @@ both.  The grid sum is then contracted one factor at a time through small
 Gram matrices, and no (p, R, N) array is formed: with N sphere nodes,
 operands of B and B' blocks cost O(B B' N) and reproduce with L kernel
 degrees O(B L N), where the values on the grid cost O(p R N (B + B')) and
-O(p R N (B + L)).  Each op pays for one real zonal recurrence over its N
-sphere nodes: the node cosines of both operands' poles, or of the
-polynomial's poles and x/|x|, are stacked into one (C, N) array and run to
-the largest degree any of them needs, so an op makes one round of numpy
-calls per degree whatever its number of blocks.  The grid route is kept for
-callable operands only.
+O(p R N (B + L)).  The zonal Gram factors are taken on the half H only:
+by Gegenbauer parity z_d(-t) = (-1)^d z_d(t), a product of zonal rows of
+degrees d and d' sums over [H; -H] to 2 sum_H w_H z_d z_d' when d + d' is
+even and to 0 when it is odd.  Each op pays for one real zonal recurrence
+over the N/2 nodes of H: the node cosines of both operands' poles, or of
+the polynomial's poles and x/|x|, are stacked into one (C, N/2) array and
+run to the largest degree any of them needs, so an op makes one round of
+numpy calls per degree whatever its number of blocks.  The grid route, on
+all N nodes, is kept for callable operands only.
 
 Both rule builders are memoised per process (functools.lru_cache): each
 checks and converts its arguments first (Python ints, and floats for the
@@ -33,7 +40,7 @@ cache_info() and cache_clear() are the memo's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -48,19 +55,37 @@ NODE_CAP = 10**7
 
 @dataclass(frozen=True)
 class SphereRule:
-    """Cubature nodes and weights for the normalized sphere measure."""
+    """Cubature nodes and weights for the normalized sphere measure.
+
+    The rule is antipodal: nodes = [H; -H] and weights = [w_H; w_H] for a
+    half H of the nodes, and any other layout raises ValueError.  An even
+    integrand then sums to 2 sum_H w_H f and an odd one to 0, so
+    (half_nodes, half_weights), a view of H and the weights 2 w_H, is the
+    rule for even integrands.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     exact_degree: int
+    half_nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    half_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nodes.ndim != 2 or self.weights.shape != self.nodes.shape[:1]:
             raise ValueError("sphere rule needs one weight per node")
+        h, odd = divmod(self.weights.size, 2)
+        if odd or not (
+            np.array_equal(self.nodes[h:], -self.nodes[:h]) and np.array_equal(self.weights[h:], self.weights[:h])
+        ):
+            raise ValueError("sphere rule must be antipodal: nodes [H; -H] and weights [w_H; w_H]")
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-13:
             raise ValueError("sphere rule weights must sum to 1")
         self.nodes.flags.writeable = False
         self.weights.flags.writeable = False
+        half_weights = 2.0 * self.weights[:h]
+        half_weights.flags.writeable = False
+        object.__setattr__(self, "half_nodes", self.nodes[:h])
+        object.__setattr__(self, "half_weights", half_weights)
 
 
 @dataclass(frozen=True)
@@ -98,7 +123,8 @@ class BallRule:
 
 
 def build_sphere_rule(n: int, exact_degree: int) -> SphereRule:
-    """Product cubature exact for all polynomials of degree <= exact_degree.
+    """Product cubature exact for all polynomials of degree <= exact_degree,
+    in the antipodal layout [H; -H] of SphereRule.
 
     The arguments are checked (check_integer: numpy integers pass, bools
     and floats do not) before the memo lookup, so equal integers of any
@@ -113,9 +139,12 @@ def _sphere_rule(n: int, exact_degree: int) -> SphereRule:
     count = n_azim * n_polar ** (n - 2)
     if count > NODE_CAP:
         raise ValueError(f"sphere rule would need {count} nodes (cap {NODE_CAP})")
-    phis = 2.0 * math.pi * np.arange(n_azim) / n_azim
+    # the half H: the azimuths in [0, pi), then the polar peel; the rule is
+    # [H; -H], the product rule's nodes up to rounding, since the polar
+    # Gauss-Jacobi nodes are symmetric and the azimuth count is even
+    phis = 2.0 * math.pi * np.arange(n_azim // 2) / n_azim
     nodes = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    weights = np.full(n_azim, 1.0 / n_azim)
+    weights = np.full(n_azim // 2, 1.0 / n_azim)
     # peel polar angles inward: at each step the existing rule covers the
     # last coordinates and a new cos(theta) coordinate is prepended, one
     # block of the existing nodes per polar node
@@ -128,8 +157,10 @@ def _sphere_rule(n: int, exact_degree: int) -> SphereRule:
         grid[..., 1:] = sin_t[:, None, None] * nodes
         nodes = grid.reshape(-1, grid.shape[2])
         weights = np.outer(w, weights).ravel()
-    weights = weights / np.sum(weights)
-    return SphereRule(nodes=nodes, weights=weights, exact_degree=exact_degree)
+    weights = weights / (2.0 * np.sum(weights))
+    return SphereRule(
+        nodes=np.concatenate([nodes, -nodes]), weights=np.concatenate([weights, weights]), exact_degree=exact_degree
+    )
 
 
 build_sphere_rule.cache_info, build_sphere_rule.cache_clear = _sphere_rule.cache_info, _sphere_rule.cache_clear
@@ -237,17 +268,22 @@ def _inner_product(cfg, f, g, radii, w_rad, sphere: SphereRule) -> complex:
     f = sum_b rot_bk rad_bi zon_bj (_stacked_factors) and g likewise, the sum is
     sum_{b,b'} (rot_f rot_g^H)_{bb'} ((rad_f w_rad) rad_g^T)_{bb'}
     ((zon_f w_sph) zon_g^T)_{bb'} / p, O(B_f B_g N) work for N sphere nodes
-    against O(p R N (B_f + B_g)) for the values on the grid; both operands'
-    zonal factors come from one recurrence on their stacked poles.  A
-    callable operand takes the grid route: p R calls of N points each.
+    against O(p R N (B_f + B_g)) for the values on the grid.  Both
+    operands' zonal factors come from one recurrence on their stacked poles
+    at the half H of the rule, and the zonal Gram factor is
+    (zon_f 2 w_H) zon_g^T where d_b + d_b' is even and 0 where it is odd.
+    A callable operand takes the grid route: p R calls of N points each.
     """
     polys = [h for h in (f, g) if isinstance(h, PolyharmonicPolynomial)]
     if any(h.n != cfg.n for h in polys):
         raise ValueError(f"dimension mismatch: n={cfg.n}, polynomials {[h.n for h in polys]}")
     if len(polys) == 2:
         phases = cfg.sector_phases()
-        (rot_f, rad_f, zon_f), (rot_g, rad_g, zon_g) = _stacked_factors(phases, radii, sphere.nodes, (f, g))
-        gram = (rot_f @ rot_g.conj().T) * ((rad_f * w_rad) @ rad_g.T) * ((zon_f * sphere.weights) @ zon_g.T)
+        (rot_f, rad_f, zon_f, sign_f), (rot_g, rad_g, zon_g, sign_g) = _stacked_factors(
+            phases, radii, sphere.half_nodes, (f, g)
+        )
+        zonal = ((zon_f * sphere.half_weights) @ zon_g.T) * (sign_f[:, None] == sign_g)
+        gram = (rot_f @ rot_g.conj().T) * ((rad_f * w_rad) @ rad_g.T) * zonal
         return complex(gram.sum()) / len(phases)
     fv = _ball_values(cfg, f, radii, sphere.nodes)
     gv = _ball_values(cfg, g, radii, sphere.nodes)
@@ -293,8 +329,11 @@ def reproduce(
     O(B L N) work for B blocks, L = m_top + 1 degrees and N sphere nodes,
     against O(p R N (B + L)) for both factors' values on the grid.  zon and
     z are slices of one recurrence, to degree m_top, on the stacked
-    cosines [poles; x/|x|] @ sph.nodes^T.
+    cosines [poles; x/|x|] @ H^T at the half H of the sphere rule, and
+    G_bl is (zon 2 w_H) z^T where d_b + l is even and 0 where it is odd.
+    m_top is an integer (check_integer); ValueError otherwise.
     """
+    m_top = check_integer("kernel truncation m_top", m_top, 0)
     if u.n != cfg.n or x.dim != cfg.n:
         raise ValueError(f"dimension mismatch: n={cfg.n}, polynomial {u.n}, point {x.dim}")
     if u.p > cfg.p:
@@ -314,6 +353,7 @@ def reproduce(
     # the kernel's factor 1/(n Vol_n) cancels the rule's normalization n Vol_n,
     # and its second slot is conjugate-symmetric already: no conjugation
     section = (_series_rows(cfg.n, cfg.p, alpha, beta, "weighted", m_top), x)
-    (rot, radial, zon), (w, z) = _stacked_factors(phases, rad.nodes, sph.nodes, (u,), section)
+    (rot, radial, zon, sign), (w, z, sign_z) = _stacked_factors(phases, rad.nodes, sph.half_nodes, (u,), section)
     h = np.einsum("bk,bi,kil->bl", rot, radial * rad.weights, w)
-    return complex(np.sum(h * ((zon * sph.weights) @ z.T))) / len(phases)
+    gram = ((zon * sph.half_weights) @ z.T) * (sign[:, None] == sign_z)
+    return complex((h * gram).sum()) / len(phases)

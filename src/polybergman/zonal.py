@@ -144,9 +144,12 @@ def zonal_values(t, m_max: int, n: int) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:
         return _zonal_rows(_clip_cosine(float(t)), 1.0, m_max, n)[:, None]
-    if not np.all(np.abs(t) <= 1.0 + _T_DOMAIN_TOL):
+    # the ufuncs and the array method, not np.all and np.clip: on the few
+    # hundred cosines of a cubature op their Python wrappers cost more than
+    # the arithmetic
+    if not (np.abs(t) <= 1.0 + _T_DOMAIN_TOL).all():
         raise ValueError("cosine argument outside [-1, 1]")
-    return _zonal_rows(np.clip(t, -1.0, 1.0), 1.0, m_max, n)
+    return _zonal_rows(np.minimum(np.maximum(t, -1.0), 1.0), 1.0, m_max, n)
 
 
 def series_coefficients(p: int, g) -> list:

@@ -520,6 +520,13 @@ class TestKernelConfig:
             with pytest.raises(ValueError, match="real number"):
                 call()
 
+    def test_sector_phase_takes_an_integer_modulo_p(self):
+        cfg = KernelConfig(n=3, p=2)
+        assert cfg.sector_phase(np.int64(1)) == cfg.sector_phase(3) == cfg.sector_phase(-1) == math.pi / 2
+        for k in (0.5, 1.0, True, "1", None):
+            with pytest.raises(ValueError, match="sector index"):
+                cfg.sector_phase(k)
+
     def test_numpy_integers_are_stored_as_ints(self):
         cfg = KernelConfig(n=np.int64(4), p=np.int32(2))
         assert (type(cfg.n), type(cfg.p)) == (int, int)

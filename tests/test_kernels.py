@@ -546,6 +546,16 @@ class TestTruncationDegree:
         with pytest.raises(ValueError):
             Truncation(max_degree=max_degree, tol=tol, calibrated_C=cal)
 
+    def test_numpy_integer_degree_is_stored_as_an_int(self):
+        cfg = KernelConfig(n=3, p=2)
+        x, y = make_rotated_point(0.0, (0.3, 0.1, 0.0)), make_rotated_point(math.pi / 2, (0.2, -0.4, 0.1))
+        trunc = Truncation(max_degree=np.int64(20), tol=1e-10, calibrated_C=1.0)
+        assert type(trunc.max_degree) is int
+        plain = Truncation(max_degree=20, tol=1e-10, calibrated_C=1.0)
+        assert trunc == plain
+        for kernel in SERIES_KERNELS:
+            assert kernel(cfg, x, y, trunc) == kernel(cfg, x, y, plain)
+
     @pytest.mark.parametrize("kind", ["poisson", "bergman", "weighted"])
     def test_a_posteriori_self_consistency(self, kind):
         # enlarging the truncation by 10 degrees moves the sum by < tol

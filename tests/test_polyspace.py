@@ -322,6 +322,15 @@ class TestSerialization:
         assert len(data["blocks"][0]["pole"]) == 2
         assert len(data["blocks"][0]["coeff"]) == 2
 
+    @pytest.mark.parametrize("coeff", [["9", "0.5", "0.25"], ["0.5", "0.25", "junk"], ["0.5"], [], "0.5", 0.5, None])
+    def test_from_json_rejects_a_coeff_that_is_not_two_entries(self, coeff):
+        import json
+
+        data = json.loads(to_json(random_polyharmonic(KernelConfig(n=3, p=2), 4, blocks=2, seed=7)))
+        data["blocks"][1]["coeff"] = coeff
+        with pytest.raises(ValueError, match="coeff"):
+            from_json(json.dumps(data))
+
 
 class TestIntegerFields:
     """Block indices, dimension and order go through core.check_integer,
@@ -433,6 +442,17 @@ class TestMeanValue:
                 got = mean_value_eval(cfg, u, np.zeros(3), 0.6, x, rule)
                 want = evaluate(u, x)
                 assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("r", [-0.6, 0.0, -0.0, math.nan, True, "0.6", 0.6j, None])
+    def test_rejects_a_radius_that_is_not_a_positive_real(self, r):
+        # r = -0.6 passes the ball and distance checks and returned -u(x)
+        cfg = KernelConfig(n=3, p=2)
+        rule = build_sphere_rule(3, 20)
+        u = random_polyharmonic(cfg, 4, blocks=3, seed=1)
+        x = make_rotated_point(0.0, (0.1, 0.0, 0.0))
+        for a in (np.zeros(3), np.array([0.05, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="radius r"):
+                mean_value_eval(cfg, u, a, r, x, rule)
 
     def test_centred_ball_makes_no_complex_evaluation(self, monkeypatch):
         def complex_route(*args):

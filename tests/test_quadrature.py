@@ -25,7 +25,7 @@ from polybergman import (
 )
 from polybergman import kernels, polyspace, quadrature, zonal
 from polybergman.kernels import _weight_table, weighted_coefficient
-from polybergman.polyspace import eval_at_phase, eval_polar, evaluate, zonal_section
+from polybergman.polyspace import eval_at_phase, eval_complex, eval_polar, evaluate, zonal_section
 from polybergman.quadrature import RadialRule, SphereRule
 from polybergman.zonal import series_coefficients
 
@@ -33,6 +33,25 @@ from polybergman.zonal import series_coefficients
 def rule_monomial(rule, kappa):
     vals = np.prod(rule.nodes ** np.asarray(kappa), axis=1)
     return float(np.sum(rule.weights * vals))
+
+
+def polar_node_loop(n, degree, half=False):
+    """Reference rule: the equispaced azimuths (those in [0, pi) for half),
+    then one block of the inner rule per polar node; weights summing to 1.
+    The full loop is the plain product rule: the antipodal rule's nodes in
+    another order, up to rounding."""
+    n_azim = max(2, 2 * (degree // 2) + 2)
+    phis = 2.0 * math.pi * np.arange(n_azim // 2 if half else n_azim) / n_azim
+    nodes = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+    weights = np.full(len(phis), 1.0 / n_azim)
+    for j in range(n - 3, -1, -1):
+        gamma = 0.5 * (n - 2 - (j + 1))
+        t, w = roots_jacobi(degree // 2 + 1, gamma, gamma)
+        sin_t = np.sqrt(1.0 - t * t)
+        nodes = np.concatenate([np.column_stack([np.full(len(nodes), ti), si * nodes])
+                                for ti, si in zip(t, sin_t)])
+        weights = np.concatenate([wi * weights for wi in w])
+    return nodes, weights / np.sum(weights)
 
 
 class TestSphereMonomialMoment:
@@ -96,22 +115,51 @@ class TestSphereRule:
 
     @pytest.mark.parametrize("n,degree", [(2, 9), (3, 12), (4, 7), (5, 6), (6, 4)])
     def test_matches_polar_node_loop(self, n, degree):
-        # reference: one block of the inner rule per polar node, the same
-        # products in the same order, so the rule must agree bit for bit
-        n_azim = max(2, 2 * (degree // 2) + 2)
-        phis = 2.0 * math.pi * np.arange(n_azim) / n_azim
-        nodes = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-        weights = np.full(n_azim, 1.0 / n_azim)
-        for j in range(n - 3, -1, -1):
-            gamma = 0.5 * (n - 2 - (j + 1))
-            t, w = roots_jacobi(degree // 2 + 1, gamma, gamma)
-            sin_t = np.sqrt(1.0 - t * t)
-            nodes = np.concatenate([np.column_stack([np.full(len(nodes), ti), si * nodes])
-                                    for ti, si in zip(t, sin_t)])
-            weights = np.concatenate([wi * weights for wi in w])
+        # reference: the half H followed by -H, the same products in the
+        # same order, so the rule must agree bit for bit
+        nodes, weights = polar_node_loop(n, degree, half=True)
         rule = build_sphere_rule(n, degree)
-        assert np.array_equal(rule.nodes, nodes)
-        assert np.array_equal(rule.weights, weights / np.sum(weights))
+        assert np.array_equal(rule.nodes, np.concatenate([nodes, -nodes]))
+        assert np.array_equal(rule.weights, np.concatenate([weights, weights]) / 2.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("degree", [4, 6])  # 3 and 4 polar nodes
+    def test_antipodal_layout(self, n, degree):
+        rule = build_sphere_rule(n, degree)
+        h, odd = divmod(rule.nodes.shape[0], 2)
+        assert odd == 0
+        assert np.array_equal(rule.nodes[h:], -rule.nodes[:h])
+        assert np.array_equal(rule.weights[h:], rule.weights[:h])
+        assert np.shares_memory(rule.half_nodes, rule.nodes)
+        assert np.array_equal(rule.half_nodes, rule.nodes[:h])
+        assert np.array_equal(rule.half_weights, 2.0 * rule.weights[:h])
+        assert not rule.half_nodes.flags.writeable and not rule.half_weights.flags.writeable
+
+    @pytest.mark.parametrize("n,degree", [(2, 9), (3, 12), (3, 6), (4, 7), (5, 6)])
+    def test_product_rule_up_to_rounding(self, n, degree):
+        # each product node has exactly one rule node within a few ulps, of
+        # the same weight to a few ulps: cos and sin of an azimuth in
+        # [pi, 2 pi) carry the rounding of its larger argument, where -H
+        # negates the values at [0, pi)
+        rule = build_sphere_rule(n, degree)
+        nodes, weights = polar_node_loop(n, degree)
+        dist = np.abs(nodes[:, None, :] - rule.nodes[None, :, :]).max(axis=2)
+        match = dist.argmin(axis=1)
+        assert sorted(match) == list(range(len(nodes)))
+        assert dist[np.arange(len(nodes)), match].max() <= 2e-15
+        assert_allclose(rule.weights[match], weights, rtol=2e-15)
+
+    def test_rejects_a_rule_that_is_not_antipodal(self):
+        rule = build_sphere_rule(3, 6)
+        nodes, weights = polar_node_loop(3, 6)
+        for bad_nodes, bad_weights in [
+            (nodes, weights),  # the product layout
+            (rule.nodes[[1, 0, *range(2, len(rule.nodes))]], rule.weights),  # H in another order than -H
+            (rule.nodes[1:], rule.weights[1:] / np.sum(rule.weights[1:])),  # an odd count
+            (rule.nodes, np.concatenate([rule.half_weights * 0.75, rule.half_weights * 0.25])),
+        ]:
+            with pytest.raises(ValueError, match="antipodal"):
+                SphereRule(nodes=bad_nodes.copy(), weights=bad_weights.copy(), exact_degree=6)
 
     def test_node_cap(self):
         with pytest.raises(ValueError):
@@ -372,7 +420,7 @@ class TestInnerProducts:
         # the recurrence reaches the largest degree the op needs
         calls.clear()
         reproduce(cfg, 0.0, 0.0, f, x, 6, ball)
-        assert calls[0][2] == 6 and calls[0][0].shape == (6, ball.sphere.nodes.shape[0])
+        assert calls[0][2] == 6 and calls[0][0].shape == (6, ball.sphere.nodes.shape[0] // 2)
 
     def test_weight_mismatch_rejected(self):
         cfg = KernelConfig(n=3, p=1)
@@ -451,6 +499,16 @@ class TestReproduce:
             reproduce(cfg, 0.0, 0.0, u, x, 4, rule)  # truncation below degree
         with pytest.raises(ValueError):
             reproduce(cfg, 0.0, 0.0, u, x, 6, rule)  # rule too weak for 2M+2
+
+    def test_truncation_must_be_an_integer(self):
+        cfg = KernelConfig(n=3, p=2)
+        rule = build_ball_rule(3, 0.0, 0.0, 16)
+        u = random_polyharmonic(cfg, 4, blocks=3, seed=2)
+        x = make_rotated_point(cfg.sector_phase(1), (0.1, 0.2, -0.3))
+        assert reproduce(cfg, 0.0, 0.0, u, x, np.int64(6), rule) == reproduce(cfg, 0.0, 0.0, u, x, 6, rule)
+        for m_top in (6.5, 6.0, True, "6", -1):
+            with pytest.raises(ValueError, match="m_top"):
+                reproduce(cfg, 0.0, 0.0, u, x, m_top, rule)
 
 
 def _grid_sum(fv, gv, w_rad, w_sph):
@@ -546,6 +604,60 @@ class TestFactorRoute:
             finally:
                 tracemalloc.stop()
             assert peak < grid_bytes / 2, (peak, grid_bytes)
+
+
+class TestHalfRule:
+    """Polynomial operands are contracted on the half H of the rule [H; -H]
+    by parity; callable operands are evaluated on all its nodes.  The two
+    routes agree to rounding, with odd (7) and even (6) polar node counts."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_callable_grid_route(self, n, p):
+        cfg = KernelConfig(n=n, p=p)
+        m_top = 5
+        ball = build_ball_rule(n, 1.0, 0.5, 2 * m_top + 2)
+        sphere = build_sphere_rule(n, 10)
+        phases = cfg.sector_phases()
+        f = random_polyharmonic(cfg, m_top, blocks=5, seed=20 * n + p)
+        g = random_polyharmonic(cfg, m_top, blocks=4, seed=20 * n + p + 100)
+        fc = lambda ph, pts: eval_at_phase(f, ph, pts)  # noqa: E731
+        gc = lambda ph, pts: eval_at_phase(g, ph, pts)  # noqa: E731
+
+        def norm(ip, h):
+            return math.sqrt(abs(ip(h, h)))
+
+        for ip in (
+            lambda a, b: inner_product_sphere(cfg, a, b, sphere),
+            lambda a, b: inner_product_ball(cfg, 1.0, 0.5, a, b, ball),
+        ):
+            want = ip(fc, gc)
+            assert abs(ip(f, g) - want) <= 1e-13 * norm(ip, fc) * norm(ip, gc)
+
+        # reproduce against the grid sum of u's values, one call per sector
+        # and radial node on all sphere nodes, and of the kernel section
+        rad, sph = ball.radial, ball.sphere
+        uv = np.array([[fc(ph, r * sph.nodes) for r in rad.nodes] for ph in phases])
+        coef = series_coefficients(p, _weight_table(n, 1.0, 0.5, "weighted", m_top + 1))
+        direction = np.random.default_rng(n + 5 * p).normal(size=n)
+        for x in (
+            make_rotated_point(0.0, np.zeros(n)),
+            make_rotated_point(cfg.sector_phase(p - 1), 0.55 * direction / np.linalg.norm(direction)),
+        ):
+            kv = zonal_section(coef, x, phases, rad.nodes, sph.nodes, n)
+            want, scale = _grid_sum(uv, kv, rad.weights, sph.weights)
+            assert abs(reproduce(cfg, 1.0, 0.5, f, x, m_top, ball) - want) <= 1e-13 * scale, x
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_centred_mean_value_matches_callable_route(self, n, p):
+        cfg = KernelConfig(n=n, p=p)
+        rule = build_sphere_rule(n, 12)
+        u = random_polyharmonic(cfg, 6, blocks=6, seed=30 * n + p)
+        x = make_rotated_point(0.0, np.linspace(0.05, 0.2, n))
+        got = mean_value_eval(cfg, u, np.zeros(n), 0.6, x, rule)
+        want = mean_value_eval(cfg, lambda z: eval_complex(u, z), np.zeros(n), 0.6, x, rule)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 class TestMismatchedInputs:
