@@ -235,7 +235,12 @@ def check_weight_parameters(n: int, alpha, beta) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Dimension, polyharmonic order, weights and the series radius bound."""
+    """Dimension, polyharmonic order, weights and the series radius bound.
+
+    Checked and frozen when it is built; it also stores its sector phases
+    (sector_phases), as a plain attribute that equality, hashing and repr
+    do not read.
+    """
 
     n: int
     p: int
@@ -256,6 +261,8 @@ class KernelConfig:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "r_max", r_max)
+        object.__setattr__(self, "_sector_phases", math.pi * np.arange(self.p) / self.p)
+        self._sector_phases.flags.writeable = False
 
     def sector_phase(self, k: int) -> float:
         """Phase k*pi/p of the k-th rotated copy of the ball, for an integer
@@ -263,5 +270,6 @@ class KernelConfig:
         return math.pi * (check_integer("sector index k", k, -math.inf) % self.p) / self.p
 
     def sector_phases(self) -> np.ndarray:
-        """Phases k*pi/p of all p rotated copies, k = 0..p-1."""
-        return math.pi * np.arange(self.p) / self.p
+        """Phases k*pi/p of all p rotated copies, k = 0..p-1: one read-only
+        array, built with the configuration and returned on every call."""
+        return self._sector_phases

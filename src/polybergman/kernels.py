@@ -29,6 +29,7 @@ from .core import (
     PairInvariants,
     RotatedPoint,
     check_integer,
+    check_real,
     check_weight_parameters,
     pair_invariants,
     principal_pow,
@@ -125,8 +126,11 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
     below one.  The terms are scanned on Python floats in degree order and
     the scan stops at the first M that passes; their factors g(m) D_p(m)
     come from a table per configuration whose window starts at 64 and
-    doubles while the scan runs past it.
+    doubles while the scan runs past it.  r and tol are real numbers
+    (check_real), r nonnegative and tol positive, both finite; ValueError
+    otherwise.
     """
+    tol, r = check_real("tolerance", tol), check_real("radius", r)
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if not 0 <= r < math.inf:

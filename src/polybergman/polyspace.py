@@ -21,7 +21,7 @@ import cmath
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,11 +69,23 @@ class ZonalBlock:
 @dataclass(frozen=True)
 class PolyharmonicPolynomial:
     """Sum of its blocks, stored as a tuple of ZonalBlocks of dimension n
-    and radial index below the order p."""
+    and radial index below the order p.
+
+    Checked and frozen when it is built, and it stores its blocks' fields
+    as read-only arrays in block order, which the polar-grid factors
+    (_stacked_factors) and eval_complex read: the radial indices k and
+    harmonic degrees d (ints, shape (B,)), the coefficients coeff (complex,
+    shape (B,)) and the poles (float, shape (B, n)).  They do not take
+    part in equality, which compares the block tuples.
+    """
 
     blocks: tuple
     n: int
     p: int
+    k: np.ndarray = field(init=False, repr=False, compare=False)
+    d: np.ndarray = field(init=False, repr=False, compare=False)
+    coeff: np.ndarray = field(init=False, repr=False, compare=False)
+    poles: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_integer("dimension n", self.n, 2))
@@ -86,6 +98,12 @@ class PolyharmonicPolynomial:
                 raise ValueError(f"block radial index {b.k} not below order {self.p}")
             if b.pole.shape != (self.n,):
                 raise ValueError("block pole dimension mismatch")
+        object.__setattr__(self, "k", np.array([b.k for b in self.blocks], dtype=int))
+        object.__setattr__(self, "d", np.array([b.d for b in self.blocks], dtype=int))
+        object.__setattr__(self, "coeff", np.array([b.coeff for b in self.blocks], dtype=complex))
+        object.__setattr__(self, "poles", np.array([b.pole for b in self.blocks], dtype=float).reshape(-1, self.n))
+        for array in (self.k, self.d, self.coeff, self.poles):
+            array.flags.writeable = False
 
     @property
     def degree(self) -> int:
@@ -149,8 +167,13 @@ def _stacked_factors(phases, radii, unit, polys, section=None):
     [poles of every block; x/|x|] @ unit^T, one row of node cosines per
     pole, up to the largest block degree d and the section's top degree:
     each block's zonal factor is z_d of its own row and the section's z is
-    z_0..z_L of the last row.  unit holds unit vectors; a zero row stands
-    for the origin, where only degree-0 blocks survive and z_0 = 1.
+    z_0..z_L of the last row.  The poles are the polynomials' stored pole
+    arrays, stacked by one concatenation, and each polynomial's factors
+    come from its own stored k, d and coeff arrays: no block is read here.
+    Every polynomial and the section's x must have the dimension of the
+    nodes, unit.shape[1]; ValueError (dimension mismatch) otherwise.  unit
+    holds unit vectors; a zero row stands for the origin, where only
+    degree-0 blocks survive and z_0 = 1.
     Each set of zonal rows comes with its parities: z_d(-t) = (-1)^d z_d(t)
     (Szego, Orthogonal Polynomials, 4.7), bit for bit, since the recurrence
     is odd or even in t by degree, so at the node -unit_j a block's zonal
@@ -163,29 +186,24 @@ def _stacked_factors(phases, radii, unit, polys, section=None):
     unit = np.asarray(unit, dtype=float)
     phases = np.asarray(phases, dtype=float)
     radii = np.asarray(radii, dtype=float)
-    blocks = [b for q in polys for b in q.blocks]
-    degrees = [b.d for b in blocks]
-    d = np.array(degrees, dtype=int)
-    poles = [b.pole for b in blocks]
-    top = max(degrees, default=0)
+    n = unit.shape[1]
+    if any(q.n != n for q in polys) or (section is not None and section[1].dim != n):
+        raise ValueError(f"dimension mismatch: nodes of dimension {n}, polynomials {[q.n for q in polys]}")
+    poles = [q.poles for q in polys]
+    top = max((max(q.d.tolist(), default=0) for q in polys), default=0)
     if section is not None:
         coef, x = section
-        rx = x.radius
-        w = _degree_weights(coef, rx * radii * np.exp(1j * (x.phase - phases[:, None])))
-        poles.append(x.coords / rx if rx else np.zeros(x.coords.shape[0]))
+        w = _degree_weights(coef, x.radius * radii * np.exp(1j * (x.phase - phases[:, None])))
+        poles.append((x.coords / x.radius if x.radius else np.zeros(n))[None, :])
         top = max(top, w.shape[-1] - 1)
-    z = zonal_values(np.reshape(poles, (-1, unit.shape[1])) @ unit.T, top, unit.shape[1])
-    zon = z[d, np.arange(d.size)]
-    deg = d + 2 * np.array([b.k for b in blocks], dtype=int)
-    coeff = np.array([b.coeff for b in blocks], dtype=complex)
-    rot = coeff[:, None] * np.exp(1j * (deg[:, None] * phases))
-    rad = radii[None, :] ** deg[:, None]
-    sign = (-1.0) ** d
-    out, start = [], 0
+    z = zonal_values(np.concatenate(poles) @ unit.T, top, n)
+    out, row = [], 0
     for q in polys:
-        part = slice(start, start + len(q.blocks))
-        out.append((rot[part], rad[part], zon[part], sign[part]))
-        start = part.stop
+        deg = q.d + 2 * q.k
+        rot = q.coeff[:, None] * np.exp(1j * (deg[:, None] * phases))
+        zon = z[q.d, np.arange(row, row + q.d.size)]
+        out.append((rot, radii[None, :] ** deg[:, None], zon, (-1.0) ** q.d))
+        row += q.d.size
     if section is not None:
         out.append((w, z[: w.shape[-1], -1], (-1.0) ** np.arange(w.shape[-1])))
     return out
@@ -240,8 +258,8 @@ def eval_complex(q: PolyharmonicPolynomial, z: np.ndarray):
     if z.ndim != 2 or z.shape[1] != q.n:
         raise ValueError(f"dimension mismatch: polynomial n={q.n}, points of shape {z.shape}")
     bil = np.sum(z * z, axis=-1)
-    s = np.array([b.pole for b in q.blocks]).reshape(-1, q.n) @ z.T
-    acc = np.zeros((1 + max((b.k for b in q.blocks), default=0), len(z)), dtype=complex)
+    s = q.poles @ z.T
+    acc = np.zeros((1 + max(q.k.tolist(), default=0), len(z)), dtype=complex)
     for b, s_b in zip(q.blocks, s):
         for z_d in _zonal_iter(s_b, bil, b.d, q.n):
             pass
@@ -253,8 +271,6 @@ def eval_complex(q: PolyharmonicPolynomial, z: np.ndarray):
 
 
 def evaluate(q: PolyharmonicPolynomial, x: RotatedPoint) -> complex:
-    if x.dim != q.n:
-        raise ValueError(f"dimension mismatch: polynomial n={q.n}, point {x.dim}")
     return complex(eval_at_phase(q, x.phase, x.coords[None, :])[0])
 
 
@@ -307,13 +323,12 @@ def laplacian_power_residual(
 
     order defaults to the polynomial's own class order p, where the exact
     value is 0; negative controls pass a lower order to land on a genuinely
-    nonzero iterated Laplacian.
+    nonzero iterated Laplacian.  An order that is not an integer >= 1
+    (check_integer) raises ValueError.
     """
     from .quadrature import build_sphere_rule  # quadrature imports this module
 
-    p = q.p if order is None else order
-    if p < 1:
-        raise ValueError(f"Laplacian power must be >= 1, got {p}")
+    p = q.p if order is None else check_integer("Laplacian power", order, 1)
     if abs(math.remainder(x.phase, 2 * math.pi)) > 1e-12:
         raise ValueError("residual check expects a real (phase-0) point")
     top = q.degree // 2
@@ -358,13 +373,14 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
     r = check_real("radius r", r)
     if not 0.0 < r:
         raise ValueError(f"radius r must be positive, got {r}")
-    if np.linalg.norm(a) + r >= 1.0:
+    # negated comparisons: a NaN in the centre fails them
+    if not np.linalg.norm(a) + r < 1.0:
         raise ValueError("ball B(a, r) must stay inside the unit ball")
     if abs(math.remainder(x.phase, 2 * math.pi)) > 1e-12:
         raise ValueError("mean-value evaluation point must be real (phase 0)")
     d = x.coords - a
     d2 = float(d @ d)
-    if d2 >= r * r:
+    if not d2 < r * r:
         raise ValueError("need |x - a| < r")
     nodes = rule.nodes
     num = r ** (2 * cfg.p) - d2**cfg.p

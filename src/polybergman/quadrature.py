@@ -278,13 +278,12 @@ def _inner_product(cfg, f, g, radii, w_rad, sphere: SphereRule) -> complex:
     if any(h.n != cfg.n for h in polys):
         raise ValueError(f"dimension mismatch: n={cfg.n}, polynomials {[h.n for h in polys]}")
     if len(polys) == 2:
-        phases = cfg.sector_phases()
         (rot_f, rad_f, zon_f, sign_f), (rot_g, rad_g, zon_g, sign_g) = _stacked_factors(
-            phases, radii, sphere.half_nodes, (f, g)
+            cfg.sector_phases(), radii, sphere.half_nodes, (f, g)
         )
         zonal = ((zon_f * sphere.half_weights) @ zon_g.T) * (sign_f[:, None] == sign_g)
         gram = (rot_f @ rot_g.conj().T) * ((rad_f * w_rad) @ rad_g.T) * zonal
-        return complex(gram.sum()) / len(phases)
+        return complex(gram.sum()) / cfg.p
     fv = _ball_values(cfg, f, radii, sphere.nodes)
     gv = _ball_values(cfg, g, radii, sphere.nodes)
     return _sector_sum(fv, np.conjugate(gv, out=gv), w_rad, sphere.weights)

@@ -1,7 +1,7 @@
 import cmath
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -526,6 +526,23 @@ class TestKernelConfig:
         for k in (0.5, 1.0, True, "1", None):
             with pytest.raises(ValueError, match="sector index"):
                 cfg.sector_phase(k)
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_sector_phases_are_stored_once_and_read_only(self, p):
+        cfg = KernelConfig(n=3, p=p)
+        phases = cfg.sector_phases()
+        assert phases is cfg.sector_phases()
+        assert not phases.flags.writeable
+        assert phases.tolist() == [cfg.sector_phase(k) for k in range(p)]
+        with pytest.raises(ValueError):
+            phases[0] = 1.0
+
+    def test_stored_phases_leave_equality_and_hashing_by_value(self):
+        cfg, same, other = KernelConfig(n=3, p=2), KernelConfig(n=3, p=2), KernelConfig(n=3, p=3)
+        assert cfg == same and hash(cfg) == hash(same) and cfg != other
+        assert len({cfg, same, other}) == 2
+        assert repr(cfg) == "KernelConfig(n=3, p=2, alpha=0.0, beta=0.0, r_max=0.95)"
+        assert replace(cfg, p=3).sector_phases().tolist() == other.sector_phases().tolist()
 
     def test_numpy_integers_are_stored_as_ints(self):
         cfg = KernelConfig(n=np.int64(4), p=np.int32(2))

@@ -526,6 +526,24 @@ class TestTruncationDegree:
             truncation_degree(cfg, r, tol, "weighted")
 
     @pytest.mark.parametrize(
+        "r,tol",
+        [(True, 1e-10), (False, 1e-10), (0.5j, 1e-10), ("0.5", 1e-10), (None, 1e-10),
+         (0.5, True), (0.5, 1e-10j), (0.5, "1e-10"), (0.5, None), (np.bool_(True), 1e-10)],
+    )
+    def test_rejects_a_radius_or_tolerance_that_is_not_a_real_number(self, r, tol):
+        # a complex r raised TypeError, r = True was read as 1.0 and reported
+        # ConvergenceDomain, and tol = True was accepted
+        cfg = KernelConfig(n=3, p=2)
+        with pytest.raises(ValueError, match="real number") as err:
+            truncation_degree(cfg, r, tol)
+        assert type(err.value) is ValueError
+
+    def test_numpy_reals_and_integers_are_accepted(self):
+        cfg = KernelConfig(n=3, p=2)
+        assert truncation_degree(cfg, np.float64(0.5), np.float64(1e-10)) == truncation_degree(cfg, 0.5, 1e-10)
+        assert truncation_degree(cfg, 0, 1) == 0
+
+    @pytest.mark.parametrize(
         "max_degree,tol,cal",
         [
             (3, math.nan, math.nan),

@@ -159,6 +159,15 @@ class TestEvaluate:
         q = random_polyharmonic(cfg, 2, blocks=2, seed=0)
         with pytest.raises(ValueError):
             evaluate(q, make_rotated_point(0.0, (0.1, 0.2)))
+        # two 3-vector poles reshape to three 2-vectors: without the check
+        # the polar grid returned values on 2-d nodes
+        nodes = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            eval_polar(q, [0.0], [0.5], nodes)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            eval_at_phase(q, 0.3, 0.5 * nodes)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            eval_at_phase(q, 0.3, np.ones((4, 4)))
 
     def test_complex_route_rejects_points_of_another_shape(self):
         q = random_polyharmonic(KernelConfig(n=3, p=2), 4, blocks=3, seed=0)
@@ -233,6 +242,115 @@ class TestEvalPolar:
                     assert_allclose(grid[k, i], want, rtol=1e-13, atol=1e-14)
 
 
+def stacked_factors_from_blocks(phases, radii, unit, polys, section=None):
+    """_stacked_factors as it was built from the block tuples on every call:
+    the reference for the polynomials' stored arrays."""
+    unit = np.asarray(unit, dtype=float)
+    phases = np.asarray(phases, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    blocks = [b for q in polys for b in q.blocks]
+    degrees = [b.d for b in blocks]
+    d = np.array(degrees, dtype=int)
+    poles = [b.pole for b in blocks]
+    top = max(degrees, default=0)
+    if section is not None:
+        coef, x = section
+        rx = x.radius
+        w = zonal._degree_weights(coef, rx * radii * np.exp(1j * (x.phase - phases[:, None])))
+        poles.append(x.coords / rx if rx else np.zeros(x.coords.shape[0]))
+        top = max(top, w.shape[-1] - 1)
+    z = zonal.zonal_values(np.reshape(poles, (-1, unit.shape[1])) @ unit.T, top, unit.shape[1])
+    zon = z[d, np.arange(d.size)]
+    deg = d + 2 * np.array([b.k for b in blocks], dtype=int)
+    coeff = np.array([b.coeff for b in blocks], dtype=complex)
+    rot = coeff[:, None] * np.exp(1j * (deg[:, None] * phases))
+    rad = radii[None, :] ** deg[:, None]
+    sign = (-1.0) ** d
+    out, start = [], 0
+    for q in polys:
+        part = slice(start, start + len(q.blocks))
+        out.append((rot[part], rad[part], zon[part], sign[part]))
+        start = part.stop
+    if section is not None:
+        out.append((w, z[: w.shape[-1], -1], (-1.0) ** np.arange(w.shape[-1])))
+    return out
+
+
+class TestStoredArrays:
+    """A polynomial stores its blocks' fields as read-only arrays, and the
+    polar-grid factors read them with the same values, bit for bit, as the
+    block-by-block construction."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_arrays_are_read_only_and_equal_to_the_block_fields(self, n):
+        q = random_polyharmonic(KernelConfig(n=n, p=3), 7, blocks=5, seed=n)
+        fields = {
+            "k": [b.k for b in q.blocks],
+            "d": [b.d for b in q.blocks],
+            "coeff": [b.coeff for b in q.blocks],
+            "poles": [b.pole.tolist() for b in q.blocks],
+        }
+        for name, want in fields.items():
+            array = getattr(q, name)
+            assert not array.flags.writeable
+            assert array.tolist() == want
+        assert q.k.dtype.kind == q.d.dtype.kind == "i"
+        assert q.coeff.dtype == complex and q.poles.dtype == float
+        assert q.poles.shape == (5, n)
+        with pytest.raises(ValueError):
+            q.poles[0, 0] = 0.0
+
+    def test_empty_polynomial_has_empty_arrays(self):
+        q = PolyharmonicPolynomial(blocks=(), n=4, p=2)
+        assert q.k.shape == q.d.shape == q.coeff.shape == (0,)
+        assert q.poles.shape == (0, 4)
+
+    def test_arrays_do_not_take_part_in_equality_or_repr(self):
+        q = random_polyharmonic(KernelConfig(n=3, p=2), 4, blocks=3, seed=1)
+        same = PolyharmonicPolynomial(blocks=q.blocks, n=3, p=2)
+        assert same == q and hash(same) == hash(q)
+        assert "poles" not in repr(q) and "coeff=array" not in repr(q)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("with_section", [False, True])
+    def test_factors_match_the_block_by_block_reference(self, n, p, with_section):
+        cfg = KernelConfig(n=n, p=p)
+        rng = np.random.default_rng(31 * n + p)
+        nodes = rng.normal(size=(9, n))
+        nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+        phases, radii = cfg.sector_phases(), np.array([0.0, 0.3, 0.8])
+        f = random_polyharmonic(cfg, 6, blocks=5, seed=n + p)
+        g = random_polyharmonic(cfg, 5, blocks=3, seed=n + p + 50)
+        empty = PolyharmonicPolynomial(blocks=(), n=n, p=p)
+        section = None
+        if with_section:
+            coef = zonal.series_coefficients(p, list(rng.uniform(size=8)))
+            section = (coef, make_rotated_point(cfg.sector_phase(p - 1), 0.4 * unit(rng.normal(size=n))))
+        cases = [(f,), (f, g), (empty,), (g, empty, f)]
+        if with_section:
+            cases.append(())
+        for polys in cases:
+            got = polyspace._stacked_factors(phases, radii, nodes, polys, section)
+            want = stacked_factors_from_blocks(phases, radii, nodes, polys, section)
+            assert len(got) == len(want)
+            for got_part, want_part in zip(got, want):
+                for a, b in zip(got_part, want_part):
+                    assert a.shape == b.shape and a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes()
+
+    def test_section_at_the_origin_matches_the_reference(self):
+        cfg = KernelConfig(n=3, p=2)
+        nodes = build_sphere_rule(3, 6).half_nodes
+        f = random_polyharmonic(cfg, 4, blocks=3, seed=5)
+        section = (zonal.series_coefficients(2, [1.0, 0.5, 0.25, 0.125]), make_rotated_point(0.0, np.zeros(3)))
+        got = polyspace._stacked_factors(cfg.sector_phases(), (0.5,), nodes, (f,), section)
+        want = stacked_factors_from_blocks(cfg.sector_phases(), (0.5,), nodes, (f,), section)
+        for got_part, want_part in zip(got, want):
+            for a, b in zip(got_part, want_part):
+                assert a.tobytes() == b.tobytes()
+
+
 class TestLaplacianResidual:
     def test_constant_is_exact(self):
         cfg = KernelConfig(n=3, p=1)
@@ -288,6 +406,18 @@ class TestLaplacianResidual:
             laplacian_power_residual(q, make_rotated_point(0.0, (0.1, 0, 0)), order=0)
         with pytest.raises(ValueError):
             laplacian_power_residual(q, make_rotated_point(0.4, (0.1, 0, 0)))
+
+    @pytest.mark.parametrize("order", [0, -1, True, False, 1.5, 2.0, "2", 1j, np.float64(1.0)])
+    def test_order_must_be_an_integer_of_at_least_one(self, order):
+        # True was read as 1, and 1.5 raised IndexError
+        q = random_polyharmonic(KernelConfig(n=3, p=2), 4, blocks=3, seed=0)
+        with pytest.raises(ValueError, match="Laplacian power"):
+            laplacian_power_residual(q, make_rotated_point(0.0, (0.1, 0, 0)), order=order)
+
+    def test_numpy_integer_order_is_accepted(self):
+        q = monomial_ball_control(3, 1)
+        x = make_rotated_point(0.0, (0.2, 0.1, -0.3))
+        assert laplacian_power_residual(q, x, order=np.int64(1)) == laplacian_power_residual(q, x, order=1)
 
 
 class TestSerialization:
@@ -515,6 +645,15 @@ class TestMeanValue:
             got = mean_value_eval(cfg, u, a, r, x, rule)
             want = evaluate(u, x)
             assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("centre", [(math.nan, 0.0, 0.0), (0.0, math.nan, 0.1), (math.inf, 0.0, 0.0)])
+    def test_rejects_a_centre_that_is_not_finite(self, centre):
+        # a NaN centre passed both geometry checks and returned nan+nanj
+        cfg = KernelConfig(n=3, p=2)
+        u = random_polyharmonic(cfg, 4, blocks=3, seed=1)
+        x = make_rotated_point(0.0, (0.1, 0.0, 0.0))
+        with pytest.raises(ValueError, match="unit ball"):
+            mean_value_eval(cfg, u, np.array(centre), 0.3, x, build_sphere_rule(3, 10))
 
     def test_geometry_violations(self):
         rule = build_sphere_rule(3, 10)

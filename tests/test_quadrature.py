@@ -711,6 +711,19 @@ class TestMismatchedInputs:
         with pytest.raises(ValueError, match="dimension mismatch"):
             inner_product_ball(self.CFG, 0.0, 0.0, *ops, ball)
 
+    @pytest.mark.parametrize("callable_other", [False, True])
+    def test_sphere_rule_of_another_dimension(self, callable_other):
+        # n = 3 operands on an n = 2 rule returned a value for about half the
+        # seeds; the others raised a cosine-domain error
+        rule = build_sphere_rule(2, 10)
+        for seed in range(20):
+            f = random_polyharmonic(self.CFG, 4, blocks=2 * (1 + seed % 3), seed=seed)
+            g = random_polyharmonic(self.CFG, 4, blocks=4, seed=100 + seed)
+            if callable_other:
+                g = lambda ph, pts, q=g: eval_at_phase(q, ph, pts)  # noqa: E731
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                inner_product_sphere(self.CFG, f, g, rule)
+
 
 class TestMeanValueInequality:
     def test_point_evaluation_bounded_by_ball_norm(self):
