@@ -44,7 +44,6 @@ from .polyspace import (
     ZonalBlock,
     evaluate,
     from_json,
-    laplacian_power_residual,
     mean_value_eval,
     random_homogeneous,
     random_polyharmonic,
@@ -59,6 +58,7 @@ from .quadrature import (
     build_sphere_rule,
     inner_product_ball,
     inner_product_sphere,
+    laplacian_power_residual,
     radial_moment,
     reproduce,
     sphere_monomial_moment,

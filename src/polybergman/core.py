@@ -20,7 +20,7 @@ import cmath
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import ClassVar, NamedTuple
 
@@ -31,6 +31,14 @@ from .errors import BranchCutProximity
 TAU = 2.0 * math.pi
 EPS_BRANCH = 1e-12  # principal_pow raises within this relative distance of its cut
 EPS_SING = 1e-12  # closed forms raise NearSingular within this of |x||y| = 1 or w = 0
+
+
+def reduce_by_constructor(value):
+    """__reduce__ of the frozen value types that hold arrays: pickle and
+    copy rebuild a value from its init fields through its constructor, which
+    checks it and makes its arrays read-only again; numpy does not keep the
+    writeable flag of a copied array."""
+    return type(value), tuple(getattr(value, f.name) for f in fields(value) if f.init)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +81,8 @@ class RotatedPoint:
         object.__setattr__(self, "float_coords", coords)
         object.__setattr__(self, "norm2", norm2)
         object.__setattr__(self, "radius", math.sqrt(norm2))
+
+    __reduce__ = reduce_by_constructor
 
     @property
     def dim(self) -> int:
@@ -237,9 +247,7 @@ def check_weight_parameters(n: int, alpha, beta) -> tuple[float, float]:
 class KernelConfig:
     """Dimension, polyharmonic order, weights and the series radius bound.
 
-    Checked and frozen when it is built; it also stores its sector phases
-    (sector_phases), as a plain attribute that equality, hashing and repr
-    do not read.
+    Checked and frozen when it is built.
     """
 
     n: int
@@ -261,8 +269,6 @@ class KernelConfig:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "r_max", r_max)
-        object.__setattr__(self, "_sector_phases", math.pi * np.arange(self.p) / self.p)
-        self._sector_phases.flags.writeable = False
 
     def sector_phase(self, k: int) -> float:
         """Phase k*pi/p of the k-th rotated copy of the ball, for an integer
@@ -271,5 +277,12 @@ class KernelConfig:
 
     def sector_phases(self) -> np.ndarray:
         """Phases k*pi/p of all p rotated copies, k = 0..p-1: one read-only
-        array, built with the configuration and returned on every call."""
-        return self._sector_phases
+        array per p, built once and shared by every configuration."""
+        return _sector_phases(self.p)
+
+
+@lru_cache(maxsize=None)
+def _sector_phases(p: int) -> np.ndarray:
+    phases = math.pi * np.arange(p) / p
+    phases.flags.writeable = False
+    return phases

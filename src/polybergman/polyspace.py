@@ -2,17 +2,14 @@
 
 Test polynomials are finite sums of blocks c * |x|^(2k) * Z_d(x, pole) with
 k below the polyharmonic order, so membership in the order-p class holds by
-construction; an independent power-of-Laplacian check, exact up to rounding
-in every dimension n (Pizzetti's sphere-mean expansion), is provided as a
-safety net.  Blocks evaluate along two routes: an exact phase-split route
-for rotated points, and a bilinear polynomial route for general complex
-vectors (needed off the rotated-point family by the mean-value formula on
-an off-centre ball).
+construction; quadrature.laplacian_power_residual checks it independently.
+Points, rotated or general complex vectors, evaluate along one route:
+eval_complex, the bilinear polynomial form of each block.
 
 On a polar grid e^{i phases_k} radii_i unit_j, test polynomials and kernel
 sections are separable, and _stacked_factors is the one producer of their
-factors: eval_at_phase, eval_polar, zonal_section and the cubature of
-quadrature all contract what it returns.
+factors, for the cubature contractions that read them: reproduce and the
+two-polynomial inner product of quadrature, and the centred mean_value_eval.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_SING, KernelConfig, RotatedPoint, check_integer, check_real, principal_pow
+from .core import EPS_SING, KernelConfig, RotatedPoint, check_integer, check_real, principal_pow, reduce_by_constructor
 from .errors import NearSingular
 from .zonal import _degree_weights, _zonal_iter, zonal_values
 
@@ -60,6 +57,8 @@ class ZonalBlock:
         if isinstance(c, bool) or not isinstance(c, numbers.Complex) or not cmath.isfinite(c):
             raise ValueError(f"block coefficient must be a finite number, got {c!r}")
         object.__setattr__(self, "coeff", complex(c))
+
+    __reduce__ = reduce_by_constructor
 
     @property
     def degree(self) -> int:
@@ -104,6 +103,8 @@ class PolyharmonicPolynomial:
         object.__setattr__(self, "poles", np.array([b.pole for b in self.blocks], dtype=float).reshape(-1, self.n))
         for array in (self.k, self.d, self.coeff, self.poles):
             array.flags.writeable = False
+
+    __reduce__ = reduce_by_constructor
 
     @property
     def degree(self) -> int:
@@ -172,8 +173,7 @@ def _stacked_factors(phases, radii, unit, polys, section=None):
     come from its own stored k, d and coeff arrays: no block is read here.
     Every polynomial and the section's x must have the dimension of the
     nodes, unit.shape[1]; ValueError (dimension mismatch) otherwise.  unit
-    holds unit vectors; a zero row stands for the origin, where only
-    degree-0 blocks survive and z_0 = 1.
+    holds unit vectors.
     Each set of zonal rows comes with its parities: z_d(-t) = (-1)^d z_d(t)
     (Szego, Orthogonal Polynomials, 4.7), bit for bit, since the recurrence
     is odd or even in t by degree, so at the node -unit_j a block's zonal
@@ -209,50 +209,17 @@ def _stacked_factors(phases, radii, unit, polys, section=None):
     return out
 
 
-def eval_at_phase(q: PolyharmonicPolynomial, phase: float, coords: np.ndarray):
-    """Evaluate at the batch of rotated points e^{i*phase} * coords.
-
-    coords is (N, n) real; the |x|^(2k) factors become exact phase
-    multiplications e^{2ik*phase} r^(2k): the one-phase contraction of the
-    polar factors (_stacked_factors) with each point's own radius.
-    """
-    coords = np.asarray(coords, dtype=float)
-    r = np.linalg.norm(coords, axis=-1)
-    rot, rad, zon, _ = _stacked_factors([phase], r, coords / np.where(r == 0.0, 1.0, r)[:, None], (q,))[0]
-    return rot[:, 0] @ (rad * zon)
-
-
-def eval_polar(q: PolyharmonicPolynomial, phases, radii, unit: np.ndarray):
-    """Values at the polar grid e^{i phases_k} radii_i unit_j, shape (K, I, J):
-    the grid contraction of the polar factors (_stacked_factors), one
-    matmul of the (K I, B) outer products of the phase and radial factors
-    with the (B, J) zonal ones."""
-    rot, rad, zon, _ = _stacked_factors(phases, radii, unit, (q,))[0]
-    (b, k), i = rot.shape, rad.shape[1]
-    outer = (rot[:, :, None] * rad[:, None, :]).reshape(b, k * i)
-    return (outer.T @ zon).reshape(k, i, zon.shape[1])
-
-
-def zonal_section(coef, x: RotatedPoint, phases, radii, unit: np.ndarray, n: int) -> np.ndarray:
-    """zonal_poly_sum(coef, t, zeta, n) at the pairs (x, e^{i phases_k} radii_i unit_j),
-    shape (K, I, J): the grid contraction of the section's factors
-    (_stacked_factors).  x and the rows of unit are n-vectors."""
-    if x.dim != n or np.shape(unit)[-1] != n:
-        raise ValueError(f"dimension mismatch: n={n}, x:{x.dim}, unit vectors of shape {np.shape(unit)}")
-    w, z, _ = _stacked_factors(phases, radii, unit, (), (coef, x))[0]
-    return np.einsum("kil,lj->kij", w, z)
-
-
 def eval_complex(q: PolyharmonicPolynomial, z: np.ndarray):
-    """Evaluate at a batch of general complex vectors (shape (M, n)).
+    """Evaluate at a batch of general complex vectors (shape (M, n)): the
+    one point evaluator, which evaluate and eval_at_phase call for rotated
+    points.
 
     Uses the bilinear polynomial form of each block, bil^k Z_d(z, pole)
     with bil = z.z: each block runs its own homogeneous recurrence at
     s = z.pole, b = bil up to its own degree d and keeps the last row, and
     the rows summed per radial index k are combined by Horner in bil.  The
     cost is sum_b (d_b + 1) recurrence rows of M values, and no array has a
-    degree axis.  Agrees with eval_at_phase on the rotated-point family up
-    to roundoff; z of any shape but (M, q.n) raises ValueError.
+    degree axis.  z of any shape but (M, q.n) raises ValueError.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim != 2 or z.shape[1] != q.n:
@@ -270,8 +237,14 @@ def eval_complex(q: PolyharmonicPolynomial, z: np.ndarray):
     return out
 
 
+def eval_at_phase(q: PolyharmonicPolynomial, phase: float, coords: np.ndarray):
+    """Evaluate at the batch of rotated points e^{i*phase} * coords, coords
+    (N, n) real: eval_complex on those complex vectors."""
+    return eval_complex(q, np.exp(1j * phase) * np.asarray(coords, dtype=float))
+
+
 def evaluate(q: PolyharmonicPolynomial, x: RotatedPoint) -> complex:
-    return complex(eval_at_phase(q, x.phase, x.coords[None, :])[0])
+    return complex(eval_complex(q, cmath.exp(1j * x.phase) * x.coords[None, :])[0])
 
 
 def to_json(q: PolyharmonicPolynomial) -> str:
@@ -306,42 +279,6 @@ def from_json(text: str) -> PolyharmonicPolynomial:
     return PolyharmonicPolynomial(blocks=blocks, n=data["n"], p=data["p"])
 
 
-def laplacian_power_residual(
-    q: PolyharmonicPolynomial, x: RotatedPoint, order: int | None = None
-) -> float:
-    """|Delta^order q(x)| by Pizzetti's mean-value expansion, exact up to
-    rounding in every dimension n.
-
-    The mean of a polynomial u over the sphere of radius rho about x is
-
-        M(rho) = sum_j rho^(2j) Delta^j u(x) / (2^j j! n (n+2) ... (n+2j-2))
-
-    (Aronszajn, Creese & Lipkin, *Polyharmonic Functions*, 1983), a
-    polynomial of degree J = deg(u) // 2 in rho^2; Delta^j u vanishes for
-    j > J.  One sphere rule exact to deg(u) gives M at rho^2 = 0, 1/J, ..., 1
-    and one Vandermonde solve in rho^2 gives every Delta^j u(x).
-
-    order defaults to the polynomial's own class order p, where the exact
-    value is 0; negative controls pass a lower order to land on a genuinely
-    nonzero iterated Laplacian.  An order that is not an integer >= 1
-    (check_integer) raises ValueError.
-    """
-    from .quadrature import build_sphere_rule  # quadrature imports this module
-
-    p = q.p if order is None else check_integer("Laplacian power", order, 1)
-    if abs(math.remainder(x.phase, 2 * math.pi)) > 1e-12:
-        raise ValueError("residual check expects a real (phase-0) point")
-    top = q.degree // 2
-    if p > top:
-        return 0.0
-    rule = build_sphere_rule(q.n, q.degree)
-    rho2 = np.arange(top + 1) / top
-    pts = x.coords + np.sqrt(rho2)[:, None, None] * rule.nodes
-    means = eval_at_phase(q, 0.0, pts.reshape(-1, q.n)).reshape(top + 1, -1) @ rule.weights
-    lap = np.linalg.solve(np.vander(rho2, increasing=True), means)[p]
-    return float(abs(lap) * 2.0**p * math.factorial(p) * math.prod(range(q.n, q.n + 2 * p, 2)))
-
-
 def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
     """Sector-averaged mean-value integral recovering u(x).
 
@@ -349,9 +286,10 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
                       / (r^(2p-n) |e^{-i k pi/p}(x-a) - r zeta|^n)
                       u(a + r e^{i k pi/p} zeta) dsigma(zeta),
     where |.|^n is the principal power of the bilinear square.  Exact for
-    polyharmonic u of order at most p up to cubature error; a polynomial u
-    of another dimension or a higher order raises ValueError, and so does a
-    radius r that is not a positive real number (check_real).
+    polyharmonic u of order at most p up to cubature error; a centre a,
+    point x, sphere rule or polynomial u of another dimension, a polynomial
+    of a higher order and a radius r that is not a positive real number
+    (check_real) raise ValueError.
 
     With a = 0 the points r e^{i k pi/p} zeta_j are rotated points, so a
     polynomial u there is the contraction of its polar factors
@@ -366,7 +304,7 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
     """
     a = np.asarray(a, dtype=float)
     polynomial = isinstance(u, PolyharmonicPolynomial)
-    if a.shape != (cfg.n,) or x.dim != cfg.n or (polynomial and u.n != cfg.n):
+    if a.shape != (cfg.n,) or x.dim != cfg.n or rule.nodes.shape[1] != cfg.n or (polynomial and u.n != cfg.n):
         raise ValueError("dimension mismatch in mean_value_eval")
     if polynomial and u.p > cfg.p:
         raise ValueError(f"polynomial order {u.p} above the kernel order {cfg.p}")

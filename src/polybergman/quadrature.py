@@ -27,7 +27,12 @@ over the N/2 nodes of H: the node cosines of both operands' poles, or of
 the polynomial's poles and x/|x|, are stacked into one (C, N/2) array and
 run to the largest degree any of them needs, so an op makes one round of
 numpy calls per degree whatever its number of blocks.  The grid route, on
-all N nodes, is kept for callable operands only.
+all N nodes, is kept for callable operands only; a polynomial partner of a
+callable is evaluated there by eval_complex, the one point evaluator.
+
+laplacian_power_residual, the independent check of a test polynomial's
+order, averages it over sphere rules and so lives here, beside
+build_sphere_rule.
 
 Both rule builders are memoised per process (functools.lru_cache): each
 checks and converts its arguments first (Python ints, and floats for the
@@ -46,9 +51,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .core import KernelConfig, RotatedPoint, check_integer, check_weight_parameters, sphere_area
+from .core import KernelConfig, RotatedPoint, check_integer, check_weight_parameters, reduce_by_constructor, sphere_area
 from .kernels import _series_rows
-from .polyspace import PolyharmonicPolynomial, _stacked_factors, eval_polar
+from .polyspace import PolyharmonicPolynomial, _stacked_factors, eval_complex
 
 NODE_CAP = 10**7
 
@@ -87,6 +92,8 @@ class SphereRule:
         object.__setattr__(self, "half_nodes", self.nodes[:h])
         object.__setattr__(self, "half_weights", half_weights)
 
+    __reduce__ = reduce_by_constructor
+
 
 @dataclass(frozen=True)
 class RadialRule:
@@ -106,6 +113,8 @@ class RadialRule:
             raise ValueError("radial rule mass disagrees with the Gamma moment")
         self.nodes.flags.writeable = False
         self.weights.flags.writeable = False
+
+    __reduce__ = reduce_by_constructor
 
 
 @dataclass(frozen=True)
@@ -164,6 +173,40 @@ def _sphere_rule(n: int, exact_degree: int) -> SphereRule:
 
 
 build_sphere_rule.cache_info, build_sphere_rule.cache_clear = _sphere_rule.cache_info, _sphere_rule.cache_clear
+
+
+def laplacian_power_residual(
+    q: PolyharmonicPolynomial, x: RotatedPoint, order: int | None = None
+) -> float:
+    """|Delta^order q(x)| by Pizzetti's mean-value expansion, exact up to
+    rounding in every dimension n.
+
+    The mean of a polynomial u over the sphere of radius rho about x is
+
+        M(rho) = sum_j rho^(2j) Delta^j u(x) / (2^j j! n (n+2) ... (n+2j-2))
+
+    (Aronszajn, Creese & Lipkin, *Polyharmonic Functions*, 1983), a
+    polynomial of degree J = deg(u) // 2 in rho^2; Delta^j u vanishes for
+    j > J.  One sphere rule exact to deg(u) gives M at rho^2 = 0, 1/J, ..., 1
+    and one Vandermonde solve in rho^2 gives every Delta^j u(x).
+
+    order defaults to the polynomial's own class order p, where the exact
+    value is 0; negative controls pass a lower order to land on a genuinely
+    nonzero iterated Laplacian.  An order that is not an integer >= 1
+    (check_integer) raises ValueError.
+    """
+    p = q.p if order is None else check_integer("Laplacian power", order, 1)
+    if abs(math.remainder(x.phase, 2 * math.pi)) > 1e-12:
+        raise ValueError("residual check expects a real (phase-0) point")
+    top = q.degree // 2
+    if p > top:
+        return 0.0
+    rule = build_sphere_rule(q.n, q.degree)
+    rho2 = np.arange(top + 1) / top
+    pts = x.coords + np.sqrt(rho2)[:, None, None] * rule.nodes
+    means = eval_complex(q, pts.reshape(-1, q.n)).reshape(top + 1, -1) @ rule.weights
+    lap = np.linalg.solve(np.vander(rho2, increasing=True), means)[p]
+    return float(abs(lap) * 2.0**p * math.factorial(p) * math.prod(range(q.n, q.n + 2 * p, 2)))
 
 
 def radial_moment(n: int, m: int, alpha: float, beta: float) -> float:
@@ -245,19 +288,17 @@ def _ball_values(cfg: KernelConfig, f, radii, unit: np.ndarray) -> np.ndarray:
     """f at e^{ik pi/p} r_i unit_j for every sector k, radius i and node j;
     shape (p, R, N).
 
-    f is a PolyharmonicPolynomial or a callable f(phase, points) returning
-    the values at the rotated points e^{i*phase} * points.
+    f is a PolyharmonicPolynomial, evaluated by one eval_complex call on
+    the p R N points, or a callable f(phase, points) returning the values
+    at the rotated points e^{i*phase} * points.  The points take the
+    nodes' dimension, unit.shape[1], so a polynomial of another dimension
+    raises ValueError (dimension mismatch).
     """
     phases = cfg.sector_phases()
     if isinstance(f, PolyharmonicPolynomial):
-        return eval_polar(f, phases, radii, unit)
+        pts = np.exp(1j * phases)[:, None, None, None] * np.multiply.outer(radii, unit)
+        return eval_complex(f, pts.reshape(-1, unit.shape[1])).reshape(pts.shape[:-1])
     return np.array([[f(ph, r * unit) for r in radii] for ph in phases], dtype=complex)
-
-
-def _sector_sum(f, g, w_rad, w_sph) -> complex:
-    """(1/p) sum_kij w_rad_i w_sph_j f_kij g_kij over (p, R, N) grids, with
-    no product array formed."""
-    return complex(np.einsum("kij,kij,i,j->", f, g, w_rad, w_sph)) / f.shape[0]
 
 
 def _inner_product(cfg, f, g, radii, w_rad, sphere: SphereRule) -> complex:
@@ -272,7 +313,9 @@ def _inner_product(cfg, f, g, radii, w_rad, sphere: SphereRule) -> complex:
     operands' zonal factors come from one recurrence on their stacked poles
     at the half H of the rule, and the zonal Gram factor is
     (zon_f 2 w_H) zon_g^T where d_b + d_b' is even and 0 where it is odd.
-    A callable operand takes the grid route: p R calls of N points each.
+    A callable operand takes the grid route: p R calls of N points each,
+    and a polynomial partner one eval_complex call on the p R N points; the
+    sum is one einsum, with no product array formed.
     """
     polys = [h for h in (f, g) if isinstance(h, PolyharmonicPolynomial)]
     if any(h.n != cfg.n for h in polys):
@@ -286,7 +329,7 @@ def _inner_product(cfg, f, g, radii, w_rad, sphere: SphereRule) -> complex:
         return complex(gram.sum()) / cfg.p
     fv = _ball_values(cfg, f, radii, sphere.nodes)
     gv = _ball_values(cfg, g, radii, sphere.nodes)
-    return _sector_sum(fv, np.conjugate(gv, out=gv), w_rad, sphere.weights)
+    return complex(np.einsum("kij,kij,i,j->", fv, np.conjugate(gv, out=gv), w_rad, sphere.weights)) / cfg.p
 
 
 def inner_product_sphere(cfg: KernelConfig, f, g, rule: SphereRule) -> complex:

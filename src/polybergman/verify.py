@@ -28,12 +28,11 @@ from .kernels import (
     weighted_coefficient,
 )
 from .polyspace import (
-    eval_polar,
+    eval_complex,
     evaluate,
     mean_value_eval,
     random_homogeneous,
     random_polyharmonic,
-    zonal_section,
 )
 from .quadrature import (
     build_ball_rule,
@@ -220,38 +219,43 @@ def suite_reproduce(seed: int = 42, cases: int = 50) -> dict:
 def suite_zonal_reproduce(seed: int = 42, cases: int = 20) -> dict:
     """Sphere reproduction of homogeneous polynomials by zonal polyharmonics.
 
-    Both slots are sphere sums of q against a zonal_section of Z^p_m: the
-    sector-averaged sum against the kernel in its first slot, reproducing
-    q(eta) at a unit point eta, and the single-sphere sum against its second
-    slot, reproducing q(x) at a ball point x.  The zonal factors are real, so
-    Z^p_m(., eta) conjugated is the section Z^p_m(eta, .).
+    Both slots are sphere sums of q, evaluated at the sector points
+    e^{i k pi/p} zeta_j (eval_complex), against the section of Z^p_m at the
+    same points (zonal_poly_sum of the node cosines zeta_j . x/|x| and
+    zeta = |x| e^{i (phase(x) - k pi/p)}): the sector-averaged sum against
+    the kernel in its first slot, reproducing q(eta) at a unit point eta,
+    and the single-sphere sum against its second slot, reproducing q(x) at
+    a ball point x.  The zonal factors are real, so Z^p_m(., eta)
+    conjugated is the section Z^p_m(eta, .).
     """
     tol = 1e-8
     sweep = _Sweep("max_rel_err")
     rng = np.random.default_rng(seed)
-    one = np.ones(1)
     for n in (2, 3):
         rule = build_sphere_rule(n, 20)
         for p in DEFAULT_ORDERS:
             cfg = KernelConfig(n=n, p=p)
             phases = cfg.sector_phases()
+            points = (np.exp(1j * phases)[:, None, None] * rule.nodes).reshape(-1, n)
             for m in range(0, 9):
                 coef = degree_coefficients(p, m)
                 for i in range(max(1, cases // 9)):
                     q_seed = seed + 977 * n + 61 * p + 13 * m + i
                     q = random_homogeneous(cfg, m, blocks=4, seed=q_seed)
-                    qv = eval_polar(q, phases, one, rule.nodes)
+                    qv = eval_complex(q, points).reshape(p, -1)
                     direction = rng.normal(size=n)
                     direction /= np.linalg.norm(direction)
                     eta = make_rotated_point(cfg.sector_phase(int(rng.integers(0, p))), direction)
-                    kv = zonal_section(coef, eta, phases, one, rule.nodes, n)
+                    zeta = np.exp(1j * (eta.phase - phases))[:, None]
+                    kv = zonal_poly_sum(coef, rule.nodes @ direction, zeta, n)
                     got = complex(np.sum(rule.weights * qv * kv)) / p
                     expected = evaluate(q, eta)
                     sweep.add(abs(got - expected), 1.0 + abs(expected), cfg=cfg, degree=m, x=eta, q_seed=q_seed)
 
                     xin = _random_point(cfg, rng)
-                    kv = zonal_section(coef, xin, [0.0], one, rule.nodes, n)[0, 0]
-                    got_ball = complex(np.sum(rule.weights * qv[0, 0] * kv))
+                    zeta = xin.radius * np.exp(1j * xin.phase)
+                    kv = zonal_poly_sum(coef, rule.nodes @ (xin.coords / xin.radius), zeta, n)
+                    got_ball = complex(np.sum(rule.weights * qv[0] * kv))
                     expected_ball = evaluate(q, xin)
                     sweep.add(abs(got_ball - expected_ball), 1.0 + abs(expected_ball), cfg=cfg, degree=m, x=xin, q_seed=q_seed)
     return sweep.report("zonal_reproduce", tol, seed=seed)

@@ -537,6 +537,15 @@ class TestKernelConfig:
         with pytest.raises(ValueError):
             phases[0] = 1.0
 
+    def test_configs_of_equal_order_share_one_phase_array(self):
+        # a configuration holds its five fields only; the phases are built
+        # once per p
+        cfg, other = KernelConfig(n=3, p=4), KernelConfig(n=5, p=4, alpha=1.0, beta=0.5)
+        assert cfg.sector_phases() is other.sector_phases()
+        assert not cfg.sector_phases().flags.writeable
+        assert cfg.sector_phases() is not KernelConfig(n=3, p=3).sector_phases()
+        assert set(vars(cfg)) == {"n", "p", "alpha", "beta", "r_max"}
+
     def test_stored_phases_leave_equality_and_hashing_by_value(self):
         cfg, same, other = KernelConfig(n=3, p=2), KernelConfig(n=3, p=2), KernelConfig(n=3, p=3)
         assert cfg == same and hash(cfg) == hash(same) and cfg != other

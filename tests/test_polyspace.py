@@ -20,13 +20,20 @@ from polybergman import (
     to_json,
 )
 from polybergman import polyspace, zonal
-from polybergman.polyspace import eval_at_phase, eval_complex, eval_polar
+from polybergman.polyspace import eval_at_phase, eval_complex
 from polybergman.zonal import _zonal_rows
 
 
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def polar_grid(q, phases, radii, unit_nodes):
+    """q at the polar grid e^{i phases_k} radii_i unit_j, shape (K, I, J),
+    contracted here from its factors (_stacked_factors)."""
+    rot, rad, zon, _ = polyspace._stacked_factors(phases, radii, unit_nodes, (q,))[0]
+    return np.einsum("bk,bi,bj->kij", rot, rad, zon)
 
 
 def monomial_ball_control(n, p):
@@ -160,10 +167,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(q, make_rotated_point(0.0, (0.1, 0.2)))
         # two 3-vector poles reshape to three 2-vectors: without the check
-        # the polar grid returned values on 2-d nodes
+        # the polar grid factors were built on 2-d nodes
         nodes = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            eval_polar(q, [0.0], [0.5], nodes)
+            polyspace._stacked_factors([0.0], [0.5], nodes, (q,))
         with pytest.raises(ValueError, match="dimension mismatch"):
             eval_at_phase(q, 0.3, 0.5 * nodes)
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -218,6 +225,9 @@ class TestEvaluate:
 
 
 class TestEvalPolar:
+    """The polar-grid factors (_stacked_factors), contracted to values,
+    against the point evaluator at every grid point."""
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_matches_eval_at_phase_at_every_grid_point(self, n, p):
@@ -234,11 +244,11 @@ class TestEvalPolar:
             random_polyharmonic(cfg, 7, blocks=6, seed=n + 7 * p),
         ]
         for q in polys:
-            grid = eval_polar(q, phases, radii, unit_nodes)
+            grid = polar_grid(q, phases, radii, unit_nodes)
             assert grid.shape == (p, radii.size, unit_nodes.shape[0])
             for k, phase in enumerate(phases):
                 for i, r in enumerate(radii):
-                    want = eval_at_phase(q, phase, r * unit_nodes)
+                    want = eval_complex(q, np.exp(1j * phase) * r * unit_nodes)
                     assert_allclose(grid[k, i], want, rtol=1e-13, atol=1e-14)
 
 
@@ -588,13 +598,14 @@ class TestMeanValue:
         def complex_route(*args):
             raise AssertionError("centred mean value took eval_complex")
 
-        monkeypatch.setattr(polyspace, "eval_complex", complex_route)
         rule = build_sphere_rule(3, 20)
         cfg = KernelConfig(n=3, p=2)
         u = random_polyharmonic(cfg, 6, blocks=4, seed=3)
         x = make_rotated_point(0.0, (0.1, -0.2, 0.05))
+        want = evaluate(u, x)  # evaluate is eval_complex: taken before the patch
+        monkeypatch.setattr(polyspace, "eval_complex", complex_route)
         got = mean_value_eval(cfg, u, np.zeros(3), 0.6, x, rule)
-        assert abs(got - evaluate(u, x)) <= 1e-8 * (1.0 + abs(evaluate(u, x)))
+        assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -606,7 +617,7 @@ class TestMeanValue:
         rule = build_sphere_rule(n, 12)
         r = 0.6
         u = random_polyharmonic(cfg, 6, blocks=6, seed=10 * n + p)
-        polar = eval_polar(u, cfg.sector_phases(), (r,), rule.nodes)[:, 0]
+        polar = polar_grid(u, cfg.sector_phases(), (r,), rule.nodes)[:, 0]
         rot = np.exp(1j * cfg.sector_phases())[:, None, None]
         pts = (r * rot * rule.nodes).reshape(-1, n)
         direct = eval_complex(u, pts).reshape(polar.shape)

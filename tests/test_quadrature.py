@@ -23,11 +23,11 @@ from polybergman import (
     sphere_monomial_moment,
     unit_ball_volume,
 )
-from polybergman import kernels, polyspace, quadrature, zonal
+from polybergman import kernels, quadrature, zonal
 from polybergman.kernels import _weight_table, weighted_coefficient
-from polybergman.polyspace import eval_at_phase, eval_complex, eval_polar, evaluate, zonal_section
+from polybergman.polyspace import eval_at_phase, eval_complex, evaluate
 from polybergman.quadrature import RadialRule, SphereRule
-from polybergman.zonal import series_coefficients
+from polybergman.zonal import series_coefficients, zonal_poly_sum
 
 
 def rule_monomial(rule, kappa):
@@ -278,8 +278,8 @@ def test_residual_builds_its_sphere_rule_once():
     assert q.degree >= 2 * cfg.p  # so the residual needs a sphere rule
     x = make_rotated_point(0.0, (0.2, -0.1, 0.3, 0.0))
     misses = build_sphere_rule.cache_info().misses
-    first = polyspace.laplacian_power_residual(q, x)
-    second = polyspace.laplacian_power_residual(q, x)
+    first = quadrature.laplacian_power_residual(q, x)
+    second = quadrature.laplacian_power_residual(q, x)
     assert first == second
     assert build_sphere_rule.cache_info().misses - misses <= 1
 
@@ -519,9 +519,25 @@ def _grid_sum(fv, gv, w_rad, w_sph):
     return complex(np.sum(w * fv * gv)) / p, float(np.sum(w * np.abs(fv * gv))) / p
 
 
+def value_grid(q, phases, radii, unit_nodes):
+    """q at the polar grid e^{i phases_k} radii_i unit_j, shape (K, I, J),
+    by eval_complex."""
+    pts = np.exp(1j * np.asarray(phases))[:, None, None, None] * np.multiply.outer(radii, unit_nodes)
+    return eval_complex(q, pts.reshape(-1, unit_nodes.shape[1])).reshape(pts.shape[:-1])
+
+
+def section_grid(coef, x, phases, radii, unit_nodes):
+    """zonal_poly_sum(coef, t, zeta, n) at the pairs (x, e^{i phases_k} radii_i unit_j),
+    shape (K, I, J), with t = unit_j . x/|x| (0 at the origin) and
+    zeta = |x| radii_i e^{i (phase(x) - phases_k)}."""
+    direction = x.coords / x.radius if x.radius else np.zeros(x.dim)
+    zeta = x.radius * np.multiply.outer(np.exp(1j * (x.phase - np.asarray(phases))), radii)
+    return zonal_poly_sum(coef, unit_nodes @ direction, zeta[..., None], x.dim)
+
+
 class TestFactorRoute:
     """The factor contraction against the grid it replaces, built here from
-    eval_polar, zonal_section and the rule weights."""
+    eval_complex, zonal_poly_sum and the rule weights."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -537,14 +553,14 @@ class TestFactorRoute:
         g = random_polyharmonic(cfg, m_top, blocks=4, seed=10 * n + p + 100)
         one = np.ones(1)
 
-        fv = eval_polar(f, phases, one, sphere.nodes)
-        gv = eval_polar(g, phases, one, sphere.nodes)
+        fv = value_grid(f, phases, one, sphere.nodes)
+        gv = value_grid(g, phases, one, sphere.nodes)
         want, scale = _grid_sum(fv, np.conj(gv), one, sphere.weights)
         got = inner_product_sphere(cfg, f, g, sphere)
         assert abs(got - want) <= 1e-13 * scale
 
-        fv = eval_polar(f, phases, rad.nodes, sph.nodes)
-        gv = eval_polar(g, phases, rad.nodes, sph.nodes)
+        fv = value_grid(f, phases, rad.nodes, sph.nodes)
+        gv = value_grid(g, phases, rad.nodes, sph.nodes)
         want, scale = _grid_sum(fv, np.conj(gv), rad.weights, sph.weights)
         got = inner_product_ball(cfg, alpha, beta, f, g, rule)
         assert abs(got - rule.normalization * want) <= 1e-13 * rule.normalization * scale
@@ -557,7 +573,7 @@ class TestFactorRoute:
             make_rotated_point(cfg.sector_phase(p - 1), 0.6 * direction),
             make_rotated_point(0.37, 0.45 * direction),
         ):
-            kv = zonal_section(coef, x, phases, rad.nodes, sph.nodes, n)
+            kv = section_grid(coef, x, phases, rad.nodes, sph.nodes)
             want, scale = _grid_sum(fv, kv, rad.weights, sph.weights)
             got = reproduce(cfg, alpha, beta, f, x, m_top, rule)
             assert abs(got - want) <= 1e-13 * scale, x
@@ -567,11 +583,8 @@ class TestFactorRoute:
             raise AssertionError("polynomial operand evaluated on the grid")
 
         for module, name in [
-            (quadrature, "eval_polar"),
             (quadrature, "_ball_values"),
-            (quadrature, "_sector_sum"),
-            (polyspace, "eval_polar"),
-            (polyspace, "zonal_section"),
+            (quadrature, "eval_complex"),
         ]:
             monkeypatch.setattr(module, name, grid)
         cfg = KernelConfig(n=3, p=2)
@@ -634,17 +647,17 @@ class TestHalfRule:
             want = ip(fc, gc)
             assert abs(ip(f, g) - want) <= 1e-13 * norm(ip, fc) * norm(ip, gc)
 
-        # reproduce against the grid sum of u's values, one call per sector
-        # and radial node on all sphere nodes, and of the kernel section
+        # reproduce against the grid sum of u's values and of the kernel
+        # section on all sphere nodes
         rad, sph = ball.radial, ball.sphere
-        uv = np.array([[fc(ph, r * sph.nodes) for r in rad.nodes] for ph in phases])
+        uv = value_grid(f, phases, rad.nodes, sph.nodes)
         coef = series_coefficients(p, _weight_table(n, 1.0, 0.5, "weighted", m_top + 1))
         direction = np.random.default_rng(n + 5 * p).normal(size=n)
         for x in (
             make_rotated_point(0.0, np.zeros(n)),
             make_rotated_point(cfg.sector_phase(p - 1), 0.55 * direction / np.linalg.norm(direction)),
         ):
-            kv = zonal_section(coef, x, phases, rad.nodes, sph.nodes, n)
+            kv = section_grid(coef, x, phases, rad.nodes, sph.nodes)
             want, scale = _grid_sum(uv, kv, rad.weights, sph.weights)
             assert abs(reproduce(cfg, 1.0, 0.5, f, x, m_top, ball) - want) <= 1e-13 * scale, x
 
@@ -695,6 +708,19 @@ class TestMismatchedInputs:
         u = random_polyharmonic(u_cfg, 5, blocks=3, seed=8)
         with pytest.raises(ValueError, match=match):
             mean_value_eval(self.CFG, u, np.zeros(3), 0.6, self.X, build_sphere_rule(3, 20))
+
+    @pytest.mark.parametrize("polynomial", [True, False])
+    @pytest.mark.parametrize("rule_n", [2, 4])
+    def test_mean_value_rule_of_another_dimension(self, polynomial, rule_n):
+        # an n = 2 rule raised numpy's raw matmul error from nodes @ (x - a)
+        cfg = KernelConfig(n=3, p=2)
+        u = random_polyharmonic(cfg, 4, blocks=3, seed=8)
+        if not polynomial:
+            u = lambda z, q=u: eval_complex(q, z)  # noqa: E731
+        rule = build_sphere_rule(rule_n, 10)
+        for a in (np.zeros(3), np.array([0.05, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                mean_value_eval(cfg, u, a, 0.6, self.X, rule)
 
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.parametrize("slot", [0, 1])

@@ -11,8 +11,7 @@ from polybergman import (
     sph_dim,
     zonal_polyharmonic,
 )
-from polybergman import zonal
-from polybergman.polyspace import zonal_section
+from polybergman import polyspace, zonal
 from polybergman.zonal import (
     _zonal_rows,
     degree_coefficients,
@@ -235,7 +234,18 @@ class TestZonalPolyharmonic:
             zonal_polyharmonic(cfg, m, x, x)
 
 
+def section_grid(coef, x, phases, radii, unit_nodes):
+    """zonal_poly_sum(coef, t, zeta, n) at the pairs (x, e^{i phases_k} radii_i unit_j),
+    shape (K, I, J), contracted here from the section's factors
+    (_stacked_factors)."""
+    w, z, _ = polyspace._stacked_factors(phases, radii, unit_nodes, (), (coef, x))[0]
+    return np.einsum("kil,lj->kij", w, z)
+
+
 class TestZonalSection:
+    """The kernel section's polar-grid factors, contracted to values,
+    against the scalar zonal polyharmonic at every grid point."""
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_matches_scalar_pairs(self, n, p, monkeypatch):
@@ -270,7 +280,7 @@ class TestZonalSection:
                 coef = degree_coefficients(p, m)
                 with monkeypatch.context() as mp:
                     mp.setattr(zonal, "_zonal_rows", counted)
-                    got = zonal_section(coef, x, phases, radii, unit_nodes, n)
+                    got = section_grid(coef, x, phases, radii, unit_nodes)
                 assert len(calls) == 1
                 calls.clear()
                 assert got.shape == (phases.size, radii.size, len(unit_nodes))
@@ -284,11 +294,10 @@ class TestZonalSection:
 
     def test_dimension_mismatch(self):
         x = make_rotated_point(0.0, (0.1, 0.2, 0.3))
-        nodes = np.eye(3)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            zonal_section(degree_coefficients(1, 2), x, [0.0], [0.5], nodes, 4)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            zonal_section(degree_coefficients(1, 2), x, [0.0], [0.5], nodes[:, :2], 3)
+        section = (degree_coefficients(1, 2), x)
+        for nodes in (np.eye(4), np.eye(3)[:, :2]):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                polyspace._stacked_factors([0.0], [0.5], nodes, (), section)
 
 
 def _inline_zonal_rows(s, b, m_max, n):
