@@ -44,7 +44,6 @@ from .polyspace import (
     ZonalBlock,
     evaluate,
     from_json,
-    mean_value_eval,
     random_homogeneous,
     random_polyharmonic,
     to_json,
@@ -59,6 +58,7 @@ from .quadrature import (
     inner_product_ball,
     inner_product_sphere,
     laplacian_power_residual,
+    mean_value_eval,
     radial_moment,
     reproduce,
     sphere_monomial_moment,

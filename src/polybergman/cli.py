@@ -302,7 +302,8 @@ _COMMANDS = {
 def _checked_config(data) -> dict:
     """The parsed --config file, which must be a JSON object whose keys
     among DEFAULTS hold finite numbers, integers where the default is one
-    (as the flags take them); ValueError otherwise."""
+    (as the flags take them), and whose "format", if given, is "csv" or
+    "json" (as --format takes it); ValueError otherwise."""
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {json.dumps(data)[:40]}")
     for key in DEFAULTS.keys() & data.keys():
@@ -311,6 +312,8 @@ def _checked_config(data) -> dict:
         if isinstance(val, bool) or not isinstance(val, kind) or not math.isfinite(val):
             want = "an integer" if kind is int else "a finite number"
             raise ValueError(f"{key!r} must be {want}, got {json.dumps(val)[:40]}")
+    if data.get("format", "csv") not in ("csv", "json"):
+        raise ValueError(f"'format' must be \"csv\" or \"json\", got {json.dumps(data['format'])[:40]}")
     return data
 
 

@@ -71,8 +71,10 @@ def weighted_coefficient(n: int, alpha: float, beta: float, m: int) -> float:
     """Series weight 2 Gamma(m + (n+a)/2 + b + 1) / (Gamma(b+1) Gamma(m + (n+a)/2)).
 
     Computed through log-Gamma differences; for beta = 0 it collapses to
-    n + 2m + alpha.
+    n + 2m + alpha.  Its reciprocal is quadrature.radial_moment.  n and m
+    are integers (check_integer); ValueError otherwise.
     """
+    n = check_integer("dimension n", n, 1)
     alpha, beta = check_weight_parameters(n, alpha, beta)
     m = check_integer("degree", m, 0)
     z = m + 0.5 * (n + alpha)

@@ -1,30 +1,26 @@
-"""Polyharmonic polynomial test functions and the rotated mean-value formula.
+"""Polyharmonic polynomial test functions, their point evaluator and their
+JSON codec.
 
 Test polynomials are finite sums of blocks c * |x|^(2k) * Z_d(x, pole) with
 k below the polyharmonic order, so membership in the order-p class holds by
 construction; quadrature.laplacian_power_residual checks it independently.
 Points, rotated or general complex vectors, evaluate along one route:
-eval_complex, the bilinear polynomial form of each block.
-
-On a polar grid e^{i phases_k} radii_i unit_j, test polynomials and kernel
-sections are separable, and _stacked_factors is the one producer of their
-factors, for the cubature contractions that read them: reproduce and the
-two-polynomial inner product of quadrature, and the centred mean_value_eval.
+eval_complex, the bilinear polynomial form of each block.  The cubature
+that reads a polynomial on a polar grid, its separable factors included,
+lives in quadrature.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
-import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_SING, KernelConfig, RotatedPoint, check_integer, check_real, principal_pow, reduce_by_constructor
-from .errors import NearSingular
-from .zonal import _degree_weights, _zonal_iter, zonal_values
+from .core import KernelConfig, RotatedPoint, check_integer, reduce_by_constructor
+from .zonal import _zonal_iter
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +67,11 @@ class PolyharmonicPolynomial:
     and radial index below the order p.
 
     Checked and frozen when it is built, and it stores its blocks' fields
-    as read-only arrays in block order, which the polar-grid factors
-    (_stacked_factors) and eval_complex read: the radial indices k and
-    harmonic degrees d (ints, shape (B,)), the coefficients coeff (complex,
-    shape (B,)) and the poles (float, shape (B, n)).  They do not take
-    part in equality, which compares the block tuples.
+    as read-only arrays in block order, which eval_complex and the
+    polar-grid factors (quadrature._stacked_factors) read: the radial
+    indices k and harmonic degrees d (ints, shape (B,)), the coefficients
+    coeff (complex, shape (B,)) and the poles (float, shape (B, n)).  They
+    do not take part in equality, which compares the block tuples.
     """
 
     blocks: tuple
@@ -149,66 +145,6 @@ def random_homogeneous(
     return _random_blocks(cfg, degree, blocks, seed, homogeneous=True)
 
 
-def _stacked_factors(phases, radii, unit, polys, section=None):
-    """Separable factors of each polynomial in polys and, for
-    section = (coef, x), of that kernel section, all on the polar grid
-    e^{i phases_k} radii_i unit_j and from one zonal recurrence: the only
-    producer of polar-grid factors.
-
-    A polynomial there is sum_b rot[b, k] rad[b, i] zon[b, j]: a block
-    c |x|^(2k) Z_d(x, pole) at a grid point is c e^{i deg phases_k}
-    radii_i^deg Z_d(unit_j, pole) with deg = d + 2k.  The section
-    zonal_poly_sum(coef, t, zeta, n) at the pairs (x, grid point) is
-    sum_l W[k, i, l] z[l, j]: its cosine t = unit_j . x/|x| depends on the
-    node only and zeta = |x| radii_i e^{i (phase(x) - phases_k)} on the
-    phase and radius only, so W = _degree_weights(coef, zeta).  The origin
-    x = 0 takes the zero vector for x/|x|, where zeta = 0 and t = 0.
-
-    The recurrence runs on the stacked cosines
-    [poles of every block; x/|x|] @ unit^T, one row of node cosines per
-    pole, up to the largest block degree d and the section's top degree:
-    each block's zonal factor is z_d of its own row and the section's z is
-    z_0..z_L of the last row.  The poles are the polynomials' stored pole
-    arrays, stacked by one concatenation, and each polynomial's factors
-    come from its own stored k, d and coeff arrays: no block is read here.
-    Every polynomial and the section's x must have the dimension of the
-    nodes, unit.shape[1]; ValueError (dimension mismatch) otherwise.  unit
-    holds unit vectors.
-    Each set of zonal rows comes with its parities: z_d(-t) = (-1)^d z_d(t)
-    (Szego, Orthogonal Polynomials, 4.7), bit for bit, since the recurrence
-    is odd or even in t by degree, so at the node -unit_j a block's zonal
-    factor is sign[b] zon[b, j] and the section's z[l, j] is sign[l] z[l, j]
-    with sign = (-1)^degree.  Returns a list of (rot, rad, zon, sign) per
-    polynomial, shapes (B, K), (B, I), (B, J) and (B,) for B blocks,
-    followed by (W, z, sign), shapes (K, I, L), (L, J) and (L,), when
-    section is given.
-    """
-    unit = np.asarray(unit, dtype=float)
-    phases = np.asarray(phases, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    n = unit.shape[1]
-    if any(q.n != n for q in polys) or (section is not None and section[1].dim != n):
-        raise ValueError(f"dimension mismatch: nodes of dimension {n}, polynomials {[q.n for q in polys]}")
-    poles = [q.poles for q in polys]
-    top = max((max(q.d.tolist(), default=0) for q in polys), default=0)
-    if section is not None:
-        coef, x = section
-        w = _degree_weights(coef, x.radius * radii * np.exp(1j * (x.phase - phases[:, None])))
-        poles.append((x.coords / x.radius if x.radius else np.zeros(n))[None, :])
-        top = max(top, w.shape[-1] - 1)
-    z = zonal_values(np.concatenate(poles) @ unit.T, top, n)
-    out, row = [], 0
-    for q in polys:
-        deg = q.d + 2 * q.k
-        rot = q.coeff[:, None] * np.exp(1j * (deg[:, None] * phases))
-        zon = z[q.d, np.arange(row, row + q.d.size)]
-        out.append((rot, radii[None, :] ** deg[:, None], zon, (-1.0) ** q.d))
-        row += q.d.size
-    if section is not None:
-        out.append((w, z[: w.shape[-1], -1], (-1.0) ** np.arange(w.shape[-1])))
-    return out
-
-
 def eval_complex(q: PolyharmonicPolynomial, z: np.ndarray):
     """Evaluate at a batch of general complex vectors (shape (M, n)): the
     one point evaluator, which evaluate and eval_at_phase call for rotated
@@ -277,64 +213,3 @@ def from_json(text: str) -> PolyharmonicPolynomial:
         blocks.append(ZonalBlock(k=b["k"], d=b["d"], pole=[float(c) for c in b["pole"]],
                                  coeff=complex(float(coeff[0]), float(coeff[1]))))
     return PolyharmonicPolynomial(blocks=blocks, n=data["n"], p=data["p"])
-
-
-def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
-    """Sector-averaged mean-value integral recovering u(x).
-
-    (1/p) sum_k int_S (r^2p - |x-a|^2p)
-                      / (r^(2p-n) |e^{-i k pi/p}(x-a) - r zeta|^n)
-                      u(a + r e^{i k pi/p} zeta) dsigma(zeta),
-    where |.|^n is the principal power of the bilinear square.  Exact for
-    polyharmonic u of order at most p up to cubature error; a centre a,
-    point x, sphere rule or polynomial u of another dimension, a polynomial
-    of a higher order and a radius r that is not a positive real number
-    (check_real) raise ValueError.
-
-    With a = 0 the points r e^{i k pi/p} zeta_j are rotated points, so a
-    polynomial u there is the contraction of its polar factors
-    (_stacked_factors) on the sector phases and the one radius r.  They
-    are taken on the half H of the antipodal rule [H; -H]: one real
-    recurrence on its N/2 nodes, to the largest block degree, shared by
-    the p sectors; on -H each block's zonal row is mirrored by its parity
-    (-1)^d.  An off-centre ball takes eval_complex on the p N complex
-    points, sum_b (d_b + 1) recurrence rows of p N values, and a callable
-    u is called once on them.  The denominator's power n/2 is, at odd n,
-    one integer power and one square root (principal_pow).
-    """
-    a = np.asarray(a, dtype=float)
-    polynomial = isinstance(u, PolyharmonicPolynomial)
-    if a.shape != (cfg.n,) or x.dim != cfg.n or rule.nodes.shape[1] != cfg.n or (polynomial and u.n != cfg.n):
-        raise ValueError("dimension mismatch in mean_value_eval")
-    if polynomial and u.p > cfg.p:
-        raise ValueError(f"polynomial order {u.p} above the kernel order {cfg.p}")
-    r = check_real("radius r", r)
-    if not 0.0 < r:
-        raise ValueError(f"radius r must be positive, got {r}")
-    # negated comparisons: a NaN in the centre fails them
-    if not np.linalg.norm(a) + r < 1.0:
-        raise ValueError("ball B(a, r) must stay inside the unit ball")
-    if abs(math.remainder(x.phase, 2 * math.pi)) > 1e-12:
-        raise ValueError("mean-value evaluation point must be real (phase 0)")
-    d = x.coords - a
-    d2 = float(d @ d)
-    if not d2 < r * r:
-        raise ValueError("need |x - a| < r")
-    nodes = rule.nodes
-    num = r ** (2 * cfg.p) - d2**cfg.p
-    pref = r ** (cfg.n - 2 * cfg.p)
-    phases = cfg.sector_phases()
-    rot = np.exp(1j * phases)[:, None]
-    back = np.conj(rot)
-    bsq = back * back * d2 - 2.0 * r * back * (nodes @ d) + r * r
-    if np.any(np.abs(bsq) <= EPS_SING * r * r):
-        raise NearSingular("mean-value kernel denominator vanished")
-    den = principal_pow(bsq, 0.5 * cfg.n)
-    if polynomial and not a.any():
-        rot_u, rad_u, zon, sign = _stacked_factors(phases, (r,), rule.half_nodes, (u,))[0]
-        coef = (rot_u * rad_u).T
-        uv = np.concatenate((coef @ zon, (coef * sign) @ zon), axis=1)
-    else:
-        pts = (a + r * rot[:, :, None] * nodes).reshape(-1, cfg.n)
-        uv = (eval_complex(u, pts) if polynomial else u(pts)).reshape(den.shape)
-    return complex(np.sum(rule.weights * (num * pref / den) * uv)) / cfg.p

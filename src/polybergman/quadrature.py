@@ -1,4 +1,4 @@
-"""Sphere cubature, weighted radial rules and the sector inner products.
+"""Sphere cubature, weighted radial rules and every contraction on them.
 
 The sphere rule is a product rule in spherical angles: Gauss-Jacobi nodes in
 the cosine of each polar angle (weight exponents from the surface measure)
@@ -9,26 +9,28 @@ are symmetric, so the rule is antipodal, and it is stored that way: nodes
 the azimuths through the same polar peel.  Radial rules use Gauss-Jacobi in
 t = r^2, where the weight r^(n-1+alpha) (1-r^2)^beta dr becomes a textbook
 Jacobi weight.  Ball integrals compose the two in polar form with the
-n*Vol_n surface factor.
+n*Vol_n surface factor.  This module is the only reader of the half H.
 
-The sector inner products and reproduce sum over the product grid
-sector k x radial node i x sphere node j.  A polynomial operand is separable
-there, sum_b rot[b, k] rad[b, i] zon[b, j], and so is the kernel section,
-sum_l W[k, i, l] z[l, j]; polyspace._stacked_factors is the one producer of
-both.  The grid sum is then contracted one factor at a time through small
-Gram matrices, and no (p, R, N) array is formed: with N sphere nodes,
-operands of B and B' blocks cost O(B B' N) and reproduce with L kernel
-degrees O(B L N), where the values on the grid cost O(p R N (B + B')) and
-O(p R N (B + L)).  The zonal Gram factors are taken on the half H only:
-by Gegenbauer parity z_d(-t) = (-1)^d z_d(t), a product of zonal rows of
-degrees d and d' sums over [H; -H] to 2 sum_H w_H z_d z_d' when d + d' is
-even and to 0 when it is odd.  Each op pays for one real zonal recurrence
-over the N/2 nodes of H: the node cosines of both operands' poles, or of
-the polynomial's poles and x/|x|, are stacked into one (C, N/2) array and
-run to the largest degree any of them needs, so an op makes one round of
-numpy calls per degree whatever its number of blocks.  The grid route, on
-all N nodes, is kept for callable operands only; a polynomial partner of a
-callable is evaluated there by eval_complex, the one point evaluator.
+The sector inner products, reproduce and the centred mean_value_eval sum
+over the product grid sector k x radial node i x sphere node j.  A
+polynomial operand is separable there, sum_b rot[b, k] rad[b, i] zon[b, j],
+and so is the kernel section, sum_l W[k, i, l] z[l, j]; _stacked_factors is
+the one producer of both.  The grid sum is then contracted one factor at a
+time through small Gram matrices, and no (p, R, N) array is formed: with N
+sphere nodes, operands of B and B' blocks cost O(B B' N) and reproduce with
+L kernel degrees O(B L N), where the values on the grid cost
+O(p R N (B + B')) and O(p R N (B + L)).  The zonal factors are taken on the
+half H only: by Gegenbauer parity z_d(-t) = (-1)^d z_d(t), a product of
+zonal rows of degrees d and d' sums over [H; -H] to 2 sum_H w_H z_d z_d'
+when d + d' is even and to 0 when it is odd (_half_gram), and the
+mean-value integrand mirrors each block's row onto -H by (-1)^d.  Each op
+pays for one real zonal recurrence over the N/2 nodes of H: the node
+cosines of both operands' poles, or of the polynomial's poles and x/|x|,
+are stacked into one (C, N/2) array and run to the largest degree any of
+them needs, so an op makes one round of numpy calls per degree whatever its
+number of blocks.  The grid route, on all N nodes, is kept for callable
+operands and off-centre balls only; a polynomial there is evaluated by
+eval_complex, the one point evaluator.
 
 laplacian_power_residual, the independent check of a test polynomial's
 order, averages it over sphere rules and so lives here, beside
@@ -51,14 +53,17 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .core import KernelConfig, RotatedPoint, check_integer, check_weight_parameters, reduce_by_constructor, sphere_area
-from .kernels import _series_rows
-from .polyspace import PolyharmonicPolynomial, _stacked_factors, eval_complex
+from .core import (EPS_SING, KernelConfig, RotatedPoint, check_integer, check_real, check_weight_parameters,
+                   principal_pow, reduce_by_constructor, sphere_area)
+from .errors import NearSingular
+from .kernels import _series_rows, weighted_coefficient
+from .polyspace import PolyharmonicPolynomial, eval_complex
+from .zonal import _degree_weights, zonal_values
 
 NODE_CAP = 10**7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereRule:
     """Cubature nodes and weights for the normalized sphere measure.
 
@@ -66,7 +71,8 @@ class SphereRule:
     half H of the nodes, and any other layout raises ValueError.  An even
     integrand then sums to 2 sum_H w_H f and an odd one to 0, so
     (half_nodes, half_weights), a view of H and the weights 2 w_H, is the
-    rule for even integrands.
+    rule for even integrands.  Rules compare and hash by identity, as
+    rotated points do: their fields are arrays.
     """
 
     nodes: np.ndarray
@@ -95,9 +101,10 @@ class SphereRule:
     __reduce__ = reduce_by_constructor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialRule:
-    """Nodes/weights for int_0^1 r^(n-1+alpha) (1-r^2)^beta f(r) dr."""
+    """Nodes/weights for int_0^1 r^(n-1+alpha) (1-r^2)^beta f(r) dr; it
+    compares and hashes by identity, as SphereRule does."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -210,12 +217,10 @@ def laplacian_power_residual(
 
 
 def radial_moment(n: int, m: int, alpha: float, beta: float) -> float:
-    """int_0^1 r^(n+2m+alpha-1) (1-r^2)^beta dr by the Gamma closed form."""
-    n = check_integer("dimension n", n, 1)
-    m = check_integer("degree", m, 0)
-    alpha, beta = check_weight_parameters(n, alpha, beta)
-    z = m + 0.5 * (n + alpha)
-    return 0.5 * math.exp(math.lgamma(beta + 1.0) + math.lgamma(z) - math.lgamma(z + beta + 1.0))
+    """int_0^1 r^(n+2m+alpha-1) (1-r^2)^beta dr by the Gamma closed form
+    Gamma(b+1) Gamma(z) / (2 Gamma(z + b + 1)), z = m + (n+a)/2: the
+    reciprocal of kernels.weighted_coefficient, which checks the arguments."""
+    return 1.0 / weighted_coefficient(n, alpha, beta, m)
 
 
 def build_radial_rule(n: int, alpha: float, beta: float, node_count: int) -> RadialRule:
@@ -301,6 +306,75 @@ def _ball_values(cfg: KernelConfig, f, radii, unit: np.ndarray) -> np.ndarray:
     return np.array([[f(ph, r * unit) for r in radii] for ph in phases], dtype=complex)
 
 
+def _stacked_factors(phases, radii, unit, polys, section=None):
+    """Separable factors of each polynomial in polys and, for
+    section = (coef, x), of that kernel section, all on the polar grid
+    e^{i phases_k} radii_i unit_j and from one zonal recurrence: the only
+    producer of polar-grid factors.
+
+    A polynomial there is sum_b rot[b, k] rad[b, i] zon[b, j]: a block
+    c |x|^(2k) Z_d(x, pole) at a grid point is c e^{i deg phases_k}
+    radii_i^deg Z_d(unit_j, pole) with deg = d + 2k.  The section
+    zonal_poly_sum(coef, t, zeta, n) at the pairs (x, grid point) is
+    sum_l W[k, i, l] z[l, j]: its cosine t = unit_j . x/|x| depends on the
+    node only and zeta = |x| radii_i e^{i (phase(x) - phases_k)} on the
+    phase and radius only, so W = _degree_weights(coef, zeta).  The origin
+    x = 0 takes the zero vector for x/|x|, where zeta = 0 and t = 0.
+
+    The recurrence runs on the stacked cosines
+    [poles of every block; x/|x|] @ unit^T, one row of node cosines per
+    pole, up to the largest block degree d and the section's top degree:
+    each block's zonal factor is z_d of its own row and the section's z is
+    z_0..z_L of the last row.  The poles are the polynomials' stored pole
+    arrays, stacked by one concatenation, and each polynomial's factors
+    come from its own stored k, d and coeff arrays: no block is read here.
+    Every polynomial and the section's x must have the dimension of the
+    nodes, unit.shape[1]; ValueError (dimension mismatch) otherwise.  unit
+    holds unit vectors.
+    Returns a list of (rot, rad, zon) per polynomial, shapes (B, K), (B, I)
+    and (B, J) for B blocks, followed by (W, z), shapes (K, I, L) and
+    (L, J), when section is given.  A zonal row's degree is q.d[b] for a
+    block and l for the section, and its parity at the mirrored nodes
+    -unit_j is left to the contractions (_half_gram, mean_value_eval).
+    """
+    phases, radii, unit = (np.asarray(v, dtype=float) for v in (phases, radii, unit))
+    n = unit.shape[1]
+    if any(q.n != n for q in polys) or (section is not None and section[1].dim != n):
+        raise ValueError(f"dimension mismatch: nodes of dimension {n}, polynomials {[q.n for q in polys]}")
+    poles = [q.poles for q in polys]
+    top = max((max(q.d.tolist(), default=0) for q in polys), default=0)
+    if section is not None:
+        coef, x = section
+        w = _degree_weights(coef, x.radius * radii * np.exp(1j * (x.phase - phases[:, None])))
+        poles.append((x.coords / x.radius if x.radius else np.zeros(n))[None, :])
+        top = max(top, w.shape[-1] - 1)
+    z = zonal_values(np.concatenate(poles) @ unit.T, top, n)
+    out, row = [], 0
+    for q in polys:
+        deg = q.d + 2 * q.k
+        rot = q.coeff[:, None] * np.exp(1j * (deg[:, None] * phases))
+        zon = z[q.d, np.arange(row, row + q.d.size)]
+        out.append((rot, radii[None, :] ** deg[:, None], zon))
+        row += q.d.size
+    if section is not None:
+        out.append((w, z[: w.shape[-1], -1]))
+    return out
+
+
+def _half_gram(sphere: SphereRule, zon_f, d_f, zon_g, d_g):
+    """Zonal Gram matrix G[b, b'] = sum_j w_j z_b(node_j) z_b'(node_j) over
+    the whole antipodal rule [H; -H], from the rows zon_f (degrees d_f) and
+    zon_g (degrees d_g) taken on its half H: the one statement of the
+    rule's parity for a product of zonal rows.
+
+    z_d(-t) = (-1)^d z_d(t) (Szego, Orthogonal Polynomials, 4.7), bit for
+    bit, since the recurrence is odd or even in t by degree, so a product
+    of rows of degrees d and d' sums over [H; -H] to (zon_f 2 w_H) zon_g^T
+    where d + d' is even and to 0 where it is odd.
+    """
+    return ((zon_f * sphere.half_weights) @ zon_g.T) * ((d_f[:, None] - d_g) % 2 == 0)
+
+
 def _inner_product(cfg, f, g, radii, w_rad, sphere: SphereRule) -> complex:
     """(1/p) sum_kij w_rad_i w_sph_j f_kij conj(g_kij) on the sector x radius
     x sphere grid.
@@ -311,8 +385,7 @@ def _inner_product(cfg, f, g, radii, w_rad, sphere: SphereRule) -> complex:
     ((zon_f w_sph) zon_g^T)_{bb'} / p, O(B_f B_g N) work for N sphere nodes
     against O(p R N (B_f + B_g)) for the values on the grid.  Both
     operands' zonal factors come from one recurrence on their stacked poles
-    at the half H of the rule, and the zonal Gram factor is
-    (zon_f 2 w_H) zon_g^T where d_b + d_b' is even and 0 where it is odd.
+    at the half H of the rule, and _half_gram gives the zonal Gram factor.
     A callable operand takes the grid route: p R calls of N points each,
     and a polynomial partner one eval_complex call on the p R N points; the
     sum is one einsum, with no product array formed.
@@ -321,10 +394,10 @@ def _inner_product(cfg, f, g, radii, w_rad, sphere: SphereRule) -> complex:
     if any(h.n != cfg.n for h in polys):
         raise ValueError(f"dimension mismatch: n={cfg.n}, polynomials {[h.n for h in polys]}")
     if len(polys) == 2:
-        (rot_f, rad_f, zon_f, sign_f), (rot_g, rad_g, zon_g, sign_g) = _stacked_factors(
+        (rot_f, rad_f, zon_f), (rot_g, rad_g, zon_g) = _stacked_factors(
             cfg.sector_phases(), radii, sphere.half_nodes, (f, g)
         )
-        zonal = ((zon_f * sphere.half_weights) @ zon_g.T) * (sign_f[:, None] == sign_g)
+        zonal = _half_gram(sphere, zon_f, f.d, zon_g, g.d)
         gram = (rot_f @ rot_g.conj().T) * ((rad_f * w_rad) @ rad_g.T) * zonal
         return complex(gram.sum()) / cfg.p
     fv = _ball_values(cfg, f, radii, sphere.nodes)
@@ -371,8 +444,8 @@ def reproduce(
     O(B L N) work for B blocks, L = m_top + 1 degrees and N sphere nodes,
     against O(p R N (B + L)) for both factors' values on the grid.  zon and
     z are slices of one recurrence, to degree m_top, on the stacked
-    cosines [poles; x/|x|] @ H^T at the half H of the sphere rule, and
-    G_bl is (zon 2 w_H) z^T where d_b + l is even and 0 where it is odd.
+    cosines [poles; x/|x|] @ H^T at the half H of the sphere rule, and G
+    is their _half_gram.
     m_top is an integer (check_integer); ValueError otherwise.
     """
     m_top = check_integer("kernel truncation m_top", m_top, 0)
@@ -395,7 +468,68 @@ def reproduce(
     # the kernel's factor 1/(n Vol_n) cancels the rule's normalization n Vol_n,
     # and its second slot is conjugate-symmetric already: no conjugation
     section = (_series_rows(cfg.n, cfg.p, alpha, beta, "weighted", m_top), x)
-    (rot, radial, zon, sign), (w, z, sign_z) = _stacked_factors(phases, rad.nodes, sph.half_nodes, (u,), section)
+    (rot, radial, zon), (w, z) = _stacked_factors(phases, rad.nodes, sph.half_nodes, (u,), section)
     h = np.einsum("bk,bi,kil->bl", rot, radial * rad.weights, w)
-    gram = ((zon * sph.half_weights) @ z.T) * (sign[:, None] == sign_z)
+    gram = _half_gram(sph, zon, u.d, z, np.arange(len(z)))
     return complex((h * gram).sum()) / len(phases)
+
+
+def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
+    """Sector-averaged mean-value integral recovering u(x).
+
+    (1/p) sum_k int_S (r^2p - |x-a|^2p)
+                      / (r^(2p-n) |e^{-i k pi/p}(x-a) - r zeta|^n)
+                      u(a + r e^{i k pi/p} zeta) dsigma(zeta),
+    where |.|^n is the principal power of the bilinear square.  Exact for
+    polyharmonic u of order at most p up to cubature error; a centre a,
+    point x, sphere rule or polynomial u of another dimension, a polynomial
+    of a higher order and a radius r that is not a positive real number
+    (check_real) raise ValueError.
+
+    With a = 0 the points r e^{i k pi/p} zeta_j are rotated points, so a
+    polynomial u there is the contraction of its polar factors
+    (_stacked_factors) on the sector phases and the one radius r.  They
+    are taken on the half H of the antipodal rule [H; -H]: one real
+    recurrence on its N/2 nodes, to the largest block degree, shared by
+    the p sectors; on -H each block's zonal row is mirrored by its parity
+    (-1)^d.  An off-centre ball takes eval_complex on the p N complex
+    points, sum_b (d_b + 1) recurrence rows of p N values, and a callable
+    u is called once on them.  The denominator's power n/2 is, at odd n,
+    one integer power and one square root (principal_pow).
+    """
+    a = np.asarray(a, dtype=float)
+    polynomial = isinstance(u, PolyharmonicPolynomial)
+    if a.shape != (cfg.n,) or x.dim != cfg.n or rule.nodes.shape[1] != cfg.n or (polynomial and u.n != cfg.n):
+        raise ValueError("dimension mismatch in mean_value_eval")
+    if polynomial and u.p > cfg.p:
+        raise ValueError(f"polynomial order {u.p} above the kernel order {cfg.p}")
+    r = check_real("radius r", r)
+    if not 0.0 < r:
+        raise ValueError(f"radius r must be positive, got {r}")
+    # negated comparisons: a NaN in the centre fails them
+    if not np.linalg.norm(a) + r < 1.0:
+        raise ValueError("ball B(a, r) must stay inside the unit ball")
+    if abs(math.remainder(x.phase, 2 * math.pi)) > 1e-12:
+        raise ValueError("mean-value evaluation point must be real (phase 0)")
+    d = x.coords - a
+    d2 = float(d @ d)
+    if not d2 < r * r:
+        raise ValueError("need |x - a| < r")
+    nodes = rule.nodes
+    num = r ** (2 * cfg.p) - d2**cfg.p
+    pref = r ** (cfg.n - 2 * cfg.p)
+    phases = cfg.sector_phases()
+    rot = np.exp(1j * phases)[:, None]
+    back = np.conj(rot)
+    bsq = back * back * d2 - 2.0 * r * back * (nodes @ d) + r * r
+    if np.any(np.abs(bsq) <= EPS_SING * r * r):
+        raise NearSingular("mean-value kernel denominator vanished")
+    den = principal_pow(bsq, 0.5 * cfg.n)
+    if polynomial and not a.any():
+        rot_u, rad_u, zon = _stacked_factors(phases, (r,), rule.half_nodes, (u,))[0]
+        coef = (rot_u * rad_u).T
+        uv = np.concatenate((coef @ zon, (coef * (-1.0) ** u.d) @ zon), axis=1)
+    else:
+        pts = (a + r * rot[:, :, None] * nodes).reshape(-1, cfg.n)
+        uv = (eval_complex(u, pts) if polynomial else u(pts)).reshape(den.shape)
+    return complex(np.sum(rule.weights * (num * pref / den) * uv)) / cfg.p

@@ -30,7 +30,6 @@ from .kernels import (
 from .polyspace import (
     eval_complex,
     evaluate,
-    mean_value_eval,
     random_homogeneous,
     random_polyharmonic,
 )
@@ -39,6 +38,7 @@ from .quadrature import (
     build_sphere_rule,
     inner_product_ball,
     inner_product_sphere,
+    mean_value_eval,
     reproduce,
 )
 from .zonal import degree_coefficients, polyharmonic_dims, zonal_poly_sum

@@ -13,8 +13,8 @@ with q = zeta^2 and terms dropped once m - 2k < 0; t and zeta of a pair come
 from core.pair_invariants, as the closed forms' s, q and w do.  Every zonal
 sum in the package goes through one assembly, zonal_poly_sum, of the rows
 that series_coefficients gives; on a polar grid of pairs,
-polyspace._stacked_factors returns its two factors, the weights W[l] (the
-same _degree_weights) and z_l(t), for the caller to contract.
+quadrature._stacked_factors returns its two factors, the weights W[l] (the
+same _degree_weights) and z_l(t), for the cubature to contract.
 """
 
 from __future__ import annotations

@@ -272,6 +272,7 @@ class TestConfigPrecedence:
             '{"n": null}', '{"tol": [1]}', '{"p": "2"}', '{"seed": true}',
             '{"alpha": Infinity}', '{"r_max": NaN}',  # a known key not a finite number
             '{"n": 2.5}', '{"seed": 1e3}',  # a float where the flag takes an integer
+            '{"format": "xml"}',  # a format --format does not take
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, text):

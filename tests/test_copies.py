@@ -10,6 +10,7 @@ import pytest
 
 from polybergman import (
     KernelConfig,
+    build_ball_rule,
     build_radial_rule,
     build_sphere_rule,
     make_rotated_point,
@@ -77,3 +78,17 @@ def test_configuration_round_trip_is_equal_and_shares_its_phases(trip):
     assert back.sector_phases() is cfg.sector_phases()
     assert not back.sector_phases().flags.writeable
 
+
+
+@pytest.mark.parametrize("trip", sorted(ROUND_TRIPS))
+def test_rules_compare_and_hash_with_their_copies(trip):
+    # rules hold arrays, so they compare and hash by identity, as points and
+    # blocks do; a ball rule compares its two rules
+    ball = build_ball_rule(3, 1.0, 0.5, 8)
+    for rule in (ball.sphere, ball.radial):
+        back = ROUND_TRIPS[trip](rule)
+        assert rule == rule and back != rule and not back == rule
+        assert isinstance(hash(back), int) and len({rule, back, rule}) == 2
+    back = ROUND_TRIPS[trip](ball)
+    assert (back == ball) is (back.sphere is ball.sphere and back.radial is ball.radial)
+    assert ball == ball and isinstance(hash(back), int) and hash(ball) == hash(ball)

@@ -44,3 +44,18 @@ def test_names_the_benchmark_calls_keep_their_signatures():
     assert len(_parameters(polyspace.eval_at_phase)) == 3  # (polynomial, phase, coords)
     assert isinstance(polybergman.BACKEND_NAME, str) and polybergman.BACKEND_NAME == zonal.BACKEND_NAME
     assert isinstance(polybergman.KernelConfig.eps_branch, float)
+
+
+def test_the_half_rule_and_polyspace_privates_stay_in_their_modules():
+    # quadrature alone reads the antipodal half of a sphere rule, and no
+    # module reaches into polyspace for a private name
+    for path in sorted(Path(polybergman.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("half_nodes", "half_weights"):
+                assert path.stem == "quadrature", (path.name, node.lineno, node.attr)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "polyspace":
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, (path.name, node.lineno, private)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "polyspace":
+                assert not node.attr.startswith("_"), (path.name, node.lineno, node.attr)

@@ -304,7 +304,11 @@ class TestWeightedCoefficient:
         for m in (-1, 1.5, 2.0, math.nan, True):
             with pytest.raises(ValueError, match="degree"):
                 weighted_coefficient(3, 0.0, 0.0, m)
+        for n in (2.5, 3.0, True, 0):
+            with pytest.raises(ValueError, match="dimension n"):
+                weighted_coefficient(n, 0.0, 0.0, 1)
         assert weighted_coefficient(3, 0.0, 0.0, np.int64(2)) == weighted_coefficient(3, 0.0, 0.0, 2)
+        assert weighted_coefficient(np.int64(3), 0.0, 0.0, 2) == weighted_coefficient(3, 0.0, 0.0, 2)
 
 
 class TestSeriesWeights:

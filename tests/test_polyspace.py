@@ -19,7 +19,7 @@ from polybergman import (
     random_polyharmonic,
     to_json,
 )
-from polybergman import polyspace, zonal
+from polybergman import polyspace, quadrature, zonal
 from polybergman.polyspace import eval_at_phase, eval_complex
 from polybergman.zonal import _zonal_rows
 
@@ -32,7 +32,7 @@ def unit(v):
 def polar_grid(q, phases, radii, unit_nodes):
     """q at the polar grid e^{i phases_k} radii_i unit_j, shape (K, I, J),
     contracted here from its factors (_stacked_factors)."""
-    rot, rad, zon, _ = polyspace._stacked_factors(phases, radii, unit_nodes, (q,))[0]
+    rot, rad, zon = quadrature._stacked_factors(phases, radii, unit_nodes, (q,))[0]
     return np.einsum("bk,bi,bj->kij", rot, rad, zon)
 
 
@@ -170,7 +170,7 @@ class TestEvaluate:
         # the polar grid factors were built on 2-d nodes
         nodes = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            polyspace._stacked_factors([0.0], [0.5], nodes, (q,))
+            quadrature._stacked_factors([0.0], [0.5], nodes, (q,))
         with pytest.raises(ValueError, match="dimension mismatch"):
             eval_at_phase(q, 0.3, 0.5 * nodes)
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -275,14 +275,13 @@ def stacked_factors_from_blocks(phases, radii, unit, polys, section=None):
     coeff = np.array([b.coeff for b in blocks], dtype=complex)
     rot = coeff[:, None] * np.exp(1j * (deg[:, None] * phases))
     rad = radii[None, :] ** deg[:, None]
-    sign = (-1.0) ** d
     out, start = [], 0
     for q in polys:
         part = slice(start, start + len(q.blocks))
-        out.append((rot[part], rad[part], zon[part], sign[part]))
+        out.append((rot[part], rad[part], zon[part]))
         start = part.stop
     if section is not None:
-        out.append((w, z[: w.shape[-1], -1], (-1.0) ** np.arange(w.shape[-1])))
+        out.append((w, z[: w.shape[-1], -1]))
     return out
 
 
@@ -341,7 +340,7 @@ class TestStoredArrays:
         if with_section:
             cases.append(())
         for polys in cases:
-            got = polyspace._stacked_factors(phases, radii, nodes, polys, section)
+            got = quadrature._stacked_factors(phases, radii, nodes, polys, section)
             want = stacked_factors_from_blocks(phases, radii, nodes, polys, section)
             assert len(got) == len(want)
             for got_part, want_part in zip(got, want):
@@ -354,7 +353,7 @@ class TestStoredArrays:
         nodes = build_sphere_rule(3, 6).half_nodes
         f = random_polyharmonic(cfg, 4, blocks=3, seed=5)
         section = (zonal.series_coefficients(2, [1.0, 0.5, 0.25, 0.125]), make_rotated_point(0.0, np.zeros(3)))
-        got = polyspace._stacked_factors(cfg.sector_phases(), (0.5,), nodes, (f,), section)
+        got = quadrature._stacked_factors(cfg.sector_phases(), (0.5,), nodes, (f,), section)
         want = stacked_factors_from_blocks(cfg.sector_phases(), (0.5,), nodes, (f,), section)
         for got_part, want_part in zip(got, want):
             for a, b in zip(got_part, want_part):
@@ -603,7 +602,7 @@ class TestMeanValue:
         u = random_polyharmonic(cfg, 6, blocks=4, seed=3)
         x = make_rotated_point(0.0, (0.1, -0.2, 0.05))
         want = evaluate(u, x)  # evaluate is eval_complex: taken before the patch
-        monkeypatch.setattr(polyspace, "eval_complex", complex_route)
+        monkeypatch.setattr(quadrature, "eval_complex", complex_route)
         got = mean_value_eval(cfg, u, np.zeros(3), 0.6, x, rule)
         assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
 

@@ -321,6 +321,16 @@ class TestRadialMoment:
                 lambda r: r ** (n + 2 * m + alpha - 1) * (1 - r * r) ** beta, 0, 1
             )
             assert_allclose(radial_moment(n, m, alpha, beta), val, rtol=1e-10)
+        # radial_moment is 1 / weighted_coefficient; both agree with the
+        # Gamma closed form Gamma(b+1) Gamma(z) / (2 Gamma(z+b+1)), z = m + (n+a)/2
+        for n in range(2, 8):
+            for m in (0, 1, 7, 60, 199):
+                for alpha, beta in [(0.0, 0.0), (40.0, 7.0), (-1.5, -0.5), (3.25, 2.0)]:
+                    got = radial_moment(n, m, alpha, beta)
+                    z = m + 0.5 * (n + alpha)
+                    gamma = 0.5 * math.exp(math.lgamma(beta + 1.0) + math.lgamma(z) - math.lgamma(z + beta + 1.0))
+                    assert_allclose(got, gamma, rtol=1e-13)
+                    assert_allclose(got * weighted_coefficient(n, alpha, beta, m), 1.0, rtol=1e-15)
 
 
 class TestInnerProducts:

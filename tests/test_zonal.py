@@ -11,7 +11,7 @@ from polybergman import (
     sph_dim,
     zonal_polyharmonic,
 )
-from polybergman import polyspace, zonal
+from polybergman import quadrature, zonal
 from polybergman.zonal import (
     _zonal_rows,
     degree_coefficients,
@@ -238,7 +238,7 @@ def section_grid(coef, x, phases, radii, unit_nodes):
     """zonal_poly_sum(coef, t, zeta, n) at the pairs (x, e^{i phases_k} radii_i unit_j),
     shape (K, I, J), contracted here from the section's factors
     (_stacked_factors)."""
-    w, z, _ = polyspace._stacked_factors(phases, radii, unit_nodes, (), (coef, x))[0]
+    w, z = quadrature._stacked_factors(phases, radii, unit_nodes, (), (coef, x))[0]
     return np.einsum("kil,lj->kij", w, z)
 
 
@@ -297,7 +297,7 @@ class TestZonalSection:
         section = (degree_coefficients(1, 2), x)
         for nodes in (np.eye(4), np.eye(3)[:, :2]):
             with pytest.raises(ValueError, match="dimension mismatch"):
-                polyspace._stacked_factors([0.0], [0.5], nodes, (), section)
+                quadrature._stacked_factors([0.0], [0.5], nodes, (), section)
 
 
 def _inline_zonal_rows(s, b, m_max, n):
