@@ -2,8 +2,14 @@
 
 Exit codes: 0 ok, 1 verify-suite failure, 2 usage/validation, 3 numeric
 domain error, 4 unwritable output.  Numeric errors emit machine-readable
-JSON on stderr.  Config precedence: flags > --config JSON file > defaults
-(n=3, p=2, alpha=0, beta=0, tol=1e-10, r_max=0.95, seed=42).
+JSON on stderr.  The parser is the one table of options: each flag carries
+its default (n=3, p=2, alpha=0, beta=0, tol=1e-10, r_max=0.95, seed=42;
+--format json under eval, csv under grid).  Precedence: flags > --config
+JSON file > those defaults.  The file is a JSON object keyed by flag dest
+(r_max, radial_steps, ...); each key must name an optional flag of some
+command and hold a value that flag takes.  Keys of another command's flags
+are checked and ignored, so one file serves every command; any other key
+or value exits 2 with error "config".
 """
 
 from __future__ import annotations
@@ -26,16 +32,6 @@ from .kernels import (
 from .verify import SUITES, run_suite
 from .zonal import BACKEND_NAME, zonal_polyharmonic
 
-DEFAULTS = {
-    "n": 3,
-    "p": 2,
-    "alpha": 0.0,
-    "beta": 0.0,
-    "tol": 1e-10,
-    "r_max": 0.95,
-    "seed": 42,
-}
-
 KERNELS = ("poisson", "bergman", "wbergman", "zonal")
 
 _USAGE_EXIT = 2
@@ -48,30 +44,33 @@ class CliError(Exception):
 
 
 def _build_parser():
+    """The top-level parser and its subparsers by command name; each
+    subparser's default "run" is its command's function."""
     parser = argparse.ArgumentParser(
         prog="polybergman",
         description="Polyharmonic Poisson/Bergman kernels on rotated unit balls",
     )
-    parser.add_argument("--config", help="JSON file with default option values")
+    parser.add_argument("--config", help="JSON file of option defaults, keyed by flag dest")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--n", type=int, help="ambient dimension")
-        sp.add_argument("--p", type=int, help="polyharmonic order")
-        sp.add_argument("--alpha", type=float, help="radial power weight")
-        sp.add_argument("--beta", type=float, help="boundary-vanishing weight")
-        sp.add_argument("--tol", type=float, help="series tolerance")
-        sp.add_argument("--r-max", dest="r_max", type=float, help="series radius cap")
+        sp.add_argument("--n", type=int, default=3, help="ambient dimension")
+        sp.add_argument("--p", type=int, default=2, help="polyharmonic order")
+        sp.add_argument("--alpha", type=float, default=0.0, help="radial power weight")
+        sp.add_argument("--beta", type=float, default=0.0, help="boundary-vanishing weight")
+        sp.add_argument("--tol", type=float, default=1e-10, help="series tolerance")
+        sp.add_argument("--r-max", dest="r_max", type=float, default=0.95, help="series radius cap")
         sp.add_argument("--output", help="write the result to this path")
 
-    def add_kernel_flags(sp):
+    def add_kernel_flags(sp, fmt):
         add_common(sp)
         sp.add_argument("--kernel", choices=KERNELS, default="bergman")
         sp.add_argument("--m", type=int, help="zonal degree (kernel=zonal)")
-        sp.add_argument("--format", choices=("csv", "json"), help="output format")
+        sp.add_argument("--format", choices=("csv", "json"), default=fmt, help="output format")
 
     pe = sub.add_parser("eval", help="evaluate a kernel at a point pair")
-    add_kernel_flags(pe)
+    pe.set_defaults(run=cmd_eval)
+    add_kernel_flags(pe, "json")
     pe.add_argument("--x", required=True, help="comma-separated coordinates of x")
     pe.add_argument("--x-phase", type=float, help="phase of x in radians")
     pe.add_argument("--x-sector", type=int, help="sector index k (phase k*pi/p)")
@@ -80,7 +79,8 @@ def _build_parser():
     pe.add_argument("--y-sector", type=int, help="sector index for y")
 
     pg = sub.add_parser("grid", help="emit a CSV grid of kernel values")
-    add_kernel_flags(pg)
+    pg.set_defaults(run=cmd_grid)
+    add_kernel_flags(pg, "csv")
     pg.add_argument("--radial-steps", type=int, default=10)
     pg.add_argument("--angle-steps", type=int, default=10)
     pg.add_argument("--x-sector", type=int, default=0)
@@ -88,36 +88,22 @@ def _build_parser():
     pg.add_argument("--r-hi", type=float, default=0.98, help="largest grid radius")
 
     pv = sub.add_parser("verify", help="run a named verification suite")
+    pv.set_defaults(run=cmd_verify)
     pv.add_argument("--suite", required=True, choices=sorted(SUITES))
     pv.add_argument("--cases", type=int, help="override per-combination case count")
-    pv.add_argument("--seed", type=int, help="random seed")
+    pv.add_argument("--seed", type=int, default=42, help="random seed")
     pv.add_argument("--output", help="write the report to this path")
 
     pi = sub.add_parser("info", help="print configuration and environment info")
+    pi.set_defaults(run=cmd_info)
     add_common(pi)
-    pi.add_argument("--seed", type=int, help="random seed")
-    return parser
-
-
-def _resolve(args, key):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    cfgfile = getattr(args, "_config_data", {})
-    if key in cfgfile:
-        return cfgfile[key]
-    return DEFAULTS.get(key)
+    pi.add_argument("--seed", type=int, default=42, help="random seed")
+    return parser, sub.choices
 
 
 def _config_from_args(args) -> KernelConfig:
     try:
-        return KernelConfig(
-            n=int(_resolve(args, "n")),
-            p=int(_resolve(args, "p")),
-            alpha=float(_resolve(args, "alpha")),
-            beta=float(_resolve(args, "beta")),
-            r_max=float(_resolve(args, "r_max")),
-        )
+        return KernelConfig(n=args.n, p=args.p, alpha=args.alpha, beta=args.beta, r_max=args.r_max)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -198,12 +184,11 @@ class _IoFailure(Exception):
 
 def cmd_eval(args) -> int:
     cfg = _config_from_args(args)
-    tol = float(_resolve(args, "tol"))
     x = _parse_point(cfg, args.x, args.x_phase, args.x_sector, "x")
     y = _parse_point(cfg, args.y, args.y_phase, args.y_sector, "y")
-    value, trunc = _eval_kernel(cfg, args.kernel, x, y, tol, args.m)
+    value, trunc = _eval_kernel(cfg, args.kernel, x, y, args.tol, args.m)
     regime = evaluation_regime(cfg, x, y)
-    if _resolve(args, "format") == "csv":
+    if args.format == "csv":
         text = "\n".join(_grid_lines(cfg, [(x, y, value, regime)])) + "\n"
     else:
         record = {
@@ -220,13 +205,12 @@ def cmd_eval(args) -> int:
             "regime": regime,
         }
         text = json.dumps(record) + "\n"
-    _write_text(getattr(args, "output", None), text)
+    _write_text(args.output, text)
     return 0
 
 
 def cmd_grid(args) -> int:
     cfg = _config_from_args(args)
-    tol = float(_resolve(args, "tol"))
     radial = args.radial_steps
     angular = args.angle_steps
     if radial < 1 or angular < 1:
@@ -243,9 +227,9 @@ def cmd_grid(args) -> int:
             coords = [r * math.cos(theta), r * math.sin(theta)] + [0.0] * (cfg.n - 2)
             x = make_rotated_point(phase_x, coords)
             y = make_rotated_point(phase_y, coords)
-            value, _ = _eval_kernel(cfg, args.kernel, x, y, tol, args.m)
+            value, _ = _eval_kernel(cfg, args.kernel, x, y, args.tol, args.m)
             entries.append((x, y, value, evaluation_regime(cfg, x, y)))
-    if _resolve(args, "format") == "json":
+    if args.format == "json":
         keys = _grid_header(cfg)
         rows = [
             dict(zip(keys, _grid_row_values(cfg, x, y, v, reg)))
@@ -254,18 +238,17 @@ def cmd_grid(args) -> int:
         text = json.dumps(rows) + "\n"
     else:
         text = "\n".join(_grid_lines(cfg, entries)) + "\n"
-    _write_text(getattr(args, "output", None), text)
+    _write_text(args.output, text)
     return 0
 
 
 def cmd_verify(args) -> int:
     if args.cases is not None and args.cases < 1:
         raise CliError("--cases must be >= 1")
-    seed = int(_resolve(args, "seed"))
-    report = run_suite(args.suite, seed=seed, cases=args.cases)
+    report = run_suite(args.suite, seed=args.seed, cases=args.cases)
     text = json.dumps(report) + "\n"
-    _write_text(getattr(args, "output", None), text)
-    if getattr(args, "output", None) is not None:
+    _write_text(args.output, text)
+    if args.output is not None:
         sys.stdout.write(text)
     return 0 if report["pass"] else 1
 
@@ -281,40 +264,51 @@ def cmd_info(args) -> int:
             "alpha": cfg.alpha,
             "beta": cfg.beta,
             "r_max": cfg.r_max,
-            "tol": float(_resolve(args, "tol")),
-            "seed": int(_resolve(args, "seed")),
+            "tol": args.tol,
+            "seed": args.seed,
         },
         "unit_ball_volume": unit_ball_volume(cfg.n),
         "suites": sorted(SUITES),
     }
-    _write_text(getattr(args, "output", None), json.dumps(record, indent=2) + "\n")
+    _write_text(args.output, json.dumps(record, indent=2) + "\n")
     return 0
 
 
-_COMMANDS = {
-    "eval": cmd_eval,
-    "grid": cmd_grid,
-    "verify": cmd_verify,
-    "info": cmd_info,
-}
+def _config_defaults(commands, command, data) -> dict:
+    """The defaults that a parsed --config file sets for command's flags.
 
-
-def _checked_config(data) -> dict:
-    """The parsed --config file, which must be a JSON object whose keys
-    among DEFAULTS hold finite numbers, integers where the default is one
-    (as the flags take them), and whose "format", if given, is "csv" or
-    "json" (as --format takes it); ValueError otherwise."""
+    data must be a JSON object keyed by dests of optional flags of any
+    command (the subparsers in commands), each holding what its flag takes:
+    a JSON integer for an int flag, a finite number for a float flag, one
+    of the choices of a choice flag, a string otherwise.  The key of
+    another command's flag is checked and left out.  ValueError otherwise.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {json.dumps(data)[:40]}")
-    for key in DEFAULTS.keys() & data.keys():
-        val = data[key]
-        kind = int if isinstance(DEFAULTS[key], int) else (int, float)
-        if isinstance(val, bool) or not isinstance(val, kind) or not math.isfinite(val):
-            want = "an integer" if kind is int else "a finite number"
+    flags = {}  # dest -> (command, Action), the running command's own where it has one
+    for name in (command, *commands):
+        for action in commands[name]._actions:
+            # -h is the one optional flag whose default is SUPPRESS
+            if action.option_strings and not action.required and action.default is not argparse.SUPPRESS:
+                flags.setdefault(action.dest, (name, action))
+    own = {}
+    for key, val in data.items():
+        if key not in flags:
+            raise ValueError(f"{key!r} is not an option of any command")
+        name, action = flags[key]
+        if action.choices is not None:
+            ok, want = val in action.choices, f"one of {list(action.choices)}"
+        elif action.type is int:  # a bool is no JSON integer
+            ok, want = type(val) is int, "an integer"
+        elif action.type is float:
+            ok, want = type(val) in (int, float) and math.isfinite(val), "a finite number"
+        else:
+            ok, want = isinstance(val, str), "a string"
+        if not ok:
             raise ValueError(f"{key!r} must be {want}, got {json.dumps(val)[:40]}")
-    if data.get("format", "csv") not in ("csv", "json"):
-        raise ValueError(f"'format' must be \"csv\" or \"json\", got {json.dumps(data['format'])[:40]}")
-    return data
+        if name == command:
+            own[key] = val if action.type is None else action.type(val)
+    return own
 
 
 def _emit_error(code: str, message: str):
@@ -322,22 +316,24 @@ def _emit_error(code: str, message: str):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            try:
+                with open(args.config) as fh:
+                    defaults = _config_defaults(commands, args.command, json.load(fh))
+            # JSONDecodeError is a ValueError; a huge integer overflows isfinite
+            except (OSError, ValueError, OverflowError) as exc:
+                _emit_error("config", f"cannot read config file: {exc}")
+                return _USAGE_EXIT
+            # the file's values become the command's defaults: flags still win
+            commands[args.command].set_defaults(**defaults)
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return _USAGE_EXIT if exc.code not in (0, None) else 0
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                args._config_data = _checked_config(json.load(fh))
-        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-            _emit_error("config", f"cannot read config file: {exc}")
-            return _USAGE_EXIT
-    else:
-        args._config_data = {}
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except CliError as exc:
         _emit_error("usage", str(exc))
         return _USAGE_EXIT

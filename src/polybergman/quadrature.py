@@ -200,9 +200,11 @@ def laplacian_power_residual(
     order defaults to the polynomial's own class order p, where the exact
     value is 0; negative controls pass a lower order to land on a genuinely
     nonzero iterated Laplacian.  An order that is not an integer >= 1
-    (check_integer) raises ValueError.
+    (check_integer) or a point of another dimension than q raises ValueError.
     """
     p = q.p if order is None else check_integer("Laplacian power", order, 1)
+    if x.dim != q.n:
+        raise ValueError(f"dimension mismatch: polynomial n={q.n}, point {x.dim}")
     if abs(math.remainder(x.phase, 2 * math.pi)) > 1e-12:
         raise ValueError("residual check expects a real (phase-0) point")
     top = q.degree // 2

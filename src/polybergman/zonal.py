@@ -98,16 +98,12 @@ def _zonal_rows(s, b, m_max: int, n: int) -> np.ndarray:
     """Rows m = 0..m_max of _zonal_iter(s, b, m_max, n) as one array.
 
     For an array s each row is written in place into the preallocated
-    result by ufuncs given their output, with one scratch row for the
-    b-term: no temporaries per row and no copy.  The association of
+    result by ufuncs given their output, with one scratch row: no
+    temporaries per row and no copy.  The association of
     _zonal_iter, (2 f_m s) z_{m-1} - (f_m c_m b) z_{m-2}, is kept, so the
-    rows are the same bits.  A scalar s runs _zonal_iter on Python numbers.
+    rows are the same bits.  s is an array; b is one of its shape or a scalar.
     """
-    out = np.empty((m_max + 1,) + np.shape(s), dtype=np.result_type(s, b))
-    if not isinstance(s, np.ndarray):
-        for m, z in enumerate(_zonal_iter(s, b, m_max, n)):
-            out[m] = z
-        return out
+    out = np.empty((m_max + 1,) + s.shape, dtype=np.result_type(s, b))
     two_f, fc = _recurrence_constants(n, m_max)
     # one view per row and positional out arguments: on a few hundred
     # cosines the per-call overhead is most of a row's cost
@@ -118,10 +114,12 @@ def _zonal_rows(s, b, m_max: int, n: int) -> np.ndarray:
     tmp = np.empty_like(rows[0])
     for m in range(2, m_max + 1):
         # operands in the expression's order: numpy's complex loops may use
-        # fused multiply-adds, which are not symmetric in their operands
+        # fused multiply-adds, which are not symmetric in their operands; and
+        # no product is written over an operand, which on one complex
+        # element sends numpy to another loop, an ulp off the expression
         row = rows[m]
-        np.multiply(two_f[m], s, row)
-        np.multiply(row, rows[m - 1], row)
+        np.multiply(two_f[m], s, tmp)
+        np.multiply(tmp, rows[m - 1], row)
         np.multiply(fc[m] * b, rows[m - 2], tmp)
         np.subtract(row, tmp, row)
     return out
@@ -141,9 +139,7 @@ def zonal_values(t, m_max: int, n: int) -> np.ndarray:
     """
     m_max = check_integer("degree m_max", m_max, 0)
     n = check_integer("dimension n", n, 2)
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        return _zonal_rows(_clip_cosine(float(t)), 1.0, m_max, n)[:, None]
+    t = np.atleast_1d(np.asarray(t, dtype=float))
     # the ufuncs and the array method, not np.all and np.clip: on the few
     # hundred cosines of a cubature op their Python wrappers cost more than
     # the arithmetic

@@ -13,13 +13,28 @@ from polybergman.verify import run_suite
 CLI = [sys.executable, "-m", "polybergman.cli"]
 
 
-def run_cli(*args, **kwargs):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, **kwargs)
+def run_process(*args):
+    """`python -m polybergman.cli` in a child process: kept for one case of
+    each exit code 0, 2, 3 and 4, so that the module's entry point runs."""
+    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+
+
+@pytest.fixture
+def run_cli(capsys):
+    """cli.main in this process, its exit code and output returned in the
+    shape that run_process returns them."""
+
+    def run(*args):
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out, err)
+
+    return run
 
 
 class TestEval:
     def test_bergman_at_origin(self):
-        res = run_cli(
+        res = run_process(
             "eval", "--kernel", "bergman", "--n", "3", "--p", "1",
             "--x", "0,0,0", "--y", "0,0,0",
         )
@@ -30,7 +45,7 @@ class TestEval:
         assert rec["truncation"] is None
         assert rec["regime"] == "standard"
 
-    def test_poisson_hand_value(self):
+    def test_poisson_hand_value(self, run_cli):
         res = run_cli(
             "eval", "--kernel", "poisson", "--n", "3", "--p", "2",
             "--x", "0.5,0,0", "--y", "0.5,0,0",
@@ -39,7 +54,7 @@ class TestEval:
         rec = json.loads(res.stdout)
         assert_allclose(rec["re"], 255.0 / 108.0, rtol=1e-12)
 
-    def test_sector_flag_sets_phase(self):
+    def test_sector_flag_sets_phase(self, run_cli):
         res = run_cli(
             "eval", "--kernel", "zonal", "--m", "2", "--n", "3", "--p", "2",
             "--x", "0.5,0,0", "--x-sector", "1", "--y", "0.5,0,0",
@@ -48,7 +63,7 @@ class TestEval:
         rec = json.loads(res.stdout)
         assert_allclose(rec["x"]["phase"], math.pi / 2)
 
-    def test_wbergman_reports_truncation(self):
+    def test_wbergman_reports_truncation(self, run_cli):
         res = run_cli(
             "eval", "--kernel", "wbergman", "--n", "3", "--p", "2",
             "--alpha", "1.0", "--beta", "0.5",
@@ -59,7 +74,7 @@ class TestEval:
         assert isinstance(rec["truncation"], int) and rec["truncation"] > 0
 
     def test_near_singular_exits_3(self):
-        res = run_cli(
+        res = run_process(
             "eval", "--kernel", "poisson", "--n", "3", "--p", "1",
             "--x", "0.99999999,0,0", "--y", "0.99999999,0,0",
         )
@@ -67,7 +82,7 @@ class TestEval:
         err = json.loads(res.stderr)
         assert err["error"] == "near_singular"
 
-    def test_csv_format(self):
+    def test_csv_format(self, run_cli):
         res = run_cli(
             "eval", "--kernel", "poisson", "--n", "3", "--p", "2",
             "--x", "0.5,0,0", "--y", "0.5,0,0", "--format", "csv",
@@ -77,7 +92,7 @@ class TestEval:
         assert lines[0].startswith("n,p,alpha,beta,phase_x,phase_y,ax1")
         assert_allclose(float(lines[1].split(",")[-3]), 255.0 / 108.0, rtol=1e-12)
 
-    def test_usage_errors_exit_2(self):
+    def test_usage_errors_exit_2(self, run_cli):
         assert run_cli("eval", "--kernel", "zonal", "--x", "0.1,0,0", "--y", "0,0,0").returncode == 2
         assert run_cli("eval", "--x", "0.1,0", "--y", "0,0,0").returncode == 2
         assert run_cli("eval", "--kernel", "nosuch", "--x", "0,0,0", "--y", "0,0,0").returncode == 2
@@ -135,7 +150,7 @@ def test_weights_on_an_unweighted_kernel_exit_2(capsys, command, flags):
 
 
 class TestGrid:
-    def test_row_count_and_determinism(self, tmp_path):
+    def test_row_count_and_determinism(self, tmp_path, run_cli):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         args = [
@@ -152,7 +167,7 @@ class TestGrid:
         assert header[12:] == ["re", "im", "regime"]
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_extension_regime_rows(self, tmp_path):
+    def test_extension_regime_rows(self, tmp_path, run_cli):
         out = tmp_path / "g.csv"
         res = run_cli(
             "grid", "--kernel", "bergman", "--n", "2", "--p", "1",
@@ -164,7 +179,7 @@ class TestGrid:
         regimes = {row[-1] for row in rows}
         assert regimes == {"standard", "extension"}
 
-    def test_json_format(self):
+    def test_json_format(self, run_cli):
         res = run_cli(
             "grid", "--kernel", "bergman", "--n", "2", "--p", "1",
             "--radial-steps", "2", "--angle-steps", "3", "--format", "json",
@@ -178,7 +193,7 @@ class TestGrid:
         }
 
     def test_unwritable_path_exits_4(self, tmp_path):
-        res = run_cli(
+        res = run_process(
             "grid", "--kernel", "bergman", "--n", "2", "--p", "1",
             "--radial-steps", "2", "--angle-steps", "2",
             "--output", str(tmp_path / "missing_dir" / "out.csv"),
@@ -188,7 +203,7 @@ class TestGrid:
 
 
 class TestVerify:
-    def test_decomposition_suite_passes(self):
+    def test_decomposition_suite_passes(self, run_cli):
         res = run_cli("verify", "--suite", "decomposition", "--cases", "20")
         assert res.returncode == 0
         rep = json.loads(res.stdout)
@@ -196,7 +211,7 @@ class TestVerify:
         assert rep["pass"] is True
         assert rep["max_rel_err"] <= rep["tolerance"]
 
-    def test_report_written_to_file(self, tmp_path):
+    def test_report_written_to_file(self, tmp_path, run_cli):
         out = tmp_path / "report.json"
         res = run_cli(
             "verify", "--suite", "growth", "--output", str(out)
@@ -206,10 +221,10 @@ class TestVerify:
         assert rep["suite"] == "growth"
 
     def test_unknown_suite_exits_2(self):
-        assert run_cli("verify", "--suite", "nonsense").returncode == 2
+        assert run_process("verify", "--suite", "nonsense").returncode == 2
 
     @pytest.mark.parametrize("cases", ["0", "-3"])
-    def test_cases_below_one_exits_2(self, cases):
+    def test_cases_below_one_exits_2(self, cases, run_cli):
         res = run_cli("verify", "--suite", "mean_value", "--cases", cases)
         assert res.returncode == 2
         assert json.loads(res.stderr)["error"] == "usage"
@@ -223,7 +238,7 @@ class TestVerify:
         assert rep["pass"] is False
 
 
-def test_flags_a_command_does_not_read_exit_2():
+def test_flags_a_command_does_not_read_exit_2(run_cli):
     for argv in (
         ("verify", "--suite", "growth", "--n", "9"),
         ("verify", "--suite", "growth", "--format", "csv"),
@@ -241,7 +256,7 @@ def test_flags_a_command_does_not_read_exit_2():
 
 
 class TestConfigPrecedence:
-    def test_config_file_supplies_defaults_flags_override(self, tmp_path):
+    def test_config_file_supplies_defaults_flags_override(self, tmp_path, run_cli):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"n": 2, "p": 1, "alpha": 0.0}))
         res = run_cli(
@@ -258,7 +273,41 @@ class TestConfigPrecedence:
         assert res2.returncode == 0
         assert json.loads(res2.stdout)["n"] == 3
 
-    def test_missing_config_exits_2(self, tmp_path):
+    def test_config_file_supplies_kernel_and_format_flags_override(self, tmp_path, run_cli):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kernel": "poisson", "format": "csv"}))
+        point = ("--x", "0.5,0,0", "--y", "0.5,0,0")
+        res = run_cli("--config", str(cfgfile), "eval", *point)
+        assert res.returncode == 0
+        lines = res.stdout.splitlines()
+        assert lines[0].startswith("n,p,alpha,beta,phase_x,phase_y,ax1")
+        assert_allclose(float(lines[1].split(",")[-3]), 255.0 / 108.0, rtol=1e-12)
+        res = run_cli("--config", str(cfgfile), "eval", "--kernel", "bergman", "--format", "json", *point)
+        assert res.returncode == 0
+        assert res.stdout == run_cli("eval", "--kernel", "bergman", *point).stdout
+        assert json.loads(res.stdout)["kernel"] == "bergman"
+
+    def test_another_commands_key_is_accepted_and_not_applied(self, tmp_path, run_cli):
+        # one file serves every command: eval takes no --seed
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kernel": "poisson", "seed": 7}))
+        point = ("--x", "0.5,0,0", "--y", "0.5,0,0")
+        res = run_cli("--config", str(cfgfile), "eval", *point)
+        assert res.returncode == 0
+        assert res.stdout == run_cli("eval", "--kernel", "poisson", *point).stdout
+        info = run_cli("--config", str(cfgfile), "info")
+        assert info.returncode == 0 and json.loads(info.stdout)["config"]["seed"] == 7
+
+    def test_config_file_sets_grid_steps(self, tmp_path, run_cli):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"radial_steps": 3, "angle_steps": 2, "n": 2}))
+        res = run_cli("--config", str(cfgfile), "grid")
+        assert res.returncode == 0
+        assert len(res.stdout.splitlines()) == 1 + 3 * 2
+        res = run_cli("--config", str(cfgfile), "grid", "--angle-steps", "4")
+        assert len(res.stdout.splitlines()) == 1 + 3 * 4
+
+    def test_missing_config_exits_2(self, tmp_path, run_cli):
         res = run_cli(
             "--config", str(tmp_path / "none.json"),
             "eval", "--x", "0,0,0", "--y", "0,0,0",
@@ -273,6 +322,12 @@ class TestConfigPrecedence:
             '{"alpha": Infinity}', '{"r_max": NaN}',  # a known key not a finite number
             '{"n": 2.5}', '{"seed": 1e3}',  # a float where the flag takes an integer
             '{"format": "xml"}',  # a format --format does not take
+            '{"bogus": 1}', '{"config": "a.json"}', '{"x": "0,0,0"}',  # no optional flag's dest
+            '{"kernel": "nosuch"}',  # a kernel --kernel does not take
+            '{"m": 2.5}', '{"radial_steps": true}',  # not an integer, for any command
+            '{"output": 3}',  # a path is a string
+            '{"alpha": 1%s}' % ("0" * 400),  # an integer beyond any float
+            '{"kernel": "poisson", "m": 3, "bogus": 1}',
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, text):
@@ -284,13 +339,15 @@ class TestConfigPrecedence:
 
 
 class TestInfo:
-    def test_reports_backend_and_defaults(self):
+    def test_reports_backend_and_defaults(self, run_cli):
         res = run_cli("info")
         assert res.returncode == 0
         rec = json.loads(res.stdout)
         assert rec["backend"] == "numpy"
         assert rec["config"]["n"] == 3 and rec["config"]["p"] == 2
         assert rec["config"]["tol"] == 1e-10 and rec["config"]["seed"] == 42
+        assert rec["config"]["alpha"] == 0.0 and rec["config"]["beta"] == 0.0
+        assert rec["config"]["r_max"] == 0.95
         assert len(rec["suites"]) == 10
 
 

@@ -760,6 +760,16 @@ class TestMismatchedInputs:
             with pytest.raises(ValueError, match="dimension mismatch"):
                 inner_product_sphere(self.CFG, f, g, rule)
 
+    @pytest.mark.parametrize("coords", [(0.1,), (0.1, 0.1)])
+    @pytest.mark.parametrize("order", [None, 1])
+    def test_laplacian_power_residual(self, coords, order):
+        # a 1-d point was broadcast across the rule's nodes and gave the
+        # residual at (0.1, 0.1, 0.1); a 2-d one raised numpy's broadcast error
+        q = random_polyharmonic(KernelConfig(n=3, p=2), 6, blocks=4, seed=12)
+        assert q.degree >= 2 * q.p  # so the residual reaches the sphere rule
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            quadrature.laplacian_power_residual(q, make_rotated_point(0.0, coords), order)
+
 
 class TestMeanValueInequality:
     def test_point_evaluation_bounded_by_ball_norm(self):
