@@ -5,7 +5,8 @@ domain error, 4 unwritable output.  Numeric errors emit machine-readable
 JSON on stderr.  The parser is the one table of options: each flag carries
 its default (n=3, p=2, alpha=0, beta=0, tol=1e-10, r_max=0.95, seed=42;
 --format json under eval, csv under grid).  Precedence: flags > --config
-JSON file > those defaults.  The file is a JSON object keyed by flag dest
+JSON file > those defaults, and a flag drops the file's value of the flag it
+excludes (_EXCLUDES).  The file is a JSON object keyed by flag dest
 (r_max, radial_steps, ...); each key must name an optional flag of some
 command and hold a value that flag takes.  Keys of another command's flags
 are checked and ignored, so one file serves every command; any other key
@@ -33,6 +34,10 @@ from .verify import SUITES, run_suite
 from .zonal import BACKEND_NAME, zonal_polyharmonic
 
 KERNELS = ("poisson", "bergman", "wbergman", "zonal")
+
+_EXCLUDES = {"x_phase": "x_sector", "x_sector": "x_phase", "y_phase": "y_sector", "y_sector": "y_phase"}
+"""Flag dests that exclude each other; a flag given on the command line
+drops the --config value of the flag it excludes."""
 
 _USAGE_EXIT = 2
 _NUMERIC_EXIT = 3
@@ -211,6 +216,8 @@ def cmd_eval(args) -> int:
 
 def cmd_grid(args) -> int:
     cfg = _config_from_args(args)
+    if cfg.n > sys.maxsize:
+        raise CliError(f"--n {cfg.n} is too large for a grid point's coordinate list")
     radial = args.radial_steps
     angular = args.angle_steps
     if radial < 1 or angular < 1:
@@ -327,7 +334,11 @@ def main(argv=None) -> int:
             except (OSError, ValueError, OverflowError) as exc:
                 _emit_error("config", f"cannot read config file: {exc}")
                 return _USAGE_EXIT
-            # the file's values become the command's defaults: flags still win
+            # the file's values become the command's defaults: flags still
+            # win, also over the file's value for a flag they exclude
+            for given, excluded in _EXCLUDES.items():
+                if getattr(args, given, None) is not None:
+                    defaults.pop(excluded, None)
             commands[args.command].set_defaults(**defaults)
             args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -36,7 +36,7 @@ from .core import (
     sphere_area,
 )
 from .errors import ConvergenceDomain, NearSingular
-from .zonal import _window, polyharmonic_dims, series_coefficients, zonal_poly_sum
+from .zonal import _window, polyharmonic_dims, zonal_poly_sum
 
 
 @dataclass(frozen=True)
@@ -104,18 +104,19 @@ def _weight_table(n: int, alpha: float, beta: float, kind: str, window: int) -> 
     raise ValueError(f"unknown series weight kind {kind!r}")
 
 
-def _series_rows(n: int, p: int, alpha: float, beta: float, kind: str, top: int) -> list:
-    """Rows of sum_{m<=top} g(m) Z^p_m for the series weight g of kind:
-    zonal.series_coefficients of the memoised weights of degrees 0..top."""
-    return series_coefficients(p, _weight_table(n, alpha, beta, kind, _window(top))[: top + 1])
+def _series_weights(n: int, alpha: float, beta: float, kind: str, top: int) -> tuple[float, ...]:
+    """Series weights g(0..top) of kind, the zonal_poly_sum weights of
+    sum_{m<=top} g(m) Z^p_m: a slice of the memoised table."""
+    return _weight_table(n, alpha, beta, kind, _window(top))[: top + 1]
 
 
 @lru_cache(maxsize=None)
-def _tail_terms(n: int, p: int, alpha: float, beta: float, kind: str, window: int) -> tuple[float, ...]:
-    """g(m) D_p(m) for m = 0..window-1 as Python floats: the tail bound's
-    terms without their factor r^m."""
+def _tail_terms(n: int, p: int, alpha: float, beta: float, kind: str, window: int) -> tuple[tuple[float, ...], float]:
+    """g(m) D_p(m) for m = 0..window-1 as Python floats, the tail bound's
+    terms without their factor r^m, and their least value over m >= 1."""
     dims = polyharmonic_dims(n, p, window - 1).tolist()
-    return tuple(map(mul, _weight_table(n, alpha, beta, kind, window), dims))
+    terms = tuple(map(mul, _weight_table(n, alpha, beta, kind, window), dims))
+    return terms, min(terms[1:])
 
 
 def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "poisson") -> int:
@@ -128,9 +129,18 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
     below one.  The terms are scanned on Python floats in degree order and
     the scan stops at the first M that passes; their factors g(m) D_p(m)
     come from a table per configuration whose window starts at 64 and
-    doubles while the scan runs past it.  r and tol are real numbers
-    (check_real), r nonnegative and tol positive, both finite; ValueError
-    otherwise.
+    doubles while the scan runs past it.
+
+    The scan starts where the tail can first pass.  A pass at M needs
+    a1 * a1 < tol (a1 - a2) <= tol a1, hence a_{M+1} < tol, so with c_min
+    the least factor g(m) D_p(m), m >= 1, of the window, no M with
+    c_min r^(M+1) >= tol passes.  The scan starts at
+    floor(log(tol / c_min) / log r) less a rounding margin of 1e-12 in the
+    logarithm and one degree, which covers the rounding of the logs, of the
+    power and of the products; its first term is the scan's own expression,
+    so the degree returned is the full scan's bit for bit.  r and tol are
+    real numbers (check_real), r nonnegative and tol positive, both finite;
+    ValueError otherwise.
     """
     tol, r = check_real("tolerance", tol), check_real("radius", r)
     if not 0 < tol < math.inf:
@@ -142,11 +152,14 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
     m_cap = 100_000
     config = (cfg.n, cfg.p, cfg.alpha, cfg.beta, kind)
     lo, window = 0, 64
-    c = _tail_terms(*config, window)  # raises ValueError for an unknown kind
+    c, c_min = _tail_terms(*config, window)  # raises ValueError for an unknown kind
     if r == 0.0:
         return 0
-    a1 = c[1] * r
+    log_r = math.log(r)
     while True:
+        start = (math.log(tol) - math.log(c_min) + 1e-12) / log_r - 1.0
+        lo = max(lo, int(min(start, window - 3)))
+        a1 = c[lo + 1] * r ** (lo + 1)
         for big_m in range(lo, min(window - 2, m_cap)):
             a2 = c[big_m + 2] * r ** (big_m + 2)
             # rho = a2/a1 < 1 and a1 / (1 - rho) < tol, without dividing by
@@ -157,7 +170,7 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
         if window - 2 >= m_cap:
             raise ConvergenceDomain(f"no truncation below {tol} found for r={r}")
         lo, window = window - 2, 2 * window
-        c = _tail_terms(*config, window)
+        c, c_min = _tail_terms(*config, window)
 
 
 def make_truncation(cfg: KernelConfig, r: float, tol: float, kind: str = "poisson") -> Truncation:
@@ -245,11 +258,11 @@ def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> c
 
 def _zonal_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation, kind: str) -> complex:
     """sum_{m<=max_degree} g(m) Z^p_m(x, y) with the series weight of kind,
-    normalized by n Vol_n for the Bergman kinds.  Row k of the harmonic
-    rearrangement (_series_rows) is g(2k..max_degree)."""
+    normalized by n Vol_n for the Bergman kinds: one zonal_poly_sum of the
+    memoised weights g(0..max_degree)."""
     inv = _checked_pair(cfg, x, y, series=True)
-    rows = _series_rows(cfg.n, cfg.p, cfg.alpha, cfg.beta, kind, trunc.max_degree)
-    total = zonal_poly_sum(rows, inv.t, inv.zeta, cfg.n)
+    g = _series_weights(cfg.n, cfg.alpha, cfg.beta, kind, trunc.max_degree)
+    total = zonal_poly_sum(g, cfg.p, inv.t, inv.zeta, cfg.n)
     return total if kind == "poisson" else total / sphere_area(cfg.n)
 
 
@@ -271,18 +284,20 @@ def weighted_bergman_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint,
 def weighted_bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation) -> complex:
     """Weighted kernel as sum_{k<p} q^k R_{1, alpha+4k, beta}(x, y).
 
-    Each harmonic factor is evaluated by its own order-1 series with the
-    radial weight shifted by 4k; inner truncations max_degree - 2k make the
-    double sum an exact rearrangement of the direct series.
+    Each harmonic factor R_{1, alpha+4k, beta} is its own order-1 zonal
+    series, with the radial weight shifted by 4k and inner truncation
+    max_degree - 2k, which makes the double sum an exact rearrangement of
+    the direct series; the p factors are combined by Horner in q.  It is
+    the direct series' second, independent route: p order-1 sums against
+    one window-form sum of order p.
     """
     inv = _checked_pair(cfg, x, y, series=True)
     top = trunc.max_degree
-    window = _window(top)
-    rows = [
-        _weight_table(cfg.n, cfg.alpha + 4.0 * k, cfg.beta, "weighted", window)[: top + 1 - 2 * k]
-        for k in range(min(cfg.p, top // 2 + 1))
-    ]
-    return zonal_poly_sum(rows, inv.t, inv.zeta, cfg.n) / sphere_area(cfg.n)
+    total = 0j
+    for k in reversed(range(min(cfg.p, top // 2 + 1))):
+        g = _series_weights(cfg.n, cfg.alpha + 4.0 * k, cfg.beta, "weighted", top - 2 * k)
+        total = total * inv.q + zonal_poly_sum(g, 1, inv.t, inv.zeta, cfg.n)
+    return total / sphere_area(cfg.n)
 
 
 def _power_jet(a, e: float, order: int) -> list:

@@ -14,7 +14,7 @@ n*Vol_n surface factor.  This module is the only reader of the half H.
 The sector inner products, reproduce and the centred mean_value_eval sum
 over the product grid sector k x radial node i x sphere node j.  A
 polynomial operand is separable there, sum_b rot[b, k] rad[b, i] zon[b, j],
-and so is the kernel section, sum_l W[k, i, l] z[l, j]; _stacked_factors is
+and so is the kernel section, sum_m W[k, i, m] S[m, j]; _stacked_factors is
 the one producer of both.  The grid sum is then contracted one factor at a
 time through small Gram matrices, and no (p, R, N) array is formed: with N
 sphere nodes, operands of B and B' blocks cost O(B B' N) and reproduce with
@@ -56,9 +56,9 @@ from scipy.special import roots_jacobi
 from .core import (EPS_SING, KernelConfig, RotatedPoint, check_integer, check_real, check_weight_parameters,
                    principal_pow, reduce_by_constructor, sphere_area)
 from .errors import NearSingular
-from .kernels import _series_rows, weighted_coefficient
+from .kernels import _series_weights, weighted_coefficient
 from .polyspace import PolyharmonicPolynomial, eval_complex
-from .zonal import _degree_weights, zonal_values
+from .zonal import _degree_weights, _window_sums, zonal_values
 
 NODE_CAP = 10**7
 
@@ -310,46 +310,49 @@ def _ball_values(cfg: KernelConfig, f, radii, unit: np.ndarray) -> np.ndarray:
 
 def _stacked_factors(phases, radii, unit, polys, section=None):
     """Separable factors of each polynomial in polys and, for
-    section = (coef, x), of that kernel section, all on the polar grid
+    section = (g, p, x), of that kernel section, all on the polar grid
     e^{i phases_k} radii_i unit_j and from one zonal recurrence: the only
     producer of polar-grid factors.
 
     A polynomial there is sum_b rot[b, k] rad[b, i] zon[b, j]: a block
     c |x|^(2k) Z_d(x, pole) at a grid point is c e^{i deg phases_k}
     radii_i^deg Z_d(unit_j, pole) with deg = d + 2k.  The section
-    zonal_poly_sum(coef, t, zeta, n) at the pairs (x, grid point) is
-    sum_l W[k, i, l] z[l, j]: its cosine t = unit_j . x/|x| depends on the
-    node only and zeta = |x| radii_i e^{i (phase(x) - phases_k)} on the
-    phase and radius only, so W = _degree_weights(coef, zeta).  The origin
+    zonal_poly_sum(g, p, t, zeta, n) at the pairs (x, grid point) is
+    sum_m W[k, i, m] S[m, j] in window form: its cosine t = unit_j . x/|x|
+    depends on the node only and zeta = |x| radii_i e^{i (phase(x) - phases_k)}
+    on the phase and radius only, so W = _degree_weights(g, zeta), the
+    weights g[m] zeta^m, and S holds the window sums
+    S_m = sum_{k<p, 2k<=m} z_{m-2k}(t) (zonal._window_sums).  The origin
     x = 0 takes the zero vector for x/|x|, where zeta = 0 and t = 0.
 
     The recurrence runs on the stacked cosines
     [poles of every block; x/|x|] @ unit^T, one row of node cosines per
     pole, up to the largest block degree d and the section's top degree:
-    each block's zonal factor is z_d of its own row and the section's z is
-    z_0..z_L of the last row.  The poles are the polynomials' stored pole
-    arrays, stacked by one concatenation, and each polynomial's factors
-    come from its own stored k, d and coeff arrays: no block is read here.
-    Every polynomial and the section's x must have the dimension of the
-    nodes, unit.shape[1]; ValueError (dimension mismatch) otherwise.  unit
-    holds unit vectors.
+    each block's zonal factor is z_d of its own row and the section's S is
+    window-summed from z_0..z_L of the last row, into a copy.  The poles are
+    the polynomials' stored pole arrays, stacked by one concatenation, and
+    each polynomial's factors come from its own stored k, d and coeff
+    arrays: no block is read here.  Every polynomial and the section's x
+    must have the dimension of the nodes, unit.shape[1]; ValueError
+    (dimension mismatch) otherwise.  unit holds unit vectors.
     Returns a list of (rot, rad, zon) per polynomial, shapes (B, K), (B, I)
-    and (B, J) for B blocks, followed by (W, z), shapes (K, I, L) and
+    and (B, J) for B blocks, followed by (W, S), shapes (K, I, L) and
     (L, J), when section is given.  A zonal row's degree is q.d[b] for a
-    block and l for the section, and its parity at the mirrored nodes
-    -unit_j is left to the contractions (_half_gram, mean_value_eval).
+    block and m for the section (S_m has the parity of m), and its parity
+    at the mirrored nodes -unit_j is left to the contractions (_half_gram,
+    mean_value_eval).
     """
     phases, radii, unit = (np.asarray(v, dtype=float) for v in (phases, radii, unit))
     n = unit.shape[1]
-    if any(q.n != n for q in polys) or (section is not None and section[1].dim != n):
+    if any(q.n != n for q in polys) or (section is not None and section[2].dim != n):
         raise ValueError(f"dimension mismatch: nodes of dimension {n}, polynomials {[q.n for q in polys]}")
     poles = [q.poles for q in polys]
     top = max((max(q.d.tolist(), default=0) for q in polys), default=0)
     if section is not None:
-        coef, x = section
-        w = _degree_weights(coef, x.radius * radii * np.exp(1j * (x.phase - phases[:, None])))
+        g, p, x = section
+        w = _degree_weights(g, x.radius * radii * np.exp(1j * (x.phase - phases[:, None])))
         poles.append((x.coords / x.radius if x.radius else np.zeros(n))[None, :])
-        top = max(top, w.shape[-1] - 1)
+        top = max(top, len(g) - 1)
     z = zonal_values(np.concatenate(poles) @ unit.T, top, n)
     out, row = [], 0
     for q in polys:
@@ -359,7 +362,7 @@ def _stacked_factors(phases, radii, unit, polys, section=None):
         out.append((rot, radii[None, :] ** deg[:, None], zon))
         row += q.d.size
     if section is not None:
-        out.append((w, z[: w.shape[-1], -1]))
+        out.append((w, _window_sums(z[: len(g), -1], p)))
     return out
 
 
@@ -439,15 +442,16 @@ def reproduce(
     the rule is exact to 2*m_top + 2 and u is of order at most p.
 
     Both factors are separable on the rule's grid and come from one
-    _stacked_factors call: u = sum_b rot_bk rad_bi zon_bj and
-    K = sum_l W_kil z_lj, with the kernel's rows from kernels._series_rows,
-    so the sum is sum_{b,l} H_bl G_bl / p with
-    H = sum_ki rot_bk rad_bi w_rad_i W_kil and G = (zon w_sph) z^T:
+    _stacked_factors call: u = sum_b rot_bk rad_bi zon_bj and, in window
+    form, K = sum_m W_kim S_mj with W_kim = g(m) zeta_ki^m from the memoised
+    weights g(0..m_top) (kernels._series_weights) and S_m the window sums
+    of the zonal rows, so the sum is sum_{b,m} H_bm G_bm / p with
+    H = sum_ki rot_bk rad_bi w_rad_i W_kim and G = (zon w_sph) S^T:
     O(B L N) work for B blocks, L = m_top + 1 degrees and N sphere nodes,
     against O(p R N (B + L)) for both factors' values on the grid.  zon and
-    z are slices of one recurrence, to degree m_top, on the stacked
-    cosines [poles; x/|x|] @ H^T at the half H of the sphere rule, and G
-    is their _half_gram.
+    S come from one recurrence, to degree m_top, on the stacked cosines
+    [poles; x/|x|] @ H^T at the half H of the sphere rule; S_m has the
+    parity of m, so G is their _half_gram.
     m_top is an integer (check_integer); ValueError otherwise.
     """
     m_top = check_integer("kernel truncation m_top", m_top, 0)
@@ -469,10 +473,10 @@ def reproduce(
     phases = cfg.sector_phases()
     # the kernel's factor 1/(n Vol_n) cancels the rule's normalization n Vol_n,
     # and its second slot is conjugate-symmetric already: no conjugation
-    section = (_series_rows(cfg.n, cfg.p, alpha, beta, "weighted", m_top), x)
-    (rot, radial, zon), (w, z) = _stacked_factors(phases, rad.nodes, sph.half_nodes, (u,), section)
-    h = np.einsum("bk,bi,kil->bl", rot, radial * rad.weights, w)
-    gram = _half_gram(sph, zon, u.d, z, np.arange(len(z)))
+    section = (_series_weights(cfg.n, alpha, beta, "weighted", m_top), cfg.p, x)
+    (rot, radial, zon), (w, window) = _stacked_factors(phases, rad.nodes, sph.half_nodes, (u,), section)
+    h = np.einsum("bk,bi,kim->bm", rot, radial * rad.weights, w)
+    gram = _half_gram(sph, zon, u.d, window, np.arange(len(window)))
     return complex((h * gram).sum()) / len(phases)
 
 

@@ -10,18 +10,21 @@ polyharmonics of order p are the finite sums
     Z^p_m(x, y) = sum_{k<p} q^k Z_{m-2k}(x, y),
 
 with q = zeta^2 and terms dropped once m - 2k < 0; t and zeta of a pair come
-from core.pair_invariants, as the closed forms' s, q and w do.  Every zonal
-sum in the package goes through one assembly, zonal_poly_sum, of the rows
-that series_coefficients gives; on a polar grid of pairs,
-quadrature._stacked_factors returns its two factors, the weights W[l] (the
-same _degree_weights) and z_l(t), for the cubature to contract.
+from core.pair_invariants, as the closed forms' s, q and w do.  Since
+q^k zeta^(m-2k) = zeta^m, this is Z^p_m = zeta^m S_m(t) with the real window
+sum S_m = sum_{k<p, 2k<=m} z_{m-2k}(t) (_window_sums), and a series
+sum_m g[m] Z^p_m is one polynomial in zeta with the real coefficients
+g[m] S_m(t).  Every zonal sum in the package goes through one assembly in
+that form, zonal_poly_sum; on a polar grid of pairs,
+quadrature._stacked_factors returns its two factors, the weights
+g[m] zeta^m (_degree_weights) and S_m(t), for the cubature to contract.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -148,77 +151,54 @@ def zonal_values(t, m_max: int, n: int) -> np.ndarray:
     return _zonal_rows(np.minimum(np.maximum(t, -1.0), 1.0), 1.0, m_max, n)
 
 
-def series_coefficients(p: int, g) -> list:
-    """Rows g[2k:], k < p, of the harmonic rearrangement
-
-        sum_{m<=M} g[m] Z^p_m = sum_{k<p} q^k sum_{l<=M-2k} g[l+2k] Z_l,
-
-    the coefficients zonal_poly_sum consumes; g is a sequence of the
-    weights of degrees 0..M, and row k holds the weights of l = 0..M-2k.  A
-    one-hot g at degree m gives Z^p_m itself (degree_coefficients).
-    """
-    top = len(g) - 1
-    return [g[2 * k :] for k in range(min(p, top // 2 + 1))]
+def _window_sums(rows, p: int) -> np.ndarray:
+    """S[m] = sum_{k<p, 2k<=m} rows[m-2k] along the first axis, by p - 1
+    shifted adds into a copy: rows itself is never written."""
+    out = rows.copy()
+    for k in range(1, min(p, (len(rows) + 1) // 2)):
+        out[2 * k :] += rows[: -2 * k]
+    return out
 
 
-def zonal_poly_sum(coef, t, zeta, n: int):
-    """sum_k zeta^(2k) sum_l coef[k][l] zeta^l z_l(t), broadcast over t, zeta.
+def _degree_weights(g, zeta) -> np.ndarray:
+    """W[..., m] = g[m] zeta^m, the factor of the window sum S_m(t) in
+    zonal_poly_sum, with the degree axis appended to zeta's shape."""
+    zeta = np.asarray(zeta, dtype=complex)[..., None]
+    return np.asarray(g, dtype=float) * zeta ** np.arange(len(g))
+
+
+def zonal_poly_sum(g, p: int, t, zeta, n: int):
+    """sum_m g[m] Z^p_m = sum_m g[m] zeta^m S_m(t), broadcast over t, zeta.
 
     With t the cosine between the real parts of a pair and zeta = |a||b|
-    e^{i (phi-psi)}, zeta^l z_l(t) is the extended harmonic Z_l and
-    zeta^2 = q, so this is the single assembly of every zonal
-    polyharmonic sum.  coef is a sequence of rows of any lengths, row k
-    holding the real weights of l = 0..len-1 (series_coefficients).  t and zeta
-    are scalars or arrays of mutually broadcastable shapes and the result
-    has their broadcast shape.  A zero radius is zeta = 0 (any t): only the
-    l = 0 column survives.
+    e^{i (phi-psi)}, Z^p_m = zeta^m S_m(t) with the real window sum
+    S_m = sum_{k<p, 2k<=m} z_{m-2k}(t), so this is the single assembly of
+    every zonal polyharmonic sum of order p.  g is a sequence of the real
+    weights of degrees 0..M; a one-hot g at m gives Z^p_m alone.  t and
+    zeta are scalars or arrays of mutually broadcastable shapes and the
+    result has their broadcast shape.  A zero radius is zeta = 0 (any t):
+    only the m = 0 term survives.
 
     For a scalar t and zeta the sum runs on Python numbers, with no numpy
-    call: the recurrence forward, then Horner backward in zeta over l and
-    in q = zeta^2 over k.
+    call: the recurrence forward, the window sums by p - 1 C-level
+    map(add, ...) passes, then one Horner pass in zeta over the real
+    coefficients g[m] S_m.  For arrays the degree weights g[m] zeta^m
+    (_degree_weights) are contracted with the window sums of the rows of
+    zonal_values.
     """
     if isinstance(t, (int, float)) and isinstance(zeta, (int, float, complex)):
-        return _scalar_poly_sum(coef, t, zeta, n)
-    w = _degree_weights(coef, zeta)
-    top = w.shape[-1] - 1
-    zmat = zonal_values(t, top, n).reshape(top + 1, -1).T.reshape(np.shape(t) + (top + 1,))
-    return np.einsum("...l,...l->...", w, zmat)
-
-
-def _degree_weights(rows, zeta) -> np.ndarray:
-    """W[..., l] = zeta^l sum_k rows[k][l] zeta^(2k), the factor of z_l(t) in
-    zonal_poly_sum, with the degree axis appended to zeta's shape.
-
-    The rows are zero-padded into one (K, L) matrix, the only dense form of
-    the coefficients.  k is contracted first: when t varies along other
-    axes than zeta (the ball nodes of every sector and radius), no array of
-    that full shape times the degree axis is ever formed.
-    """
-    coef = np.zeros((len(rows), max(map(len, rows))))
-    for k, row in enumerate(rows):
-        coef[k, : len(row)] = row
-    zeta = np.asarray(zeta, dtype=complex)[..., None]
-    qpow = zeta ** np.arange(0, 2 * coef.shape[0], 2)
-    return (qpow @ coef) * zeta ** np.arange(coef.shape[1])
-
-
-def _scalar_poly_sum(rows, t: float, zeta: complex, n: int) -> complex:
-    """zonal_poly_sum at one pair: Horner in zeta over l within each row,
-    then in q = zeta^2 over k."""
-    z = list(_zonal_iter(_clip_cosine(t), 1.0, max(map(len, rows)) - 1, n))
-    q = zeta * zeta
-    total = 0j
-    for row in reversed(rows):
-        inner = 0j
-        for v in map(mul, row[::-1], z[len(row) - 1 :: -1]):
-            inner = inner * zeta + v
-        total = total * q + inner
-    return total
-
-
-def degree_coefficients(p: int, m: int) -> list:
-    """zonal_poly_sum coefficients of Z^p_m alone (one-hot weight at m)."""
-    return series_coefficients(p, [0.0] * m + [1.0])
+        z = list(_zonal_iter(_clip_cosine(t), 1.0, len(g) - 1, n))
+        s = z[:]
+        for k in range(1, min(p, (len(z) + 1) // 2)):
+            s[2 * k :] = map(add, s[2 * k :], z)
+        total = 0j
+        for v in map(mul, reversed(g), reversed(s)):
+            total = total * zeta + v
+        return total
+    top = len(g) - 1
+    s = _window_sums(zonal_values(t, top, n), p)
+    zmat = s.reshape(top + 1, -1).T.reshape(np.shape(t) + (top + 1,))
+    return np.einsum("...m,...m->...", _degree_weights(g, zeta), zmat)
 
 
 def sph_dim(n: int, m: int) -> int:
@@ -240,10 +220,7 @@ def polyharmonic_dims(n: int, p: int, top: int) -> np.ndarray:
     (Szego, Orthogonal Polynomials, Thm 7.33.1)."""
     if p < 1 or top < 0:
         raise ValueError(f"invalid range p={p}, top={top}")
-    dims = np.array([sph_dim(n, m) for m in range(top + 1)], dtype=float)
-    out = dims.copy()
-    for k in range(1, min(p, top // 2 + 1)):
-        out[2 * k :] += dims[: top + 1 - 2 * k]
+    out = _window_sums(np.array([sph_dim(n, m) for m in range(top + 1)], dtype=float), p)
     out.flags.writeable = False
     return out
 
@@ -260,4 +237,4 @@ def zonal_polyharmonic(
     if x.dim != y.dim or x.dim != cfg.n:
         raise ValueError(f"dimension mismatch: n={cfg.n}, x:{x.dim}, y:{y.dim}")
     inv = pair_invariants(x, y)
-    return complex(zonal_poly_sum(degree_coefficients(cfg.p, m), inv.t, inv.zeta, cfg.n))
+    return complex(zonal_poly_sum([0.0] * m + [1.0], cfg.p, inv.t, inv.zeta, cfg.n))

@@ -192,6 +192,13 @@ class TestGrid:
             "ax1", "ax2", "ay1", "ay2", "re", "im", "regime",
         }
 
+    def test_dimension_beyond_a_list_length_exits_2(self, run_cli):
+        # 10^21 is beyond any list length, so the check allocates nothing
+        res = run_cli("grid", "--radial-steps", "1", "--angle-steps", "1", "--n", "1000000000000000000000")
+        assert res.returncode == 2
+        err = json.loads(res.stderr)
+        assert err["error"] == "usage" and "--n" in err["message"]
+
     def test_unwritable_path_exits_4(self, tmp_path):
         res = run_process(
             "grid", "--kernel", "bergman", "--n", "2", "--p", "1",
@@ -306,6 +313,29 @@ class TestConfigPrecedence:
         assert len(res.stdout.splitlines()) == 1 + 3 * 2
         res = run_cli("--config", str(cfgfile), "grid", "--angle-steps", "4")
         assert len(res.stdout.splitlines()) == 1 + 3 * 4
+
+    def test_a_flag_drops_the_file_value_it_excludes(self, tmp_path, run_cli):
+        # a phase flag wins over the file's sector for the same point, and
+        # the other point keeps the file's sector
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"x_sector": 1, "y_sector": 1}))
+        point = ("--x", "0.5,0,0", "--y", "0.1,0,0")
+        res = run_cli("--config", str(cfgfile), "eval", "--x-phase", "0.2", *point)
+        assert res.returncode == 0
+        rec = json.loads(res.stdout)
+        assert rec["x"]["phase"] == 0.2 and rec["y"]["phase"] == math.pi / 2
+        assert res.stdout == run_cli("eval", "--x-phase", "0.2", "--y-sector", "1", *point).stdout
+        cfgfile.write_text(json.dumps({"y_phase": 0.3}))
+        res = run_cli("--config", str(cfgfile), "eval", "--y-sector", "1", *point)
+        assert res.returncode == 0 and json.loads(res.stdout)["y"]["phase"] == math.pi / 2
+
+    def test_both_excluding_flags_on_the_command_line_exit_2(self, tmp_path, run_cli):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"x_sector": 1}))
+        argv = ("eval", "--x", "0.5,0,0", "--x-phase", "0.2", "--x-sector", "1", "--y", "0.1,0,0")
+        for res in (run_cli(*argv), run_cli("--config", str(cfgfile), *argv)):
+            assert res.returncode == 2
+            assert "not both" in json.loads(res.stderr)["message"]
 
     def test_missing_config_exits_2(self, tmp_path, run_cli):
         res = run_cli(

@@ -627,17 +627,20 @@ def _polyharmonic_dim(n, p, m):
 
 
 class TestTruncationReference:
+    # beta = -0.999 makes the least term factor g(m) D_p(m) smallest, where
+    # the scan's proven start is furthest below the first passing degree
     @pytest.mark.parametrize("kind", ["poisson", "bergman", "weighted"])
-    @pytest.mark.parametrize("alpha,beta", [(1.0, 0.5), (-0.5, 2.0)])
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 0.5), (-0.5, 2.0), (0.5, -0.999)])
     def test_degrees_match_term_by_term_search(self, kind, alpha, beta):
         for n in (2, 3, 4, 5):
             for p in (1, 2, 3):
                 cfg = KernelConfig(n=n, p=p, alpha=alpha, beta=beta)
                 for r in np.linspace(0.0, cfg.r_max, 40):
                     r = float(r)
-                    assert truncation_degree(cfg, r, 1e-10, kind) == _reference_truncation_degree(
-                        cfg, r, 1e-10, kind
-                    ), (kind, n, p, alpha, beta, r)
+                    for tol in (1e-14, 1e-10, 1e-6, 1e-2):
+                        assert truncation_degree(cfg, r, tol, kind) == _reference_truncation_degree(
+                            cfg, r, tol, kind
+                        ), (kind, n, p, alpha, beta, r, tol)
 
 
 def _numpy_window_truncation_degree(cfg, r, tol, kind):
@@ -667,6 +670,7 @@ SIX_KINDS = (
     ("weighted", 1.0, 0.5),
     ("weighted", -0.5, 2.0),
     ("weighted", 0.5, 1.7),
+    ("weighted", 0.5, -0.999),
 )
 
 
@@ -678,7 +682,7 @@ class TestTruncationScan:
             for p in range(1, 5):
                 cfg = KernelConfig(n=n, p=p, alpha=alpha, beta=beta)
                 for r in radii:
-                    for tol in (1e-6, 1e-10, 1e-12):
+                    for tol in (1e-2, 1e-6, 1e-10, 1e-12, 1e-14):
                         want = _numpy_window_truncation_degree(cfg, r, tol, kind)
                         assert truncation_degree(cfg, r, tol, kind) == want, (n, p, r, tol)
 

@@ -264,9 +264,9 @@ def stacked_factors_from_blocks(phases, radii, unit, polys, section=None):
     poles = [b.pole for b in blocks]
     top = max(degrees, default=0)
     if section is not None:
-        coef, x = section
+        g, p, x = section
         rx = x.radius
-        w = zonal._degree_weights(coef, rx * radii * np.exp(1j * (x.phase - phases[:, None])))
+        w = zonal._degree_weights(g, rx * radii * np.exp(1j * (x.phase - phases[:, None])))
         poles.append(x.coords / rx if rx else np.zeros(x.coords.shape[0]))
         top = max(top, w.shape[-1] - 1)
     z = zonal.zonal_values(np.reshape(poles, (-1, unit.shape[1])) @ unit.T, top, unit.shape[1])
@@ -281,7 +281,10 @@ def stacked_factors_from_blocks(phases, radii, unit, polys, section=None):
         out.append((rot[part], rad[part], zon[part]))
         start = part.stop
     if section is not None:
-        out.append((w, z[: w.shape[-1], -1]))
+        window = z[: w.shape[-1], -1].copy()
+        for k in range(1, p):
+            window[2 * k :] += z[: w.shape[-1] - 2 * k, -1]
+        out.append((w, window))
     return out
 
 
@@ -334,8 +337,7 @@ class TestStoredArrays:
         empty = PolyharmonicPolynomial(blocks=(), n=n, p=p)
         section = None
         if with_section:
-            coef = zonal.series_coefficients(p, list(rng.uniform(size=8)))
-            section = (coef, make_rotated_point(cfg.sector_phase(p - 1), 0.4 * unit(rng.normal(size=n))))
+            section = (list(rng.uniform(size=8)), p, make_rotated_point(cfg.sector_phase(p - 1), 0.4 * unit(rng.normal(size=n))))
         cases = [(f,), (f, g), (empty,), (g, empty, f)]
         if with_section:
             cases.append(())
@@ -352,7 +354,7 @@ class TestStoredArrays:
         cfg = KernelConfig(n=3, p=2)
         nodes = build_sphere_rule(3, 6).half_nodes
         f = random_polyharmonic(cfg, 4, blocks=3, seed=5)
-        section = (zonal.series_coefficients(2, [1.0, 0.5, 0.25, 0.125]), make_rotated_point(0.0, np.zeros(3)))
+        section = ([1.0, 0.5, 0.25, 0.125], 2, make_rotated_point(0.0, np.zeros(3)))
         got = quadrature._stacked_factors(cfg.sector_phases(), (0.5,), nodes, (f,), section)
         want = stacked_factors_from_blocks(cfg.sector_phases(), (0.5,), nodes, (f,), section)
         for got_part, want_part in zip(got, want):

@@ -27,7 +27,7 @@ from polybergman import kernels, quadrature, zonal
 from polybergman.kernels import _weight_table, weighted_coefficient
 from polybergman.polyspace import eval_at_phase, eval_complex, evaluate
 from polybergman.quadrature import RadialRule, SphereRule
-from polybergman.zonal import series_coefficients, zonal_poly_sum
+from polybergman.zonal import zonal_poly_sum
 
 
 def rule_monomial(rule, kappa):
@@ -536,13 +536,13 @@ def value_grid(q, phases, radii, unit_nodes):
     return eval_complex(q, pts.reshape(-1, unit_nodes.shape[1])).reshape(pts.shape[:-1])
 
 
-def section_grid(coef, x, phases, radii, unit_nodes):
-    """zonal_poly_sum(coef, t, zeta, n) at the pairs (x, e^{i phases_k} radii_i unit_j),
+def section_grid(g, p, x, phases, radii, unit_nodes):
+    """zonal_poly_sum(g, p, t, zeta, n) at the pairs (x, e^{i phases_k} radii_i unit_j),
     shape (K, I, J), with t = unit_j . x/|x| (0 at the origin) and
     zeta = |x| radii_i e^{i (phase(x) - phases_k)}."""
     direction = x.coords / x.radius if x.radius else np.zeros(x.dim)
     zeta = x.radius * np.multiply.outer(np.exp(1j * (x.phase - np.asarray(phases))), radii)
-    return zonal_poly_sum(coef, unit_nodes @ direction, zeta[..., None], x.dim)
+    return zonal_poly_sum(g, p, unit_nodes @ direction, zeta[..., None], x.dim)
 
 
 class TestFactorRoute:
@@ -575,7 +575,7 @@ class TestFactorRoute:
         got = inner_product_ball(cfg, alpha, beta, f, g, rule)
         assert abs(got - rule.normalization * want) <= 1e-13 * rule.normalization * scale
 
-        coef = series_coefficients(p, _weight_table(n, alpha, beta, "weighted", m_top + 1))
+        weights = _weight_table(n, alpha, beta, "weighted", m_top + 1)
         direction = np.random.default_rng(n + 7 * p).normal(size=n)
         direction /= np.linalg.norm(direction)
         for x in (
@@ -583,7 +583,7 @@ class TestFactorRoute:
             make_rotated_point(cfg.sector_phase(p - 1), 0.6 * direction),
             make_rotated_point(0.37, 0.45 * direction),
         ):
-            kv = section_grid(coef, x, phases, rad.nodes, sph.nodes)
+            kv = section_grid(weights, p, x, phases, rad.nodes, sph.nodes)
             want, scale = _grid_sum(fv, kv, rad.weights, sph.weights)
             got = reproduce(cfg, alpha, beta, f, x, m_top, rule)
             assert abs(got - want) <= 1e-13 * scale, x
@@ -661,13 +661,13 @@ class TestHalfRule:
         # section on all sphere nodes
         rad, sph = ball.radial, ball.sphere
         uv = value_grid(f, phases, rad.nodes, sph.nodes)
-        coef = series_coefficients(p, _weight_table(n, 1.0, 0.5, "weighted", m_top + 1))
+        weights = _weight_table(n, 1.0, 0.5, "weighted", m_top + 1)
         direction = np.random.default_rng(n + 5 * p).normal(size=n)
         for x in (
             make_rotated_point(0.0, np.zeros(n)),
             make_rotated_point(cfg.sector_phase(p - 1), 0.55 * direction / np.linalg.norm(direction)),
         ):
-            kv = section_grid(coef, x, phases, rad.nodes, sph.nodes)
+            kv = section_grid(weights, p, x, phases, rad.nodes, sph.nodes)
             want, scale = _grid_sum(uv, kv, rad.weights, sph.weights)
             assert abs(reproduce(cfg, 1.0, 0.5, f, x, m_top, ball) - want) <= 1e-13 * scale, x
 

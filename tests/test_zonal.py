@@ -14,7 +14,6 @@ from polybergman import (
 from polybergman import quadrature, zonal
 from polybergman.zonal import (
     _zonal_rows,
-    degree_coefficients,
     polyharmonic_dims,
     zonal_poly_sum,
     zonal_values,
@@ -234,12 +233,12 @@ class TestZonalPolyharmonic:
             zonal_polyharmonic(cfg, m, x, x)
 
 
-def section_grid(coef, x, phases, radii, unit_nodes):
-    """zonal_poly_sum(coef, t, zeta, n) at the pairs (x, e^{i phases_k} radii_i unit_j),
+def section_grid(g, p, x, phases, radii, unit_nodes):
+    """zonal_poly_sum(g, p, t, zeta, n) at the pairs (x, e^{i phases_k} radii_i unit_j),
     shape (K, I, J), contracted here from the section's factors
     (_stacked_factors)."""
-    w, z = quadrature._stacked_factors(phases, radii, unit_nodes, (), (coef, x))[0]
-    return np.einsum("kil,lj->kij", w, z)
+    w, s = quadrature._stacked_factors(phases, radii, unit_nodes, (), (g, p, x))[0]
+    return np.einsum("kim,mj->kij", w, s)
 
 
 class TestZonalSection:
@@ -277,16 +276,16 @@ class TestZonalSection:
         eps = np.finfo(float).eps
         for x in points:
             for m in range(0, 7):
-                coef = degree_coefficients(p, m)
+                g = [0.0] * m + [1.0]
                 with monkeypatch.context() as mp:
                     mp.setattr(zonal, "_zonal_rows", counted)
-                    got = section_grid(coef, x, phases, radii, unit_nodes)
+                    got = section_grid(g, p, x, phases, radii, unit_nodes)
                 assert len(calls) == 1
                 calls.clear()
                 assert got.shape == (phases.size, radii.size, len(unit_nodes))
                 for k, ph in enumerate(phases):
                     for i, r in enumerate(radii):
-                        scale = (1 + m * m) * abs(zonal_poly_sum(coef, 1.0, x.radius * r, n))
+                        scale = (1 + m * m) * abs(zonal_poly_sum(g, p, 1.0, x.radius * r, n))
                         for j, u in enumerate(unit_nodes):
                             want = zonal_polyharmonic(cfg, m, x, make_rotated_point(ph, r * u))
                             assert abs(got[k, i, j] - want) <= 8 * eps * scale, (m, k, i, j)
@@ -294,7 +293,7 @@ class TestZonalSection:
 
     def test_dimension_mismatch(self):
         x = make_rotated_point(0.0, (0.1, 0.2, 0.3))
-        section = (degree_coefficients(1, 2), x)
+        section = ([0.0, 0.0, 1.0], 1, x)
         for nodes in (np.eye(4), np.eye(3)[:, :2]):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 quadrature._stacked_factors([0.0], [0.5], nodes, (), section)
@@ -342,6 +341,21 @@ class TestRecurrenceTable:
         assert len(zonal._RECURRENCE[7][0]) == 512
 
 
+def _reference_poly_sum(g, p, t, zeta, n):
+    """sum_m g[m] sum_{k<p, 2k<=m} q^k zeta^(m-2k) z_{m-2k}(t) with q = zeta^2,
+    term by term from the rows of zonal_values, for arrays t and zeta of one
+    shape; and the sum of the terms' magnitudes."""
+    z = zonal_values(t, len(g) - 1, n)
+    q = zeta * zeta
+    total = np.zeros(zeta.shape, dtype=complex)
+    terms = np.zeros(zeta.shape)
+    for m, c in enumerate(g):
+        for k in range(min(p, m // 2 + 1)):
+            total += c * q**k * zeta ** (m - 2 * k) * z[m - 2 * k]
+            terms += abs(c * z[m - 2 * k]) * np.abs(zeta) ** m
+    return total, terms
+
+
 class TestScalarAssembly:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -351,20 +365,54 @@ class TestScalarAssembly:
         rng = np.random.default_rng(100 * n + p)
         for top in (0, 1, 2, 3, 7, 40, 300):
             g = rng.uniform(0.5, 2.0, top + 1)
-            rows = zonal.series_coefficients(p, g.tolist())
-            assert [len(row) for row in rows] == [top + 1 - 2 * k for k in range(min(p, top // 2 + 1))]
             for t in (-1.0, 0.0, 1.0, float(rng.uniform(-1.0, 1.0))):
                 zv = np.abs(zonal_values(t, top, n)[:, 0])
                 for zeta in (0j, complex(rng.uniform(0.0, 0.99) * np.exp(1j * rng.uniform(-math.pi, math.pi)))):
-                    got = zonal_poly_sum(rows, t, zeta, n)
+                    got = zonal_poly_sum(g.tolist(), p, t, zeta, n)
                     assert type(got) is complex
-                    want = zonal_poly_sum(rows, np.array([t]), np.array([zeta]), n)[0]
+                    want = zonal_poly_sum(g, p, np.array([t]), np.array([zeta]), n)[0]
                     terms = sum(
-                        c * zv[l] * abs(zeta) ** (l + 2 * k) for k, row in enumerate(rows) for l, c in enumerate(row)
+                        g[m] * zv[m - 2 * k] * abs(zeta) ** m for m in range(top + 1) for k in range(min(p, m // 2 + 1))
                     )
                     assert abs(got - want) <= 1e-14 * terms, (top, t, zeta)
-                    # rows that are numpy views of g: the same Python arithmetic
-                    assert zonal_poly_sum(zonal.series_coefficients(p, g), t, zeta, n) == got
+                    # weights that are a numpy array: the same Python arithmetic
+                    assert zonal_poly_sum(g, p, t, zeta, n) == got
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_window_form_matches_term_by_term_reference(self, n, p):
+        # both branches against sum_m g[m] sum_k q^k zeta^(m-2k) z_{m-2k}(t),
+        # relative to the sum of the terms' magnitudes
+        rng = np.random.default_rng(200 * n + p)
+        for top in (0, 1, 2, 3, 7, 40, 300):
+            g = rng.uniform(-2.0, 2.0, top + 1)
+            t = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 5)])
+            zeta = rng.uniform(0.0, 0.99, t.size) * np.exp(1j * rng.uniform(-math.pi, math.pi, t.size))
+            zeta[0] = 0.0
+            want, terms = _reference_poly_sum(g, p, t, zeta, n)
+            got = zonal_poly_sum(g, p, t, zeta, n)
+            assert got.shape == t.shape
+            assert np.all(np.abs(got - want) <= 1e-14 * terms), top
+            for j in range(t.size):
+                got = zonal_poly_sum(g.tolist(), p, float(t[j]), complex(zeta[j]), n)
+                assert abs(got - want[j]) <= 1e-14 * terms[j], (top, j)
+            # broadcast shapes: cosines along one axis, zeta along the other
+            grid = zonal_poly_sum(g, p, t, zeta[:, None], n)
+            assert grid.shape == (t.size, t.size)
+            for i in range(t.size):
+                want, terms = _reference_poly_sum(g, p, t, np.full(t.size, zeta[i]), n)
+                assert np.all(np.abs(grid[i] - want) <= 1e-14 * terms), (top, i)
+
+    def test_weights_and_cosines_are_not_written(self):
+        g = np.linspace(1.0, 2.0, 9)
+        t = np.linspace(-1.0, 1.0, 5)
+        rows = zonal_values(t, 8, 3)
+        before = (g.copy(), t.copy(), rows.copy())
+        zonal_poly_sum(g, 4, t, 0.5 + 0.1j, 3)
+        window = zonal._window_sums(rows, 4)
+        assert window is not rows and not np.shares_memory(window, rows)
+        for a, b in zip((g, t, rows), before):
+            assert np.array_equal(a, b)
 
 
 class TestZonalComplexEvaluation:
