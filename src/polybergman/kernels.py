@@ -111,12 +111,11 @@ def _series_weights(n: int, alpha: float, beta: float, kind: str, top: int) -> t
 
 
 @lru_cache(maxsize=None)
-def _tail_terms(n: int, p: int, alpha: float, beta: float, kind: str, window: int) -> tuple[tuple[float, ...], float]:
+def _tail_terms(n: int, p: int, alpha: float, beta: float, kind: str, window: int) -> tuple[float, ...]:
     """g(m) D_p(m) for m = 0..window-1 as Python floats, the tail bound's
-    terms without their factor r^m, and their least value over m >= 1."""
-    dims = polyharmonic_dims(n, p, window - 1).tolist()
-    terms = tuple(map(mul, _weight_table(n, alpha, beta, kind, window), dims))
-    return terms, min(terms[1:])
+    terms without their factor r^m.  They increase in m (truncation_degree),
+    and so do their rounded values, since rounding is monotone."""
+    return tuple(map(mul, _weight_table(n, alpha, beta, kind, window), polyharmonic_dims(n, p, window - 1).tolist()))
 
 
 def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "poisson") -> int:
@@ -128,19 +127,25 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
     sum_{m>M} a_m <= a_{M+1} / (1 - a_{M+2}/a_{M+1}) once that ratio is
     below one.  The terms are scanned on Python floats in degree order and
     the scan stops at the first M that passes; their factors g(m) D_p(m)
-    come from a table per configuration whose window starts at 64 and
-    doubles while the scan runs past it.
+    come from a table per configuration and window of 64 * 2^j degrees,
+    which doubles while the scan runs past it.
 
     The scan starts where the tail can first pass.  A pass at M needs
     a1 * a1 < tol (a1 - a2) <= tol a1, hence a_{M+1} < tol, so with c_min
-    the least factor g(m) D_p(m), m >= 1, of the window, no M with
-    c_min r^(M+1) >= tol passes.  The scan starts at
-    floor(log(tol / c_min) / log r) less a rounding margin of 1e-12 in the
-    logarithm and one degree, which covers the rounding of the logs, of the
-    power and of the products; its first term is the scan's own expression,
-    so the degree returned is the full scan's bit for bit.  r and tol are
-    real numbers (check_real), r nonnegative and tol positive, both finite;
-    ValueError otherwise.
+    the least factor g(m) D_p(m), m >= 1, no M with c_min r^(M+1) >= tol
+    passes.  The factors increase in m for every kind: D_p(m) does, and so
+    does g(m), which is 1, n + 2m, or the Gamma ratio with
+    g(m+1)/g(m) = (z + beta + 1)/z > 1 for beta > -1.  So c_min is the
+    m = 1 factor, read off the first window of 64 degrees, and bounds every
+    window.  The start is floor(log(tol / c_min) / log r) less a
+    rounding margin of 1e-12 in the logarithm and one degree, which covers
+    the rounding of the logs, of the power and of the products.  A start at
+    or above the degree cap m_cap = 100,000 raises ConvergenceDomain at
+    once, with no table beyond the first; otherwise the first table scanned
+    is the window holding the start, and the scan's first term is its own
+    expression, so the degree returned is the full scan's bit for bit.  r
+    and tol are real numbers (check_real), r nonnegative and tol positive,
+    both finite; ValueError otherwise.
     """
     tol, r = check_real("tolerance", tol), check_real("radius", r)
     if not 0 < tol < math.inf:
@@ -151,14 +156,16 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
         raise ConvergenceDomain(f"radius {r} exceeds r_max={cfg.r_max}")
     m_cap = 100_000
     config = (cfg.n, cfg.p, cfg.alpha, cfg.beta, kind)
-    lo, window = 0, 64
-    c, c_min = _tail_terms(*config, window)  # raises ValueError for an unknown kind
+    c_min = _tail_terms(*config, 64)[1]  # the least factor; ValueError for an unknown kind
     if r == 0.0:
         return 0
-    log_r = math.log(r)
+    start = (math.log(tol) - math.log(c_min) + 1e-12) / math.log(r) - 1.0
+    if start >= m_cap:
+        raise ConvergenceDomain(f"no truncation below {tol} found for r={r}: the tail passes beyond degree {m_cap}")
+    lo = max(0, int(start))
+    window = _window(lo + 2)
     while True:
-        start = (math.log(tol) - math.log(c_min) + 1e-12) / log_r - 1.0
-        lo = max(lo, int(min(start, window - 3)))
+        c = _tail_terms(*config, window)
         a1 = c[lo + 1] * r ** (lo + 1)
         for big_m in range(lo, min(window - 2, m_cap)):
             a2 = c[big_m + 2] * r ** (big_m + 2)
@@ -170,7 +177,6 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
         if window - 2 >= m_cap:
             raise ConvergenceDomain(f"no truncation below {tol} found for r={r}")
         lo, window = window - 2, 2 * window
-        c, c_min = _tail_terms(*config, window)
 
 
 def make_truncation(cfg: KernelConfig, r: float, tol: float, kind: str = "poisson") -> Truncation:

@@ -68,9 +68,10 @@ class PolyharmonicPolynomial:
 
     Checked and frozen when it is built, and it stores its blocks' fields
     as read-only arrays in block order, which eval_complex and the
-    polar-grid factors (quadrature._stacked_factors) read: the radial
+    cubature factors (quadrature._stacked_factors) read: the radial
     indices k and harmonic degrees d (ints, shape (B,)), the coefficients
-    coeff (complex, shape (B,)) and the poles (float, shape (B, n)).  They
+    coeff (complex, shape (B,)) and the poles (float, shape (B, n)), and
+    its degree, the largest block degree d + 2k (0 without blocks).  They
     do not take part in equality, which compares the block tuples.
     """
 
@@ -81,6 +82,7 @@ class PolyharmonicPolynomial:
     d: np.ndarray = field(init=False, repr=False, compare=False)
     coeff: np.ndarray = field(init=False, repr=False, compare=False)
     poles: np.ndarray = field(init=False, repr=False, compare=False)
+    degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_integer("dimension n", self.n, 2))
@@ -97,14 +99,11 @@ class PolyharmonicPolynomial:
         object.__setattr__(self, "d", np.array([b.d for b in self.blocks], dtype=int))
         object.__setattr__(self, "coeff", np.array([b.coeff for b in self.blocks], dtype=complex))
         object.__setattr__(self, "poles", np.array([b.pole for b in self.blocks], dtype=float).reshape(-1, self.n))
+        object.__setattr__(self, "degree", max((b.degree for b in self.blocks), default=0))
         for array in (self.k, self.d, self.coeff, self.poles):
             array.flags.writeable = False
 
     __reduce__ = reduce_by_constructor
-
-    @property
-    def degree(self) -> int:
-        return max((b.degree for b in self.blocks), default=0)
 
     def __call__(self, x: RotatedPoint) -> complex:
         return evaluate(self, x)

@@ -12,25 +12,31 @@ Jacobi weight.  Ball integrals compose the two in polar form with the
 n*Vol_n surface factor.  This module is the only reader of the half H.
 
 The sector inner products, reproduce and the centred mean_value_eval sum
-over the product grid sector k x radial node i x sphere node j.  A
-polynomial operand is separable there, sum_b rot[b, k] rad[b, i] zon[b, j],
-and so is the kernel section, sum_m W[k, i, m] S[m, j]; _stacked_factors is
-the one producer of both.  The grid sum is then contracted one factor at a
-time through small Gram matrices, and no (p, R, N) array is formed: with N
-sphere nodes, operands of B and B' blocks cost O(B B' N) and reproduce with
-L kernel degrees O(B L N), where the values on the grid cost
-O(p R N (B + B')) and O(p R N (B + L)).  The zonal factors are taken on the
-half H only: by Gegenbauer parity z_d(-t) = (-1)^d z_d(t), a product of
-zonal rows of degrees d and d' sums over [H; -H] to 2 sum_H w_H z_d z_d'
-when d + d' is even and to 0 when it is odd (_half_gram), and the
-mean-value integrand mirrors each block's row onto -H by (-1)^d.  Each op
+over the product grid sector k x radial node i x sphere node j.  A block
+c |y|^(2k) Z_d(y, pole) of degree D = d + 2k is c e^{i D phi_k} r_i^D
+z_d(zeta_j . pole) there, and a kernel section sum_m g(m) Z^p_m(x, .) is
+sum_m g(m) (|x| e^{i phi_x})^m e^{-i m phi_k} r_i^m S_m(zeta_j . x/|x|) in
+window form, so every grid sum of two such terms of degrees D and D'
+factors into a sector sum, a radial sum and a zonal Gram entry.  With the
+sector phases phi_k = k pi/p, the sector sum is
+E_p(D - D') = sum_{k<p} e^{i pi k (D - D')/p}, which is p when 2p divides
+D - D', 0 for its other even values and 1 + i cot(pi (D - D')/2p) for odd
+ones (_sector_sums, a table of 2p entries per p), and the radial sum is
+M(D + D') = sum_i w_i r_i^(D + D'), one matmul per op (_sector_radial).  So no
+value on the grid is formed: an op costs O(B B' N) for the zonal Gram of
+operands of B and B' blocks on N sphere nodes and O(B B') lookups besides.
+The zonal factors are taken on the half H only: by Gegenbauer parity
+z_d(-t) = (-1)^d z_d(t), a product of zonal rows of degrees d and d' sums
+over [H; -H] to 2 sum_H w_H z_d z_d' when d + d' is even and to 0 when it
+is odd (_half_gram), and the mean-value integrand mirrors each block's row
+onto -H by (-1)^d and its kernel denominators by conjugation.  Each op
 pays for one real zonal recurrence over the N/2 nodes of H: the node
 cosines of both operands' poles, or of the polynomial's poles and x/|x|,
 are stacked into one (C, N/2) array and run to the largest degree any of
-them needs, so an op makes one round of numpy calls per degree whatever its
-number of blocks.  The grid route, on all N nodes, is kept for callable
-operands and off-centre balls only; a polynomial there is evaluated by
-eval_complex, the one point evaluator.
+them needs (_stacked_factors), so an op makes one round of numpy calls per
+degree whatever its number of blocks.  The grid route, on all N nodes, is
+kept for callable operands and off-centre balls only; a polynomial there
+is evaluated by eval_complex, the one point evaluator.
 
 laplacian_power_residual, the independent check of a test polynomial's
 order, averages it over sphere rules and so lives here, beside
@@ -46,6 +52,7 @@ cache_info() and cache_clear() are the memo's.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -58,7 +65,7 @@ from .core import (EPS_SING, KernelConfig, RotatedPoint, check_integer, check_re
 from .errors import NearSingular
 from .kernels import _series_weights, weighted_coefficient
 from .polyspace import PolyharmonicPolynomial, eval_complex
-from .zonal import _degree_weights, _window_sums, zonal_values
+from .zonal import _window_sums, zonal_values
 
 NODE_CAP = 10**7
 
@@ -308,62 +315,81 @@ def _ball_values(cfg: KernelConfig, f, radii, unit: np.ndarray) -> np.ndarray:
     return np.array([[f(ph, r * unit) for r in radii] for ph in phases], dtype=complex)
 
 
-def _stacked_factors(phases, radii, unit, polys, section=None):
-    """Separable factors of each polynomial in polys and, for
-    section = (g, p, x), of that kernel section, all on the polar grid
-    e^{i phases_k} radii_i unit_j and from one zonal recurrence: the only
-    producer of polar-grid factors.
+def _stacked_factors(unit, polys, section=None):
+    """Zonal factors of each polynomial in polys and, for
+    section = (top, p, x), of that kernel section, on the nodes unit_j and
+    from one zonal recurrence: the only producer of cubature factors.
 
-    A polynomial there is sum_b rot[b, k] rad[b, i] zon[b, j]: a block
-    c |x|^(2k) Z_d(x, pole) at a grid point is c e^{i deg phases_k}
-    radii_i^deg Z_d(unit_j, pole) with deg = d + 2k.  The section
-    zonal_poly_sum(g, p, t, zeta, n) at the pairs (x, grid point) is
-    sum_m W[k, i, m] S[m, j] in window form: its cosine t = unit_j . x/|x|
-    depends on the node only and zeta = |x| radii_i e^{i (phase(x) - phases_k)}
-    on the phase and radius only, so W = _degree_weights(g, zeta), the
-    weights g[m] zeta^m, and S holds the window sums
-    S_m = sum_{k<p, 2k<=m} z_{m-2k}(t) (zonal._window_sums).  The origin
-    x = 0 takes the zero vector for x/|x|, where zeta = 0 and t = 0.
+    A block c |y|^(2k) Z_d(y, pole) contributes its zonal row
+    z_d(unit_j . pole); its coefficient, phase and radius enter the
+    contractions as numbers (_sector_radial).  The section
+    sum_{m<=top} g(m) Z^p_m(x, .) contributes the window sums
+    S_m = sum_{k<p, 2k<=m} z_{m-2k}(unit_j . x/|x|) (zonal._window_sums),
+    m = 0..top, where the origin x = 0 takes the zero vector for x/|x|.
 
     The recurrence runs on the stacked cosines
     [poles of every block; x/|x|] @ unit^T, one row of node cosines per
-    pole, up to the largest block degree d and the section's top degree:
-    each block's zonal factor is z_d of its own row and the section's S is
-    window-summed from z_0..z_L of the last row, into a copy.  The poles are
-    the polynomials' stored pole arrays, stacked by one concatenation, and
-    each polynomial's factors come from its own stored k, d and coeff
-    arrays: no block is read here.  Every polynomial and the section's x
-    must have the dimension of the nodes, unit.shape[1]; ValueError
-    (dimension mismatch) otherwise.  unit holds unit vectors.
-    Returns a list of (rot, rad, zon) per polynomial, shapes (B, K), (B, I)
-    and (B, J) for B blocks, followed by (W, S), shapes (K, I, L) and
-    (L, J), when section is given.  A zonal row's degree is q.d[b] for a
-    block and m for the section (S_m has the parity of m), and its parity
-    at the mirrored nodes -unit_j is left to the contractions (_half_gram,
-    mean_value_eval).
+    pole, up to the largest block degree d and the section's top: each
+    block's factor is z_d of its own row and the section's S is
+    window-summed from z_0..z_top of the last row, into a copy.  The poles
+    are the polynomials' stored pole arrays, stacked by one concatenation,
+    and each polynomial's rows are picked by its stored d array: no block
+    is read here.  Every polynomial and the section's x must have the
+    dimension of the nodes, unit.shape[1]; ValueError (dimension mismatch)
+    otherwise.  unit is a float array of unit vectors.
+    Returns a list of one (B, J) array per polynomial of B blocks, followed
+    by S, shape (top + 1, J), when section is given.  A row's degree is
+    q.d[b] for a block and m for the section (S_m has the parity of m), and
+    its parity at the mirrored nodes -unit_j is left to the contractions
+    (_half_gram, mean_value_eval).
     """
-    phases, radii, unit = (np.asarray(v, dtype=float) for v in (phases, radii, unit))
     n = unit.shape[1]
     if any(q.n != n for q in polys) or (section is not None and section[2].dim != n):
         raise ValueError(f"dimension mismatch: nodes of dimension {n}, polynomials {[q.n for q in polys]}")
     poles = [q.poles for q in polys]
     top = max((max(q.d.tolist(), default=0) for q in polys), default=0)
     if section is not None:
-        g, p, x = section
-        w = _degree_weights(g, x.radius * radii * np.exp(1j * (x.phase - phases[:, None])))
+        m_top, p, x = section
         poles.append((x.coords / x.radius if x.radius else np.zeros(n))[None, :])
-        top = max(top, len(g) - 1)
+        top = max(top, m_top)
     z = zonal_values(np.concatenate(poles) @ unit.T, top, n)
     out, row = [], 0
     for q in polys:
-        deg = q.d + 2 * q.k
-        rot = q.coeff[:, None] * np.exp(1j * (deg[:, None] * phases))
-        zon = z[q.d, np.arange(row, row + q.d.size)]
-        out.append((rot, radii[None, :] ** deg[:, None], zon))
+        out.append(z[q.d, np.arange(row, row + q.d.size)])
         row += q.d.size
     if section is not None:
-        out.append((w, _window_sums(z[: len(g), -1], p)))
+        out.append(_window_sums(z[: m_top + 1, -1], p))
     return out
+
+
+@lru_cache(maxsize=None)
+def _sector_sums(p: int) -> np.ndarray:
+    """Read-only E_p(j) = sum_{k<p} e^{i pi k j/p} for j = 0..2p-1: the
+    sector sum of a product of terms whose degrees differ by j, which
+    depends on j mod 2p only.
+
+    The geometric sum is p where 2p divides j and (1 - e^{i pi j}) /
+    (1 - e^{i pi j/p}) elsewhere: 0 for even j and 2 / (1 - e^{i pi j/p}) =
+    1 + i cot(pi j/2p) for odd j.  The cotangent is taken at angles folded
+    into (0, pi/2] by cot(pi - y) = -cot(y), where the rounding of the
+    angle costs under an ulp of the value, and it is exactly 0 at j = p.
+    Odd j pairs zonal rows of degrees of odd sum, whose Gram entries are 0
+    (_half_gram), so only the even entries reach a cubature sum.
+    """
+    odd = np.arange(1, 2 * p, 2)
+    out = np.zeros(2 * p, dtype=complex)
+    out[0], out[odd] = p, 1.0 + 1j * np.sign(p - odd) / np.tan(0.5 * np.pi * np.minimum(odd, 2 * p - odd) / p)
+    out.flags.writeable = False
+    return out
+
+
+def _sector_radial(p: int, radii, w_rad, deg, deg2) -> np.ndarray:
+    """E_p(D - D') M(D + D') for D in deg (rows) and D' in deg2 (columns):
+    the sum over the sectors k and radial nodes i of the phase and radius
+    factors e^{i (D - D') phi_k} r_i^(D + D') of a product of two terms,
+    with M(j) = sum_i w_rad_i radii_i^j taken by one matmul."""
+    radial = w_rad @ np.power.outer(radii, np.arange(max(deg.tolist(), default=0) + max(deg2.tolist(), default=0) + 1))
+    return _sector_sums(p)[(deg[:, None] - deg2) % (2 * p)] * radial[deg[:, None] + deg2]
 
 
 def _half_gram(sphere: SphereRule, zon_f, d_f, zon_g, d_g):
@@ -384,27 +410,25 @@ def _inner_product(cfg, f, g, radii, w_rad, sphere: SphereRule) -> complex:
     """(1/p) sum_kij w_rad_i w_sph_j f_kij conj(g_kij) on the sector x radius
     x sphere grid.
 
-    Two polynomial operands are contracted factor by factor: with
-    f = sum_b rot_bk rad_bi zon_bj (_stacked_factors) and g likewise, the sum is
-    sum_{b,b'} (rot_f rot_g^H)_{bb'} ((rad_f w_rad) rad_g^T)_{bb'}
-    ((zon_f w_sph) zon_g^T)_{bb'} / p, O(B_f B_g N) work for N sphere nodes
-    against O(p R N (B_f + B_g)) for the values on the grid.  Both
-    operands' zonal factors come from one recurrence on their stacked poles
-    at the half H of the rule, and _half_gram gives the zonal Gram factor.
-    A callable operand takes the grid route: p R calls of N points each,
-    and a polynomial partner one eval_complex call on the p R N points; the
-    sum is one einsum, with no product array formed.
+    Two polynomial operands are contracted block by block: blocks b of f and
+    b' of g, of degrees D_b and D_b', give
+    c_b conj(c_b') E_p(D_b - D_b') M(D_b + D_b') G[b, b'] with the sector
+    sums E_p and the radial sums M (_sector_radial) and the zonal
+    Gram matrix G of the two operands' rows (_half_gram), which come from
+    one recurrence on their stacked poles at the half H of the rule.  That
+    is O(B_f B_g N) work for N sphere nodes, against O(p R N (B_f + B_g))
+    for the values on the grid.  A callable operand takes the grid route:
+    p R calls of N points each, and a polynomial partner one eval_complex
+    call on the p R N points; the sum is one einsum, with no product array
+    formed.
     """
     polys = [h for h in (f, g) if isinstance(h, PolyharmonicPolynomial)]
     if any(h.n != cfg.n for h in polys):
         raise ValueError(f"dimension mismatch: n={cfg.n}, polynomials {[h.n for h in polys]}")
     if len(polys) == 2:
-        (rot_f, rad_f, zon_f), (rot_g, rad_g, zon_g) = _stacked_factors(
-            cfg.sector_phases(), radii, sphere.half_nodes, (f, g)
-        )
-        zonal = _half_gram(sphere, zon_f, f.d, zon_g, g.d)
-        gram = (rot_f @ rot_g.conj().T) * ((rad_f * w_rad) @ rad_g.T) * zonal
-        return complex(gram.sum()) / cfg.p
+        zon_f, zon_g = _stacked_factors(sphere.half_nodes, (f, g))
+        gram = np.multiply.outer(f.coeff, g.coeff.conj()) * _half_gram(sphere, zon_f, f.d, zon_g, g.d)
+        return complex((gram * _sector_radial(cfg.p, radii, w_rad, f.d + 2 * f.k, g.d + 2 * g.k)).sum()) / cfg.p
     fv = _ball_values(cfg, f, radii, sphere.nodes)
     gv = _ball_values(cfg, g, radii, sphere.nodes)
     return complex(np.einsum("kij,kij,i,j->", fv, np.conjugate(gv, out=gv), w_rad, sphere.weights)) / cfg.p
@@ -441,17 +465,18 @@ def reproduce(
     |y|^alpha (1-|y|^2)^beta dy, which equals u(x) up to cubature error when
     the rule is exact to 2*m_top + 2 and u is of order at most p.
 
-    Both factors are separable on the rule's grid and come from one
-    _stacked_factors call: u = sum_b rot_bk rad_bi zon_bj and, in window
-    form, K = sum_m W_kim S_mj with W_kim = g(m) zeta_ki^m from the memoised
-    weights g(0..m_top) (kernels._series_weights) and S_m the window sums
-    of the zonal rows, so the sum is sum_{b,m} H_bm G_bm / p with
-    H = sum_ki rot_bk rad_bi w_rad_i W_kim and G = (zon w_sph) S^T:
-    O(B L N) work for B blocks, L = m_top + 1 degrees and N sphere nodes,
-    against O(p R N (B + L)) for both factors' values on the grid.  zon and
-    S come from one recurrence, to degree m_top, on the stacked cosines
-    [poles; x/|x|] @ H^T at the half H of the sphere rule; S_m has the
-    parity of m, so G is their _half_gram.
+    With xi = |x| e^{i phase(x)}, the section is
+    sum_m g(m) xi^m e^{-i m phi_k} r_i^m S_m(zeta_j . x/|x|) in window form,
+    with the memoised weights g(0..m_top) (kernels._series_weights), so a
+    block of u of degree D_b and coefficient c_b meets its degree-m term in
+    c_b g(m) xi^m E_p(D_b - m) M(D_b + m) G[b, m]: the sector sums E_p
+    and the radial sums M (_sector_radial) and the zonal Gram
+    matrix G of the block rows and the window sums S_m (_half_gram; S_m has
+    the parity of m), both from one recurrence, to degree m_top, on the
+    stacked cosines [poles; x/|x|] @ H^T at the half H of the sphere rule
+    (_stacked_factors).  That is O(B L N) work for B blocks, L = m_top + 1
+    degrees and N sphere nodes, against O(p R N (B + L)) for both factors'
+    values on the grid.
     m_top is an integer (check_integer); ValueError otherwise.
     """
     m_top = check_integer("kernel truncation m_top", m_top, 0)
@@ -462,22 +487,18 @@ def reproduce(
     if u.degree > m_top:
         raise ValueError(f"kernel truncation {m_top} below polynomial degree {u.degree}")
     if rule.sphere.exact_degree < 2 * m_top + 2:
-        raise ValueError(
-            f"rule exactness {rule.sphere.exact_degree} insufficient for degree {m_top}"
-        )
+        raise ValueError(f"rule exactness {rule.sphere.exact_degree} insufficient for degree {m_top}")
     if x.radius >= 1.0:
         raise ValueError("evaluation point must lie in the open rotated ball cone")
     _check_ball_rule(cfg, alpha, beta, rule)
-    sph = rule.sphere
-    rad = rule.radial
-    phases = cfg.sector_phases()
+    sph, rad, p = rule.sphere, rule.radial, cfg.p
     # the kernel's factor 1/(n Vol_n) cancels the rule's normalization n Vol_n,
     # and its second slot is conjugate-symmetric already: no conjugation
-    section = (_series_weights(cfg.n, alpha, beta, "weighted", m_top), cfg.p, x)
-    (rot, radial, zon), (w, window) = _stacked_factors(phases, rad.nodes, sph.half_nodes, (u,), section)
-    h = np.einsum("bk,bi,kim->bm", rot, radial * rad.weights, w)
-    gram = _half_gram(sph, zon, u.d, window, np.arange(len(window)))
-    return complex((h * gram).sum()) / len(phases)
+    zon, window = _stacked_factors(sph.half_nodes, (u,), (m_top, p, x))
+    m = np.arange(m_top + 1)
+    kernel = (x.radius * cmath.exp(1j * x.phase)) ** m * _series_weights(cfg.n, alpha, beta, "weighted", m_top)
+    h = u.coeff[:, None] * kernel * _sector_radial(p, rad.nodes, rad.weights, u.d + 2 * u.k, m)
+    return complex((h * _half_gram(sph, zon, u.d, window, m)).sum()) / p
 
 
 def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
@@ -493,15 +514,24 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
     (check_real) raise ValueError.
 
     With a = 0 the points r e^{i k pi/p} zeta_j are rotated points, so a
-    polynomial u there is the contraction of its polar factors
-    (_stacked_factors) on the sector phases and the one radius r.  They
-    are taken on the half H of the antipodal rule [H; -H]: one real
-    recurrence on its N/2 nodes, to the largest block degree, shared by
-    the p sectors; on -H each block's zonal row is mirrored by its parity
-    (-1)^d.  An off-centre ball takes eval_complex on the p N complex
-    points, sum_b (d_b + 1) recurrence rows of p N values, and a callable
-    u is called once on them.  The denominator's power n/2 is, at odd n,
-    one integer power and one square root (principal_pow).
+    polynomial u there is sum_b c_b e^{i D_b phi_k} r^(D_b) z_(d_b)(zeta_j
+    . pole_b) for blocks of degree D_b = d_b + 2 k_b: coefficients per
+    sector and block times zonal rows (_stacked_factors).  The rows are
+    taken on the half H of the antipodal rule [H; -H]: one real recurrence
+    on its N/2 nodes, to the largest block degree, shared by the p sectors;
+    on -H each block's row is mirrored by its parity (-1)^d.  An off-centre
+    ball takes eval_complex on the p N complex points, sum_b (d_b + 1)
+    recurrence rows of p N values, and a callable u is called once on them.
+
+    The denominators are taken on H as well.  With d = x - a, the bilinear
+    square of sector k at a node zeta is
+    bsq_k(zeta) = e^{-2 i phi_k} |d|^2 - 2 r e^{-i phi_k} zeta . d + r^2;
+    sector 0 is real on both halves, |d|^2 -+ 2 r zeta . d + r^2, and takes
+    a real power, and for k >= 1, since e^{-i phi_(p-k)} = -e^{i phi_k},
+    bsq_k(-zeta) = conj(bsq_(p-k)(zeta)), so the principal power (an
+    integer power and, at odd n, one square root: principal_pow) runs on the
+    (p - 1) N/2 complex values of sectors 1..p-1 on H, and -H takes their
+    conjugates in reversed sector order.
     """
     a = np.asarray(a, dtype=float)
     polynomial = isinstance(u, PolyharmonicPolynomial)
@@ -521,21 +551,25 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
     d2 = float(d @ d)
     if not d2 < r * r:
         raise ValueError("need |x - a| < r")
-    nodes = rule.nodes
-    num = r ** (2 * cfg.p) - d2**cfg.p
-    pref = r ** (cfg.n - 2 * cfg.p)
+    p, half = cfg.p, rule.half_nodes.shape[0]
+    scale = (r ** (2 * p) - d2**p) * r ** (cfg.n - 2 * p)
     phases = cfg.sector_phases()
-    rot = np.exp(1j * phases)[:, None]
-    back = np.conj(rot)
-    bsq = back * back * d2 - 2.0 * r * back * (nodes @ d) + r * r
-    if np.any(np.abs(bsq) <= EPS_SING * r * r):
+    dots = rule.nodes @ d  # [H; -H] @ d = [h; -h], exactly
+    real = d2 - 2.0 * r * dots + r * r
+    back = np.exp(-1j * phases[1:, None])
+    bsq = back * back * d2 - 2.0 * r * back * dots[:half] + r * r
+    if real.min() <= EPS_SING * r * r or (np.abs(bsq) <= EPS_SING * r * r).any():
         raise NearSingular("mean-value kernel denominator vanished")
-    den = principal_pow(bsq, 0.5 * cfg.n)
+    den = np.empty((p, 2 * half), dtype=complex)
+    den[0] = real ** (0.5 * cfg.n)
+    den[1:, :half] = principal_pow(bsq, 0.5 * cfg.n)
+    np.conjugate(den[:0:-1, :half], out=den[1:, half:])
     if polynomial and not a.any():
-        rot_u, rad_u, zon = _stacked_factors(phases, (r,), rule.half_nodes, (u,))[0]
-        coef = (rot_u * rad_u).T
+        zon = _stacked_factors(rule.half_nodes, (u,))[0]
+        deg = u.d + 2 * u.k
+        coef = u.coeff * np.exp(1j * (phases[:, None] * deg)) * r**deg
         uv = np.concatenate((coef @ zon, (coef * (-1.0) ** u.d) @ zon), axis=1)
     else:
-        pts = (a + r * rot[:, :, None] * nodes).reshape(-1, cfg.n)
+        pts = (a + r * np.exp(1j * phases)[:, None, None] * rule.nodes).reshape(-1, cfg.n)
         uv = (eval_complex(u, pts) if polynomial else u(pts)).reshape(den.shape)
-    return complex(np.sum(rule.weights * (num * pref / den) * uv)) / cfg.p
+    return complex((rule.weights * (scale / den) * uv).sum()) / p

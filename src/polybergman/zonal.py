@@ -16,8 +16,9 @@ sum S_m = sum_{k<p, 2k<=m} z_{m-2k}(t) (_window_sums), and a series
 sum_m g[m] Z^p_m is one polynomial in zeta with the real coefficients
 g[m] S_m(t).  Every zonal sum in the package goes through one assembly in
 that form, zonal_poly_sum; on a polar grid of pairs,
-quadrature._stacked_factors returns its two factors, the weights
-g[m] zeta^m (_degree_weights) and S_m(t), for the cubature to contract.
+quadrature._stacked_factors returns the window sums S_m(t) at the nodes,
+and the cubature sums the factors g[m] zeta^m over sectors and radii in
+closed form.
 """
 
 from __future__ import annotations
@@ -160,13 +161,6 @@ def _window_sums(rows, p: int) -> np.ndarray:
     return out
 
 
-def _degree_weights(g, zeta) -> np.ndarray:
-    """W[..., m] = g[m] zeta^m, the factor of the window sum S_m(t) in
-    zonal_poly_sum, with the degree axis appended to zeta's shape."""
-    zeta = np.asarray(zeta, dtype=complex)[..., None]
-    return np.asarray(g, dtype=float) * zeta ** np.arange(len(g))
-
-
 def zonal_poly_sum(g, p: int, t, zeta, n: int):
     """sum_m g[m] Z^p_m = sum_m g[m] zeta^m S_m(t), broadcast over t, zeta.
 
@@ -182,9 +176,9 @@ def zonal_poly_sum(g, p: int, t, zeta, n: int):
     For a scalar t and zeta the sum runs on Python numbers, with no numpy
     call: the recurrence forward, the window sums by p - 1 C-level
     map(add, ...) passes, then one Horner pass in zeta over the real
-    coefficients g[m] S_m.  For arrays the degree weights g[m] zeta^m
-    (_degree_weights) are contracted with the window sums of the rows of
-    zonal_values.
+    coefficients g[m] S_m.  For arrays the degree weights g[m] zeta^m, with
+    the degree axis appended to zeta's shape, are contracted with the
+    window sums of the rows of zonal_values.
     """
     if isinstance(t, (int, float)) and isinstance(zeta, (int, float, complex)):
         z = list(_zonal_iter(_clip_cosine(t), 1.0, len(g) - 1, n))
@@ -198,7 +192,8 @@ def zonal_poly_sum(g, p: int, t, zeta, n: int):
     top = len(g) - 1
     s = _window_sums(zonal_values(t, top, n), p)
     zmat = s.reshape(top + 1, -1).T.reshape(np.shape(t) + (top + 1,))
-    return np.einsum("...m,...m->...", _degree_weights(g, zeta), zmat)
+    weights = np.asarray(g, dtype=float) * np.asarray(zeta, dtype=complex)[..., None] ** np.arange(top + 1)
+    return np.einsum("...m,...m->...", weights, zmat)
 
 
 def sph_dim(n: int, m: int) -> int:

@@ -59,3 +59,20 @@ def test_the_half_rule_and_polyspace_privates_stay_in_their_modules():
                 assert not private, (path.name, node.lineno, private)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "polyspace":
                 assert not node.attr.startswith("_"), (path.name, node.lineno, node.attr)
+
+
+def test_only_the_factor_producer_runs_a_recurrence_in_quadrature():
+    # every cubature op runs one zonal recurrence, in _stacked_factors;
+    # any other reference to a recurrence entry point in quadrature would
+    # be a second one per op
+    recurrences = {"zonal_values", "_zonal_rows", "_zonal_iter", "zonal_poly_sum"}
+    tree = ast.parse(Path(polybergman.__file__).with_name("quadrature.py").read_text())
+    calls = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name in recurrences:
+                owner = getattr(top, "name", None)
+                assert owner == "_stacked_factors", (owner, node.lineno, name)
+                calls.append(name)
+    assert calls == ["zonal_values"]

@@ -674,6 +674,49 @@ SIX_KINDS = (
 )
 
 
+class TestTruncationStart:
+    """The proven start of the truncation scan comes from the first window
+    of 64 degrees, whose least factor g(m) D_p(m), m >= 1, bounds every
+    window since the factors increase in m."""
+
+    @pytest.mark.parametrize("kind,alpha,beta", SIX_KINDS)
+    def test_factors_increase_so_the_first_window_bounds_every_window(self, kind, alpha, beta):
+        for n in (2, 3, 5):
+            for p in (1, 2, 4):
+                terms = kernels._tail_terms(n, p, alpha, beta, kind, 1024)
+                assert all(a <= b for a, b in zip(terms, terms[1:])), (n, p)
+                assert min(terms[1:]) == terms[1] == kernels._tail_terms(n, p, alpha, beta, kind, 64)[1]
+
+    @staticmethod
+    def windows_asked(monkeypatch):
+        asked = []
+        tail_terms = kernels._tail_terms
+
+        def recorded(*args):
+            asked.append(args[-1])
+            return tail_terms(*args)
+
+        monkeypatch.setattr(kernels, "_tail_terms", recorded)
+        return asked
+
+    def test_a_start_beyond_the_cap_raises_without_a_second_window(self, monkeypatch):
+        # the proven start at r = 0.9999, tol 1e-14 is 349,424 degrees, so
+        # no degree below the cap of 100,000 can pass
+        asked = self.windows_asked(monkeypatch)
+        cfg = KernelConfig(n=3, p=2, r_max=0.99995)
+        with pytest.raises(ConvergenceDomain, match="beyond degree 100000"):
+            truncation_degree(cfg, 0.9999, 1e-14, "bergman")
+        assert asked == [64]
+
+    def test_the_first_table_scanned_holds_the_start(self, monkeypatch):
+        # the start at r = 0.99, tol 1e-10 is about 2560: the scan begins
+        # in the window of 4096 degrees, not at 64, and ends in the next one
+        asked = self.windows_asked(monkeypatch)
+        cfg = KernelConfig(n=3, p=2, r_max=0.99995)
+        assert truncation_degree(cfg, 0.99, 1e-10, "bergman") == 4640
+        assert asked == [64, 4096, 8192]
+
+
 class TestTruncationScan:
     @pytest.mark.parametrize("kind,alpha,beta", SIX_KINDS)
     def test_early_exit_scan_matches_numpy_window_search(self, kind, alpha, beta):

@@ -31,8 +31,13 @@ def unit(v):
 
 def polar_grid(q, phases, radii, unit_nodes):
     """q at the polar grid e^{i phases_k} radii_i unit_j, shape (K, I, J),
-    contracted here from its factors (_stacked_factors)."""
-    rot, rad, zon = quadrature._stacked_factors(phases, radii, unit_nodes, (q,))[0]
+    contracted here from its separable factors: a block of degree
+    D = d + 2k is coeff e^{i D phases_k} radii_i^D times its zonal row
+    (_stacked_factors)."""
+    zon = quadrature._stacked_factors(unit_nodes, (q,))[0]
+    deg = q.d + 2 * q.k
+    rot = q.coeff[:, None] * np.exp(1j * (deg[:, None] * np.asarray(phases, dtype=float)))
+    rad = np.asarray(radii, dtype=float)[None, :] ** deg[:, None]
     return np.einsum("bk,bi,bj->kij", rot, rad, zon)
 
 
@@ -170,7 +175,7 @@ class TestEvaluate:
         # the polar grid factors were built on 2-d nodes
         nodes = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            quadrature._stacked_factors([0.0], [0.5], nodes, (q,))
+            quadrature._stacked_factors(nodes, (q,))
         with pytest.raises(ValueError, match="dimension mismatch"):
             eval_at_phase(q, 0.3, 0.5 * nodes)
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -225,8 +230,9 @@ class TestEvaluate:
 
 
 class TestEvalPolar:
-    """The polar-grid factors (_stacked_factors), contracted to values,
-    against the point evaluator at every grid point."""
+    """The zonal rows (_stacked_factors) times each block's phase and
+    radius factors, contracted to values, against the point evaluator at
+    every grid point."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -252,45 +258,38 @@ class TestEvalPolar:
                     assert_allclose(grid[k, i], want, rtol=1e-13, atol=1e-14)
 
 
-def stacked_factors_from_blocks(phases, radii, unit, polys, section=None):
+def stacked_factors_from_blocks(unit, polys, section=None):
     """_stacked_factors as it was built from the block tuples on every call:
     the reference for the polynomials' stored arrays."""
     unit = np.asarray(unit, dtype=float)
-    phases = np.asarray(phases, dtype=float)
-    radii = np.asarray(radii, dtype=float)
     blocks = [b for q in polys for b in q.blocks]
     degrees = [b.d for b in blocks]
     d = np.array(degrees, dtype=int)
     poles = [b.pole for b in blocks]
     top = max(degrees, default=0)
     if section is not None:
-        g, p, x = section
+        m_top, p, x = section
         rx = x.radius
-        w = zonal._degree_weights(g, rx * radii * np.exp(1j * (x.phase - phases[:, None])))
         poles.append(x.coords / rx if rx else np.zeros(x.coords.shape[0]))
-        top = max(top, w.shape[-1] - 1)
+        top = max(top, m_top)
     z = zonal.zonal_values(np.reshape(poles, (-1, unit.shape[1])) @ unit.T, top, unit.shape[1])
     zon = z[d, np.arange(d.size)]
-    deg = d + 2 * np.array([b.k for b in blocks], dtype=int)
-    coeff = np.array([b.coeff for b in blocks], dtype=complex)
-    rot = coeff[:, None] * np.exp(1j * (deg[:, None] * phases))
-    rad = radii[None, :] ** deg[:, None]
     out, start = [], 0
     for q in polys:
         part = slice(start, start + len(q.blocks))
-        out.append((rot[part], rad[part], zon[part]))
+        out.append(zon[part])
         start = part.stop
     if section is not None:
-        window = z[: w.shape[-1], -1].copy()
+        window = z[: m_top + 1, -1].copy()
         for k in range(1, p):
-            window[2 * k :] += z[: w.shape[-1] - 2 * k, -1]
-        out.append((w, window))
+            window[2 * k :] += z[: m_top + 1 - 2 * k, -1]
+        out.append(window)
     return out
 
 
 class TestStoredArrays:
     """A polynomial stores its blocks' fields as read-only arrays, and the
-    polar-grid factors read them with the same values, bit for bit, as the
+    zonal factors read them with the same values, bit for bit, as the
     block-by-block construction."""
 
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -331,35 +330,32 @@ class TestStoredArrays:
         rng = np.random.default_rng(31 * n + p)
         nodes = rng.normal(size=(9, n))
         nodes /= np.linalg.norm(nodes, axis=1)[:, None]
-        phases, radii = cfg.sector_phases(), np.array([0.0, 0.3, 0.8])
         f = random_polyharmonic(cfg, 6, blocks=5, seed=n + p)
         g = random_polyharmonic(cfg, 5, blocks=3, seed=n + p + 50)
         empty = PolyharmonicPolynomial(blocks=(), n=n, p=p)
         section = None
         if with_section:
-            section = (list(rng.uniform(size=8)), p, make_rotated_point(cfg.sector_phase(p - 1), 0.4 * unit(rng.normal(size=n))))
+            section = (7, p, make_rotated_point(cfg.sector_phase(p - 1), 0.4 * unit(rng.normal(size=n))))
         cases = [(f,), (f, g), (empty,), (g, empty, f)]
         if with_section:
             cases.append(())
         for polys in cases:
-            got = quadrature._stacked_factors(phases, radii, nodes, polys, section)
-            want = stacked_factors_from_blocks(phases, radii, nodes, polys, section)
+            got = quadrature._stacked_factors(nodes, polys, section)
+            want = stacked_factors_from_blocks(nodes, polys, section)
             assert len(got) == len(want)
-            for got_part, want_part in zip(got, want):
-                for a, b in zip(got_part, want_part):
-                    assert a.shape == b.shape and a.dtype == b.dtype
-                    assert a.tobytes() == b.tobytes()
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
 
     def test_section_at_the_origin_matches_the_reference(self):
         cfg = KernelConfig(n=3, p=2)
         nodes = build_sphere_rule(3, 6).half_nodes
         f = random_polyharmonic(cfg, 4, blocks=3, seed=5)
-        section = ([1.0, 0.5, 0.25, 0.125], 2, make_rotated_point(0.0, np.zeros(3)))
-        got = quadrature._stacked_factors(cfg.sector_phases(), (0.5,), nodes, (f,), section)
-        want = stacked_factors_from_blocks(cfg.sector_phases(), (0.5,), nodes, (f,), section)
-        for got_part, want_part in zip(got, want):
-            for a, b in zip(got_part, want_part):
-                assert a.tobytes() == b.tobytes()
+        section = (3, 2, make_rotated_point(0.0, np.zeros(3)))
+        got = quadrature._stacked_factors(nodes, (f,), section)
+        want = stacked_factors_from_blocks(nodes, (f,), section)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestLaplacianResidual:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,11 +24,17 @@ from polybergman import (
     sphere_monomial_moment,
     unit_ball_volume,
 )
-from polybergman import kernels, quadrature, zonal
+from polybergman import NearSingular, kernels, quadrature, zonal
+from polybergman.core import principal_pow
 from polybergman.kernels import _weight_table, weighted_coefficient
 from polybergman.polyspace import eval_at_phase, eval_complex, evaluate
 from polybergman.quadrature import RadialRule, SphereRule
 from polybergman.zonal import zonal_poly_sum
+
+
+def unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
 
 
 def rule_monomial(rule, kappa):
@@ -681,6 +688,116 @@ class TestHalfRule:
         got = mean_value_eval(cfg, u, np.zeros(n), 0.6, x, rule)
         want = mean_value_eval(cfg, lambda z: eval_complex(u, z), np.zeros(n), 0.6, x, rule)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+class TestDegreeTables:
+    """The sector and radial sums that the cubature contractions look up."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_the_pair_table_is_the_product_of_the_two_sums(self, p):
+        rule = build_radial_rule(3, 1.0, 0.5, 6)
+        deg, deg2 = np.array([0, 3, 4, 7]), np.array([1, 2, 6])
+        table = quadrature._sector_radial(p, rule.nodes, rule.weights, deg, deg2)
+        for i, big_d in enumerate(deg):
+            for j, big_d2 in enumerate(deg2):
+                radial = float(rule.weights @ rule.nodes ** (big_d + big_d2))
+                sector = quadrature._sector_sums(p)[(big_d - big_d2) % (2 * p)]
+                assert abs(table[i, j] - sector * radial) <= 1e-15 * abs(sector) * radial
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_sector_sums_match_the_direct_sum(self, p):
+        table = quadrature._sector_sums(p)
+        assert table.shape == (2 * p,) and not table.flags.writeable
+        for j in range(-60, 61):
+            got = table[j % (2 * p)]
+            with mpmath.workdps(30):
+                direct = complex(mpmath.fsum(mpmath.expj(mpmath.pi * k * j / p) for k in range(p)))
+            assert abs(got - direct) <= 1e-15, (p, j, got, direct)
+            if j % (2 * p) == 0:
+                assert got == p
+            elif j % 2 == 0:
+                assert got == 0
+
+    @pytest.mark.parametrize("n, alpha, beta, count", [(2, 0.0, 0.0, 5), (3, 1.0, 0.5, 8), (4, 0.0, 2.0, 12)])
+    def test_radial_sums_match_the_direct_sum(self, n, alpha, beta, count):
+        # at p = 1 the sector sum is exactly 1, so the table is M(D + D')
+        rule = build_radial_rule(n, alpha, beta, count)
+        top = 3 * count
+        table = quadrature._sector_radial(1, rule.nodes, rule.weights, np.arange(top + 1), np.zeros(1, dtype=int))
+        assert table.shape == (top + 1, 1) and not table.imag.any()
+        got = table.real[:, 0]
+        for j in range(top + 1):
+            direct = math.fsum(w * r**j for r, w in zip(rule.nodes.tolist(), rule.weights.tolist()))
+            assert abs(got[j] - direct) <= 1e-14 * direct, (j, got[j], direct)
+            if j % 2 == 0 and j // 2 <= 2 * count - 1:
+                # the rule is exact for polynomials in r^2 of degree < 2 count
+                assert abs(got[j] - radial_moment(n, j // 2, alpha, beta)) <= 1e-13 * direct
+
+
+def mean_value_full_rule(cfg, u, a, r, x, rule):
+    """mean_value_eval's sum as it was taken before the half rule: the
+    principal power of all p N bilinear squares, and u by eval_complex at
+    all p N points."""
+    a = np.asarray(a, dtype=float)
+    d = x.coords - a
+    d2 = float(d @ d)
+    rot = np.exp(1j * cfg.sector_phases())[:, None]
+    back = np.conj(rot)
+    bsq = back * back * d2 - 2.0 * r * back * (rule.nodes @ d) + r * r
+    den = principal_pow(bsq, 0.5 * cfg.n)
+    uv = eval_complex(u, (a + r * rot[:, :, None] * rule.nodes).reshape(-1, cfg.n)).reshape(den.shape)
+    num = r ** (2 * cfg.p) - d2**cfg.p
+    pref = r ** (cfg.n - 2 * cfg.p)
+    return complex(np.sum(rule.weights * (num * pref / den) * uv)) / cfg.p
+
+
+class TestMeanValueHalfRule:
+    """mean_value_eval takes its denominators on the half H of the rule:
+    sector 0 real on both halves and bsq_k(-zeta) = conj(bsq_(p-k)(zeta))."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_the_full_rule_reference(self, n, p):
+        cfg = KernelConfig(n=n, p=p)
+        rule = build_sphere_rule(n, 12)
+        rng = np.random.default_rng(40 * n + p)
+        u = random_polyharmonic(cfg, 6, blocks=6, seed=50 * n + p)
+        for a in (np.zeros(n), 0.15 * unit(rng.normal(size=n))):
+            x = make_rotated_point(0.0, a + 0.3 * unit(rng.normal(size=n)))
+            got = mean_value_eval(cfg, u, a, 0.5, x, rule)
+            want = mean_value_full_rule(cfg, u, a, 0.5, x, rule)
+            assert abs(got - want) <= 1e-13 * abs(want), (a, got, want)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("centre", [(0.0, 0.0, 0.0), (0.1, -0.05, 0.0)])
+    def test_a_node_of_the_mirrored_half_meets_the_singularity(self, p, centre):
+        # d = x - a points at -zeta_j from just inside the sphere of radius
+        # r, so the sector-0 square |d - r zeta|^2 is r^2 1e-14 at the node
+        # -zeta_j of -H only
+        cfg = KernelConfig(n=3, p=p)
+        rule = build_sphere_rule(3, 10)
+        u = random_polyharmonic(cfg, 4, blocks=3, seed=p)
+        a, r = np.array(centre), 0.5
+        zeta = rule.half_nodes[5]
+        x = make_rotated_point(0.0, a - (1.0 - 1e-7) * r * zeta)
+        with pytest.raises(NearSingular):
+            mean_value_eval(cfg, u, a, r, x, rule)
+        # the same direction further inside the sphere does not raise
+        x = make_rotated_point(0.0, a - 0.99 * r * zeta)
+        mean_value_eval(cfg, u, a, r, x, rule)
+
+    def test_a_rotated_sector_meets_the_singularity(self):
+        # at p = 2 the sector phase pi/2 gives bsq_1 = r^2 - |d|^2 at the
+        # nodes +-zeta_j orthogonal to d, which is r^2 2e-13 here
+        cfg = KernelConfig(n=3, p=2)
+        rule = build_sphere_rule(3, 10)
+        u = random_polyharmonic(cfg, 4, blocks=3, seed=9)
+        zeta = rule.half_nodes[3]
+        d = unit(np.cross(zeta, [0.3, -0.2, 0.9]))
+        r = 0.5
+        x = make_rotated_point(0.0, (1.0 - 1e-13) * r * d)
+        with pytest.raises(NearSingular):
+            mean_value_eval(cfg, u, np.zeros(3), r, x, rule)
 
 
 class TestMismatchedInputs:

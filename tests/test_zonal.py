@@ -235,15 +235,19 @@ class TestZonalPolyharmonic:
 
 def section_grid(g, p, x, phases, radii, unit_nodes):
     """zonal_poly_sum(g, p, t, zeta, n) at the pairs (x, e^{i phases_k} radii_i unit_j),
-    shape (K, I, J), contracted here from the section's factors
-    (_stacked_factors)."""
-    w, s = quadrature._stacked_factors(phases, radii, unit_nodes, (), (g, p, x))[0]
+    shape (K, I, J), contracted here from its factors: the degree weights
+    W[k, i, m] = g[m] zeta_ki^m with zeta_ki = |x| radii_i e^{i (phase(x) - phases_k)},
+    built here, and the window sums S_m at the nodes (_stacked_factors)."""
+    s = quadrature._stacked_factors(unit_nodes, (), (len(g) - 1, p, x))[0]
+    zeta = x.radius * np.asarray(radii) * np.exp(1j * (x.phase - np.asarray(phases)[:, None]))
+    w = np.asarray(g, dtype=float) * zeta[..., None] ** np.arange(len(g))
     return np.einsum("kim,mj->kij", w, s)
 
 
 class TestZonalSection:
-    """The kernel section's polar-grid factors, contracted to values,
-    against the scalar zonal polyharmonic at every grid point."""
+    """The kernel section's window sums (_stacked_factors) times its degree
+    weights, contracted to values, against the scalar zonal polyharmonic at
+    every grid point."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -293,10 +297,10 @@ class TestZonalSection:
 
     def test_dimension_mismatch(self):
         x = make_rotated_point(0.0, (0.1, 0.2, 0.3))
-        section = ([0.0, 0.0, 1.0], 1, x)
+        section = (2, 1, x)
         for nodes in (np.eye(4), np.eye(3)[:, :2]):
             with pytest.raises(ValueError, match="dimension mismatch"):
-                quadrature._stacked_factors([0.0], [0.5], nodes, (), section)
+                quadrature._stacked_factors(nodes, (), section)
 
 
 def _inline_zonal_rows(s, b, m_max, n):
