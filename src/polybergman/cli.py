@@ -1,8 +1,13 @@
 """Command-line front end: evaluate kernels, emit grids, run verify suites.
 
 Exit codes: 0 ok, 1 verify-suite failure, 2 usage/validation, 3 numeric
-domain error, 4 unwritable output.  Numeric errors emit machine-readable
-JSON on stderr.  The parser is the one table of options: each flag carries
+domain error, 4 any failed output write (an OSError from a command, whose
+one I/O is that write).  Numeric errors emit machine-readable JSON on
+stderr.  eval and grid print their rows through one writer, as CSV under
+the grid header or as JSON keyed by it; eval's default JSON record also
+carries the kernel and the truncation degree.  info prints the version,
+the config (n, p, alpha, beta, r_max, tol, seed), unit_ball_volume and the
+suite names.  The parser is the one table of options: each flag carries
 its default (n=3, p=2, alpha=0, beta=0, tol=1e-10, r_max=0.95, seed=42;
 --format json under eval, csv under grid).  Precedence: flags > --config
 JSON file > those defaults, and a flag drops the file's value of the flag it
@@ -16,6 +21,7 @@ or value exits 2 with error "config".
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -31,7 +37,7 @@ from .kernels import (
     weighted_bergman_series,
 )
 from .verify import SUITES, run_suite
-from .zonal import BACKEND_NAME, zonal_polyharmonic
+from .zonal import zonal_polyharmonic
 
 KERNELS = ("poisson", "bergman", "wbergman", "zonal")
 
@@ -146,45 +152,26 @@ def _eval_kernel(cfg, kernel, x, y, tol, m=None):
     return zonal_polyharmonic(cfg, m, x, y), None
 
 
-def _grid_header(cfg):
-    return (
-        ["n", "p", "alpha", "beta", "phase_x", "phase_y"]
-        + [f"ax{i + 1}" for i in range(cfg.n)]
-        + [f"ay{i + 1}" for i in range(cfg.n)]
-        + ["re", "im", "regime"]
-    )
-
-
-def _grid_row_values(cfg, x, y, value, regime):
-    return (
-        [cfg.n, cfg.p, cfg.alpha, cfg.beta, x.phase, y.phase]
-        + [float(c) for c in x.coords]
-        + [float(c) for c in y.coords]
-        + [value.real, value.imag, regime]
-    )
-
-
-def _grid_lines(cfg, entries):
-    lines = [",".join(_grid_header(cfg))]
-    for x, y, value, regime in entries:
-        vals = _grid_row_values(cfg, x, y, value, regime)
-        lines.append(",".join(v if isinstance(v, str) else repr(v) for v in vals))
-    return lines
+def _format_rows(cfg, entries, fmt) -> str:
+    """Entries (x, y, value, regime) under the grid header: one CSV line
+    each (fmt "csv") or a JSON list of objects keyed by the header."""
+    keys = ["n", "p", "alpha", "beta", "phase_x", "phase_y",
+            *(f"ax{i + 1}" for i in range(cfg.n)), *(f"ay{i + 1}" for i in range(cfg.n)), "re", "im", "regime"]
+    rows = ([cfg.n, cfg.p, cfg.alpha, cfg.beta, x.phase, y.phase, *x.float_coords, *y.float_coords,
+             value.real, value.imag, regime] for x, y, value, regime in entries)
+    if fmt == "json":
+        return json.dumps([dict(zip(keys, row)) for row in rows]) + "\n"
+    return "\n".join([",".join(keys), *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
 def _write_text(path, text):
+    """text to stdout, or to the file at path; an OSError leaves it
+    unwritten, and main maps it to exit 4."""
     if path is None:
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _IoFailure(str(exc)) from exc
-
-
-class _IoFailure(Exception):
-    pass
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def cmd_eval(args) -> int:
@@ -194,7 +181,7 @@ def cmd_eval(args) -> int:
     value, trunc = _eval_kernel(cfg, args.kernel, x, y, args.tol, args.m)
     regime = evaluation_regime(cfg, x, y)
     if args.format == "csv":
-        text = "\n".join(_grid_lines(cfg, [(x, y, value, regime)])) + "\n"
+        text = _format_rows(cfg, [(x, y, value, regime)], "csv")
     else:
         record = {
             "kernel": args.kernel,
@@ -236,16 +223,7 @@ def cmd_grid(args) -> int:
             y = make_rotated_point(phase_y, coords)
             value, _ = _eval_kernel(cfg, args.kernel, x, y, args.tol, args.m)
             entries.append((x, y, value, evaluation_regime(cfg, x, y)))
-    if args.format == "json":
-        keys = _grid_header(cfg)
-        rows = [
-            dict(zip(keys, _grid_row_values(cfg, x, y, v, reg)))
-            for x, y, v, reg in entries
-        ]
-        text = json.dumps(rows) + "\n"
-    else:
-        text = "\n".join(_grid_lines(cfg, entries)) + "\n"
-    _write_text(args.output, text)
+    _write_text(args.output, _format_rows(cfg, entries, args.format))
     return 0
 
 
@@ -264,16 +242,7 @@ def cmd_info(args) -> int:
     cfg = _config_from_args(args)
     record = {
         "version": __version__,
-        "backend": BACKEND_NAME,
-        "config": {
-            "n": cfg.n,
-            "p": cfg.p,
-            "alpha": cfg.alpha,
-            "beta": cfg.beta,
-            "r_max": cfg.r_max,
-            "tol": args.tol,
-            "seed": args.seed,
-        },
+        "config": {**dataclasses.asdict(cfg), "tol": args.tol, "seed": args.seed},
         "unit_ball_volume": unit_ball_volume(cfg.n),
         "suites": sorted(SUITES),
     }
@@ -354,7 +323,7 @@ def main(argv=None) -> int:
     except KernelDomainError as exc:
         _emit_error(exc.code, str(exc))
         return _NUMERIC_EXIT
-    except _IoFailure as exc:
+    except OSError as exc:  # the output write is a command's only I/O
         _emit_error("io", str(exc))
         return _IO_EXIT
 

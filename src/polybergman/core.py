@@ -49,10 +49,11 @@ class RotatedPoint:
     The phase is a real number (check_real), normalized into (-pi, pi],
     where the sector phases k*pi/p, 0 <= k < p, are fixed points; coords is
     a non-empty 1-d vector of finite reals (numpy integer or float dtype;
-    no bools, complex numbers or strings); ValueError otherwise.  The point
-    stores a read-only float copy of coords and, at construction, all that
-    pair_invariants reads: the coordinates as a tuple of Python floats
-    (float_coords), the squared norm coords @ coords and the radius.
+    no bools, complex numbers or strings) whose squared norm is finite;
+    ValueError otherwise.  The point stores a read-only float copy of
+    coords and, at construction, all that pair_invariants reads: the
+    coordinates as a tuple of Python floats (float_coords), the squared
+    norm coords @ coords and the radius.
 
     Points compare and hash by identity: the generated field-wise equality
     would compare the coords arrays, whose truth value is ambiguous.
@@ -74,6 +75,10 @@ class RotatedPoint:
         coords = tuple(a.tolist())
         if not (math.isfinite(phase) and all(map(math.isfinite, coords))):
             raise ValueError(f"non-finite point: phase {phase!r}, coordinates {coords!r}")
+        if math.hypot(*coords) > 1e154:  # below it, a @ a cannot overflow
+            with np.errstate(over="ignore"):
+                if math.isinf(a @ a):
+                    raise ValueError(f"squared norm of coordinates {coords!r} overflows")
         phase = math.remainder(phase, TAU)
         norm2 = float(a @ a)
         object.__setattr__(self, "phase", phase + TAU if phase <= -math.pi else phase)

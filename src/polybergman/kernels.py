@@ -128,12 +128,14 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
     below one.  The terms are scanned on Python floats in degree order and
     the scan stops at the first M that passes; their factors g(m) D_p(m)
     come from a table per configuration and window of 64 * 2^j degrees,
-    which doubles while the scan runs past it.
+    which doubles while the scan runs past it.  The pass test is that bound
+    itself, rho = a2/a1 < 1 and a1 / (1 - rho) < tol, with no product of
+    terms, which would underflow to 0 once the terms are subnormal.
 
     The scan starts where the tail can first pass.  A pass at M needs
-    a1 * a1 < tol (a1 - a2) <= tol a1, hence a_{M+1} < tol, so with c_min
-    the least factor g(m) D_p(m), m >= 1, no M with c_min r^(M+1) >= tol
-    passes.  The factors increase in m for every kind: D_p(m) does, and so
+    a_{M+1} <= a_{M+1} / (1 - rho) < tol, so with c_min the least factor
+    g(m) D_p(m), m >= 1, no M with c_min r^(M+1) >= tol passes.  The
+    factors increase in m for every kind: D_p(m) does, and so
     does g(m), which is 1, n + 2m, or the Gamma ratio with
     g(m+1)/g(m) = (z + beta + 1)/z > 1 for beta > -1.  So c_min is the
     m = 1 factor, read off the first window of 64 degrees, and bounds every
@@ -169,9 +171,9 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
         a1 = c[lo + 1] * r ** (lo + 1)
         for big_m in range(lo, min(window - 2, m_cap)):
             a2 = c[big_m + 2] * r ** (big_m + 2)
-            # rho = a2/a1 < 1 and a1 / (1 - rho) < tol, without dividing by
-            # terms that may underflow to 0 far beyond M
-            if a2 < a1 and a1 * a1 < tol * (a1 - a2):
+            # a2 < a1 is tested first, so a1 > 0: no division by a term
+            # that underflowed to 0 far beyond M
+            if a2 < a1 and a1 / (1.0 - a2 / a1) < tol:
                 return big_m
             a1 = a2
         if window - 2 >= m_cap:

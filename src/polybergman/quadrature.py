@@ -294,6 +294,9 @@ def sphere_monomial_moment(kappa) -> float:
 
 
 def _check_ball_rule(cfg: KernelConfig, alpha: float, beta: float, rule: BallRule):
+    """ValueError unless alpha and beta pass check_weight_parameters and
+    the rule was built for them and for the dimension cfg.n."""
+    alpha, beta = check_weight_parameters(cfg.n, alpha, beta)
     if rule.radial.alpha != alpha or rule.radial.beta != beta or rule.radial.n != cfg.n:
         raise ValueError("ball rule weight parameters do not match the request")
 

@@ -32,7 +32,8 @@ import numpy as np
 from .core import KernelConfig, RotatedPoint, check_integer, pair_invariants
 
 BACKEND_NAME = "numpy"
-"""Array backend of the zonal recurrence, reported by ``polybergman info``."""
+"""Array backend of the zonal recurrence; only the benchmark's run stamp
+reads it."""
 
 _T_DOMAIN_TOL = 1e-12
 

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from numpy.testing import assert_allclose
@@ -129,6 +131,24 @@ class TestEval:
         assert code == 0 and (rec["alpha"], rec["beta"]) == (0.0, 0.0)
         assert rec["re"] == 0.6873432900304872
 
+    def test_an_overflowing_coordinate_exits_2(self, run_cli):
+        # |x|^2 overflowed with numpy's RuntimeWarning, and the radius inf
+        # then exited 3 as "radius product inf too close to 1"
+        res = run_cli("eval", "--kernel", "poisson", "--x=1e308,1e308,0", "--y=0.5,0,0")
+        assert res.returncode == 2 and res.stdout == ""
+        err = json.loads(res.stderr)
+        assert err["error"] == "usage" and "squared norm" in err["message"]
+
+    @pytest.mark.parametrize("c", ["1e-150", "1e-160", "3e-162"])
+    def test_wbergman_at_a_subnormal_radius_product(self, run_cli, c):
+        # the radius products 1e-320 and 1e-323 ran the truncation scan to
+        # its cap and exited 3 with convergence_domain; 1e-300 did not
+        res = run_cli("eval", "--kernel", "wbergman", f"--x={c},0,0", f"--y={c},0,0")
+        assert res.returncode == 0
+        rec = json.loads(res.stdout)
+        assert rec["truncation"] == 0
+        assert_allclose(rec["re"], 1.0 / unit_ball_volume(3), rtol=1e-14)
+
 
 @pytest.mark.parametrize("command", ["eval", "grid"])
 @pytest.mark.parametrize(
@@ -207,6 +227,22 @@ class TestGrid:
         )
         assert res.returncode == 4
         assert json.loads(res.stderr)["error"] == "io"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--x", "0.5,0,0", "--y", "0.4,0,0"),
+        ("eval", "--x", "0.5,0,0", "--y", "0.4,0,0", "--format", "csv"),
+        ("grid", "--radial-steps", "1", "--angle-steps", "2", "--format", "json"),
+        ("verify", "--suite", "growth", "--cases", "2"),
+        ("info",),
+    ],
+)
+def test_every_failed_output_write_exits_4(tmp_path, run_cli, argv):
+    res = run_cli(*argv, "--output", str(tmp_path / "missing_dir" / "out"))
+    assert res.returncode == 4 and res.stdout == ""
+    assert json.loads(res.stderr)["error"] == "io"
 
 
 class TestVerify:
@@ -373,12 +409,33 @@ class TestInfo:
         res = run_cli("info")
         assert res.returncode == 0
         rec = json.loads(res.stdout)
-        assert rec["backend"] == "numpy"
+        assert "backend" not in rec
         assert rec["config"]["n"] == 3 and rec["config"]["p"] == 2
         assert rec["config"]["tol"] == 1e-10 and rec["config"]["seed"] == 42
         assert rec["config"]["alpha"] == 0.0 and rec["config"]["beta"] == 0.0
         assert rec["config"]["r_max"] == 0.95
         assert len(rec["suites"]) == 10
+
+
+def readme_cli_lines():
+    """The `polybergman ...` lines of the README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("polybergman ")]
+
+
+def test_readme_cli_block_is_read():
+    assert len(readme_cli_lines()) >= 6
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_examples_run(line, tmp_path, monkeypatch, capsys):
+    # the grid example writes grid.csv into the working directory
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(shlex.split(line)[1:])
+    out, err = capsys.readouterr()
+    assert code == 0, (line, err)
+    assert out or list(tmp_path.iterdir())
 
 
 def test_console_script_entry_point():

@@ -86,6 +86,24 @@ class TestMakeRotatedPoint:
         with pytest.raises(ValueError):
             RotatedPoint(phase, coords)
 
+    @pytest.mark.parametrize("coords", [[1e200, 0.0, 0.0], [1e154, 1e154, 1e154], [-1e308, 1e308]])
+    def test_an_overflowing_squared_norm_is_rejected_without_a_warning(self, coords):
+        # a @ a overflowed to inf with numpy's RuntimeWarning, and the point
+        # stored radius inf; warnings are errors in this suite
+        with pytest.raises(ValueError, match="squared norm"):
+            RotatedPoint(0.0, coords)
+
+    def test_squared_norm_is_the_matmul_up_to_the_overflow(self):
+        # the guard leaves every finite norm2 the bits of a @ a, also just
+        # below the overflow, where hypot passes its threshold
+        rng = np.random.default_rng(21)
+        big = [[1.34e154, 0.0], [1e154, 1e154 / 3.0, 0.0], [1e-200, 1e-170]]
+        for coords in [rng.normal(size=n) * 10.0 ** e for n in (1, 2, 3, 7) for e in (-150, -3, 0, 3, 150)] + big:
+            a = np.array(coords, dtype=float)
+            x = RotatedPoint(0.0, coords)
+            assert x.norm2 == float(a @ a) and math.isfinite(x.norm2)
+            assert x.radius == math.sqrt(x.norm2)
+
     def test_caller_writes_after_the_build_change_nothing(self):
         a = np.array([0.3, 0.4, 0.0])
         x = RotatedPoint(0.2, a)

@@ -642,6 +642,18 @@ class TestTruncationReference:
                             cfg, r, tol, kind
                         ), (kind, n, p, alpha, beta, r, tol)
 
+    # terms that are subnormal: a1 * a1 and tol * (a1 - a2) both underflowed
+    # to 0, no degree passed, and the scan ran to the cap and raised
+    @pytest.mark.parametrize("kind", ["poisson", "bergman", "weighted"])
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 0.5)])
+    @pytest.mark.parametrize("r", [1e-300, 1e-310, 1e-315, 1e-320, 5e-324])
+    def test_subnormal_radius_products_match_the_search(self, kind, alpha, beta, r):
+        for n, p in ((2, 1), (3, 2), (5, 3)):
+            cfg = KernelConfig(n=n, p=p, alpha=alpha, beta=beta)
+            for tol in (1e-14, 1e-10, 1e-2):
+                expected = _reference_truncation_degree(cfg, r, tol, kind)
+                assert truncation_degree(cfg, r, tol, kind) == expected == 0, (kind, n, p, r, tol)
+
 
 def _numpy_window_truncation_degree(cfg, r, tol, kind):
     """The truncation search as one numpy array of terms per window: 64

@@ -888,6 +888,38 @@ class TestMismatchedInputs:
             quadrature.laplacian_power_residual(q, make_rotated_point(0.0, coords), order)
 
 
+class TestBallRuleWeights:
+    """The weights of reproduce and inner_product_ball pass the checks that
+    build_radial_rule makes before they are compared with the rule's: a bool
+    equal to the rule's weight was answered, and NaN was reported as a
+    mismatch."""
+
+    CFG = KernelConfig(n=3, p=2)
+
+    @pytest.mark.parametrize("bad", [True, False, "1.0", float("nan")])
+    @pytest.mark.parametrize("slot", ["alpha", "beta"])
+    def test_non_real_or_nan_weights_raise(self, bad, slot):
+        alpha, beta = (bad, 0.0) if slot == "alpha" else (0.0, bad)
+        # the rule of the bool's value, which the comparison alone accepted
+        rule = build_ball_rule(3, *(float(w) if type(w) is bool else 0.0 for w in (alpha, beta)), 12)
+        u = random_polyharmonic(self.CFG, 3, blocks=2, seed=3)
+        x = make_rotated_point(0.0, (0.2, 0.1, 0.0))
+        match = "real number" if isinstance(bad, (bool, str)) else "need finite"
+        with pytest.raises(ValueError, match=match):
+            reproduce(self.CFG, alpha, beta, u, x, 4, rule)
+        with pytest.raises(ValueError, match=match):
+            inner_product_ball(self.CFG, alpha, beta, u, u, rule)
+        with pytest.raises(ValueError, match=match):
+            build_radial_rule(3, alpha, beta, 8)
+
+    def test_equal_weights_of_another_type_share_the_rule(self):
+        # an integral weight or a numpy float still matches the rule's float
+        rule = build_ball_rule(3, 1.0, 0.5, 12)
+        u = random_polyharmonic(self.CFG, 3, blocks=2, seed=4)
+        want = inner_product_ball(self.CFG, 1.0, 0.5, u, u, rule)
+        assert inner_product_ball(self.CFG, 1, np.float64(0.5), u, u, rule) == want
+
+
 class TestMeanValueInequality:
     def test_point_evaluation_bounded_by_ball_norm(self):
         # |u(x)|^2 / ||u||^2 stays bounded on the radius-0.5 ball, with no
