@@ -145,9 +145,17 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
     or above the degree cap m_cap = 100,000 raises ConvergenceDomain at
     once, with no table beyond the first; otherwise the first table scanned
     is the window holding the start, and the scan's first term is its own
-    expression, so the degree returned is the full scan's bit for bit.  r
-    and tol are real numbers (check_real), r nonnegative and tol positive,
-    both finite; ValueError otherwise.
+    expression, so the degree returned is the full scan's bit for bit.
+
+    A scan from 0 whose first term a_1 = c_min r rounds to 0 could never
+    pass, since a2 < a1 never holds.  There the exact a_1 is at most half
+    the least subnormal 2^-1074, the ratios after it are below
+    a_2/a_1 = (c_2/c_1) r, far below 1/2, and so the tail is below 2^-1074,
+    which every positive float tol exceeds or equals: M = 0 is returned
+    before the scan.  A later start is not this case, since there the exact
+    a_(lo+1) is at least tol by the start's bound.  r and tol are real
+    numbers (check_real), r nonnegative and tol positive, both finite;
+    ValueError otherwise.
     """
     tol, r = check_real("tolerance", tol), check_real("radius", r)
     if not 0 < tol < math.inf:
@@ -165,6 +173,8 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
     if start >= m_cap:
         raise ConvergenceDomain(f"no truncation below {tol} found for r={r}: the tail passes beyond degree {m_cap}")
     lo = max(0, int(start))
+    if lo == 0 and c_min * r == 0.0:
+        return 0
     window = _window(lo + 2)
     while True:
         c = _tail_terms(*config, window)

@@ -20,11 +20,16 @@ window form, so every grid sum of two such terms of degrees D and D'
 factors into a sector sum, a radial sum and a zonal Gram entry.  With the
 sector phases phi_k = k pi/p, the sector sum is
 E_p(D - D') = sum_{k<p} e^{i pi k (D - D')/p}, which is p when 2p divides
-D - D', 0 for its other even values and 1 + i cot(pi (D - D')/2p) for odd
-ones (_sector_sums, a table of 2p entries per p), and the radial sum is
-M(D + D') = sum_i w_i r_i^(D + D'), one matmul per op (_sector_radial).  So no
-value on the grid is formed: an op costs O(B B' N) for the zonal Gram of
-operands of B and B' blocks on N sphere nodes and O(B B') lookups besides.
+D - D' and 0 for its other even values, and the radial sum is
+M(D + D') = sum_i w_i r_i^(D + D').  An odd D - D' means an odd d - d',
+whose zonal Gram entry over the whole rule is exactly 0 (below), so the
+two sums enter every contraction as one real table
+T_p[D, D'] = p [2p divides D - D'] M(D + D'), which is 0 for odd D - D':
+one table per radial rule, p and window of 16 * 2^j degrees, memoised
+(_degree_table), and an op reads its entries by one fancy-index
+(_sector_radial).  So no value on the grid is formed: an op costs
+O(B B' N) for the zonal Gram of operands of B and B' blocks on N sphere
+nodes and O(B B') lookups besides.
 The zonal factors are taken on the half H only: by Gegenbauer parity
 z_d(-t) = (-1)^d z_d(t), a product of zonal rows of degrees d and d' sums
 over [H; -H] to 2 sum_H w_H z_d z_d' when d + d' is even and to 0 when it
@@ -34,9 +39,12 @@ pays for one real zonal recurrence over the N/2 nodes of H: the node
 cosines of both operands' poles, or of the polynomial's poles and x/|x|,
 are stacked into one (C, N/2) array and run to the largest degree any of
 them needs (_stacked_factors), so an op makes one round of numpy calls per
-degree whatever its number of blocks.  The grid route, on all N nodes, is
-kept for callable operands and off-centre balls only; a polynomial there
-is evaluated by eval_complex, the one point evaluator.
+degree whatever its number of blocks.  The cosines are of unit poles
+(ZonalBlock checks them) and unit nodes (SphereRule checks them once, when
+the rule is built), so they are clipped to [-1, 1] with no further check.
+The grid route, on all N nodes, is kept for callable operands and
+off-centre balls only; a polynomial there is evaluated by eval_complex,
+the one point evaluator.
 
 laplacian_power_residual, the independent check of a test polynomial's
 order, averages it over sphere rules and so lives here, beside
@@ -46,8 +54,10 @@ Both rule builders are memoised per process (functools.lru_cache): each
 checks and converts its arguments first (Python ints, and floats for the
 weights) and looks the converted tuple up in one memo, so a rule is built
 once for each distinct request whatever the numeric types it came in, and
-the same read-only object is returned on every later call.  Their
-cache_info() and cache_clear() are the memo's.
+the same read-only object is returned on every later call while it stays
+in the memo.  The sphere rules' memo is keyed by integers; the radial
+rules', keyed by float weights, keeps the 128 latest.  Their cache_info()
+and cache_clear() are the memo's.
 """
 
 from __future__ import annotations
@@ -60,12 +70,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
+from . import zonal
 from .core import (EPS_SING, KernelConfig, RotatedPoint, check_integer, check_real, check_weight_parameters,
                    principal_pow, reduce_by_constructor, sphere_area)
 from .errors import NearSingular
 from .kernels import _series_weights, weighted_coefficient
 from .polyspace import PolyharmonicPolynomial, eval_complex
-from .zonal import _window_sums, zonal_values
 
 NODE_CAP = 10**7
 
@@ -78,8 +88,10 @@ class SphereRule:
     half H of the nodes, and any other layout raises ValueError.  An even
     integrand then sums to 2 sum_H w_H f and an odd one to 0, so
     (half_nodes, half_weights), a view of H and the weights 2 w_H, is the
-    rule for even integrands.  Rules compare and hash by identity, as
-    rotated points do: their fields are arrays.
+    rule for even integrands.  Every node is a unit vector to 1e-12, as a
+    block's pole is, and ValueError otherwise: this check, made once here,
+    is what lets the cubature clip node cosines without one.  Rules compare
+    and hash by identity, as rotated points do: their fields are arrays.
     """
 
     nodes: np.ndarray
@@ -98,6 +110,8 @@ class SphereRule:
             raise ValueError("sphere rule must be antipodal: nodes [H; -H] and weights [w_H; w_H]")
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-13:
             raise ValueError("sphere rule weights must sum to 1")
+        if not (np.abs(np.linalg.norm(self.nodes, axis=1) - 1.0) <= 1e-12).all():
+            raise ValueError("sphere rule nodes must be unit vectors (to 1e-12)")
         self.nodes.flags.writeable = False
         self.weights.flags.writeable = False
         half_weights = 2.0 * self.weights[:h]
@@ -246,7 +260,7 @@ def build_radial_rule(n: int, alpha: float, beta: float, node_count: int) -> Rad
     return _radial_rule(n, alpha, beta, node_count)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _radial_rule(n: int, alpha: float, beta: float, node_count: int) -> RadialRule:
     a = beta
     b = 0.5 * (n + alpha) - 1.0
@@ -330,21 +344,23 @@ def _stacked_factors(unit, polys, section=None):
     S_m = sum_{k<p, 2k<=m} z_{m-2k}(unit_j . x/|x|) (zonal._window_sums),
     m = 0..top, where the origin x = 0 takes the zero vector for x/|x|.
 
-    The recurrence runs on the stacked cosines
-    [poles of every block; x/|x|] @ unit^T, one row of node cosines per
-    pole, up to the largest block degree d and the section's top: each
-    block's factor is z_d of its own row and the section's S is
+    The recurrence (zonal._zonal_rows, looked up on the module) runs on the
+    stacked cosines [poles of every block; x/|x|] @ unit^T, one row of node
+    cosines per pole, clipped to [-1, 1] in place with no domain check: the
+    poles and nodes are unit vectors, checked when the block and the rule
+    were built.  It runs up to the largest block degree d and the section's
+    top: each block's factor is z_d of its own row and the section's S is
     window-summed from z_0..z_top of the last row, into a copy.  The poles
     are the polynomials' stored pole arrays, stacked by one concatenation,
     and each polynomial's rows are picked by its stored d array: no block
     is read here.  Every polynomial and the section's x must have the
     dimension of the nodes, unit.shape[1]; ValueError (dimension mismatch)
-    otherwise.  unit is a float array of unit vectors.
+    otherwise.  unit is a float array of unit vectors, a sphere rule's.
     Returns a list of one (B, J) array per polynomial of B blocks, followed
     by S, shape (top + 1, J), when section is given.  A row's degree is
     q.d[b] for a block and m for the section (S_m has the parity of m), and
     its parity at the mirrored nodes -unit_j is left to the contractions
-    (_half_gram, mean_value_eval).
+    (_half_gram, _sector_radial, mean_value_eval).
     """
     n = unit.shape[1]
     if any(q.n != n for q in polys) or (section is not None and section[2].dim != n):
@@ -355,68 +371,81 @@ def _stacked_factors(unit, polys, section=None):
         m_top, p, x = section
         poles.append((x.coords / x.radius if x.radius else np.zeros(n))[None, :])
         top = max(top, m_top)
-    z = zonal_values(np.concatenate(poles) @ unit.T, top, n)
+    t = np.concatenate(poles) @ unit.T
+    z = zonal._zonal_rows(np.minimum(np.maximum(t, -1.0, out=t), 1.0, out=t), 1.0, top, n)
     out, row = [], 0
     for q in polys:
         out.append(z[q.d, np.arange(row, row + q.d.size)])
         row += q.d.size
     if section is not None:
-        out.append(_window_sums(z[: m_top + 1, -1], p))
+        out.append(zonal._window_sums(z[: m_top + 1, -1], p))
     return out
 
 
-@lru_cache(maxsize=None)
-def _sector_sums(p: int) -> np.ndarray:
-    """Read-only E_p(j) = sum_{k<p} e^{i pi k j/p} for j = 0..2p-1: the
-    sector sum of a product of terms whose degrees differ by j, which
-    depends on j mod 2p only.
+class _UnitRadial:
+    """The sphere inner product's radial factor, one node r = 1 of weight 1,
+    read as a radial rule: a _degree_table key of its own."""
 
-    The geometric sum is p where 2p divides j and (1 - e^{i pi j}) /
-    (1 - e^{i pi j/p}) elsewhere: 0 for even j and 2 / (1 - e^{i pi j/p}) =
-    1 + i cot(pi j/2p) for odd j.  The cotangent is taken at angles folded
-    into (0, pi/2] by cot(pi - y) = -cot(y), where the rounding of the
-    angle costs under an ulp of the value, and it is exactly 0 at j = p.
-    Odd j pairs zonal rows of degrees of odd sum, whose Gram entries are 0
-    (_half_gram), so only the even entries reach a cubature sum.
+    nodes = weights = np.ones(1)
+
+
+@lru_cache(maxsize=64)
+def _degree_table(radial, p: int, window: int) -> np.ndarray:
+    """Read-only T_p[D, D'] = p [2p divides D - D'] M(D + D') for
+    D, D' < window, with M(j) = sum_i w_i r_i^j over the radial rule: the
+    sum over the sectors k and radial nodes i of the phase and radius
+    factors e^{i (D - D') phi_k} r_i^(D + D') of a product of two terms
+    whose zonal rows have a whole-rule Gram entry that can be nonzero.
+
+    The sector sum E_p(j) = sum_{k<p} e^{i pi k j/p} is p where 2p divides
+    j and (1 - e^{i pi j}) / (1 - e^{i pi j/p}) elsewhere, which is 0 for
+    even j.  For odd j it is 1 + i cot(pi j/2p), but an odd D - D' is an
+    odd d - d', whose Gram entry over the whole rule is exactly 0
+    (_half_gram), so the table holds 0 there and is real.  radial is a
+    RadialRule or _UnitRadial, both keyed by identity; the memo keeps the
+    64 latest tables.
     """
-    odd = np.arange(1, 2 * p, 2)
-    out = np.zeros(2 * p, dtype=complex)
-    out[0], out[odd] = p, 1.0 + 1j * np.sign(p - odd) / np.tan(0.5 * np.pi * np.minimum(odd, 2 * p - odd) / p)
+    moments = radial.weights @ np.power.outer(radial.nodes, np.arange(2 * window - 1))
+    deg = np.arange(window)
+    out = np.where((deg[:, None] - deg) % (2 * p) == 0, p * moments[deg[:, None] + deg], 0.0)
     out.flags.writeable = False
     return out
 
 
-def _sector_radial(p: int, radii, w_rad, deg, deg2) -> np.ndarray:
-    """E_p(D - D') M(D + D') for D in deg (rows) and D' in deg2 (columns):
-    the sum over the sectors k and radial nodes i of the phase and radius
-    factors e^{i (D - D') phi_k} r_i^(D + D') of a product of two terms,
-    with M(j) = sum_i w_rad_i radii_i^j taken by one matmul."""
-    radial = w_rad @ np.power.outer(radii, np.arange(max(deg.tolist(), default=0) + max(deg2.tolist(), default=0) + 1))
-    return _sector_sums(p)[(deg[:, None] - deg2) % (2 * p)] * radial[deg[:, None] + deg2]
+def _sector_radial(p: int, radial, deg, deg2) -> np.ndarray:
+    """T_p[D, D'] for D in deg (rows) and D' in deg2 (columns): one
+    fancy-index into the memoised table of the smallest window of 16 * 2^j
+    degrees above both (_degree_table)."""
+    top = max(deg.tolist() + deg2.tolist(), default=0)
+    return _degree_table(radial, p, 16 << (top >> 4).bit_length())[deg[:, None], deg2]
 
 
-def _half_gram(sphere: SphereRule, zon_f, d_f, zon_g, d_g):
-    """Zonal Gram matrix G[b, b'] = sum_j w_j z_b(node_j) z_b'(node_j) over
-    the whole antipodal rule [H; -H], from the rows zon_f (degrees d_f) and
-    zon_g (degrees d_g) taken on its half H: the one statement of the
-    rule's parity for a product of zonal rows.
+def _half_gram(sphere: SphereRule, zon_f, zon_g):
+    """2 sum_H w_H z_b z_b' for the rows zon_f and zon_g taken on the half H
+    of the antipodal rule [H; -H]: the zonal Gram matrix
+    G[b, b'] = sum_j w_j z_b(node_j) z_b'(node_j) over the whole rule
+    wherever the degrees d and d' of the rows have even sum, and the one
+    statement of the rule's parity for a product of zonal rows.
 
     z_d(-t) = (-1)^d z_d(t) (Szego, Orthogonal Polynomials, 4.7), bit for
-    bit, since the recurrence is odd or even in t by degree, so a product
-    of rows of degrees d and d' sums over [H; -H] to (zon_f 2 w_H) zon_g^T
-    where d + d' is even and to 0 where it is odd.
+    bit, since the recurrence is odd or even in t by degree, so the -H half
+    of the sum repeats the H half where d + d' is even and cancels it
+    exactly where d + d' is odd.  Those odd entries of the whole-rule Gram
+    are 0; here they hold the H half alone, and every contraction
+    multiplies them by the 0 that T_p holds for an odd D - D'
+    (_sector_radial), so they never reach a sum.
     """
-    return ((zon_f * sphere.half_weights) @ zon_g.T) * ((d_f[:, None] - d_g) % 2 == 0)
+    return (zon_f * sphere.half_weights) @ zon_g.T
 
 
-def _inner_product(cfg, f, g, radii, w_rad, sphere: SphereRule) -> complex:
+def _inner_product(cfg, f, g, radial, sphere: SphereRule) -> complex:
     """(1/p) sum_kij w_rad_i w_sph_j f_kij conj(g_kij) on the sector x radius
     x sphere grid.
 
     Two polynomial operands are contracted block by block: blocks b of f and
     b' of g, of degrees D_b and D_b', give
-    c_b conj(c_b') E_p(D_b - D_b') M(D_b + D_b') G[b, b'] with the sector
-    sums E_p and the radial sums M (_sector_radial) and the zonal
+    c_b conj(c_b') T_p[D_b, D_b'] G[b, b'] with the sector and radial sums'
+    table T_p of the radial rule radial (_sector_radial) and the zonal
     Gram matrix G of the two operands' rows (_half_gram), which come from
     one recurrence on their stacked poles at the half H of the rule.  That
     is O(B_f B_g N) work for N sphere nodes, against O(p R N (B_f + B_g))
@@ -430,11 +459,11 @@ def _inner_product(cfg, f, g, radii, w_rad, sphere: SphereRule) -> complex:
         raise ValueError(f"dimension mismatch: n={cfg.n}, polynomials {[h.n for h in polys]}")
     if len(polys) == 2:
         zon_f, zon_g = _stacked_factors(sphere.half_nodes, (f, g))
-        gram = np.multiply.outer(f.coeff, g.coeff.conj()) * _half_gram(sphere, zon_f, f.d, zon_g, g.d)
-        return complex((gram * _sector_radial(cfg.p, radii, w_rad, f.d + 2 * f.k, g.d + 2 * g.k)).sum()) / cfg.p
-    fv = _ball_values(cfg, f, radii, sphere.nodes)
-    gv = _ball_values(cfg, g, radii, sphere.nodes)
-    return complex(np.einsum("kij,kij,i,j->", fv, np.conjugate(gv, out=gv), w_rad, sphere.weights)) / cfg.p
+        gram = np.multiply.outer(f.coeff, g.coeff.conj()) * _half_gram(sphere, zon_f, zon_g)
+        return complex((gram * _sector_radial(cfg.p, radial, f.d + 2 * f.k, g.d + 2 * g.k)).sum()) / cfg.p
+    fv = _ball_values(cfg, f, radial.nodes, sphere.nodes)
+    gv = _ball_values(cfg, g, radial.nodes, sphere.nodes)
+    return complex(np.einsum("kij,kij,i,j->", fv, np.conjugate(gv, out=gv), radial.weights, sphere.weights)) / cfg.p
 
 
 def inner_product_sphere(cfg: KernelConfig, f, g, rule: SphereRule) -> complex:
@@ -442,15 +471,13 @@ def inner_product_sphere(cfg: KernelConfig, f, g, rule: SphereRule) -> complex:
 
     conj is literal complex conjugation of the evaluated value.
     """
-    one = np.ones(1)
-    return _inner_product(cfg, f, g, one, one, rule)
+    return _inner_product(cfg, f, g, _UnitRadial, rule)
 
 
 def inner_product_ball(cfg: KernelConfig, alpha: float, beta: float, f, g, rule: BallRule) -> complex:
     """Sector-averaged weighted ball inner product in polar composition."""
     _check_ball_rule(cfg, alpha, beta, rule)
-    rad = rule.radial
-    return rule.normalization * _inner_product(cfg, f, g, rad.nodes, rad.weights, rule.sphere)
+    return rule.normalization * _inner_product(cfg, f, g, rule.radial, rule.sphere)
 
 
 def reproduce(
@@ -472,8 +499,8 @@ def reproduce(
     sum_m g(m) xi^m e^{-i m phi_k} r_i^m S_m(zeta_j . x/|x|) in window form,
     with the memoised weights g(0..m_top) (kernels._series_weights), so a
     block of u of degree D_b and coefficient c_b meets its degree-m term in
-    c_b g(m) xi^m E_p(D_b - m) M(D_b + m) G[b, m]: the sector sums E_p
-    and the radial sums M (_sector_radial) and the zonal Gram
+    c_b g(m) xi^m T_p[D_b, m] G[b, m]: the sector and radial sums' table
+    T_p of the rule's radial rule (_sector_radial) and the zonal Gram
     matrix G of the block rows and the window sums S_m (_half_gram; S_m has
     the parity of m), both from one recurrence, to degree m_top, on the
     stacked cosines [poles; x/|x|] @ H^T at the half H of the sphere rule
@@ -500,8 +527,8 @@ def reproduce(
     zon, window = _stacked_factors(sph.half_nodes, (u,), (m_top, p, x))
     m = np.arange(m_top + 1)
     kernel = (x.radius * cmath.exp(1j * x.phase)) ** m * _series_weights(cfg.n, alpha, beta, "weighted", m_top)
-    h = u.coeff[:, None] * kernel * _sector_radial(p, rad.nodes, rad.weights, u.d + 2 * u.k, m)
-    return complex((h * _half_gram(sph, zon, u.d, window, m)).sum()) / p
+    h = u.coeff[:, None] * kernel * _sector_radial(p, rad, u.d + 2 * u.k, m)
+    return complex((h * _half_gram(sph, zon, window)).sum()) / p
 
 
 def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
@@ -526,15 +553,20 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
     ball takes eval_complex on the p N complex points, sum_b (d_b + 1)
     recurrence rows of p N values, and a callable u is called once on them.
 
-    The denominators are taken on H as well.  With d = x - a, the bilinear
-    square of sector k at a node zeta is
-    bsq_k(zeta) = e^{-2 i phi_k} |d|^2 - 2 r e^{-i phi_k} zeta . d + r^2;
-    sector 0 is real on both halves, |d|^2 -+ 2 r zeta . d + r^2, and takes
-    a real power, and for k >= 1, since e^{-i phi_(p-k)} = -e^{i phi_k},
-    bsq_k(-zeta) = conj(bsq_(p-k)(zeta)), so the principal power (an
-    integer power and, at odd n, one square root: principal_pow) runs on the
-    (p - 1) N/2 complex values of sectors 1..p-1 on H, and -H takes their
-    conjugates in reversed sector order.
+    The reciprocals of the denominators are taken on H as well, in one
+    (2, p, N/2) array for [H; -H], sector and node, that every route
+    shares.  With d = x - a, the bilinear square of sector k at a node
+    zeta is bsq_k(zeta) = e^{-2 i phi_k} |d|^2 - 2 r e^{-i phi_k} zeta . d
+    + r^2; sector 0 is real on both halves, |d|^2 -+ 2 r zeta . d + r^2,
+    and takes a real power, and for k >= 1, since
+    e^{-i phi_(p-k)} = -e^{i phi_k}, bsq_k(-zeta) = conj(bsq_(p-k)(zeta)),
+    so 1 / principal_pow (an integer power and, at odd n, one square root)
+    runs on the (p - 1) N/2 complex values of sectors 1..p-1 on H, and -H
+    reads their conjugates in reversed sector order.  At p = 1 there are no
+    such sectors and no complex denominator work.  The centred route's
+    values on [H; -H] are one matmul of the stacked sector coefficients
+    [coef; coef (-1)^d] with the rows, and the other routes' values are
+    viewed in the same (2, p, N/2) layout.
     """
     a = np.asarray(a, dtype=float)
     polynomial = isinstance(u, PolyharmonicPolynomial)
@@ -558,21 +590,23 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
     scale = (r ** (2 * p) - d2**p) * r ** (cfg.n - 2 * p)
     phases = cfg.sector_phases()
     dots = rule.nodes @ d  # [H; -H] @ d = [h; -h], exactly
-    real = d2 - 2.0 * r * dots + r * r
-    back = np.exp(-1j * phases[1:, None])
-    bsq = back * back * d2 - 2.0 * r * back * dots[:half] + r * r
-    if real.min() <= EPS_SING * r * r or (np.abs(bsq) <= EPS_SING * r * r).any():
+    real = (d2 - 2.0 * r * dots + r * r).reshape(2, 1, half)
+    if real.min() <= EPS_SING * r * r:
         raise NearSingular("mean-value kernel denominator vanished")
-    den = np.empty((p, 2 * half), dtype=complex)
-    den[0] = real ** (0.5 * cfg.n)
-    den[1:, :half] = principal_pow(bsq, 0.5 * cfg.n)
-    np.conjugate(den[:0:-1, :half], out=den[1:, half:])
+    recip = real ** (-0.5 * cfg.n)
+    if p > 1:
+        back = np.exp(-1j * phases[1:, None])
+        bsq = back * back * d2 - 2.0 * r * back * dots[:half] + r * r
+        if (np.abs(bsq) <= EPS_SING * r * r).any():
+            raise NearSingular("mean-value kernel denominator vanished")
+        inv = 1.0 / principal_pow(bsq, 0.5 * cfg.n)
+        recip = np.concatenate((recip, np.array((inv, inv[::-1].conj()))), axis=1)
     if polynomial and not a.any():
         zon = _stacked_factors(rule.half_nodes, (u,))[0]
         deg = u.d + 2 * u.k
         coef = u.coeff * np.exp(1j * (phases[:, None] * deg)) * r**deg
-        uv = np.concatenate((coef @ zon, (coef * (-1.0) ** u.d) @ zon), axis=1)
+        uv = (np.concatenate((coef, coef * (-1.0) ** u.d)) @ zon).reshape(2, p, half)
     else:
         pts = (a + r * np.exp(1j * phases)[:, None, None] * rule.nodes).reshape(-1, cfg.n)
-        uv = (eval_complex(u, pts) if polynomial else u(pts)).reshape(den.shape)
-    return complex((rule.weights * (scale / den) * uv).sum()) / p
+        uv = (eval_complex(u, pts) if polynomial else u(pts)).reshape(p, 2, half).swapaxes(0, 1)
+    return complex(((recip * uv) @ rule.weights[:half]).sum()) * scale / p

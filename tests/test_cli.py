@@ -10,6 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from polybergman import cli, unit_ball_volume
+from polybergman.core import sphere_area
+from polybergman.kernels import weighted_coefficient
 from polybergman.verify import run_suite
 
 CLI = [sys.executable, "-m", "polybergman.cli"]
@@ -148,6 +150,17 @@ class TestEval:
         rec = json.loads(res.stdout)
         assert rec["truncation"] == 0
         assert_allclose(rec["re"], 1.0 / unit_ball_volume(3), rtol=1e-14)
+
+    @pytest.mark.parametrize("c", ["1e-150", "2.2e-162", "3e-162"])
+    def test_wbergman_where_the_first_tail_term_underflows(self, run_cli, c):
+        # at beta = -0.999 the least tail factor is 0.006, so at the radius
+        # products 5e-324 and 1e-323 the first tail term rounded to 0,
+        # the truncation scan ran to its cap and exited 3; 1e-300 did not
+        res = run_cli("eval", "--kernel", "wbergman", "--beta", "-0.999", f"--x={c},0,0", f"--y={c},0,0")
+        assert res.returncode == 0, res.stderr
+        rec = json.loads(res.stdout)
+        assert rec["truncation"] == 0
+        assert_allclose(rec["re"], weighted_coefficient(3, 0.0, -0.999, 0) / sphere_area(3), rtol=1e-14)
 
 
 @pytest.mark.parametrize("command", ["eval", "grid"])

@@ -62,9 +62,11 @@ def test_the_half_rule_and_polyspace_privates_stay_in_their_modules():
 
 
 def test_only_the_factor_producer_runs_a_recurrence_in_quadrature():
-    # every cubature op runs one zonal recurrence, in _stacked_factors;
-    # any other reference to a recurrence entry point in quadrature would
-    # be a second one per op
+    # every cubature op runs one zonal recurrence, in _stacked_factors, on
+    # cosines of checked unit vectors: zonal._zonal_rows, looked up on the
+    # module so that a monkeypatch of it counts the op's recurrences; any
+    # other reference to a recurrence entry point in quadrature would be a
+    # second one per op, or a second check of the cosines
     recurrences = {"zonal_values", "_zonal_rows", "_zonal_iter", "zonal_poly_sum"}
     tree = ast.parse(Path(polybergman.__file__).with_name("quadrature.py").read_text())
     calls = []
@@ -75,4 +77,48 @@ def test_only_the_factor_producer_runs_a_recurrence_in_quadrature():
                 owner = getattr(top, "name", None)
                 assert owner == "_stacked_factors", (owner, node.lineno, name)
                 calls.append(name)
-    assert calls == ["zonal_values"]
+    assert calls == ["_zonal_rows"]
+
+
+# integer-keyed memos may stay unbounded: their keys are few.  The two
+# float-keyed series tables sit on the series hot path and get their bound
+# with its own measurement (ROADMAP item 14).
+UNBOUNDED_MEMOS = {
+    "sphere_area",
+    "_sector_phases",
+    "_calibrated_constant",
+    "_sphere_rule",
+    "polyharmonic_dims",
+    "_weight_table",
+    "_tail_terms",
+}
+
+
+def _memo_bound(deco):
+    """maxsize of an lru_cache or cache decorator node (None: unbounded),
+    or False for any other decorator."""
+    call = deco.func if isinstance(deco, ast.Call) else deco
+    name = call.id if isinstance(call, ast.Name) else getattr(call, "attr", None)
+    if name == "cache":
+        return None
+    if name != "lru_cache":
+        return False
+    if not isinstance(deco, ast.Call):
+        return 128  # functools' default
+    args = [k.value for k in deco.keywords if k.arg == "maxsize"] + deco.args[:1]
+    return ast.literal_eval(args[0]) if args else 128
+
+
+def test_every_memo_is_bounded_or_integer_keyed():
+    # a new memo keyed by floats grows without limit under a sweep of its
+    # arguments unless it has a finite maxsize
+    found = {}
+    for path in sorted(Path(polybergman.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                for bound in map(_memo_bound, node.decorator_list):
+                    if bound is not False:
+                        found[node.name] = bound
+                        assert bound is not None or node.name in UNBOUNDED_MEMOS, (path.name, node.lineno, node.name)
+    assert UNBOUNDED_MEMOS <= set(found), UNBOUNDED_MEMOS - set(found)
+    assert found["_radial_rule"] == 128 and found["_degree_table"] == 64

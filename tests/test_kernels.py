@@ -613,6 +613,10 @@ def _reference_truncation_degree(cfg, r, tol, kind):
             g = weighted_coefficient(cfg.n, cfg.alpha, cfg.beta, m)
         return g * _polyharmonic_dim(cfg.n, cfg.p, m) * r**m
 
+    # a first term that rounds to 0 is at most half the least subnormal,
+    # and so is the tail after it: below every positive tol
+    if term(1) == 0.0:
+        return 0
     for big_m in range(100_000):
         a1 = term(big_m + 1)
         rho = term(big_m + 2) / a1
@@ -653,6 +657,23 @@ class TestTruncationReference:
             for tol in (1e-14, 1e-10, 1e-2):
                 expected = _reference_truncation_degree(cfg, r, tol, kind)
                 assert truncation_degree(cfg, r, tol, kind) == expected == 0, (kind, n, p, r, tol)
+
+    # a least factor c_min = g(1) D_p(1) below 1 (0.006 at beta = -0.999)
+    # sends the first term c_min r to 0 at radius products near the least
+    # subnormal: no term could pass a2 < a1, and the scan ran to the cap
+    # and raised, although the tail is below every positive tol
+    @pytest.mark.parametrize("r", [1e-300, 1e-320, 1e-322, 1e-323, 5e-324])
+    def test_a_first_term_that_underflows_passes_at_degree_0(self, r):
+        for n, p in ((2, 1), (3, 2), (5, 3)):
+            cfg = KernelConfig(n=n, p=p, alpha=0.0, beta=-0.999)
+            underflows = kernels._tail_terms(n, p, 0.0, -0.999, "weighted", 64)[1] * r == 0.0
+            assert underflows == (r <= 1e-322)
+            # the least tolerance, 5e-324, only where the first term
+            # underflows: elsewhere a later term reaches 0 before the bound
+            # passes, where the scan still refuses
+            for tol in (5e-324, 1e-300, 1e-10, 1e-2)[0 if underflows else 1 :]:
+                expected = _reference_truncation_degree(cfg, r, tol, "weighted")
+                assert truncation_degree(cfg, r, tol, "weighted") == expected == 0, (n, p, r, tol)
 
 
 def _numpy_window_truncation_degree(cfg, r, tol, kind):

@@ -178,6 +178,17 @@ class TestSphereRule:
         with pytest.raises(ValueError):
             SphereRule(nodes=rule.nodes, weights=weights, exact_degree=4)
 
+    @pytest.mark.parametrize("scale", [1.0 + 1e-10, 1.0 - 1e-10, 0.0])
+    def test_rejects_a_node_that_is_not_a_unit_vector(self, scale):
+        # the cubature clips node cosines with no check of its own, so every
+        # node is checked once, here
+        rule = build_sphere_rule(3, 6)
+        nodes = rule.nodes.copy()
+        half = nodes.shape[0] // 2
+        nodes[[2, half + 2]] *= scale
+        with pytest.raises(ValueError, match="unit vectors"):
+            SphereRule(nodes=nodes, weights=rule.weights.copy(), exact_degree=6)
+
 
 class TestRadialRule:
     def test_elementary_integrals(self):
@@ -690,48 +701,122 @@ class TestHalfRule:
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
+def _direct_sector_sum(p, j):
+    """sum_{k<p} e^{i pi k j/p} in 30 digits."""
+    with mpmath.workdps(30):
+        return complex(mpmath.fsum(mpmath.expj(mpmath.pi * k * j / p) for k in range(p)))
+
+
 class TestDegreeTables:
-    """The sector and radial sums that the cubature contractions look up."""
+    """The sector-parity-radial table T_p[D, D'] = p [2p divides D - D']
+    M(D + D') that the cubature contractions look up."""
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
     def test_the_pair_table_is_the_product_of_the_two_sums(self, p):
         rule = build_radial_rule(3, 1.0, 0.5, 6)
-        deg, deg2 = np.array([0, 3, 4, 7]), np.array([1, 2, 6])
-        table = quadrature._sector_radial(p, rule.nodes, rule.weights, deg, deg2)
+        deg, deg2 = np.array([0, 3, 4, 7, 9, 12]), np.array([1, 2, 6, 7])
+        table = quadrature._sector_radial(p, rule, deg, deg2)
+        assert table.shape == (deg.size, deg2.size) and table.dtype == float
         for i, big_d in enumerate(deg):
             for j, big_d2 in enumerate(deg2):
                 radial = float(rule.weights @ rule.nodes ** (big_d + big_d2))
-                sector = quadrature._sector_sums(p)[(big_d - big_d2) % (2 * p)]
-                assert abs(table[i, j] - sector * radial) <= 1e-15 * abs(sector) * radial
+                sector = _direct_sector_sum(p, big_d - big_d2)
+                if (big_d - big_d2) % 2:
+                    # an odd d - d' has a whole-rule Gram entry of 0
+                    assert table[i, j] == 0 and abs(sector) >= 1, (big_d, big_d2)
+                else:
+                    # an even difference sums to the integer p or 0, here
+                    # to 30 digits
+                    assert abs(sector - round(sector.real)) <= 1e-25
+                    sector = round(sector.real)
+                    assert abs(table[i, j] - sector * radial) <= 1e-15 * abs(sector) * radial
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_the_table_is_the_direct_double_sum(self, p):
+        # sum_k sum_i w_i r_i^(D + D') e^{i pi k (D - D')/p} in 30 digits
+        rule = build_radial_rule(3, 1.0, 0.5, 6)
+        deg = np.arange(14)
+        table = quadrature._sector_radial(p, rule, deg, deg)
+        nodes, weights = rule.nodes.tolist(), rule.weights.tolist()
+        for big_d in deg.tolist():
+            for big_d2 in deg.tolist():
+                with mpmath.workdps(30):
+                    radial = mpmath.fsum(w * mpmath.mpf(r) ** (big_d + big_d2) for r, w in zip(nodes, weights))
+                    direct = complex(radial * mpmath.fsum(
+                        mpmath.expj(mpmath.pi * k * (big_d - big_d2) / p) for k in range(p)))
+                got = table[big_d, big_d2]
+                if (big_d - big_d2) % 2:
+                    assert got == 0
+                else:
+                    assert abs(got - direct) <= 1e-14 * p * float(radial), (big_d, big_d2, got, direct)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
     def test_sector_sums_match_the_direct_sum(self, p):
-        table = quadrature._sector_sums(p)
-        assert table.shape == (2 * p,) and not table.flags.writeable
+        # on the unit radial factor M is 1, so the table is the sector sum
+        # wherever D - D' is even, and 0 where it is odd
+        deg, deg2 = np.arange(121), np.array([60])
+        table = quadrature._sector_radial(p, quadrature._UnitRadial, deg, deg2)[:, 0]
         for j in range(-60, 61):
-            got = table[j % (2 * p)]
-            with mpmath.workdps(30):
-                direct = complex(mpmath.fsum(mpmath.expj(mpmath.pi * k * j / p) for k in range(p)))
+            got = table[j + 60]
+            direct = _direct_sector_sum(p, j)
+            if j % 2:
+                assert got == 0, (p, j)
+                continue
             assert abs(got - direct) <= 1e-15, (p, j, got, direct)
-            if j % (2 * p) == 0:
-                assert got == p
-            elif j % 2 == 0:
-                assert got == 0
+            assert got == (p if j % (2 * p) == 0 else 0)
 
     @pytest.mark.parametrize("n, alpha, beta, count", [(2, 0.0, 0.0, 5), (3, 1.0, 0.5, 8), (4, 0.0, 2.0, 12)])
     def test_radial_sums_match_the_direct_sum(self, n, alpha, beta, count):
-        # at p = 1 the sector sum is exactly 1, so the table is M(D + D')
+        # at p = 1 the diagonal T_1[D, D] is M(2D); the table holds only
+        # the even moments, as only an even D + D' has an even D - D'
         rule = build_radial_rule(n, alpha, beta, count)
         top = 3 * count
-        table = quadrature._sector_radial(1, rule.nodes, rule.weights, np.arange(top + 1), np.zeros(1, dtype=int))
-        assert table.shape == (top + 1, 1) and not table.imag.any()
-        got = table.real[:, 0]
-        for j in range(top + 1):
+        deg = np.arange(top + 1)
+        got = quadrature._sector_radial(1, rule, deg, deg).diagonal()
+        for big_d in range(top + 1):
+            j = 2 * big_d
             direct = math.fsum(w * r**j for r, w in zip(rule.nodes.tolist(), rule.weights.tolist()))
-            assert abs(got[j] - direct) <= 1e-14 * direct, (j, got[j], direct)
-            if j % 2 == 0 and j // 2 <= 2 * count - 1:
+            assert abs(got[big_d] - direct) <= 1e-14 * direct, (j, got[big_d], direct)
+            if big_d <= 2 * count - 1:
                 # the rule is exact for polynomials in r^2 of degree < 2 count
-                assert abs(got[j] - radial_moment(n, j // 2, alpha, beta)) <= 1e-13 * direct
+                assert abs(got[big_d] - radial_moment(n, big_d, alpha, beta)) <= 1e-13 * direct
+
+    def test_one_read_only_table_per_rule_order_and_window(self):
+        rule = build_radial_rule(3, 1.0, 0.5, 6)
+        table = quadrature._degree_table(rule, 2, 16)
+        assert table.shape == (16, 16) and not table.flags.writeable
+        assert quadrature._degree_table(rule, 2, 16) is table
+        # degrees up to 15 read the window of 16, degree 16 the next one
+        quadrature._degree_table.cache_clear()
+        quadrature._sector_radial(2, rule, np.array([15]), np.array([3]))
+        quadrature._sector_radial(2, rule, np.array([16]), np.array([3]))
+        assert quadrature._degree_table(rule, 2, 16).shape == (16, 16)
+        assert quadrature._degree_table(rule, 2, 32).shape == (32, 32)
+        assert quadrature._degree_table.cache_info().hits == 2
+        # an equal rule of another identity has a table of its own
+        other = RadialRule(nodes=rule.nodes.copy(), weights=rule.weights.copy(), n=3, alpha=1.0, beta=0.5)
+        assert quadrature._degree_table(other, 2, 16) is not quadrature._degree_table(rule, 2, 16)
+        assert np.array_equal(quadrature._degree_table(other, 2, 16), table)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_whole_rule_gram_of_an_odd_degree_sum_is_zero(self, n):
+        # the rows on -H are those on H times (-1)^d bit for bit, so the two
+        # halves of a whole-rule Gram entry of odd d + d' cancel exactly
+        rule = build_sphere_rule(n, 14)
+        rng = np.random.default_rng(n)
+        poles = np.array([unit(rng.normal(size=n)) for _ in range(3)])
+        half = rule.half_nodes.shape[0]
+        z = zonal.zonal_values(poles @ rule.nodes.T, 9, n)
+        on_h = np.einsum("dcj,eqj,j->dceq", z[:, :, :half], z[:, :, :half], rule.weights[:half])
+        on_minus_h = np.einsum("dcj,eqj,j->dceq", z[:, :, half:], z[:, :, half:], rule.weights[half:])
+        checked = 0
+        for d in range(10):
+            for e in range(10):
+                if (d + e) % 2:
+                    assert np.array_equal(on_h[d, :, e] + on_minus_h[d, :, e], np.zeros((3, 3)))
+                    assert on_h[d, :, e].any()
+                    checked += 1
+        assert checked == 50
 
 
 def mean_value_full_rule(cfg, u, a, r, x, rule):
@@ -798,6 +883,29 @@ class TestMeanValueHalfRule:
         x = make_rotated_point(0.0, (1.0 - 1e-13) * r * d)
         with pytest.raises(NearSingular):
             mean_value_eval(cfg, u, np.zeros(3), r, x, rule)
+
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("centre", [(0.0, 0.0, 0.0), (0.1, -0.05, 0.0)])
+    def test_one_sector_takes_no_principal_power(self, monkeypatch, n, centre):
+        # at p = 1 sector 0 is real on both halves and takes a real power:
+        # no complex bilinear square is formed or raised to a power
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return principal_pow(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "principal_pow", counted)
+        rule = build_sphere_rule(n, 12)
+        a = np.array(centre[:n])
+        x = make_rotated_point(0.0, a + 0.2 * unit(np.arange(1.0, n + 1.0)))
+        for p in (1, 2):
+            cfg = KernelConfig(n=n, p=p)
+            u = random_polyharmonic(cfg, 4, blocks=3, seed=p)
+            got = mean_value_eval(cfg, u, a, 0.5, x, rule)
+            assert len(calls) == p - 1
+            assert abs(got - mean_value_full_rule(cfg, u, a, 0.5, x, rule)) <= 1e-13 * abs(got)
 
 
 class TestMismatchedInputs:
