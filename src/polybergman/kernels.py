@@ -36,7 +36,7 @@ from .core import (
     sphere_area,
 )
 from .errors import ConvergenceDomain, NearSingular
-from .zonal import _window, polyharmonic_dims, zonal_poly_sum
+from .zonal import _scalar_poly_sum, _window, polyharmonic_dims
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,10 @@ class Truncation:
     calibrated_C: float
 
     def __post_init__(self):
-        # stored as a Python int, so a numpy integer behaves as its value
-        object.__setattr__(self, "max_degree", check_integer("max_degree", self.max_degree, 0))
+        # stored as a Python int, so a numpy integer behaves as its value;
+        # the int that truncation_degree returns skips the check's call
+        if type(self.max_degree) is not int or self.max_degree < 0:
+            object.__setattr__(self, "max_degree", check_integer("max_degree", self.max_degree, 0))
         if not (0 < self.tol < math.inf and 0 < self.calibrated_C < math.inf):
             raise ValueError("invalid truncation parameters")
 
@@ -81,7 +83,7 @@ def weighted_coefficient(n: int, alpha: float, beta: float, m: int) -> float:
     return 2.0 * math.exp(math.lgamma(z + beta + 1.0) - math.lgamma(beta + 1.0) - math.lgamma(z))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _weight_table(n: int, alpha: float, beta: float, kind: str, window: int) -> tuple[float, ...]:
     """Series weights g(0..window-1) of kind as Python floats, the memo of
     one configuration and window: 1 (poisson), n + 2m (bergman) or the
@@ -91,7 +93,12 @@ def _weight_table(n: int, alpha: float, beta: float, kind: str, window: int) -> 
     The weighted ratios come from Gamma(z+1) = z Gamma(z):
     g(m+1) = g(m) (z + beta + 1) / z with z = m + (n+alpha)/2, so only g(0)
     needs log-Gamma values.  The product runs in degree order, so a larger
-    window repeats the smaller one's values bit for bit.
+    window repeats the smaller one's values bit for bit.  The memo keeps
+    the 128 latest tables, as _tail_terms does: a sweep over the weights
+    cannot grow either without limit.  A table of the largest window,
+    131072 degrees, holds about 4.2 MB of float objects, so the two memos
+    together are bounded by about 1.1 GB, a bound that only 128
+    configurations each scanned to the degree cap reach.
     """
     if kind == "poisson":
         return (1.0,) * window
@@ -105,12 +112,13 @@ def _weight_table(n: int, alpha: float, beta: float, kind: str, window: int) -> 
 
 
 def _series_weights(n: int, alpha: float, beta: float, kind: str, top: int) -> tuple[float, ...]:
-    """Series weights g(0..top) of kind, the zonal_poly_sum weights of
-    sum_{m<=top} g(m) Z^p_m: a slice of the memoised table."""
+    """Series weights g(0..top) of kind as a slice of the memoised table,
+    for an array sum over degrees 0..top (quadrature.reproduce); the
+    scalar series read the table itself up to top."""
     return _weight_table(n, alpha, beta, kind, _window(top))[: top + 1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _tail_terms(n: int, p: int, alpha: float, beta: float, kind: str, window: int) -> tuple[float, ...]:
     """g(m) D_p(m) for m = 0..window-1 as Python floats, the tail bound's
     terms without their factor r^m.  They increase in m (truncation_degree),
@@ -126,15 +134,16 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
     a_m = g(m) D_p(m) r^m decrease monotonically toward r, so
     sum_{m>M} a_m <= a_{M+1} / (1 - a_{M+2}/a_{M+1}) once that ratio is
     below one.  The terms are scanned on Python floats in degree order and
-    the scan stops at the first M that passes; their factors g(m) D_p(m)
-    come from a table per configuration and window of 64 * 2^j degrees,
-    which doubles while the scan runs past it.  The pass test is that bound
-    itself, rho = a2/a1 < 1 and a1 / (1 - rho) < tol, with no product of
-    terms, which would underflow to 0 once the terms are subnormal.
+    the scan stops at the first M that passes; their factors
+    c[m] = g(m) D_p(m) come from a table per configuration and window of
+    64 * 2^j degrees, which doubles while the scan runs past it.  The pass
+    test is that bound itself, rho = a2/a1 < 1 and a1 / (1 - rho) < tol,
+    with no product of terms, which would underflow to 0 once the terms
+    are subnormal.
 
     The scan starts where the tail can first pass.  A pass at M needs
     a_{M+1} <= a_{M+1} / (1 - rho) < tol, so with c_min the least factor
-    g(m) D_p(m), m >= 1, no M with c_min r^(M+1) >= tol passes.  The
+    c[m], m >= 1, no M with c_min r^(M+1) >= tol passes.  The
     factors increase in m for every kind: D_p(m) does, and so
     does g(m), which is 1, n + 2m, or the Gamma ratio with
     g(m+1)/g(m) = (z + beta + 1)/z > 1 for beta > -1.  So c_min is the
@@ -144,18 +153,32 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
     the rounding of the logs, of the power and of the products.  A start at
     or above the degree cap m_cap = 100,000 raises ConvergenceDomain at
     once, with no table beyond the first; otherwise the first table scanned
-    is the window holding the start, and the scan's first term is its own
+    is the window holding the start (the first window's table, read once,
+    when the start lies inside it), and the scan's first term is its own
     expression, so the degree returned is the full scan's bit for bit.
 
-    A scan from 0 whose first term a_1 = c_min r rounds to 0 could never
-    pass, since a2 < a1 never holds.  There the exact a_1 is at most half
-    the least subnormal 2^-1074, the ratios after it are below
-    a_2/a_1 = (c_2/c_1) r, far below 1/2, and so the tail is below 2^-1074,
-    which every positive float tol exceeds or equals: M = 0 is returned
-    before the scan.  A later start is not this case, since there the exact
-    a_(lo+1) is at least tol by the start's bound.  r and tol are real
-    numbers (check_real), r nonnegative and tol positive, both finite;
-    ValueError otherwise.
+    Where the terms underflow the float test cannot pass: once a computed
+    term c[m] * r ** m is 0, a2 < a1 never holds again.  Nor does a
+    computed 0 bound the exact term: r ** m may round to 0, or to a
+    subnormal of few bits, while c[m] is large, so c[m] r^m may be as large
+    as c[m] 2^-1074.  So when a window's scan ends on a term that is 0, the
+    degrees scanned since the last such test (at first, from the start)
+    are tested in log space, where no power and no product is formed: M
+    passes when rho = (c[M+2] / c[M+1]) r < 1 and
+
+        log c[M+1] + (M+1) log r - log1p(-rho) + slack < log tol,
+
+    the logarithm of the same bound a_{M+1} / (1 - rho).  Each logarithm
+    is within an ulp of its magnitude; the product by M+1, the two
+    roundings of rho and the sums add a few ulp of the sum A of the four
+    logarithms' magnitudes, and rho's rounding moves log1p(-rho) by at most
+    2^-50 / (1 - rho).  slack = 2^-40 (A + 1 / (1 - rho)) exceeds all of
+    them, so a degree that passes has the exact bound below tol, and the
+    first one is returned: the float test failed at every degree before it.
+    The test runs only at the end of a window that did not pass, never per
+    degree, and it answers 0 where the first term c_min * r rounds to 0.
+    r and tol are real numbers (check_real), r nonnegative and tol
+    positive, both finite; ValueError otherwise.
     """
     tol, r = check_real("tolerance", tol), check_real("radius", r)
     if not 0 < tol < math.inf:
@@ -166,18 +189,17 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
         raise ConvergenceDomain(f"radius {r} exceeds r_max={cfg.r_max}")
     m_cap = 100_000
     config = (cfg.n, cfg.p, cfg.alpha, cfg.beta, kind)
-    c_min = _tail_terms(*config, 64)[1]  # the least factor; ValueError for an unknown kind
+    c = _tail_terms(*config, 64)  # ValueError for an unknown kind
     if r == 0.0:
         return 0
-    start = (math.log(tol) - math.log(c_min) + 1e-12) / math.log(r) - 1.0
+    start = (math.log(tol) - math.log(c[1]) + 1e-12) / math.log(r) - 1.0
     if start >= m_cap:
         raise ConvergenceDomain(f"no truncation below {tol} found for r={r}: the tail passes beyond degree {m_cap}")
-    lo = max(0, int(start))
-    if lo == 0 and c_min * r == 0.0:
-        return 0
+    lo = tested = max(0, int(start))
     window = _window(lo + 2)
-    while True:
+    if window > 64:
         c = _tail_terms(*config, window)
+    while True:
         a1 = c[lo + 1] * r ** (lo + 1)
         for big_m in range(lo, min(window - 2, m_cap)):
             a2 = c[big_m + 2] * r ** (big_m + 2)
@@ -186,17 +208,24 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
             if a2 < a1 and a1 / (1.0 - a2 / a1) < tol:
                 return big_m
             a1 = a2
+        if a1 == 0.0:
+            log_r, log_tol = math.log(r), math.log(tol)
+            for big_m in range(tested, min(window - 2, m_cap)):
+                rho = c[big_m + 2] / c[big_m + 1] * r
+                if rho < 1.0:
+                    log_c, log_rm, log_q = math.log(c[big_m + 1]), (big_m + 1) * log_r, math.log1p(-rho)
+                    slack = 2.0**-40 * (abs(log_c) - log_rm - log_q + abs(log_tol) + 1.0 / (1.0 - rho))
+                    if log_c + log_rm - log_q + slack < log_tol:
+                        return big_m
+            tested = window - 2
         if window - 2 >= m_cap:
             raise ConvergenceDomain(f"no truncation below {tol} found for r={r}")
         lo, window = window - 2, 2 * window
+        c = _tail_terms(*config, window)
 
 
 def make_truncation(cfg: KernelConfig, r: float, tol: float, kind: str = "poisson") -> Truncation:
-    return Truncation(
-        max_degree=truncation_degree(cfg, r, tol, kind),
-        tol=tol,
-        calibrated_C=calibrated_constant(cfg),
-    )
+    return Truncation(truncation_degree(cfg, r, tol, kind), tol, calibrated_constant(cfg))
 
 
 def _checked_pair(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, series: bool) -> PairInvariants:
@@ -276,11 +305,13 @@ def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> c
 
 def _zonal_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation, kind: str) -> complex:
     """sum_{m<=max_degree} g(m) Z^p_m(x, y) with the series weight of kind,
-    normalized by n Vol_n for the Bergman kinds: one zonal_poly_sum of the
-    memoised weights g(0..max_degree)."""
+    normalized by n Vol_n for the Bergman kinds: one scalar zonal sum
+    (zonal_poly_sum's scalar branch) over the memoised weight window, read
+    up to max_degree."""
     inv = _checked_pair(cfg, x, y, series=True)
-    g = _series_weights(cfg.n, cfg.alpha, cfg.beta, kind, trunc.max_degree)
-    total = zonal_poly_sum(g, cfg.p, inv.t, inv.zeta, cfg.n)
+    top = trunc.max_degree
+    g = _weight_table(cfg.n, cfg.alpha, cfg.beta, kind, _window(top))
+    total = _scalar_poly_sum(g, top, cfg.p, inv.t, inv.zeta, cfg.n)
     return total if kind == "poisson" else total / sphere_area(cfg.n)
 
 
@@ -313,8 +344,8 @@ def weighted_bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPo
     top = trunc.max_degree
     total = 0j
     for k in reversed(range(min(cfg.p, top // 2 + 1))):
-        g = _series_weights(cfg.n, cfg.alpha + 4.0 * k, cfg.beta, "weighted", top - 2 * k)
-        total = total * inv.q + zonal_poly_sum(g, 1, inv.t, inv.zeta, cfg.n)
+        g = _weight_table(cfg.n, cfg.alpha + 4.0 * k, cfg.beta, "weighted", _window(top - 2 * k))
+        total = total * inv.q + _scalar_poly_sum(g, top - 2 * k, 1, inv.t, inv.zeta, cfg.n)
     return total / sphere_area(cfg.n)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import KernelConfig, RotatedPoint, check_integer, reduce_by_constructor
-from .zonal import _zonal_iter
+from .zonal import _zonal_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,11 +150,13 @@ def eval_complex(q: PolyharmonicPolynomial, z: np.ndarray):
     points.
 
     Uses the bilinear polynomial form of each block, bil^k Z_d(z, pole)
-    with bil = z.z: each block runs its own homogeneous recurrence at
-    s = z.pole, b = bil up to its own degree d and keeps the last row, and
-    the rows summed per radial index k are combined by Horner in bil.  The
-    cost is sum_b (d_b + 1) recurrence rows of M values, and no array has a
-    degree axis.  z of any shape but (M, q.n) raises ValueError.
+    with bil = z.z: each block runs its own homogeneous recurrence
+    (zonal._zonal_rows) at s = z.pole, b = bil up to its own degree d and
+    keeps the last row, and the rows summed per radial index k are combined
+    by Horner in bil.  The cost is sum_b (d_b + 1) recurrence rows of M
+    values; one block's (d_b + 1, M) rows are alive at a time, and no array
+    has a block axis and a degree axis together.  z of any shape but
+    (M, q.n) raises ValueError.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim != 2 or z.shape[1] != q.n:
@@ -163,9 +165,7 @@ def eval_complex(q: PolyharmonicPolynomial, z: np.ndarray):
     s = q.poles @ z.T
     acc = np.zeros((1 + max(q.k.tolist(), default=0), len(z)), dtype=complex)
     for b, s_b in zip(q.blocks, s):
-        for z_d in _zonal_iter(s_b, bil, b.d, q.n):
-            pass
-        acc[b.k] += b.coeff * z_d
+        acc[b.k] += b.coeff * _zonal_rows(s_b, bil, b.d, q.n)[-1]
     out = acc[-1]
     for row in acc[-2::-1]:
         out = out * bil + row

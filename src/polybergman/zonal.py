@@ -1,7 +1,8 @@
 """Zonal harmonics and zonal polyharmonics on rotated balls.
 
-The real zonal kernel z_m on S x S is evaluated through one recurrence,
-_zonal_iter (Gegenbauer; Chebyshev for the degenerate n = 2 case); the
+The real zonal kernel z_m on S x S is evaluated through one recurrence
+(Gegenbauer; Chebyshev for the degenerate n = 2 case), written once for
+arrays (_zonal_rows) and once for one float cosine (_scalar_poly_sum); the
 extension to pairs of rotated ball points multiplies in the exact phase
 factor e^{i m (phi-psi)} and the radial homogeneity (|a||b|)^m, i.e.
 Z_m(x, y) = zeta^m z_m(t) with zeta = |a||b| e^{i (phi-psi)}.  Zonal
@@ -55,10 +56,11 @@ def _window(top: int) -> int:
 
 
 def _recurrence_constants(n: int, m_max: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The constants (2 f_m, f_m c_m) of _zonal_iter for m = 0..(at least
-    m_max), with 2 f_1 = 2 (1+lam) the start z_1 / s; entries m < 2 of
-    f_m c_m are unused.  One table per n, rebuilt at twice its window when
-    a higher degree is asked for."""
+    """The constants (2 f_m, f_m c_m) of the zonal recurrence (_zonal_rows)
+    for m = 0..(at least m_max), with 2 f_1 = 2 (1+lam) the start z_1 / s;
+    entries m < 2 of f_m c_m are 0.0, which the scalar statement in
+    _scalar_poly_sum reads at m = 1.  One table per n, rebuilt at twice its
+    window when a higher degree is asked for."""
     table = _RECURRENCE.get(n)
     if table is None or len(table[0]) <= m_max:
         lam = 0.5 * (n - 2)
@@ -72,8 +74,9 @@ def _recurrence_constants(n: int, m_max: int) -> tuple[tuple[float, ...], tuple[
     return table
 
 
-def _zonal_iter(s, b, m_max: int, n: int):
-    """Yields the homogeneous zonal forms b^(m/2) z_m(s / sqrt(b)), m = 0..m_max.
+def _zonal_rows(s, b, m_max: int, n: int) -> np.ndarray:
+    """Rows m = 0..m_max of the homogeneous zonal forms b^(m/2) z_m(s / sqrt(b))
+    as one array: the array statement of the zonal recurrence.
 
     The Gegenbauer recurrence in homogeneous form,
     m C_m = 2(m+lam-1) s C_{m-1} - (m+2lam-2) b C_{m-2} with lam = (n-2)/2
@@ -85,28 +88,12 @@ def _zonal_iter(s, b, m_max: int, n: int):
         z_m = ((m+lam)/m) (2 s z_{m-1} - c_m b z_{m-2}),
         c_m = (m+2lam-2)/(m+lam-2) for m >= 3, c_2 = 2,
 
-    started from z_0 = 1, z_1 = 2 (1+lam) s.  The two previous rows are
-    carried as values of s's own type, so a Python float or complex s runs
-    on Python numbers and an array s on whole arrays.
-    """
-    two_f, fc = _recurrence_constants(n, m_max)
-    z2, z1 = 1.0, two_f[1] * s
-    yield z2
-    if m_max >= 1:
-        yield z1
-    for m in range(2, m_max + 1):
-        z2, z1 = z1, two_f[m] * s * z1 - (fc[m] * b) * z2
-        yield z1
-
-
-def _zonal_rows(s, b, m_max: int, n: int) -> np.ndarray:
-    """Rows m = 0..m_max of _zonal_iter(s, b, m_max, n) as one array.
-
-    For an array s each row is written in place into the preallocated
-    result by ufuncs given their output, with one scratch row: no
-    temporaries per row and no copy.  The association of
-    _zonal_iter, (2 f_m s) z_{m-1} - (f_m c_m b) z_{m-2}, is kept, so the
-    rows are the same bits.  s is an array; b is one of its shape or a scalar.
+    started from z_0 = 1, z_1 = 2 (1+lam) s, and evaluated with the
+    association (2 f_m s) z_{m-1} - (f_m c_m b) z_{m-2}, f_m = (m+lam)/m,
+    which the scalar statement in _scalar_poly_sum keeps at b = 1.  Each row
+    is written in place into the preallocated result by ufuncs given their
+    output, with one scratch row: no temporaries per row and no copy.
+    s is an array; b is one of its shape or a scalar.
     """
     out = np.empty((m_max + 1,) + s.shape, dtype=np.result_type(s, b))
     two_f, fc = _recurrence_constants(n, m_max)
@@ -162,6 +149,35 @@ def _window_sums(rows, p: int) -> np.ndarray:
     return out
 
 
+def _scalar_poly_sum(g, top: int, p: int, t: float, zeta, n: int) -> complex:
+    """sum_{m<=top} g[m] zeta^m S_m(t) on Python numbers, for one cosine t
+    in [-1, 1]: the scalar branch of zonal_poly_sum.  g may run past top,
+    as a memoised window of series weights does; only g[0..top] is read,
+    and nothing is sliced from it.
+
+    The recurrence of _zonal_rows at b = 1 is one float loop,
+    z_m = (2 f_m t) z_{m-1} - (f_m c_m) z_{m-2}, into a preallocated list.
+    It starts from z_{-1} = 0 and z_0 = 1: the table's f_1 c_1 is 0.0, so
+    its first step is 2 f_1 t, the start z_1, exactly.  The window sums
+    S_m are p - 1 C-level map(add, ...) passes over a copy (none at p = 1),
+    and one Horner pass in zeta over the real coefficients g[m] S_m sums
+    the series.
+    """
+    two_f, fc = _recurrence_constants(n, top)
+    z = [1.0] * (top + 1)
+    z2, z1 = 0.0, 1.0
+    for m in range(1, top + 1):
+        z2, z1 = z1, two_f[m] * t * z1 - fc[m] * z2
+        z[m] = z1
+    s = z if p == 1 else z[:]
+    for k in range(1, min(p, (top + 2) // 2)):
+        s[2 * k :] = map(add, s[2 * k :], z)
+    total = 0j
+    for v in reversed(list(map(mul, g, s))):
+        total = total * zeta + v
+    return total
+
+
 def zonal_poly_sum(g, p: int, t, zeta, n: int):
     """sum_m g[m] Z^p_m = sum_m g[m] zeta^m S_m(t), broadcast over t, zeta.
 
@@ -175,21 +191,12 @@ def zonal_poly_sum(g, p: int, t, zeta, n: int):
     only the m = 0 term survives.
 
     For a scalar t and zeta the sum runs on Python numbers, with no numpy
-    call: the recurrence forward, the window sums by p - 1 C-level
-    map(add, ...) passes, then one Horner pass in zeta over the real
-    coefficients g[m] S_m.  For arrays the degree weights g[m] zeta^m, with
-    the degree axis appended to zeta's shape, are contracted with the
+    call (_scalar_poly_sum).  For arrays the degree weights g[m] zeta^m,
+    with the degree axis appended to zeta's shape, are contracted with the
     window sums of the rows of zonal_values.
     """
     if isinstance(t, (int, float)) and isinstance(zeta, (int, float, complex)):
-        z = list(_zonal_iter(_clip_cosine(t), 1.0, len(g) - 1, n))
-        s = z[:]
-        for k in range(1, min(p, (len(z) + 1) // 2)):
-            s[2 * k :] = map(add, s[2 * k :], z)
-        total = 0j
-        for v in map(mul, reversed(g), reversed(s)):
-            total = total * zeta + v
-        return total
+        return _scalar_poly_sum(g, len(g) - 1, p, _clip_cosine(t), zeta, n)
     top = len(g) - 1
     s = _window_sums(zonal_values(t, top, n), p)
     zmat = s.reshape(top + 1, -1).T.reshape(np.shape(t) + (top + 1,))

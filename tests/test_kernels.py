@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +14,7 @@ from polybergman import (
     bergman,
     bergman_decomposed,
     bergman_series,
+    calibrated_constant,
     derivative_form_check,
     evaluation_regime,
     make_rotated_point,
@@ -578,6 +581,21 @@ class TestTruncationDegree:
         for kernel in SERIES_KERNELS:
             assert kernel(cfg, x, y, trunc) == kernel(cfg, x, y, plain)
 
+    def test_make_truncation_is_the_record_of_the_degree(self):
+        # built positionally from the int that truncation_degree returns,
+        # with no field converted or moved
+        for kind, alpha, beta in SIX_KINDS:
+            for n, p in ((2, 1), (3, 2), (5, 3)):
+                cfg = KernelConfig(n=n, p=p, alpha=alpha, beta=beta)
+                for r in (0.0, 0.1, 0.49, 0.9):
+                    for tol in (1e-14, 1e-10, 1e-2):
+                        trunc = make_truncation(cfg, r, tol, kind)
+                        want = Truncation(truncation_degree(cfg, r, tol, kind), tol, calibrated_constant(cfg))
+                        assert type(trunc.max_degree) is int
+                        assert (trunc.max_degree, trunc.tol, trunc.calibrated_C) == (
+                            want.max_degree, want.tol, want.calibrated_C
+                        )
+
     @pytest.mark.parametrize("kind", ["poisson", "bergman", "weighted"])
     def test_a_posteriori_self_consistency(self, kind):
         # enlarging the truncation by 10 degrees moves the sum by < tol
@@ -603,25 +621,33 @@ class TestTruncationDegree:
 def _reference_truncation_degree(cfg, r, tol, kind):
     """The term-by-term search on the bound sum_{m>M} g(m) D_p(m) r^m: two
     terms per step, D_p(m) summed in integers from sph_dim, weights from
-    weighted_coefficient."""
+    weighted_coefficient.  Once a float term has underflowed to 0 before
+    the bound passed, the first degree whose bound a_{M+1} / (1 - rho),
+    taken in 30-digit mpmath where no term underflows, is below tol."""
     if r == 0.0:
         return 0
 
-    def term(m):
+    def factor(m):
         g = {"poisson": 1.0, "bergman": cfg.n + 2.0 * m}.get(kind)
         if g is None:
             g = weighted_coefficient(cfg.n, cfg.alpha, cfg.beta, m)
-        return g * _polyharmonic_dim(cfg.n, cfg.p, m) * r**m
+        return g * _polyharmonic_dim(cfg.n, cfg.p, m)
 
-    # a first term that rounds to 0 is at most half the least subnormal,
-    # and so is the tail after it: below every positive tol
-    if term(1) == 0.0:
-        return 0
     for big_m in range(100_000):
-        a1 = term(big_m + 1)
-        rho = term(big_m + 2) / a1
+        a1 = factor(big_m + 1) * r ** (big_m + 1)
+        if a1 == 0.0:
+            break
+        rho = factor(big_m + 2) * r ** (big_m + 2) / a1
         if rho < 1.0 and a1 / (1.0 - rho) < tol:
             return big_m
+    else:
+        raise AssertionError("reference search did not stop")
+    with mpmath.workdps(30):
+        for big_m in range(100_000):
+            a1 = mpmath.mpf(factor(big_m + 1)) * mpmath.mpf(r) ** (big_m + 1)
+            rho = mpmath.mpf(factor(big_m + 2)) / factor(big_m + 1) * r
+            if rho < 1 and a1 / (1 - rho) < tol:
+                return big_m
     raise AssertionError("reference search did not stop")
 
 
@@ -669,11 +695,38 @@ class TestTruncationReference:
             underflows = kernels._tail_terms(n, p, 0.0, -0.999, "weighted", 64)[1] * r == 0.0
             assert underflows == (r <= 1e-322)
             # the least tolerance, 5e-324, only where the first term
-            # underflows: elsewhere a later term reaches 0 before the bound
-            # passes, where the scan still refuses
+            # underflows: elsewhere the first term exceeds it, and the
+            # answer is a later degree (next tests)
             for tol in (5e-324, 1e-300, 1e-10, 1e-2)[0 if underflows else 1 :]:
                 expected = _reference_truncation_degree(cfg, r, tol, "weighted")
                 assert truncation_degree(cfg, r, tol, "weighted") == expected == 0, (n, p, r, tol)
+
+    # later terms that underflow to 0 before the bound passes: a2 < a1 no
+    # longer held, the scan ran to the cap and raised ConvergenceDomain
+    def test_terms_that_underflow_after_the_first_pass_at_the_provable_degree(self):
+        cfg = KernelConfig(n=3, p=2, alpha=0.0, beta=-0.999)
+        assert truncation_degree(cfg, 1e-300, 1e-310, "weighted") == _reference_truncation_degree(
+            cfg, 1e-300, 1e-310, "weighted"
+        ) == 1
+        for kind in ("poisson", "bergman", "weighted"):
+            cfg = KernelConfig(n=3, p=2)
+            assert truncation_degree(cfg, 1e-200, 5e-324, kind) == _reference_truncation_degree(
+                cfg, 1e-200, 5e-324, kind
+            ) == 1, kind
+
+    # r ** m rounds to 0, or to a subnormal of few bits, while the factor
+    # c[m] is large, so a term computed as 0 is not small: the answer lies
+    # beyond the first 0 term, and at 5e-324 the float test passes nowhere
+    @pytest.mark.parametrize("kind", ["poisson", "bergman", "weighted"])
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 0.5), (0.5, -0.999)])
+    @pytest.mark.parametrize(
+        "r,tol", [(1e-300, 1e-310), (1e-200, 5e-324), (1e-160, 1e-320), (0.5, 5e-324), (0.5, 1e-320)]
+    )
+    def test_underflowing_terms_match_the_search(self, kind, alpha, beta, r, tol):
+        for n, p in ((2, 1), (3, 2), (5, 3)):
+            cfg = KernelConfig(n=n, p=p, alpha=alpha, beta=beta)
+            expected = _reference_truncation_degree(cfg, r, tol, kind)
+            assert truncation_degree(cfg, r, tol, kind) == expected, (kind, n, p, r, tol)
 
 
 def _numpy_window_truncation_degree(cfg, r, tol, kind):
@@ -749,6 +802,22 @@ class TestTruncationStart:
         assert truncation_degree(cfg, 0.99, 1e-10, "bergman") == 4640
         assert asked == [64, 4096, 8192]
 
+    def test_a_start_in_the_first_window_reads_its_table_once(self, monkeypatch):
+        # the least factor and the scan's terms come from one lookup
+        asked = self.windows_asked(monkeypatch)
+        for kind in ("poisson", "bergman", "weighted"):
+            assert truncation_degree(KernelConfig(n=3, p=2), 0.3, 1e-10, kind) < 62
+        assert asked == [64, 64, 64]
+
+    def test_underflowing_terms_are_tested_at_the_window_boundary(self, monkeypatch):
+        # r ** m underflows near degree 1075 at r = 0.5, in the window of
+        # 2048 degrees that holds the start; the answer lies in that window:
+        # the tail after 1098 is 0.58 of the least subnormal, after 1097 1.15
+        # (mpmath sums of (3 + 2m)(4m - 2) 2^-m)
+        asked = self.windows_asked(monkeypatch)
+        assert truncation_degree(KernelConfig(n=3, p=2), 0.5, 5e-324, "bergman") == 1098
+        assert asked == [64, 2048]
+
 
 class TestTruncationScan:
     @pytest.mark.parametrize("kind,alpha,beta", SIX_KINDS)
@@ -810,6 +879,45 @@ class TestTruncationSoundness:
             g(m) * _polyharmonic_dim(3, p, m) * r**m for m in range(big_m + 1, big_m + 4001)
         )
         assert tail < tol, (big_m, tail / tol)
+
+
+class TestScalarSeriesCall:
+    def test_a_warm_series_call_makes_no_numpy_call(self):
+        # a series call for one pair, its make_truncation included, runs on
+        # Python numbers once the memos hold its tables: the profile hook
+        # sees every Python frame and every builtin function called, and no
+        # numpy function, in Python or in C, is among them
+        cfg = KernelConfig(n=3, p=2, alpha=1.0, beta=0.5)
+        x = make_rotated_point(0.0, (0.5, 0.3, 0.1))
+        y = make_rotated_point(cfg.sector_phase(1), (0.4, -0.3, 0.2))
+        r = x.radius * y.radius
+        routes = (
+            ("poisson", poisson_series),
+            ("bergman", bergman_series),
+            ("weighted", weighted_bergman_series),
+            ("weighted", weighted_bergman_decomposed),
+        )
+
+        def calls():
+            return [series(cfg, x, y, make_truncation(cfg, r, 1e-10, kind)) for kind, series in routes]
+
+        warm = calls()
+        seen = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                seen.append(frame.f_code.co_filename)
+            elif event == "c_call":
+                seen.append(f"{getattr(arg, '__module__', None)} {type(getattr(arg, '__self__', None)).__module__}")
+
+        sys.setprofile(profile)
+        try:
+            values = calls()
+        finally:
+            sys.setprofile(None)
+        assert values == warm and all(type(v) is complex for v in values)
+        assert any(entry.endswith("zonal.py") for entry in seen)
+        assert not [entry for entry in seen if "numpy" in entry]
 
 
 class TestCrossSectorConjugateSymmetry:

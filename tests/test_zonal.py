@@ -1,7 +1,11 @@
 import math
+import struct
+from operator import add, mul
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from polybergman import (
@@ -417,6 +421,65 @@ class TestScalarAssembly:
         assert window is not rows and not np.shares_memory(window, rows)
         for a, b in zip((g, t, rows), before):
             assert np.array_equal(a, b)
+
+
+def _generator_rows(s, b, m_max, n):
+    """The recurrence as the generator it was written as before the scalar
+    float loop: rows z_0..z_m_max with the factor b on every degree."""
+    two_f, fc = zonal._recurrence_constants(n, m_max)
+    z2, z1 = 1.0, two_f[1] * s
+    yield z2
+    if m_max >= 1:
+        yield z1
+    for m in range(2, m_max + 1):
+        z2, z1 = z1, two_f[m] * s * z1 - (fc[m] * b) * z2
+        yield z1
+
+
+def _generator_poly_sum(g, p, t, zeta, n):
+    """The scalar zonal sum as it was computed before the float loop: the
+    generator's rows at b = 1.0, p - 1 window passes into a copy, and Horner
+    over the reversed weights and window sums."""
+    z = list(_generator_rows(t, 1.0, len(g) - 1, n))
+    s = z[:]
+    for k in range(1, min(p, (len(z) + 1) // 2)):
+        s[2 * k :] = map(add, s[2 * k :], z)
+    total = 0j
+    for v in map(mul, reversed(g), reversed(s)):
+        total = total * zeta + v
+    return total
+
+
+class TestScalarFloatLoop:
+    @given(
+        n=st.integers(2, 6),
+        p=st.integers(1, 4),
+        top=st.integers(0, 200),
+        t=st.floats(-1.0, 1.0),
+        zeta=st.complex_numbers(max_magnitude=1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_for_bit_the_generator_sum(self, n, p, top, t, zeta, seed):
+        # the float loop drops the factor b = 1.0, the copy at p = 1 and the
+        # slice of the weight window; none of them moves a bit
+        def bits(z):
+            assert type(z) is complex
+            return struct.pack("<dd", z.real, z.imag)
+
+        g = np.random.default_rng(seed).uniform(-2.0, 2.0, top + 40).tolist()
+        want = bits(_generator_poly_sum(g[: top + 1], p, t, zeta, n))
+        assert bits(zonal_poly_sum(g[: top + 1], p, t, zeta, n)) == want
+        # the weights past top, as in a memoised window, are not read
+        assert bits(zonal._scalar_poly_sum(g, top, p, t, zeta, n)) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_rows_are_the_generator_rows_at_unit_b(self, n):
+        # a one-hot weight at m with zeta = 1 returns the loop's row z_m alone
+        for t in (-1.0, -0.3, 0.0, 0.7, 1.0):
+            rows = list(_generator_rows(t, 1.0, 80, n))
+            for m, row in enumerate(rows):
+                assert zonal._scalar_poly_sum([0.0] * m + [1.0], m, 1, t, 1.0, n) == complex(row, 0.0), (t, m)
 
 
 class TestZonalComplexEvaluation:
