@@ -2,16 +2,18 @@
 
 Every point handled by this package has the form ``z = e^{i*phase} * a`` with
 ``a`` a real vector; storing (phase, a) keeps all homogeneity factors exact
-phase multiplications and avoids complex square roots entirely.  Every
-kernel formula reads a pair x = e^{i*phi} a, y = e^{i*psi} b through one
-record, pair_invariants(x, y): the closed forms read s = x . conj(y),
-q = |x|^2 |conj(y)|^2 (bilinear squares, not Hermitian norms) and
-w = 1 - 2s + q; the zonal series read the cosine t = a.b / (|a||b|) and
-zeta = |a||b| e^{i(phi-psi)}, with s = zeta t and q = zeta^2.  A point is
-checked, converted and frozen by its own constructor, as KernelConfig is,
-and stores what the pair layer reads: its coordinates as a tuple of floats,
-its squared norm and its radius.  So a closed form spends a few Python
-operations per pair, where a numpy call on 2-5 coordinates costs a µs.
+phase multiplications and avoids complex square roots entirely.  Each
+route of a kernel reads a pair x = e^{i*phi} a, y = e^{i*psi} b through its
+own function: the closed forms read closed_terms(x, y), that is
+s = x . conj(y), q = |x|^2 |conj(y)|^2 (bilinear squares, not Hermitian
+norms) and w = 1 - 2s + q; the zonal series read zonal_terms(x, y), the
+cosine t = a.b / (|a||b|) and zeta = |a||b| e^{i(phi-psi)}, with s = zeta t
+and q = zeta^2.  The record pair_invariants(x, y) holds all five, built
+from the two functions.  A point is checked, converted and frozen by its
+own constructor, as KernelConfig is, and stores what the pair layer reads:
+its coordinates as a tuple of floats, its squared norm and its radius.  So
+a closed form spends a few Python operations per pair, where a numpy call
+on 2-5 coordinates costs a µs.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class RotatedPoint:
     a non-empty 1-d vector of finite reals (numpy integer or float dtype;
     no bools, complex numbers or strings) whose squared norm is finite;
     ValueError otherwise.  The point stores a read-only float copy of
-    coords and, at construction, all that pair_invariants reads: the
+    coords and, at construction, all that the pair terms read: the
     coordinates as a tuple of Python floats (float_coords), the squared
     norm coords @ coords and the radius.
 
@@ -97,11 +99,46 @@ class RotatedPoint:
 make_rotated_point = RotatedPoint
 
 
+def closed_terms(x: RotatedPoint, y: RotatedPoint) -> tuple[complex, complex, complex]:
+    """(s, q, w), the closed forms' terms of points x = e^{i*phi} a and
+    y = e^{i*psi} b of one dimension, which the caller checks.
+
+    s = e^{i(phi-psi)} a.b, q = e^{2i(phi-psi)} (a.a)(b.b), not the square
+    of a rounded zeta, whose two square roots add roundings that the
+    Bergman numerator's cancellation near the boundary amplifies, and
+    w = 1 - 2s + q.  a.b is math.fsum of the products of the points'
+    stored float_coords (each product rounded once, their sum exactly),
+    and the tuple is a plain one: a closed form reads no cosine and no
+    zeta, and builds no record.
+    """
+    rot = cmath.exp(1j * (x.phase - y.phase))
+    s = rot * math.fsum(map(operator.mul, x.float_coords, y.float_coords))
+    q = rot * rot * (x.norm2 * y.norm2)
+    return s, q, 1.0 - 2.0 * s + q
+
+
+def zonal_terms(x: RotatedPoint, y: RotatedPoint) -> tuple[float, complex]:
+    """(t, zeta), the zonal series' terms of points x = e^{i*phi} a and
+    y = e^{i*psi} b of one dimension, which the caller checks.
+
+    t = a.b / (|a||b|) clipped to [-1, 1] (0 at a zero radius, where
+    zeta = 0) and zeta = |a||b| e^{i(phi-psi)}, from the same phase factor
+    and the same math.fsum of a.b as closed_terms, so s = zeta t and
+    q = zeta^2 up to rounding.
+    """
+    rr = x.radius * y.radius
+    t = 0.0 if rr == 0.0 else math.fsum(map(operator.mul, x.float_coords, y.float_coords)) / rr
+    if t > 1.0:
+        t = 1.0
+    elif t < -1.0:
+        t = -1.0
+    return t, rr * cmath.exp(1j * (x.phase - y.phase))
+
+
 class PairInvariants(NamedTuple):
-    """Everything a kernel formula reads about a pair of rotated points:
-    s, q and w = 1 - 2s + q for the closed forms, the cosine t and zeta for
-    the zonal series (s = zeta t, q = zeta^2 up to rounding), all from one
-    phase factor, one dot product a.b and the points' cached norms."""
+    """Both routes' terms of a pair of rotated points: s, q and w for the
+    closed forms (closed_terms), the cosine t and zeta for the zonal series
+    (zonal_terms)."""
 
     s: complex
     q: complex
@@ -114,34 +151,16 @@ _tuple_new = tuple.__new__  # PairInvariants without its Python-level __new__
 
 
 def pair_invariants(x: RotatedPoint, y: RotatedPoint) -> PairInvariants:
-    """s, q, w, t, zeta for points x = e^{i*phi} a, y = e^{i*psi} b.
-
-    s = e^{i(phi-psi)} a.b, zeta = |a||b| e^{i(phi-psi)}, t = a.b / (|a||b|)
-    clipped to [-1, 1] (0 at a zero radius, where zeta = 0), and
-    q = e^{2i(phi-psi)} (a.a)(b.b), not the square of the rounded zeta, whose
-    two square roots add roundings that the Bergman numerator's cancellation
-    near the boundary amplifies.
-
-    Everything runs on Python numbers: a.b is math.fsum of the products of
-    the points' stored float_coords (each product rounded once, their sum
-    exactly), and the record is built by tuple.__new__, which skips the
-    NamedTuple's Python-level __new__.
+    """s, q, w, t, zeta for points x = e^{i*phi} a, y = e^{i*psi} b, as
+    closed_terms and zonal_terms compute them, after the dimension check
+    (ValueError); the record is built by tuple.__new__, which skips the
+    NamedTuple's Python-level __new__.  The kernels read the two term
+    functions; the record serves weighted_bergman_decomposed (t, zeta and
+    q) and the growth suite of verify.
     """
-    a, b = x.float_coords, y.float_coords
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    rot = cmath.exp(1j * (x.phase - y.phase))
-    ab = math.fsum(map(operator.mul, a, b))
-    rr = x.radius * y.radius
-    t = 0.0 if rr == 0.0 else ab / rr
-    if t > 1.0:
-        t = 1.0
-    elif t < -1.0:
-        t = -1.0
-    zeta = rr * rot
-    s = rot * ab
-    q = rot * rot * (x.norm2 * y.norm2)
-    return _tuple_new(PairInvariants, (s, q, 1.0 - 2.0 * s + q, t, zeta))
+    if len(x.float_coords) != len(y.float_coords):
+        raise ValueError(f"dimension mismatch: {len(x.float_coords)} vs {len(y.float_coords)}")
+    return _tuple_new(PairInvariants, closed_terms(x, y) + zonal_terms(x, y))
 
 
 def principal_pow(w, e: float, eps_branch: float = EPS_BRANCH):
@@ -156,7 +175,7 @@ def principal_pow(w, e: float, eps_branch: float = EPS_BRANCH):
     and the result is within a few ulp, where exp(e log w), which serves
     every other e, carries the rounding of e log w times |e log w|.
 
-    A Python complex (what pair_invariants returns) takes the scalar route
+    A Python complex (the w of closed_terms) takes the scalar route
     after one type test; any other scalar (a float, a numpy complex) is
     converted to complex first, and an array takes the numpy route.  The
     scalar and array routes agree to a few ulp, not bit for bit: numpy's

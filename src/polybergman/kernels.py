@@ -3,10 +3,17 @@
 Every identity is implemented along two independent routes so they can be
 tested against each other:
 
-  * closed forms in the pair invariants (rational in s, q over a principal
-    power of w = 1 - 2s + q),
-  * zonal series sum_m g(m) Z^p_m(x, y) truncated by the proven bound
-    |Z^p_m(x, y)| <= D_p(m) (|x||y|)^m (zonal.polyharmonic_dims).
+  * closed forms in the pair terms s, q, w (rational in s, q over a
+    principal power of w = 1 - 2s + q),
+  * zonal series sum_m g(m) Z^p_m(x, y) in the pair terms t, zeta,
+    truncated by the proven bound |Z^p_m(x, y)| <= D_p(m) (|x||y|)^m
+    (zonal.polyharmonic_dims).
+
+Each route reads a pair once, through its own checked entry: _closed_pair
+returns core.closed_terms, and _series_pair core.zonal_terms (or the whole
+record, core.pair_invariants, for the decomposition, which also reads q).
+So a closed form computes no cosine and no zeta, and a series sum no s, q
+or w.
 
 The weighted family replaces the g(m) = n + 2m weight with a Gamma-ratio
 coefficient and admits both a direct series and a decomposition into
@@ -26,14 +33,15 @@ import numpy as np
 from .core import (
     EPS_SING,
     KernelConfig,
-    PairInvariants,
     RotatedPoint,
     check_integer,
     check_real,
     check_weight_parameters,
+    closed_terms,
     pair_invariants,
     principal_pow,
     sphere_area,
+    zonal_terms,
 )
 from .errors import ConvergenceDomain, NearSingular
 from .zonal import _scalar_poly_sum, _window, polyharmonic_dims
@@ -228,49 +236,58 @@ def make_truncation(cfg: KernelConfig, r: float, tol: float, kind: str = "poisso
     return Truncation(truncation_degree(cfg, r, tol, kind), tol, calibrated_constant(cfg))
 
 
-def _checked_pair(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, series: bool) -> PairInvariants:
-    """pair_invariants(x, y) after the dimension check (ValueError) and the
-    domain check of the zonal series (ConvergenceDomain) or of the closed
-    forms (NearSingular).
-
-    The dimensions are the lengths of the points' stored float_coords: a
-    closed form costs a few µs, and each numpy attribute read is a
-    noticeable share of it.
-    """
+def _check_dimension(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> None:
+    """ValueError unless both points have dimension cfg.n: the lengths of
+    their stored float_coords, as a closed form costs a few µs and each
+    numpy attribute read is a noticeable share of it."""
     if len(x.float_coords) != cfg.n or len(y.float_coords) != cfg.n:
         raise ValueError(f"dimension mismatch: n={cfg.n}, x:{x.dim}, y:{y.dim}")
+
+
+def _closed_pair(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> tuple[complex, complex, complex]:
+    """The closed forms' one read of a pair: (s, q, w) = closed_terms(x, y)
+    after the dimension check (ValueError) and the check of |x||y|, then
+    the check of |w| (NearSingular near either singularity)."""
+    _check_dimension(cfg, x, y)
     rr = x.radius * y.radius
-    if series:
-        if rr > cfg.r_max:
-            raise ConvergenceDomain(f"radius product {rr:.17g} exceeds r_max={cfg.r_max}")
-        return pair_invariants(x, y)
     if rr >= 1.0 - EPS_SING:
         raise NearSingular(f"radius product {rr:.17g} too close to 1")
-    inv = pair_invariants(x, y)
-    if abs(inv.w) <= EPS_SING:
-        raise NearSingular(f"|w|={abs(inv.w):.3g} within eps_sing={EPS_SING:g}")
-    return inv
+    terms = closed_terms(x, y)
+    if abs(terms[2]) <= EPS_SING:
+        raise NearSingular(f"|w|={abs(terms[2]):.3g} within eps_sing={EPS_SING:g}")
+    return terms
 
 
-def _poisson_from(inv: PairInvariants, p: int, root: complex) -> complex:
-    """(1 - q^p) / w^(n/2) from the pair invariants and root = w^(n/2)."""
-    return (1.0 - inv.q**p) / root
+def _series_pair(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, read):
+    """The zonal series' one read of a pair, read(x, y), after the dimension
+    check (ValueError) and the check of |x||y| against r_max
+    (ConvergenceDomain): read is zonal_terms, (t, zeta), for the series
+    sums, and pair_invariants for the decomposition, which also reads q."""
+    _check_dimension(cfg, x, y)
+    rr = x.radius * y.radius
+    if rr > cfg.r_max:
+        raise ConvergenceDomain(f"radius product {rr:.17g} exceeds r_max={cfg.r_max}")
+    return read(x, y)
 
 
-def _bergman_from(cfg: KernelConfig, inv: PairInvariants, p: int, root: complex) -> complex:
-    """The order-p Bergman closed form from the pair invariants and
+def _poisson_from(q: complex, p: int, root: complex) -> complex:
+    """(1 - q^p) / w^(n/2) from the pair's q and root = w^(n/2)."""
+    return (1.0 - q**p) / root
+
+
+def _bergman_from(n: int, s: complex, q: complex, w: complex, p: int, root: complex) -> complex:
+    """The order-p Bergman closed form from the pair's terms s, q, w and
     root = w^(n/2): the numerator over n Vol_n * root * w, so w^(n/2+1)
     costs one multiplication more than the Poisson kernel's power."""
-    n = cfg.n
-    qp = inv.q**p
-    num = (n - 4 * p) * qp * inv.q + (8 * p * inv.s - n - 4 * p) * qp + n * (1.0 - inv.q)
-    return num / (sphere_area(n) * root * inv.w)
+    qp = q**p
+    num = (n - 4 * p) * qp * q + (8 * p * s - n - 4 * p) * qp + n * (1.0 - q)
+    return num / (sphere_area(n) * root * w)
 
 
 def poisson(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
     """Closed-form polyharmonic Poisson kernel (1 - q^p) / w^(n/2)."""
-    inv = _checked_pair(cfg, x, y, series=False)
-    return _poisson_from(inv, cfg.p, principal_pow(inv.w, 0.5 * cfg.n))
+    _, q, w = _closed_pair(cfg, x, y)
+    return _poisson_from(q, cfg.p, principal_pow(w, 0.5 * cfg.n))
 
 
 def bergman(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
@@ -279,8 +296,8 @@ def bergman(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
     [(n-4p) q^(p+1) + (8p s - n - 4p) q^p + n (1-q)] / (n Vol_n w^(n/2+1));
     p = 1 recovers the classical harmonic Bergman kernel.
     """
-    inv = _checked_pair(cfg, x, y, series=False)
-    return _bergman_from(cfg, inv, cfg.p, principal_pow(inv.w, 0.5 * cfg.n))
+    s, q, w = _closed_pair(cfg, x, y)
+    return _bergman_from(cfg.n, s, q, w, cfg.p, principal_pow(w, 0.5 * cfg.n))
 
 
 def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> complex:
@@ -293,14 +310,14 @@ def bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> c
     w^(n/2), the power bergman takes too, so p = 1 (geo = 1, lin = 0) is
     bergman exactly.
     """
-    inv = _checked_pair(cfg, x, y, series=False)
-    root = principal_pow(inv.w, 0.5 * cfg.n)
-    q = inv.q
+    s, q, w = _closed_pair(cfg, x, y)
+    n = cfg.n
+    root = principal_pow(w, 0.5 * n)
     geo, lin = 1.0, 4.0 * (cfg.p - 1)
     for k in range(cfg.p - 2, -1, -1):
         geo = geo * q + 1.0
         lin = lin * q + 4 * k
-    return geo * _bergman_from(cfg, inv, 1, root) + lin * _poisson_from(inv, 1, root) / sphere_area(cfg.n)
+    return geo * _bergman_from(n, s, q, w, 1, root) + lin * _poisson_from(q, 1, root) / sphere_area(n)
 
 
 def _zonal_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Truncation, kind: str) -> complex:
@@ -308,10 +325,10 @@ def _zonal_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Tr
     normalized by n Vol_n for the Bergman kinds: one scalar zonal sum
     (zonal_poly_sum's scalar branch) over the memoised weight window, read
     up to max_degree."""
-    inv = _checked_pair(cfg, x, y, series=True)
+    t, zeta = _series_pair(cfg, x, y, zonal_terms)
     top = trunc.max_degree
     g = _weight_table(cfg.n, cfg.alpha, cfg.beta, kind, _window(top))
-    total = _scalar_poly_sum(g, top, cfg.p, inv.t, inv.zeta, cfg.n)
+    total = _scalar_poly_sum(g, top, cfg.p, t, zeta, cfg.n)
     return total if kind == "poisson" else total / sphere_area(cfg.n)
 
 
@@ -340,7 +357,7 @@ def weighted_bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPo
     the direct series' second, independent route: p order-1 sums against
     one window-form sum of order p.
     """
-    inv = _checked_pair(cfg, x, y, series=True)
+    inv = _series_pair(cfg, x, y, pair_invariants)
     top = trunc.max_degree
     total = 0j
     for k in reversed(range(min(cfg.p, top // 2 + 1))):
@@ -382,15 +399,15 @@ def derivative_form_check(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -
     """
     if not float(cfg.beta).is_integer():  # KernelConfig already has beta > -1
         raise ValueError(f"derivative form needs an integer beta >= 0, got {cfg.beta}")
-    inv = _checked_pair(cfg, x, y, series=False)
+    s, q, w = _closed_pair(cfg, x, y)
     beta = int(cfg.beta)
     order = beta + 1
     gamma_exp = 0.5 * (cfg.n + cfg.alpha) + beta
     t_jet = _power_jet((1.0, 1.0), gamma_exp, order)
-    qp = inv.q**cfg.p
+    qp = q**cfg.p
     num_jet = [-qp * c for c in _power_jet((1.0, 1.0), 2 * cfg.p, order)]
     num_jet[0] += 1.0
-    w_jet = _power_jet((inv.w, 2.0 * (inv.q - inv.s), inv.q), -0.5 * cfg.n, order)
+    w_jet = _power_jet((w, 2.0 * (q - s), q), -0.5 * cfg.n, order)
     f = _jet_mul(_jet_mul(t_jet, num_jet), w_jet)
     norm = 2.0 / (math.factorial(beta) * sphere_area(cfg.n))
     return complex(norm * math.factorial(order) * f[order])

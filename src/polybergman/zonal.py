@@ -11,7 +11,8 @@ polyharmonics of order p are the finite sums
     Z^p_m(x, y) = sum_{k<p} q^k Z_{m-2k}(x, y),
 
 with q = zeta^2 and terms dropped once m - 2k < 0; t and zeta of a pair come
-from core.pair_invariants, as the closed forms' s, q and w do.  Since
+from core.zonal_terms, as the closed forms' s, q and w come from
+core.closed_terms.  Since
 q^k zeta^(m-2k) = zeta^m, this is Z^p_m = zeta^m S_m(t) with the real window
 sum S_m = sum_{k<p, 2k<=m} z_{m-2k}(t) (_window_sums), and a series
 sum_m g[m] Z^p_m is one polynomial in zeta with the real coefficients
@@ -25,12 +26,13 @@ closed form.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from operator import add, mul
 
 import numpy as np
 
-from .core import KernelConfig, RotatedPoint, check_integer, pair_invariants
+from .core import KernelConfig, RotatedPoint, check_integer, zonal_terms
 
 BACKEND_NAME = "numpy"
 """Array backend of the zonal recurrence; only the benchmark's run stamp
@@ -235,9 +237,13 @@ def zonal_polyharmonic(
 
     At p = 1 this is the extended zonal harmonic
     Z_m(x, y) = e^{i m (phi-psi)} (|a||b|)^m z_m(a.b / |a||b|).
+    m is a nonnegative integer (check_integer) no larger than sys.maxsize,
+    the longest list; ValueError otherwise, before anything is allocated.
     """
     m = check_integer("degree", m, 0)
+    if m > sys.maxsize:
+        raise ValueError(f"degree {m} exceeds the longest list, sys.maxsize = {sys.maxsize}")
     if x.dim != y.dim or x.dim != cfg.n:
         raise ValueError(f"dimension mismatch: n={cfg.n}, x:{x.dim}, y:{y.dim}")
-    inv = pair_invariants(x, y)
-    return complex(zonal_poly_sum([0.0] * m + [1.0], cfg.p, inv.t, inv.zeta, cfg.n))
+    t, zeta = zonal_terms(x, y)
+    return complex(zonal_poly_sum([0.0] * m + [1.0], cfg.p, t, zeta, cfg.n))

@@ -96,6 +96,14 @@ class TestEval:
         assert lines[0].startswith("n,p,alpha,beta,phase_x,phase_y,ax1")
         assert_allclose(float(lines[1].split(",")[-3]), 255.0 / 108.0, rtol=1e-12)
 
+    def test_zonal_degree_beyond_a_list_length_exits_2(self, run_cli):
+        # 10^21 is beyond any list length: a ValueError before the degree's
+        # list of weights is built, where it raised OverflowError (exit 1)
+        res = run_cli("eval", "--kernel", "zonal", "--m", "1000000000000000000000", "--x", "0.1,0,0", "--y", "0,0.2,0")
+        assert res.returncode == 2 and res.stdout == ""
+        err = json.loads(res.stderr)
+        assert err["error"] == "validation" and "degree 1000000000000000000000" in err["message"]
+
     def test_usage_errors_exit_2(self, run_cli):
         assert run_cli("eval", "--kernel", "zonal", "--x", "0.1,0,0", "--y", "0,0,0").returncode == 2
         assert run_cli("eval", "--x", "0.1,0", "--y", "0,0,0").returncode == 2

@@ -1,9 +1,14 @@
+import cmath
 import math
+import operator
+import struct
 import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from polybergman import (
@@ -31,8 +36,10 @@ from polybergman import (
     weighted_coefficient,
     zonal_polyharmonic,
 )
-from polybergman import kernels, zonal
-from polybergman.kernels import _power_jet, _weight_table
+from polybergman import core, kernels, zonal
+from polybergman.core import EPS_SING, sphere_area
+from polybergman.errors import KernelDomainError
+from polybergman.kernels import _jet_mul, _power_jet, _weight_table
 
 
 def unit(v):
@@ -232,32 +239,175 @@ class TestBergmanDecomposed:
         assert_allclose(bergman_decomposed(cfg, o, o), 1.0 / unit_ball_volume(4), rtol=1e-14)
 
     def test_pair_invariants_computed_once(self, monkeypatch):
-        # every kernel entry point reads exactly one PairInvariants
+        # every kernel entry point reads its pair exactly once, through its
+        # route's pair function: the closed forms read (s, q, w), the series
+        # (t, zeta), and the decomposition, which also reads q, the record;
+        # the three are counted wherever they are bound, pair_invariants'
+        # own calls of the two term functions included, so a closed form
+        # that computed t or zeta would show
         calls = []
+        depth = [0]
 
-        def counted(x, y):
-            calls.append((x, y))
-            return pair_invariants(x, y)
+        def counted(fn):
+            def wrapper(x, y):
+                calls.append((depth[0], fn.__name__))
+                depth[0] += 1
+                try:
+                    return fn(x, y)
+                finally:
+                    depth[0] -= 1
 
-        monkeypatch.setattr(kernels, "pair_invariants", counted)
-        monkeypatch.setattr(zonal, "pair_invariants", counted)
+            return wrapper
+
+        for fn in (core.closed_terms, core.zonal_terms, core.pair_invariants):
+            for module in (core, kernels, zonal):
+                if hasattr(module, fn.__name__):
+                    monkeypatch.setattr(module, fn.__name__, counted(fn))
         cfg = KernelConfig(n=3, p=2, alpha=0.5, beta=1.0)
         x, y = random_sector_pair(cfg, np.random.default_rng(5))
         expected = bergman(cfg, x, y)
         trunc = Truncation(max_degree=12, tol=1.0, calibrated_C=1.0)
-        for kernel in PAIR_KERNELS:
+        routes = [(kernel, (cfg, x, y), ["closed_terms"]) for kernel in PAIR_KERNELS]
+        routes += [(kernel, (cfg, x, y, trunc), ["zonal_terms"]) for kernel in SERIES_KERNELS[:3]]
+        routes.append((weighted_bergman_decomposed, (cfg, x, y, trunc), ["pair_invariants", "closed_terms", "zonal_terms"]))
+        routes.append((zonal_polyharmonic, (cfg, 5, x, y), ["zonal_terms"]))
+        for kernel, args, names in routes:
             calls.clear()
-            kernel(cfg, x, y)
-            assert len(calls) == 1, kernel.__name__
-        for kernel in SERIES_KERNELS:
-            calls.clear()
-            kernel(cfg, x, y, trunc)
-            assert len(calls) == 1, kernel.__name__
-        calls.clear()
-        zonal_polyharmonic(cfg, 5, x, y)
-        assert len(calls) == 1
+            kernel(*args)
+            assert [name for _, name in calls] == names, kernel.__name__
+            assert [d for d, _ in calls] == [0] + [1] * (len(names) - 1), kernel.__name__
         got = bergman_decomposed(cfg, x, y)
         assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+def _one_record_terms(x, y):
+    """The five pair terms as one record computed them: one phase factor,
+    one math.fsum of a.b and the points' cached norms."""
+    a, b = x.float_coords, y.float_coords
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    rot = cmath.exp(1j * (x.phase - y.phase))
+    ab = math.fsum(map(operator.mul, a, b))
+    rr = x.radius * y.radius
+    t = 0.0 if rr == 0.0 else ab / rr
+    if t > 1.0:
+        t = 1.0
+    elif t < -1.0:
+        t = -1.0
+    zeta = rr * rot
+    s = rot * ab
+    q = rot * rot * (x.norm2 * y.norm2)
+    return s, q, 1.0 - 2.0 * s + q, t, zeta
+
+
+def _record_closed_route(kernel, cfg, x, y):
+    """A closed form along the route that read the whole record: the checks,
+    the record, principal_pow(w, n/2) and the formulas."""
+    if kernel is derivative_form_check and not float(cfg.beta).is_integer():
+        raise ValueError(f"derivative form needs an integer beta >= 0, got {cfg.beta}")
+    if len(x.float_coords) != cfg.n or len(y.float_coords) != cfg.n:
+        raise ValueError(f"dimension mismatch: n={cfg.n}, x:{x.dim}, y:{y.dim}")
+    rr = x.radius * y.radius
+    if rr >= 1.0 - EPS_SING:
+        raise NearSingular(f"radius product {rr:.17g} too close to 1")
+    s, q, w, _, _ = _one_record_terms(x, y)
+    if abs(w) <= EPS_SING:
+        raise NearSingular(f"|w|={abs(w):.3g} within eps_sing={EPS_SING:g}")
+    n, p = cfg.n, cfg.p
+
+    def bergman_of(order, root):
+        qp = q**order
+        num = (n - 4 * order) * qp * q + (8 * order * s - n - 4 * order) * qp + n * (1.0 - q)
+        return num / (sphere_area(n) * root * w)
+
+    if kernel is derivative_form_check:
+        beta = int(cfg.beta)
+        order = beta + 1
+        t_jet = _power_jet((1.0, 1.0), 0.5 * (n + cfg.alpha) + beta, order)
+        qp = q**p
+        num_jet = [-qp * c for c in _power_jet((1.0, 1.0), 2 * p, order)]
+        num_jet[0] += 1.0
+        w_jet = _power_jet((w, 2.0 * (q - s), q), -0.5 * n, order)
+        f = _jet_mul(_jet_mul(t_jet, num_jet), w_jet)
+        return complex(2.0 / (math.factorial(beta) * sphere_area(n)) * math.factorial(order) * f[order])
+    root = principal_pow(w, 0.5 * n)
+    if kernel is poisson:
+        return (1.0 - q**p) / root
+    if kernel is bergman:
+        return bergman_of(p, root)
+    geo, lin = 1.0, 4.0 * (p - 1)
+    for k in range(p - 2, -1, -1):
+        geo = geo * q + 1.0
+        lin = lin * q + 4 * k
+    return geo * bergman_of(1, root) + lin * ((1.0 - q) / root) / sphere_area(n)
+
+
+def _outcome(fn, *args):
+    """fn(*args) as packed bits, or the type and message of what it raised."""
+    try:
+        value = fn(*args)
+    except (ValueError, ArithmeticError, KernelDomainError) as exc:
+        return type(exc), str(exc)
+    return struct.pack("<dd", value.real, value.imag)
+
+
+@st.composite
+def closed_cases(draw):
+    """A configuration and a pair: n 2-6, p 1-4, integer and non-integer
+    beta, sector or arbitrary phases and radius products up to 0.999, with
+    a share near it; in some cases the second direction is a jitter of the
+    first at the same phase, so that w gets small, the radius product is 1
+    or within 1e-7 or 1e-13 of it (|w| or |x||y| then meets its
+    NearSingular check), or a point has another dimension."""
+    n, p = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    cfg = KernelConfig(n=n, p=p, alpha=draw(st.sampled_from([0.0, 0.5, 2.0])), beta=draw(st.sampled_from([0.0, 1.0, 2.0, 0.5])))
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).filter(lambda v: math.hypot(*v) > 1e-3)
+    a = np.array(draw(unit))
+    phase = st.one_of(st.integers(0, 2 * p - 1).map(cfg.sector_phase), st.floats(-math.pi, math.pi))
+    phase_x = draw(phase)
+    if draw(st.booleans()):
+        b, phase_y = a + draw(st.floats(1e-9, 1e-2)) * np.array(draw(unit)), phase_x
+    else:
+        b, phase_y = np.array(draw(unit)), draw(phase)
+    rr = draw(st.one_of(st.floats(0.0, 0.999), st.floats(0.0, 3.0).map(lambda e: 1.0 - 10.0**-e)))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        rr = draw(st.sampled_from([1.0 - 1e-7, 1.0 - 1e-13, 1.0]))
+    split = draw(st.floats(0.25, 0.75))
+    x = make_rotated_point(phase_x, rr**split * a / np.linalg.norm(a))
+    yb = rr ** (1.0 - split) * b / np.linalg.norm(b)
+    if draw(st.sampled_from([False] * 9 + [True])):
+        yb = np.append(yb, 0.0)
+    return cfg, x, make_rotated_point(phase_y, yb)
+
+
+class TestClosedRouteBits:
+    """The closed forms read the three closed terms and nothing else; every
+    value and every error is the one that the route through the whole
+    record gave."""
+
+    @given(case=closed_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_bit_for_bit_the_record_route(self, case):
+        cfg, x, y = case
+        for kernel in PAIR_KERNELS:
+            assert _outcome(kernel, cfg, x, y) == _outcome(_record_closed_route, kernel, cfg, x, y), kernel.__name__
+
+    @given(case=closed_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_the_term_functions_are_the_record_fields(self, case):
+        _, x, y = case
+        try:
+            record = _one_record_terms(x, y)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                pair_invariants(x, y)
+            assert str(raised.value) == str(exc)
+            return
+        packed = [struct.pack("<dd", v.real, v.imag) for v in record]
+        terms = core.closed_terms(x, y) + core.zonal_terms(x, y)
+        assert [struct.pack("<dd", v.real, v.imag) for v in terms] == packed
+        assert type(terms[3]) is float
+        assert [struct.pack("<dd", v.real, v.imag) for v in pair_invariants(x, y)] == packed
 
 
 class TestDimensionMismatch:
@@ -884,10 +1034,12 @@ class TestTruncationSoundness:
 class TestScalarSeriesCall:
     def test_a_warm_series_call_makes_no_numpy_call(self):
         # a series call for one pair, its make_truncation included, runs on
-        # Python numbers once the memos hold its tables: the profile hook
-        # sees every Python frame and every builtin function called, and no
-        # numpy function, in Python or in C, is among them
+        # Python numbers once the memos hold its tables, and so does a
+        # closed form or the derivative form: the profile hook sees every
+        # Python frame and every builtin function called, and no numpy
+        # function, in Python or in C, is among them
         cfg = KernelConfig(n=3, p=2, alpha=1.0, beta=0.5)
+        integer_beta = KernelConfig(n=3, p=2, alpha=1.0, beta=1.0)
         x = make_rotated_point(0.0, (0.5, 0.3, 0.1))
         y = make_rotated_point(cfg.sector_phase(1), (0.4, -0.3, 0.2))
         r = x.radius * y.radius
@@ -899,7 +1051,8 @@ class TestScalarSeriesCall:
         )
 
         def calls():
-            return [series(cfg, x, y, make_truncation(cfg, r, 1e-10, kind)) for kind, series in routes]
+            values = [series(cfg, x, y, make_truncation(cfg, r, 1e-10, kind)) for kind, series in routes]
+            return values + [kernel(integer_beta, x, y) for kernel in PAIR_KERNELS]
 
         warm = calls()
         seen = []

@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 from operator import add, mul
 
 import numpy as np
@@ -167,6 +168,14 @@ class TestZonalPolyharmonic:
         x = make_rotated_point(0.0, (0.4, 0.1, 0.0))
         y = make_rotated_point(math.pi / 2, (0.2, 0.3, 0.1))
         assert zonal_polyharmonic(cfg, 1, x, y) == zonal_harmonic(3, 1, x, y)
+
+    def test_a_degree_beyond_a_list_length_raises_before_allocating(self):
+        # the degree's weight list [0.0] * m + [1.0] raised OverflowError
+        cfg = KernelConfig(n=3, p=2)
+        x = make_rotated_point(0.0, (0.4, 0.1, 0.0))
+        for m in (sys.maxsize + 1, 10**21):
+            with pytest.raises(ValueError, match=f"degree {m} exceeds"):
+                zonal_polyharmonic(cfg, m, x, x)
 
     def test_real_diagonal_order_two(self):
         # degree 2 on the diagonal picks up exactly the q = r^4 correction
