@@ -128,64 +128,45 @@ def _series_weights(n: int, alpha: float, beta: float, kind: str, top: int) -> t
 
 @lru_cache(maxsize=128)
 def _tail_terms(n: int, p: int, alpha: float, beta: float, kind: str, window: int) -> tuple[float, ...]:
-    """g(m) D_p(m) for m = 0..window-1 as Python floats, the tail bound's
-    terms without their factor r^m.  They increase in m (truncation_degree),
-    and so do their rounded values, since rounding is monotone."""
-    return tuple(map(mul, _weight_table(n, alpha, beta, kind, window), polyharmonic_dims(n, p, window - 1).tolist()))
+    """log(g(m) D_p(m)) for m = 0..window-1 as Python floats: the logs of
+    the tail bound's factors, without their factor r^m, each taken of the
+    rounded float product.  The factors increase in m (truncation_degree),
+    and so do their rounded products and logs, since rounding is monotone."""
+    weights = _weight_table(n, alpha, beta, kind, window)
+    return tuple(map(math.log, map(mul, weights, polyharmonic_dims(n, p, window - 1).tolist())))
 
 
 def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "poisson") -> int:
     """Smallest M with sum_{m>M} g(m) D_p(m) r^m below tol: a bound on the
     series tail at radius product r, as |Z^p_m| <= D_p(m) (|x||y|)^m.
 
-    The tail is bounded by a geometric-ratio estimate: term ratios of
-    a_m = g(m) D_p(m) r^m decrease monotonically toward r, so
-    sum_{m>M} a_m <= a_{M+1} / (1 - a_{M+2}/a_{M+1}) once that ratio is
-    below one.  The terms are scanned on Python floats in degree order and
-    the scan stops at the first M that passes; their factors
-    c[m] = g(m) D_p(m) come from a table per configuration and window of
-    64 * 2^j degrees, which doubles while the scan runs past it.  The pass
-    test is that bound itself, rho = a2/a1 < 1 and a1 / (1 - rho) < tol,
-    with no product of terms, which would underflow to 0 once the terms
-    are subnormal.
-
-    The scan starts where the tail can first pass.  A pass at M needs
-    a_{M+1} <= a_{M+1} / (1 - rho) < tol, so with c_min the least factor
-    c[m], m >= 1, no M with c_min r^(M+1) >= tol passes.  The
-    factors increase in m for every kind: D_p(m) does, and so
-    does g(m), which is 1, n + 2m, or the Gamma ratio with
-    g(m+1)/g(m) = (z + beta + 1)/z > 1 for beta > -1.  So c_min is the
-    m = 1 factor, read off the first window of 64 degrees, and bounds every
-    window.  The start is floor(log(tol / c_min) / log r) less a
-    rounding margin of 1e-12 in the logarithm and one degree, which covers
-    the rounding of the logs, of the power and of the products.  A start at
-    or above the degree cap m_cap = 100,000 raises ConvergenceDomain at
-    once, with no table beyond the first; otherwise the first table scanned
-    is the window holding the start (the first window's table, read once,
-    when the start lies inside it), and the scan's first term is its own
-    expression, so the degree returned is the full scan's bit for bit.
-
-    Where the terms underflow the float test cannot pass: once a computed
-    term c[m] * r ** m is 0, a2 < a1 never holds again.  Nor does a
-    computed 0 bound the exact term: r ** m may round to 0, or to a
-    subnormal of few bits, while c[m] is large, so c[m] r^m may be as large
-    as c[m] 2^-1074.  So when a window's scan ends on a term that is 0, the
-    degrees scanned since the last such test (at first, from the start)
-    are tested in log space, where no power and no product is formed: M
-    passes when rho = (c[M+2] / c[M+1]) r < 1 and
+    The factors c[m] = g(m) D_p(m) increase in m for every kind: D_p(m)
+    does, and so does g(m), which is 1, n + 2m, or the Gamma ratio with
+    g(m+1)/g(m) = (z + beta + 1)/z > 1 for beta > -1.  So with
+    rho = (c[M+2] / c[M+1]) r >= r the terms a_m = c[m] r^m after M sum to
+    at most a_{M+1} / (1 - rho) once rho < 1.  Degrees are scanned in
+    order in log space, where no term underflows, and M passes when
+    rho < 1 and
 
         log c[M+1] + (M+1) log r - log1p(-rho) + slack < log tol,
 
-    the logarithm of the same bound a_{M+1} / (1 - rho).  Each logarithm
-    is within an ulp of its magnitude; the product by M+1, the two
-    roundings of rho and the sums add a few ulp of the sum A of the four
-    logarithms' magnitudes, and rho's rounding moves log1p(-rho) by at most
-    2^-50 / (1 - rho).  slack = 2^-40 (A + 1 / (1 - rho)) exceeds all of
-    them, so a degree that passes has the exact bound below tol, and the
-    first one is returned: the float test failed at every degree before it.
-    The test runs only at the end of a window that did not pass, never per
-    degree, and it answers 0 where the first term c_min * r rounds to 0.
-    r and tol are real numbers (check_real), r nonnegative and tol
+    with log c[m] read from the table of the window of 64 * 2^j degrees
+    that holds M + 2 (_tail_terms) and rho = exp(log c[M+2] - log c[M+1]) r.
+    Each logarithm is within an ulp of its magnitude, below 2^10, so rho's
+    relative rounding is below 2^-41 and moves log1p(-rho) by less than
+    2^-41 / (1 - rho); the product by M+1 and the sums add a few ulp of the
+    sum A of the four logarithms' magnitudes.  slack =
+    2^-40 (A + 1 / (1 - rho)) exceeds both, so at the first degree that
+    passes, the one returned, the exact bound on the table's factors is
+    below tol.  Every passing degree has log a_{M+1} < log tol + log1p(-r),
+    as rho >= r, and a degree pays for rho only once it meets that gate.
+
+    The scan starts at floor(log(tol / c[1]) / log r) less a rounding
+    margin of 1e-12 in the logarithm and one degree: a pass needs
+    a_{M+1} < tol, and c[1] is the least factor of m >= 1.  A start at or
+    above the degree cap m_cap = 100,000 raises ConvergenceDomain at once,
+    with no table beyond the first, and so does a scan that reaches the
+    cap.  r and tol are real numbers (check_real), r nonnegative and tol
     positive, both finite; ValueError otherwise.
     """
     tol, r = check_real("tolerance", tol), check_real("radius", r)
@@ -197,39 +178,28 @@ def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "pois
         raise ConvergenceDomain(f"radius {r} exceeds r_max={cfg.r_max}")
     m_cap = 100_000
     config = (cfg.n, cfg.p, cfg.alpha, cfg.beta, kind)
-    c = _tail_terms(*config, 64)  # ValueError for an unknown kind
+    log_c = _tail_terms(*config, 64)  # ValueError for an unknown kind
     if r == 0.0:
         return 0
-    start = (math.log(tol) - math.log(c[1]) + 1e-12) / math.log(r) - 1.0
+    log_r, log_tol = math.log(r), math.log(tol)
+    start = (log_tol - log_c[1] + 1e-12) / log_r - 1.0
     if start >= m_cap:
         raise ConvergenceDomain(f"no truncation below {tol} found for r={r}: the tail passes beyond degree {m_cap}")
-    lo = tested = max(0, int(start))
-    window = _window(lo + 2)
-    if window > 64:
-        c = _tail_terms(*config, window)
-    while True:
-        a1 = c[lo + 1] * r ** (lo + 1)
-        for big_m in range(lo, min(window - 2, m_cap)):
-            a2 = c[big_m + 2] * r ** (big_m + 2)
-            # a2 < a1 is tested first, so a1 > 0: no division by a term
-            # that underflowed to 0 far beyond M
-            if a2 < a1 and a1 / (1.0 - a2 / a1) < tol:
-                return big_m
-            a1 = a2
-        if a1 == 0.0:
-            log_r, log_tol = math.log(r), math.log(tol)
-            for big_m in range(tested, min(window - 2, m_cap)):
-                rho = c[big_m + 2] / c[big_m + 1] * r
-                if rho < 1.0:
-                    log_c, log_rm, log_q = math.log(c[big_m + 1]), (big_m + 1) * log_r, math.log1p(-rho)
-                    slack = 2.0**-40 * (abs(log_c) - log_rm - log_q + abs(log_tol) + 1.0 / (1.0 - rho))
-                    if log_c + log_rm - log_q + slack < log_tol:
-                        return big_m
-            tested = window - 2
-        if window - 2 >= m_cap:
-            raise ConvergenceDomain(f"no truncation below {tol} found for r={r}")
-        lo, window = window - 2, 2 * window
-        c = _tail_terms(*config, window)
+    gate, end = log_tol + math.log1p(-r), len(log_c) - 2
+    for big_m in range(max(0, int(start)), m_cap):
+        if big_m >= end:  # the window that holds big_m + 2
+            log_c = _tail_terms(*config, _window(big_m + 2))
+            end = len(log_c) - 2
+        log_rm = (big_m + 1) * log_r
+        if log_c[big_m + 1] + log_rm < gate:
+            log_c1 = log_c[big_m + 1]
+            rho = math.exp(log_c[big_m + 2] - log_c1) * r
+            if rho < 1.0:
+                log_q = math.log1p(-rho)
+                slack = 2.0**-40 * (abs(log_c1) - log_rm - log_q + abs(log_tol) + 1.0 / (1.0 - rho))
+                if log_c1 + log_rm - log_q + slack < log_tol:
+                    return big_m
+    raise ConvergenceDomain(f"no truncation below {tol} found for r={r}")
 
 
 def make_truncation(cfg: KernelConfig, r: float, tol: float, kind: str = "poisson") -> Truncation:
@@ -419,12 +389,18 @@ def is_sector_phase(cfg: KernelConfig, phase: float) -> bool:
 
 
 def evaluation_regime(cfg: KernelConfig, *points: RotatedPoint) -> str:
-    """'standard' inside the series domain, 'extension' otherwise.
+    """'standard' inside the union of rotated balls and below r_max,
+    'extension' otherwise.
 
     Points at radius >= r_max or at non-sector phases are flagged as the
-    extension regime: the closed forms still evaluate there, but the series
-    serves radius products up to r_max only and the union of rotated balls
-    holds sector points only.
+    extension regime: outside the union, which holds sector points only, or
+    beyond the radius products the series serves.  It does not mean
+    unchecked.  With t = cos a, w = (1 - zeta e^{ia})(1 - zeta e^{-ia}),
+    and for |zeta| = |x||y| < 1 both factors have a positive real part, so
+    arg w is the sum of their arguments and the principal power of w is
+    the series' continuation at every phase, with |w| >= (1 - |x||y|)^2
+    (tests/test_core.py checks both).  So the closed forms serve any phase,
+    and the series any phase at radius products up to r_max.
     """
     for pt in points:
         if pt.radius >= cfg.r_max or not is_sector_phase(cfg, pt.phase):

@@ -234,6 +234,40 @@ class TestPairInvariants:
             assert_allclose(inv.w, float(a @ a) * float(b @ b) - 2 * float(a @ b) + 1.0)
             assert inv.w >= (1 - np.linalg.norm(a) * np.linalg.norm(b)) ** 2 - 1e-15
 
+    def test_w_is_the_product_of_two_factors_in_the_right_half_plane(self):
+        # with t = cos a, w = (1 - zeta e^{ia})(1 - zeta e^{-ia}), and for
+        # |zeta| = |x||y| < 1 both factors have a positive real part: arg w
+        # is the sum of their arguments, inside (-pi, pi) at every phase, so
+        # the principal power of w continues the series off the sectors, and
+        # |w| >= (1 - |x||y|)^2.  The checks allow w's rounding, a few ulp
+        # of its terms 1 + 2|s| + |q|, which moves arg w by that over |w|
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 4, 5):
+            for k in range(400):
+                a = rng.normal(size=n)
+                a /= np.linalg.norm(a)
+                # every fourth pair near the singularity w = 0: a radius
+                # product near 0.99, nearly aligned, at nearly equal phases
+                near = k % 4 == 0
+                b = a + 1e-3 * rng.normal(size=n) if near else rng.normal(size=n)
+                b /= np.linalg.norm(b)
+                rr = 0.99 * (1.0 - 1e-3 * rng.uniform() if near else rng.uniform())
+                ra = rng.uniform(rr, 1.0)
+                phase = rng.uniform(-math.pi, math.pi)
+                x = make_rotated_point(phase, ra * a)
+                phase = phase + 1e-3 * rng.normal() if near else rng.uniform(-math.pi, math.pi)
+                y = make_rotated_point(phase, rr / ra * b)
+                inv = pair_invariants(x, y)
+                rr = x.radius * y.radius
+                turn = cmath.exp(1j * math.acos(inv.t))
+                plus, minus = 1.0 - inv.zeta * turn, 1.0 - inv.zeta / turn
+                assert plus.real > 0.0 and minus.real > 0.0
+                scale = 1.0 + 2.0 * abs(inv.s) + abs(inv.q)
+                err = abs(cmath.phase(plus) + cmath.phase(minus) - cmath.phase(inv.w))
+                assert err <= 16 * eps * scale / abs(inv.w), (n, k, err)
+                assert abs(inv.w) >= (1.0 - rr) ** 2 - 16 * eps * scale, (n, k)
+
     def test_matches_50_digit_oracle(self):
         # every invariant within a few ulp of mpmath on the same float
         # inputs: s, q and zeta relative to their size, t absolutely, and w

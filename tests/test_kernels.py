@@ -771,9 +771,10 @@ class TestTruncationDegree:
 def _reference_truncation_degree(cfg, r, tol, kind):
     """The term-by-term search on the bound sum_{m>M} g(m) D_p(m) r^m: two
     terms per step, D_p(m) summed in integers from sph_dim, weights from
-    weighted_coefficient.  Once a float term has underflowed to 0 before
-    the bound passed, the first degree whose bound a_{M+1} / (1 - rho),
-    taken in 30-digit mpmath where no term underflows, is below tol."""
+    weighted_coefficient.  Once a float power r^m falls below the least
+    normal float, where it keeps only a few bits or none, the search goes
+    on from that degree with the bound a_{M+1} / (1 - rho) taken in
+    30-digit mpmath, where no term underflows."""
     if r == 0.0:
         return 0
 
@@ -783,17 +784,18 @@ def _reference_truncation_degree(cfg, r, tol, kind):
             g = weighted_coefficient(cfg.n, cfg.alpha, cfg.beta, m)
         return g * _polyharmonic_dim(cfg.n, cfg.p, m)
 
-    for big_m in range(100_000):
-        a1 = factor(big_m + 1) * r ** (big_m + 1)
-        if a1 == 0.0:
+    for first in range(100_000):
+        # a normal product of a subnormal power is as coarse as the power
+        if r ** (first + 2) < sys.float_info.min:
             break
-        rho = factor(big_m + 2) * r ** (big_m + 2) / a1
+        a1 = factor(first + 1) * r ** (first + 1)
+        rho = factor(first + 2) * r ** (first + 2) / a1
         if rho < 1.0 and a1 / (1.0 - rho) < tol:
-            return big_m
+            return first
     else:
         raise AssertionError("reference search did not stop")
     with mpmath.workdps(30):
-        for big_m in range(100_000):
+        for big_m in range(first, 100_000):
             a1 = mpmath.mpf(factor(big_m + 1)) * mpmath.mpf(r) ** (big_m + 1)
             rho = mpmath.mpf(factor(big_m + 2)) / factor(big_m + 1) * r
             if rho < 1 and a1 / (1 - rho) < tol:
@@ -842,7 +844,7 @@ class TestTruncationReference:
     def test_a_first_term_that_underflows_passes_at_degree_0(self, r):
         for n, p in ((2, 1), (3, 2), (5, 3)):
             cfg = KernelConfig(n=n, p=p, alpha=0.0, beta=-0.999)
-            underflows = kernels._tail_terms(n, p, 0.0, -0.999, "weighted", 64)[1] * r == 0.0
+            underflows = math.exp(kernels._tail_terms(n, p, 0.0, -0.999, "weighted", 64)[1]) * r == 0.0
             assert underflows == (r <= 1e-322)
             # the least tolerance, 5e-324, only where the first term
             # underflows: elsewhere the first term exceeds it, and the
@@ -877,6 +879,46 @@ class TestTruncationReference:
             cfg = KernelConfig(n=n, p=p, alpha=alpha, beta=beta)
             expected = _reference_truncation_degree(cfg, r, tol, kind)
             assert truncation_degree(cfg, r, tol, kind) == expected, (kind, n, p, r, tol)
+
+    # r ** m subnormal but not 0, so that a term c[m] r^m of normal size
+    # keeps only the power's few bits: a float pass test took 9422 in the
+    # first case, where the bound is 3.12 tol (r ** 9423 is 1.5e-323), and
+    # 7756 in the second, where it is 1.019 tol
+    @pytest.mark.parametrize(
+        "kind,n,p,r,tol",
+        [
+            ("poisson", 6, 1, 0.9241341384148183, 3.68892420623855e-308),
+            ("bergman", 5, 4, 0.9089762326086444, 3.248123710623537e-305),
+        ],
+    )
+    def test_subnormal_powers_return_the_first_degree_whose_bound_passes(self, kind, n, p, r, tol):
+        cfg = KernelConfig(n=n, p=p)
+        big_m = truncation_degree(cfg, r, tol, kind)
+        assert big_m == {6: 9437, 5: 7757}[n]
+        assert _table_tail_bound(cfg, kind, r, big_m) < tol <= _table_tail_bound(cfg, kind, r, big_m - 1)
+
+    def test_tiny_tolerances_return_the_first_degree_whose_bound_passes(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            kind, alpha, beta = SIX_KINDS[rng.integers(len(SIX_KINDS))]
+            cfg = KernelConfig(n=int(rng.integers(2, 7)), p=int(rng.integers(1, 5)), alpha=alpha, beta=beta)
+            r, tol = float(rng.uniform(0.05, 0.95)), float(10.0 ** rng.uniform(-323, -290))
+            big_m = truncation_degree(cfg, r, tol, kind)
+            assert _table_tail_bound(cfg, kind, r, big_m) < tol, (kind, cfg, r, tol, big_m)
+            assert big_m == 0 or _table_tail_bound(cfg, kind, r, big_m - 1) >= tol, (kind, cfg, r, tol, big_m)
+
+
+def _table_tail_bound(cfg, kind, r, big_m):
+    """The tail bound a_{M+1} / (1 - rho), rho = (c[M+2] / c[M+1]) r, in
+    40-digit mpmath on the float factors c[m] = g(m) D_p(m) whose logs
+    truncation_degree reads (_tail_terms); inf where rho >= 1."""
+    window = zonal._window(big_m + 2)
+    g = _weight_table(cfg.n, cfg.alpha, cfg.beta, kind, window)
+    dims = zonal.polyharmonic_dims(cfg.n, cfg.p, window - 1).tolist()
+    c1, c2 = g[big_m + 1] * dims[big_m + 1], g[big_m + 2] * dims[big_m + 2]
+    with mpmath.workdps(40):
+        rho = mpmath.mpf(c2) / c1 * r
+        return mpmath.mpf(c1) * mpmath.mpf(r) ** (big_m + 1) / (1 - rho) if rho < 1 else mpmath.inf
 
 
 def _numpy_window_truncation_degree(cfg, r, tol, kind):
@@ -913,15 +955,19 @@ SIX_KINDS = (
 class TestTruncationStart:
     """The proven start of the truncation scan comes from the first window
     of 64 degrees, whose least factor g(m) D_p(m), m >= 1, bounds every
-    window since the factors increase in m."""
+    window since the factors increase in m.  The scan reads the factors'
+    logs, one memoised table per configuration and window (_tail_terms)."""
 
     @pytest.mark.parametrize("kind,alpha,beta", SIX_KINDS)
     def test_factors_increase_so_the_first_window_bounds_every_window(self, kind, alpha, beta):
         for n in (2, 3, 5):
             for p in (1, 2, 4):
-                terms = kernels._tail_terms(n, p, alpha, beta, kind, 1024)
-                assert all(a <= b for a, b in zip(terms, terms[1:])), (n, p)
-                assert min(terms[1:]) == terms[1] == kernels._tail_terms(n, p, alpha, beta, kind, 64)[1]
+                log_terms = kernels._tail_terms(n, p, alpha, beta, kind, 1024)
+                weights = _weight_table(n, alpha, beta, kind, 1024)
+                factors = map(operator.mul, weights, zonal.polyharmonic_dims(n, p, 1023))
+                assert log_terms == tuple(math.log(c) for c in factors), (n, p)
+                assert all(a <= b for a, b in zip(log_terms, log_terms[1:])), (n, p)
+                assert min(log_terms[1:]) == log_terms[1] == kernels._tail_terms(n, p, alpha, beta, kind, 64)[1]
 
     @staticmethod
     def windows_asked(monkeypatch):
@@ -929,8 +975,9 @@ class TestTruncationStart:
         tail_terms = kernels._tail_terms
 
         def recorded(*args):
-            asked.append(args[-1])
-            return tail_terms(*args)
+            log_terms = tail_terms(*args)
+            asked.append(len(log_terms))
+            return log_terms
 
         monkeypatch.setattr(kernels, "_tail_terms", recorded)
         return asked
@@ -961,9 +1008,9 @@ class TestTruncationStart:
 
     def test_underflowing_terms_are_tested_at_the_window_boundary(self, monkeypatch):
         # r ** m underflows near degree 1075 at r = 0.5, in the window of
-        # 2048 degrees that holds the start; the answer lies in that window:
-        # the tail after 1098 is 0.58 of the least subnormal, after 1097 1.15
-        # (mpmath sums of (3 + 2m)(4m - 2) 2^-m)
+        # 2048 degrees that holds the start; the log-space scan needs no
+        # further table: the tail after 1098 is 0.58 of the least
+        # subnormal, after 1097 1.15 (mpmath sums of (3 + 2m)(4m - 2) 2^-m)
         asked = self.windows_asked(monkeypatch)
         assert truncation_degree(KernelConfig(n=3, p=2), 0.5, 5e-324, "bergman") == 1098
         assert asked == [64, 2048]

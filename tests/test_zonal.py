@@ -1,6 +1,7 @@
 import math
 import struct
 import sys
+import time
 from operator import add, mul
 
 import numpy as np
@@ -176,6 +177,49 @@ class TestZonalPolyharmonic:
         for m in (sys.maxsize + 1, 10**21):
             with pytest.raises(ValueError, match=f"degree {m} exceeds"):
                 zonal_polyharmonic(cfg, m, x, x)
+
+    def test_a_degree_whose_bound_underflows_returns_zero_at_once(self):
+        # |Z^p_m| <= D_p(m) (|x||y|)^m, below 10^-156000 at m = 2 * 10^5 and
+        # radius product 0.164, where the recurrence took seconds and kept
+        # 16.8 MB of constants in _RECURRENCE to return 0j
+        cfg = KernelConfig(n=3, p=2)
+        x = make_rotated_point(0.0, (0.4, 0.0, 0.0))
+        y = make_rotated_point(1.0, (0.0, 0.41, 0.0))
+        zonal_polyharmonic(cfg, 5, x, y)
+        sizes = {n: len(table[0]) for n, table in zonal._RECURRENCE.items()}
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            assert zonal_polyharmonic(cfg, 200_000, x, y) == 0j
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.01
+        assert {n: len(table[0]) for n, table in zonal._RECURRENCE.items()} == sizes
+
+    @pytest.mark.parametrize("n,p,radius", [(2, 1, 0.5), (3, 2, 0.41), (5, 3, 0.9), (6, 4, 0.95)])
+    def test_the_recurrence_runs_up_to_the_degree_whose_bound_underflows(self, monkeypatch, n, p, radius):
+        # the least degree m0 whose bound D_p(m0) rr^m0, from exact integers
+        # in 60-digit mpmath, is below half the least subnormal returns 0j
+        # without the recurrence, and the degree before it still runs it
+        mpmath = pytest.importorskip("mpmath")
+        cfg = KernelConfig(n=n, p=p)
+        x = make_rotated_point(0.0, (radius,) + (0.0,) * (n - 1))
+        y = make_rotated_point(cfg.sector_phase(p - 1), (0.0, 1.0) + (0.0,) * (n - 2))
+        rr = x.radius * y.radius
+        with mpmath.workdps(60):
+            m0 = int(-1075 * math.log(2.0) / math.log(rr)) - 2
+            while sum(sph_dim(n, m0 - 2 * k) for k in range(p)) * mpmath.mpf(rr) ** m0 >= mpmath.mpf(2) ** -1075:
+                m0 += 1
+        calls = []
+
+        def recorded(*args):
+            calls.append(len(args[0]) - 1)
+            return zonal_poly_sum(*args)
+
+        monkeypatch.setattr(zonal, "zonal_poly_sum", recorded)
+        assert zonal_polyharmonic(cfg, m0, x, y) == 0j
+        assert calls == []
+        zonal_polyharmonic(cfg, m0 - 1, x, y)
+        assert calls == [m0 - 1]
 
     def test_real_diagonal_order_two(self):
         # degree 2 on the diagonal picks up exactly the q = r^4 correction
