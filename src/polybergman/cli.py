@@ -119,6 +119,14 @@ def _config_from_args(args) -> KernelConfig:
         raise CliError(str(exc)) from exc
 
 
+def _sector_phase(cfg, k: int) -> float:
+    """Phase k*pi/p of sector index k, with k reduced modulo 2p first, which
+    is exact since e^{i(k+2p)pi/p} = e^{ik pi/p}: an index beyond float
+    range neither overflows nor loses its phase, k and k + 2p give the same
+    point, and 0 <= k < 2p keeps the bits of k*pi/p."""
+    return math.pi * (k % (2 * cfg.p)) / cfg.p
+
+
 def _parse_point(cfg, coords_text, phase, sector, label):
     try:
         coords = [float(c) for c in coords_text.split(",") if c.strip() != ""]
@@ -129,7 +137,7 @@ def _parse_point(cfg, coords_text, phase, sector, label):
     if phase is not None and sector is not None:
         raise CliError(f"give either --{label}-phase or --{label}-sector, not both")
     if sector is not None:
-        phase = math.pi * sector / cfg.p
+        phase = _sector_phase(cfg, sector)
     try:
         return make_rotated_point(0.0 if phase is None else phase, coords)
     except ValueError as exc:
@@ -211,8 +219,7 @@ def cmd_grid(args) -> int:
         raise CliError("grid step counts must be >= 1")
     if not (0 < args.r_hi < 1):
         raise CliError("--r-hi must lie in (0, 1)")
-    phase_x = math.pi * args.x_sector / cfg.p
-    phase_y = math.pi * args.y_sector / cfg.p
+    phase_x, phase_y = _sector_phase(cfg, args.x_sector), _sector_phase(cfg, args.y_sector)
     entries = []
     for i in range(radial):
         r = (i + 1) / (radial + 1) * args.r_hi

@@ -4,16 +4,17 @@ Every point handled by this package has the form ``z = e^{i*phase} * a`` with
 ``a`` a real vector; storing (phase, a) keeps all homogeneity factors exact
 phase multiplications and avoids complex square roots entirely.  Each
 route of a kernel reads a pair x = e^{i*phi} a, y = e^{i*psi} b through its
-own function: the closed forms read closed_terms(x, y), that is
-s = x . conj(y), q = |x|^2 |conj(y)|^2 (bilinear squares, not Hermitian
-norms) and w = 1 - 2s + q; the zonal series read zonal_terms(x, y), the
-cosine t = a.b / (|a||b|) and zeta = |a||b| e^{i(phi-psi)}, with s = zeta t
-and q = zeta^2.  The record pair_invariants(x, y) holds all five, built
-from the two functions.  A point is checked, converted and frozen by its
-own constructor, as KernelConfig is, and stores what the pair layer reads:
-its coordinates as a tuple of floats, its squared norm and its radius.  So
-a closed form spends a few Python operations per pair, where a numpy call
-on 2-5 coordinates costs a µs.
+own function, after the one dimension check (check_dimension): the closed
+forms read closed_terms(x, y), that is s = x . conj(y),
+q = |x|^2 |conj(y)|^2 (bilinear squares, not Hermitian norms) and
+w = 1 - 2s + q; the zonal series read zonal_terms(x, y), the cosine
+t = a.b / (|a||b|) and zeta = |a||b| e^{i(phi-psi)}, with s = zeta t and
+q = zeta^2.  The public record pair_invariants(x, y) holds all five, built
+from the two functions; no route reads it.  A point is checked, converted
+and frozen by its own constructor, as KernelConfig is, and stores what the
+pair layer reads: its coordinates as a tuple of floats, its squared norm
+and its radius.  So a closed form spends a few Python operations per pair,
+where a numpy call on 2-5 coordinates costs a µs.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import cmath
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import ClassVar, NamedTuple
@@ -55,7 +57,8 @@ class RotatedPoint:
     ValueError otherwise.  The point stores a read-only float copy of
     coords and, at construction, all that the pair terms read: the
     coordinates as a tuple of Python floats (float_coords), the squared
-    norm coords @ coords and the radius.
+    norm coords @ coords and the radius, sqrt(norm2), or math.hypot of the
+    coordinates where norm2 is below the least normal float.
 
     Points compare and hash by identity: the generated field-wise equality
     would compare the coords arrays, whose truth value is ambiguous.
@@ -77,7 +80,7 @@ class RotatedPoint:
         coords = tuple(a.tolist())
         if not (math.isfinite(phase) and all(map(math.isfinite, coords))):
             raise ValueError(f"non-finite point: phase {phase!r}, coordinates {coords!r}")
-        if math.hypot(*coords) > 1e154:  # below it, a @ a cannot overflow
+        if (hypot := math.hypot(*coords)) > 1e154:  # below it, a @ a cannot overflow
             with np.errstate(over="ignore"):
                 if math.isinf(a @ a):
                     raise ValueError(f"squared norm of coordinates {coords!r} overflows")
@@ -87,7 +90,9 @@ class RotatedPoint:
         object.__setattr__(self, "coords", a)
         object.__setattr__(self, "float_coords", coords)
         object.__setattr__(self, "norm2", norm2)
-        object.__setattr__(self, "radius", math.sqrt(norm2))
+        # a @ a below the least normal float has lost bits or underflowed
+        # to 0, where hypot keeps the radius of a point that is not the origin
+        object.__setattr__(self, "radius", math.sqrt(norm2) if norm2 >= sys.float_info.min else hypot)
 
     __reduce__ = reduce_by_constructor
 
@@ -154,13 +159,21 @@ def pair_invariants(x: RotatedPoint, y: RotatedPoint) -> PairInvariants:
     """s, q, w, t, zeta for points x = e^{i*phi} a, y = e^{i*psi} b, as
     closed_terms and zonal_terms compute them, after the dimension check
     (ValueError); the record is built by tuple.__new__, which skips the
-    NamedTuple's Python-level __new__.  The kernels read the two term
-    functions; the record serves weighted_bergman_decomposed (t, zeta and
-    q) and the growth suite of verify.
+    NamedTuple's Python-level __new__.  No route of the library reads it:
+    each reads its own term function.
     """
     if len(x.float_coords) != len(y.float_coords):
         raise ValueError(f"dimension mismatch: {len(x.float_coords)} vs {len(y.float_coords)}")
     return _tuple_new(PairInvariants, closed_terms(x, y) + zonal_terms(x, y))
+
+
+def check_dimension(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> None:
+    """ValueError unless both points have dimension cfg.n: the one check of
+    a pair's dimension for the kernels and zonal_polyharmonic, on the
+    lengths of the stored float_coords, as a closed form costs a few µs and
+    each numpy attribute read is a noticeable share of it."""
+    if len(x.float_coords) != cfg.n or len(y.float_coords) != cfg.n:
+        raise ValueError(f"dimension mismatch: n={cfg.n}, x:{x.dim}, y:{y.dim}")
 
 
 def principal_pow(w, e: float, eps_branch: float = EPS_BRANCH):

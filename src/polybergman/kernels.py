@@ -7,13 +7,13 @@ tested against each other:
     principal power of w = 1 - 2s + q),
   * zonal series sum_m g(m) Z^p_m(x, y) in the pair terms t, zeta,
     truncated by the proven bound |Z^p_m(x, y)| <= D_p(m) (|x||y|)^m
-    (zonal.polyharmonic_dims).
+    (zonal.polyharmonic_dim, an exact integer).
 
-Each route reads a pair once, through its own checked entry: _closed_pair
-returns core.closed_terms, and _series_pair core.zonal_terms (or the whole
-record, core.pair_invariants, for the decomposition, which also reads q).
-So a closed form computes no cosine and no zeta, and a series sum no s, q
-or w.
+Each route reads a pair through its own checked entry, after the one
+dimension check (core.check_dimension): _closed_pair returns
+core.closed_terms, and _series_pair core.zonal_terms.  So a closed form
+computes no cosine and no zeta, and a series sum no s, q or w; the
+weighted decomposition, which also reads q, takes it from closed_terms.
 
 The weighted family replaces the g(m) = n + 2m weight with a Gamma-ratio
 coefficient and admits both a direct series and a decomposition into
@@ -25,26 +25,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
-
-import numpy as np
 
 from .core import (
     EPS_SING,
     KernelConfig,
     RotatedPoint,
+    check_dimension,
     check_integer,
     check_real,
     check_weight_parameters,
     closed_terms,
-    pair_invariants,
     principal_pow,
     sphere_area,
     zonal_terms,
 )
 from .errors import ConvergenceDomain, NearSingular
-from .zonal import _scalar_poly_sum, _window, polyharmonic_dims
+from .zonal import _scalar_poly_sum, _window, polyharmonic_dim
 
 
 @dataclass(frozen=True)
@@ -66,14 +64,14 @@ class Truncation:
 
 @lru_cache(maxsize=None)
 def _calibrated_constant(n: int, p: int) -> float:
-    return float(np.max(polyharmonic_dims(n, p, 40)[1:] / (p * np.arange(1.0, 41.0) ** (n - 2))))
+    return max(polyharmonic_dim(n, p, m) / (p * m ** (n - 2)) for m in range(1, 41))
 
 
 def calibrated_constant(cfg: KernelConfig) -> float:
     """max_{1<=m<=40} D_p(m) / (p m^(n-2)), Truncation's record field.
 
     Nothing in the library reads it: truncation_degree bounds |Z^p_m| by
-    D_p(m) itself (zonal.polyharmonic_dims)."""
+    D_p(m) itself (zonal.polyharmonic_dim)."""
     return _calibrated_constant(cfg.n, cfg.p)
 
 
@@ -130,10 +128,11 @@ def _series_weights(n: int, alpha: float, beta: float, kind: str, top: int) -> t
 def _tail_terms(n: int, p: int, alpha: float, beta: float, kind: str, window: int) -> tuple[float, ...]:
     """log(g(m) D_p(m)) for m = 0..window-1 as Python floats: the logs of
     the tail bound's factors, without their factor r^m, each taken of the
-    rounded float product.  The factors increase in m (truncation_degree),
-    and so do their rounded products and logs, since rounding is monotone."""
+    rounded float product of g(m) and the exact integer D_p(m).  The factors
+    increase in m (truncation_degree), and so do their rounded products and
+    logs, since rounding is monotone."""
     weights = _weight_table(n, alpha, beta, kind, window)
-    return tuple(map(math.log, map(mul, weights, polyharmonic_dims(n, p, window - 1).tolist())))
+    return tuple(map(math.log, map(mul, weights, map(polyharmonic_dim, repeat(n), repeat(p), range(window)))))
 
 
 def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "poisson") -> int:
@@ -206,19 +205,11 @@ def make_truncation(cfg: KernelConfig, r: float, tol: float, kind: str = "poisso
     return Truncation(truncation_degree(cfg, r, tol, kind), tol, calibrated_constant(cfg))
 
 
-def _check_dimension(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> None:
-    """ValueError unless both points have dimension cfg.n: the lengths of
-    their stored float_coords, as a closed form costs a few µs and each
-    numpy attribute read is a noticeable share of it."""
-    if len(x.float_coords) != cfg.n or len(y.float_coords) != cfg.n:
-        raise ValueError(f"dimension mismatch: n={cfg.n}, x:{x.dim}, y:{y.dim}")
-
-
 def _closed_pair(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> tuple[complex, complex, complex]:
     """The closed forms' one read of a pair: (s, q, w) = closed_terms(x, y)
     after the dimension check (ValueError) and the check of |x||y|, then
     the check of |w| (NearSingular near either singularity)."""
-    _check_dimension(cfg, x, y)
+    check_dimension(cfg, x, y)
     rr = x.radius * y.radius
     if rr >= 1.0 - EPS_SING:
         raise NearSingular(f"radius product {rr:.17g} too close to 1")
@@ -228,16 +219,15 @@ def _closed_pair(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> tuple[c
     return terms
 
 
-def _series_pair(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, read):
-    """The zonal series' one read of a pair, read(x, y), after the dimension
-    check (ValueError) and the check of |x||y| against r_max
-    (ConvergenceDomain): read is zonal_terms, (t, zeta), for the series
-    sums, and pair_invariants for the decomposition, which also reads q."""
-    _check_dimension(cfg, x, y)
+def _series_pair(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint) -> tuple[float, complex]:
+    """The zonal series' one read of a pair: (t, zeta) = zonal_terms(x, y)
+    after the dimension check (ValueError) and the check of |x||y| against
+    r_max (ConvergenceDomain)."""
+    check_dimension(cfg, x, y)
     rr = x.radius * y.radius
     if rr > cfg.r_max:
         raise ConvergenceDomain(f"radius product {rr:.17g} exceeds r_max={cfg.r_max}")
-    return read(x, y)
+    return zonal_terms(x, y)
 
 
 def _poisson_from(q: complex, p: int, root: complex) -> complex:
@@ -295,7 +285,7 @@ def _zonal_series(cfg: KernelConfig, x: RotatedPoint, y: RotatedPoint, trunc: Tr
     normalized by n Vol_n for the Bergman kinds: one scalar zonal sum
     (zonal_poly_sum's scalar branch) over the memoised weight window, read
     up to max_degree."""
-    t, zeta = _series_pair(cfg, x, y, zonal_terms)
+    t, zeta = _series_pair(cfg, x, y)
     top = trunc.max_degree
     g = _weight_table(cfg.n, cfg.alpha, cfg.beta, kind, _window(top))
     total = _scalar_poly_sum(g, top, cfg.p, t, zeta, cfg.n)
@@ -325,14 +315,15 @@ def weighted_bergman_decomposed(cfg: KernelConfig, x: RotatedPoint, y: RotatedPo
     max_degree - 2k, which makes the double sum an exact rearrangement of
     the direct series; the p factors are combined by Horner in q.  It is
     the direct series' second, independent route: p order-1 sums against
-    one window-form sum of order p.
+    one window-form sum of order p.  It reads (t, zeta) as the series do
+    and q from closed_terms, not the square of a rounded zeta.
     """
-    inv = _series_pair(cfg, x, y, pair_invariants)
+    (t, zeta), q = _series_pair(cfg, x, y), closed_terms(x, y)[1]
     top = trunc.max_degree
     total = 0j
     for k in reversed(range(min(cfg.p, top // 2 + 1))):
         g = _weight_table(cfg.n, cfg.alpha + 4.0 * k, cfg.beta, "weighted", _window(top - 2 * k))
-        total = total * inv.q + _scalar_poly_sum(g, top - 2 * k, 1, inv.t, inv.zeta, cfg.n)
+        total = total * q + _scalar_poly_sum(g, top - 2 * k, 1, t, zeta, cfg.n)
     return total / sphere_area(cfg.n)
 
 

@@ -5,7 +5,9 @@ Each suite runs a seeded randomized sweep and returns a report dict
 bounds names the error that the tolerance bounds; the CLI exposes
 them through ``verify --suite NAME`` and the acceptance tests drive the same
 functions.  Default sweeps: dimensions 2..5, orders 1..3, 200 point pairs
-with sector phases and radii below 0.7.
+with radii below 0.7, at sector phases, and in the five suites that
+compare two kernel routes on pairs (_pair_sweep) at uniform phases for
+every fourth pair.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import KernelConfig, RotatedPoint, make_rotated_point, pair_invariants
+from .core import KernelConfig, RotatedPoint, make_rotated_point, zonal_terms
 from .kernels import (
     bergman,
     bergman_decomposed,
@@ -41,7 +43,7 @@ from .quadrature import (
     mean_value_eval,
     reproduce,
 )
-from .zonal import polyharmonic_dims, zonal_poly_sum
+from .zonal import polyharmonic_dim, zonal_poly_sum
 
 DEFAULT_DIMS = (2, 3, 4, 5)
 DEFAULT_ORDERS = (1, 2, 3)
@@ -101,24 +103,29 @@ def _as_json(value):
     return value
 
 
-def _random_point(cfg, rng, r_hi=0.7, r_lo=0.0) -> RotatedPoint:
+def _random_point(cfg, rng, r_hi=0.7, r_lo=0.0, sector=True) -> RotatedPoint:
+    """A point of random direction and radius in [r_lo, r_hi), at a random
+    sector phase or, if not sector, a uniform phase in [-pi, pi)."""
     direction = rng.normal(size=cfg.n)
     direction /= np.linalg.norm(direction)
     radius = rng.uniform(r_lo, r_hi)
-    sector = int(rng.integers(0, cfg.p))
-    return make_rotated_point(cfg.sector_phase(sector), radius * direction)
+    phase = cfg.sector_phase(int(rng.integers(0, cfg.p))) if sector else rng.uniform(-math.pi, math.pi)
+    return make_rotated_point(phase, radius * direction)
 
 
 def _pair_sweep(seed, cases, weights=((0.0, 0.0),), r_hi=0.7):
     """(cfg, x, y) for cases pairs per dimension, order and (alpha, beta)
-    weight, drawn from one seeded generator in that loop order."""
+    weight, drawn from one seeded generator in that loop order; every
+    fourth pair has uniform phases, where the closed forms and the series
+    agree as well (kernels.evaluation_regime), the others sector phases."""
     rng = np.random.default_rng(seed)
     for n in DEFAULT_DIMS:
         for p in DEFAULT_ORDERS:
             for alpha, beta in weights:
                 cfg = KernelConfig(n=n, p=p, alpha=alpha, beta=beta)
-                for _ in range(cases):
-                    yield cfg, _random_point(cfg, rng, r_hi), _random_point(cfg, rng, r_hi)
+                for i in range(cases):
+                    x, y = (_random_point(cfg, rng, r_hi, sector=i % 4 != 3) for _ in range(2))
+                    yield cfg, x, y
 
 
 def _series_suite(suite, kind, closed_fn, series_fn, tol, seed, cases):
@@ -330,11 +337,10 @@ def suite_growth(seed: int = 42, cases: int = 65) -> dict:
             pairs = [(_random_point(cfg, rng, 1.0, 0.5), _random_point(cfg, rng, 1.0, 0.5)) for _ in range(cases)]
             x = _random_point(cfg, rng, 1.0, 0.5)
             pairs += [(x, make_rotated_point(x.phase, c * x.coords)) for c in (0.8, -0.8)]
-            inv = [pair_invariants(x, y) for x, y in pairs]
-            t, zeta = np.array([i.t for i in inv]), np.array([i.zeta for i in inv])
-            for m, dim in enumerate(polyharmonic_dims(n, p, 40)):
+            t, zeta = map(np.array, zip(*(zonal_terms(x, y) for x, y in pairs)))
+            for m in range(41):
                 z = zonal_poly_sum([0.0] * m + [1.0], p, t, zeta, n)
-                ratios = np.abs(z) / (dim * np.abs(zeta) ** m)
+                ratios = np.abs(z) / (polyharmonic_dim(n, p, m) * np.abs(zeta) ** m)
                 j = int(np.argmax(ratios))
                 sweep.add(float(ratios[j]), 1.0, cases=len(pairs), cfg=cfg, x=pairs[j][0], y=pairs[j][1], degree=m)
     note = "errors are ratios |Z^p_m| / (D_p(m) (|x||y|)^m), not absolute errors"

@@ -20,19 +20,20 @@ g[m] S_m(t).  Every zonal sum in the package goes through one assembly in
 that form, zonal_poly_sum; on a polar grid of pairs,
 quadrature._stacked_factors returns the window sums S_m(t) at the nodes,
 and the cubature sums the factors g[m] zeta^m over sectors and radii in
-closed form.
+closed form.  The bound |Z^p_m(x, y)| <= D_p(m) (|x||y|)^m that truncates
+every series reads the dimension D_p(m) as one exact integer,
+polyharmonic_dim.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from operator import add, mul
 
 import numpy as np
 
-from .core import KernelConfig, RotatedPoint, check_integer, zonal_terms
+from .core import KernelConfig, RotatedPoint, check_dimension, check_integer, zonal_terms
 
 BACKEND_NAME = "numpy"
 """Array backend of the zonal recurrence; only the benchmark's run stamp
@@ -195,11 +196,14 @@ def zonal_poly_sum(g, p: int, t, zeta, n: int):
     For a scalar t and zeta the sum runs on Python numbers, with no numpy
     call (_scalar_poly_sum).  For arrays the degree weights g[m] zeta^m,
     with the degree axis appended to zeta's shape, are contracted with the
-    window sums of the rows of zonal_values.
+    window sums of the rows of zonal_values.  An empty g raises ValueError
+    on both branches.
     """
-    if isinstance(t, (int, float)) and isinstance(zeta, (int, float, complex)):
-        return _scalar_poly_sum(g, len(g) - 1, p, _clip_cosine(t), zeta, n)
     top = len(g) - 1
+    if top < 0:
+        raise ValueError("zonal_poly_sum needs the weight of at least one degree")
+    if isinstance(t, (int, float)) and isinstance(zeta, (int, float, complex)):
+        return _scalar_poly_sum(g, top, p, _clip_cosine(t), zeta, n)
     s = _window_sums(zonal_values(t, top, n), p)
     zmat = s.reshape(top + 1, -1).T.reshape(np.shape(t) + (top + 1,))
     weights = np.asarray(g, dtype=float) * np.asarray(zeta, dtype=complex)[..., None] ** np.arange(top + 1)
@@ -216,18 +220,23 @@ def sph_dim(n: int, m: int) -> int:
     return (2 * m + n - 2) * math.comb(m + n - 3, m) // (n - 2)
 
 
-@lru_cache(maxsize=None)
-def polyharmonic_dims(n: int, p: int, top: int) -> np.ndarray:
-    """Read-only D_p(m) = sum_{k<p, 2k<=m} sph_dim(n, m-2k) for m = 0..top:
-    the dimension of the degree-m order-p homogeneous polyharmonics and the
-    sharp bound |Z^p_m(x, y)| <= D_p(m) (|x||y|)^m, since Z^p_m = zeta^m
-    sum_k z_{m-2k}(t) and |z_l(t)| <= z_l(1) = sph_dim(n, l) on [-1, 1]
-    (Szego, Orthogonal Polynomials, Thm 7.33.1)."""
-    if p < 1 or top < 0:
-        raise ValueError(f"invalid range p={p}, top={top}")
-    out = _window_sums(np.array([sph_dim(n, m) for m in range(top + 1)], dtype=float), p)
-    out.flags.writeable = False
-    return out
+def polyharmonic_dim(n: int, p: int, m: int) -> int:
+    """D_p(m), the dimension of the degree-m order-p homogeneous
+    polyharmonics in R^n, integers n >= 2, p >= 1, m >= 0 (check_integer).
+
+    The degree-m homogeneous polynomials are the degree-m harmonics plus
+    |x|^2 times the degree-(m-2) polynomials (Axler, Bourdon & Ramey,
+    Harmonic Function Theory, ch. 5), so the sum
+    D_p(m) = sum_{k<p, 2k<=m} sph_dim(n, m-2k) telescopes to
+    C(m+n-1, n-1) - C(m-2p+n-1, n-1), the second term 0 for m < 2p (a
+    binomial C(j, n-1) is 0 for 0 <= j < n-1, and j is clamped at 0).  It is
+    the sharp bound |Z^p_m(x, y)| <= D_p(m) (|x||y|)^m, since
+    Z^p_m = zeta^m sum_k z_{m-2k}(t) and |z_l(t)| <= z_l(1) = sph_dim(n, l)
+    on [-1, 1] (Szego, Orthogonal Polynomials, Thm 7.33.1).
+    """
+    n = check_integer("dimension n", n, 2)
+    p, m = check_integer("polyharmonic order p", p, 1), check_integer("degree m", m, 0)
+    return math.comb(m + n - 1, n - 1) - math.comb(max(m - 2 * p + n - 1, 0), n - 1)
 
 
 _LOG_HALF_TINY = -1075.0 * math.log(2.0)
@@ -244,11 +253,11 @@ def zonal_polyharmonic(
     m is a nonnegative integer (check_integer) no larger than sys.maxsize,
     the longest list; ValueError otherwise, before anything is allocated.
 
-    Where the bound D_p(m) rr^m (polyharmonic_dims), with rr = |x||y| the
+    Where the bound D_p(m) rr^m (polyharmonic_dim), with rr = |x||y| the
     radius product that zeta carries (zonal_terms), is below half the least
     subnormal, 0j, the correctly rounded value, returns at once, with no
-    recurrence.  The test runs in log space, with D_p(m) summed in integers
-    from sph_dim, and only where rr^m alone is below that, as D_p(m) >= 1;
+    recurrence.  The test runs in log space, with D_p(m) an exact integer,
+    and only where rr^m alone is below that, as D_p(m) >= 1;
     a zero rr is replaced by the least subnormal, which only raises the
     bound.  Each logarithm is within a few ulp of its magnitude, so with the
     product by m and the sums the test errs by less than
@@ -258,11 +267,10 @@ def zonal_polyharmonic(
     m = check_integer("degree", m, 0)
     if m > sys.maxsize:
         raise ValueError(f"degree {m} exceeds the longest list, sys.maxsize = {sys.maxsize}")
-    if x.dim != y.dim or x.dim != cfg.n:
-        raise ValueError(f"dimension mismatch: n={cfg.n}, x:{x.dim}, y:{y.dim}")
+    check_dimension(cfg, x, y)
     log_rm = m * math.log(max(x.radius * y.radius, 5e-324))
     if log_rm < _LOG_HALF_TINY:
-        log_dim = math.log(sum(sph_dim(cfg.n, m - 2 * k) for k in range(min(cfg.p, m // 2 + 1))))
+        log_dim = math.log(polyharmonic_dim(cfg.n, cfg.p, m))
         if log_dim + log_rm + 2.0**-40 * (log_dim - log_rm + 745.0) < _LOG_HALF_TINY:
             return 0j
     t, zeta = zonal_terms(x, y)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from numpy.testing import assert_allclose
 
-from polybergman import cli, unit_ball_volume
+from polybergman import cli, make_rotated_point, unit_ball_volume
 from polybergman.core import sphere_area
 from polybergman.kernels import weighted_coefficient
 from polybergman.verify import run_suite
@@ -188,6 +188,36 @@ def test_weights_on_an_unweighted_kernel_exit_2(capsys, command, flags):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert json.loads(captured.err)["error"] == "usage"
+
+
+class TestSectorIndex:
+    """A sector index k is reduced modulo 2p before its phase k*pi/p is
+    formed: 10**400 raised an OverflowError traceback (exit 1) in the float
+    product, and 10**17, which is 0 modulo 4, printed phase 1.9169."""
+
+    EVAL = ("eval", "--kernel", "poisson", "--p", "2", "--x", "0.1,0,0", "--y", "0.2,0,0")
+    GRID = ("grid", "--kernel", "poisson", "--p", "2", "--radial-steps", "2", "--angle-steps", "2")
+
+    @pytest.mark.parametrize("k", [10**400, 10**17], ids=["10**400", "10**17"])
+    def test_a_large_index_prints_the_row_of_its_residue(self, run_cli, k):
+        for command in (self.EVAL, self.GRID):
+            residue = run_cli(*command, "--x-sector", "0", "--y-sector", "1")
+            res = run_cli(*command, "--x-sector", str(k), "--y-sector", str(k + 1))
+            assert res.returncode == 0 and res.stderr == ""
+            assert res.stdout == residue.stdout
+        rec = json.loads(run_cli(*self.EVAL, "--x-sector", str(k)).stdout)
+        assert rec["x"]["phase"] == 0.0 and rec["regime"] == "standard"
+
+    @pytest.mark.parametrize("k", [-5, -1, 0, 1, 3, 7])
+    def test_k_and_k_plus_2p_print_the_same_row(self, run_cli, k):
+        for command in (self.EVAL, self.GRID):
+            outs = [run_cli(*command, "--x-sector", str(j), "--y-sector", str(j)).stdout for j in (k, k + 4)]
+            assert outs[0] == outs[1] and outs[0]
+
+    def test_indices_below_2p_keep_the_product_bits(self, run_cli):
+        for k in range(4):
+            rec = json.loads(run_cli(*self.EVAL, "--x-sector", str(k)).stdout)
+            assert rec["x"]["phase"] == make_rotated_point(math.pi * k / 2, (0.1, 0.0, 0.0)).phase
 
 
 class TestGrid:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -20,6 +21,7 @@ from polybergman import (
     radial_moment,
     unit_ball_volume,
     weighted_coefficient,
+    zonal_polyharmonic,
 )
 from polybergman.core import check_weight_parameters
 
@@ -102,7 +104,21 @@ class TestMakeRotatedPoint:
             a = np.array(coords, dtype=float)
             x = RotatedPoint(0.0, coords)
             assert x.norm2 == float(a @ a) and math.isfinite(x.norm2)
-            assert x.radius == math.sqrt(x.norm2)
+            if x.norm2 >= sys.float_info.min:
+                assert x.radius == math.sqrt(x.norm2)
+            else:  # [1e-200, 1e-170]: a @ a underflows to 0
+                assert x.radius == math.hypot(*coords) == 1e-170
+
+    def test_a_radius_whose_square_underflows_is_the_hypot(self):
+        # a @ a of (1e-170, 0, 0) underflows to 0, and the point was taken
+        # for the origin: Z_1 at n = 3 is 3 |x||y| t = 1.5e-170, not 0
+        x = make_rotated_point(0.0, (1e-170, 0.0, 0.0))
+        y = make_rotated_point(0.0, (0.5, 0.0, 0.0))
+        assert x.norm2 == 0.0 and x.radius == 1e-170
+        got = zonal_polyharmonic(KernelConfig(n=3, p=1), 1, x, y)
+        assert abs(got - 1.5e-170) <= 1e-15 * 1.5e-170
+        for coords in ((3e-160, 4e-160), (1e-155, 0.0, 2e-155), (5e-324,)):
+            assert make_rotated_point(0.7, coords).radius == math.hypot(*coords) > 0.0
 
     def test_caller_writes_after_the_build_change_nothing(self):
         a = np.array([0.3, 0.4, 0.0])

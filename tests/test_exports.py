@@ -90,7 +90,6 @@ UNBOUNDED_MEMOS = {
     "_sector_phases",
     "_calibrated_constant",
     "_sphere_rule",
-    "polyharmonic_dims",
 }
 
 

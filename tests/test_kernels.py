@@ -241,10 +241,10 @@ class TestBergmanDecomposed:
     def test_pair_invariants_computed_once(self, monkeypatch):
         # every kernel entry point reads its pair exactly once, through its
         # route's pair function: the closed forms read (s, q, w), the series
-        # (t, zeta), and the decomposition, which also reads q, the record;
-        # the three are counted wherever they are bound, pair_invariants'
-        # own calls of the two term functions included, so a closed form
-        # that computed t or zeta would show
+        # (t, zeta), and the decomposition, which also reads q, (t, zeta)
+        # and then closed_terms; the three are counted wherever they are
+        # bound, and any nested call shows at depth 1, so a closed form that
+        # computed t or zeta, or a route that read the record, would show
         calls = []
         depth = [0]
 
@@ -269,13 +269,13 @@ class TestBergmanDecomposed:
         trunc = Truncation(max_degree=12, tol=1.0, calibrated_C=1.0)
         routes = [(kernel, (cfg, x, y), ["closed_terms"]) for kernel in PAIR_KERNELS]
         routes += [(kernel, (cfg, x, y, trunc), ["zonal_terms"]) for kernel in SERIES_KERNELS[:3]]
-        routes.append((weighted_bergman_decomposed, (cfg, x, y, trunc), ["pair_invariants", "closed_terms", "zonal_terms"]))
+        routes.append((weighted_bergman_decomposed, (cfg, x, y, trunc), ["zonal_terms", "closed_terms"]))
         routes.append((zonal_polyharmonic, (cfg, 5, x, y), ["zonal_terms"]))
         for kernel, args, names in routes:
             calls.clear()
             kernel(*args)
             assert [name for _, name in calls] == names, kernel.__name__
-            assert [d for d, _ in calls] == [0] + [1] * (len(names) - 1), kernel.__name__
+            assert [d for d, _ in calls] == [0] * len(names), kernel.__name__
         got = bergman_decomposed(cfg, x, y)
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
@@ -914,8 +914,7 @@ def _table_tail_bound(cfg, kind, r, big_m):
     truncation_degree reads (_tail_terms); inf where rho >= 1."""
     window = zonal._window(big_m + 2)
     g = _weight_table(cfg.n, cfg.alpha, cfg.beta, kind, window)
-    dims = zonal.polyharmonic_dims(cfg.n, cfg.p, window - 1).tolist()
-    c1, c2 = g[big_m + 1] * dims[big_m + 1], g[big_m + 2] * dims[big_m + 2]
+    c1, c2 = (g[m] * zonal.polyharmonic_dim(cfg.n, cfg.p, m) for m in (big_m + 1, big_m + 2))
     with mpmath.workdps(40):
         rho = mpmath.mpf(c2) / c1 * r
         return mpmath.mpf(c1) * mpmath.mpf(r) ** (big_m + 1) / (1 - rho) if rho < 1 else mpmath.inf
@@ -930,7 +929,8 @@ def _numpy_window_truncation_degree(cfg, r, tol, kind):
     top = 64
     while True:
         g = np.array(_weight_table(cfg.n, cfg.alpha, cfg.beta, kind, top + 2))
-        a = g * zonal.polyharmonic_dims(cfg.n, cfg.p, top + 1) * r ** np.arange(top + 2, dtype=float)
+        dims = np.array([zonal.polyharmonic_dim(cfg.n, cfg.p, m) for m in range(top + 2)], dtype=float)
+        a = g * dims * r ** np.arange(top + 2, dtype=float)
         a1, a2 = a[1:-1], a[2:]
         done = (a2 < a1) & (a1 * a1 < tol * (a1 - a2))
         big_m = int(done.argmax())
@@ -964,7 +964,7 @@ class TestTruncationStart:
             for p in (1, 2, 4):
                 log_terms = kernels._tail_terms(n, p, alpha, beta, kind, 1024)
                 weights = _weight_table(n, alpha, beta, kind, 1024)
-                factors = map(operator.mul, weights, zonal.polyharmonic_dims(n, p, 1023))
+                factors = map(operator.mul, weights, (zonal.polyharmonic_dim(n, p, m) for m in range(1024)))
                 assert log_terms == tuple(math.log(c) for c in factors), (n, p)
                 assert all(a <= b for a, b in zip(log_terms, log_terms[1:])), (n, p)
                 assert min(log_terms[1:]) == log_terms[1] == kernels._tail_terms(n, p, alpha, beta, kind, 64)[1]
@@ -1117,6 +1117,34 @@ class TestScalarSeriesCall:
             sys.setprofile(None)
         assert values == warm and all(type(v) is complex for v in values)
         assert any(entry.endswith("zonal.py") for entry in seen)
+        assert not [entry for entry in seen if "numpy" in entry]
+
+    def test_a_cold_series_call_makes_no_numpy_call(self):
+        # with the series memos cleared, make_truncation builds its weight
+        # table, its tail table from the exact integer D_p(m) and the
+        # calibrated constant on Python numbers, and the series sum runs on
+        # them: the profile hook sees no numpy function, in Python or in C
+        cfg = KernelConfig(n=4, p=3, alpha=1.0, beta=0.5)
+        x = make_rotated_point(0.0, (0.5, 0.3, 0.1, -0.2))
+        y = make_rotated_point(cfg.sector_phase(2), (0.4, -0.3, 0.2, 0.1))
+        for memo in (kernels._weight_table, kernels._tail_terms, kernels._calibrated_constant):
+            memo.cache_clear()
+        seen = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                seen.append(frame.f_code.co_filename)
+            elif event == "c_call":
+                seen.append(f"{getattr(arg, '__module__', None)} {type(getattr(arg, '__self__', None)).__module__}")
+
+        sys.setprofile(profile)
+        try:
+            trunc = make_truncation(cfg, x.radius * y.radius, 1e-10, "weighted")
+            value = weighted_bergman_series(cfg, x, y, trunc)
+        finally:
+            sys.setprofile(None)
+        assert type(value) is complex and trunc.calibrated_C == calibrated_constant(cfg)
+        assert kernels._tail_terms.cache_info().currsize == 1
         assert not [entry for entry in seen if "numpy" in entry]
 
 

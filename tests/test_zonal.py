@@ -20,7 +20,7 @@ from polybergman import (
 from polybergman import quadrature, zonal
 from polybergman.zonal import (
     _zonal_rows,
-    polyharmonic_dims,
+    polyharmonic_dim,
     zonal_poly_sum,
     zonal_values,
 )
@@ -418,6 +418,18 @@ def _reference_poly_sum(g, p, t, zeta, n):
 
 
 class TestScalarAssembly:
+    @pytest.mark.parametrize(
+        "t, zeta",
+        [(0.3, 0.5 + 0.1j), (1, 0.0), (np.array([0.3, -0.2]), 0.5), (0.3, np.array([0.5, 0.1j]))],
+        ids=["scalar", "scalar-int", "array-t", "array-zeta"],
+    )
+    def test_an_empty_weight_list_raises_on_both_branches(self, t, zeta):
+        # the scalar branch returned 0j, and the array branch raised from
+        # zonal_values; both now raise the same error before either runs
+        for g in ([], (), np.array([])):
+            with pytest.raises(ValueError, match="at least one degree"):
+                zonal_poly_sum(g, 2, t, zeta, 3)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_scalar_branch_matches_array_path(self, n, p):
@@ -552,13 +564,13 @@ class TestZonalComplexEvaluation:
 
 
 class TestGrowthRatio:
-    """|Z^p_m(x, y)| <= D_p(m) (|x||y|)^m with D_p(m) = polyharmonic_dims."""
+    """|Z^p_m(x, y)| <= D_p(m) (|x||y|)^m with D_p(m) = polyharmonic_dim."""
 
     def test_harmonic_degree_one(self):
         # D_1(1) = sph_dim(3, 1) = 3, attained on the diagonal
         cfg = KernelConfig(n=3, p=1)
         x = make_rotated_point(0.0, (0.0, 0.75, 0.0))
-        assert polyharmonic_dims(3, 1, 1).tolist() == [1.0, 3.0]
+        assert [polyharmonic_dim(3, 1, m) for m in range(2)] == [1, 3]
         assert_allclose(zonal_polyharmonic(cfg, 1, x, x), 3.0 * 0.75**2, rtol=1e-15)
 
     @pytest.mark.parametrize("n,p", [(3, 1), (3, 2), (4, 2), (4, 3)])
@@ -567,7 +579,7 @@ class TestGrowthRatio:
         # stays at most 1 beyond the degrees 0..40 that the growth suite checks
         cfg = KernelConfig(n=n, p=p)
         rng = np.random.default_rng(10 * n + p)
-        dims = polyharmonic_dims(n, p, 60)
+        dims = [polyharmonic_dim(n, p, m) for m in range(61)]
         def point():
             radius = rng.uniform(0.5, 1.0)
             return make_rotated_point(cfg.sector_phase(int(rng.integers(0, p))), radius * unit(rng.normal(size=n)))
@@ -581,12 +593,10 @@ class TestGrowthRatio:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_one_recurrence_matches_per_degree_sums(self, n, p):
-        # one pass of shifted adds against the integer sums, degree by degree
-        dims = polyharmonic_dims(n, p, 200)
+        # the closed form against the integer sums, degree by degree
+        dims = [polyharmonic_dim(n, p, m) for m in range(201)]
         ref = [sum(sph_dim(n, m - 2 * k) for k in range(p) if 2 * k <= m) for m in range(201)]
-        assert dims.tolist() == ref
-        assert not dims.flags.writeable
-        assert polyharmonic_dims(n, p, 200) is dims
+        assert dims == ref
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_bound_attained_at_coincident_points(self, n):
@@ -594,7 +604,7 @@ class TestGrowthRatio:
         # recurrence adds a few ulp of rounding per degree
         for p in (1, 2, 3, 4):
             cfg = KernelConfig(n=n, p=p)
-            dims = polyharmonic_dims(n, p, 60)
+            dims = [polyharmonic_dim(n, p, m) for m in range(61)]
             for r in (0.5, 0.75, 1.0):
                 x = make_rotated_point(0.0, np.eye(n)[n - 1] * r)
                 for m in range(61):
@@ -603,6 +613,8 @@ class TestGrowthRatio:
                     assert abs(got - ref) <= 4 * (m + 1) * np.spacing(ref), (p, r, m)
 
     def test_preconditions(self):
-        for n, p, top in ((1, 1, 3), (3, 0, 3), (3, 1, -1)):
+        # checked as sph_dim is: bools and non-integral floats raise too
+        bad = ((1, 1, 3), (3, 0, 3), (3, 1, -1), (3, 1, 1.5), (2.5, 1, 3), (3, 1.0, 3), (True, 1, 2), (3, True, 2))
+        for n, p, m in bad:
             with pytest.raises(ValueError):
-                polyharmonic_dims(n, p, top)
+                polyharmonic_dim(n, p, m)
