@@ -42,7 +42,7 @@ from .core import (
     zonal_terms,
 )
 from .errors import ConvergenceDomain, NearSingular
-from .zonal import _scalar_poly_sum, _window, polyharmonic_dim
+from .zonal import _polyharmonic_dim, _scalar_poly_sum, _window, polyharmonic_dim
 
 
 @dataclass(frozen=True)
@@ -128,11 +128,13 @@ def _series_weights(n: int, alpha: float, beta: float, kind: str, top: int) -> t
 def _tail_terms(n: int, p: int, alpha: float, beta: float, kind: str, window: int) -> tuple[float, ...]:
     """log(g(m) D_p(m)) for m = 0..window-1 as Python floats: the logs of
     the tail bound's factors, without their factor r^m, each taken of the
-    rounded float product of g(m) and the exact integer D_p(m).  The factors
-    increase in m (truncation_degree), and so do their rounded products and
-    logs, since rounding is monotone."""
+    rounded float product of g(m) and the exact integer D_p(m), read from
+    zonal._polyharmonic_dim with no check per degree: n and p are a
+    KernelConfig's, checked when it was built.  The factors increase in m
+    (truncation_degree), and so do their rounded products and logs, since
+    rounding is monotone."""
     weights = _weight_table(n, alpha, beta, kind, window)
-    return tuple(map(math.log, map(mul, weights, map(polyharmonic_dim, repeat(n), repeat(p), range(window)))))
+    return tuple(map(math.log, map(mul, weights, map(_polyharmonic_dim, repeat(n), repeat(p), range(window)))))
 
 
 def truncation_degree(cfg: KernelConfig, r: float, tol: float, kind: str = "poisson") -> int:

@@ -68,11 +68,11 @@ class PolyharmonicPolynomial:
 
     Checked and frozen when it is built, and it stores its blocks' fields
     as read-only arrays in block order, which eval_complex and the
-    cubature factors (quadrature._stacked_factors) read: the radial
-    indices k and harmonic degrees d (ints, shape (B,)), the coefficients
-    coeff (complex, shape (B,)) and the poles (float, shape (B, n)), and
-    its degree, the largest block degree d + 2k (0 without blocks).  They
-    do not take part in equality, which compares the block tuples.
+    cubature (quadrature) read: the radial indices k, harmonic degrees d
+    and block degrees d + 2k (ints, shape (B,)), the coefficients coeff
+    (complex, shape (B,)) and the poles (float, shape (B, n)), and its
+    degree, the largest block degree (0 without blocks).  They do not take
+    part in equality, which compares the block tuples.
     """
 
     blocks: tuple
@@ -80,6 +80,7 @@ class PolyharmonicPolynomial:
     p: int
     k: np.ndarray = field(init=False, repr=False, compare=False)
     d: np.ndarray = field(init=False, repr=False, compare=False)
+    degrees: np.ndarray = field(init=False, repr=False, compare=False)
     coeff: np.ndarray = field(init=False, repr=False, compare=False)
     poles: np.ndarray = field(init=False, repr=False, compare=False)
     degree: int = field(init=False, repr=False, compare=False)
@@ -97,10 +98,11 @@ class PolyharmonicPolynomial:
                 raise ValueError("block pole dimension mismatch")
         object.__setattr__(self, "k", np.array([b.k for b in self.blocks], dtype=int))
         object.__setattr__(self, "d", np.array([b.d for b in self.blocks], dtype=int))
+        object.__setattr__(self, "degrees", self.d + 2 * self.k)
         object.__setattr__(self, "coeff", np.array([b.coeff for b in self.blocks], dtype=complex))
         object.__setattr__(self, "poles", np.array([b.pole for b in self.blocks], dtype=float).reshape(-1, self.n))
-        object.__setattr__(self, "degree", max((b.degree for b in self.blocks), default=0))
-        for array in (self.k, self.d, self.coeff, self.poles):
+        object.__setattr__(self, "degree", max(self.degrees.tolist(), default=0))
+        for array in (self.k, self.d, self.degrees, self.coeff, self.poles):
             array.flags.writeable = False
 
     __reduce__ = reduce_by_constructor

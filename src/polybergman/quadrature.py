@@ -29,19 +29,24 @@ one table per radial rule, p and window of 16 * 2^j degrees, memoised
 (_degree_table), and an op reads its entries by one fancy-index
 (_sector_radial).  So no value on the grid is formed: an op costs
 O(B B' N) for the zonal Gram of operands of B and B' blocks on N sphere
-nodes and O(B B') lookups besides.
+nodes and O(B B') lookups besides.  An inner product reads its entries
+first, and where all of them are 0 (no block degree D of one operand is
+congruent to a block degree D' of the other modulo 2p, so the sector sums
+vanish) its value is exactly 0: it returns 0j after the dimension checks,
+with no zonal work at all.
 The zonal factors are taken on the half H only: by Gegenbauer parity
 z_d(-t) = (-1)^d z_d(t), a product of zonal rows of degrees d and d' sums
 over [H; -H] to 2 sum_H w_H z_d z_d' when d + d' is even and to 0 when it
 is odd (_half_gram), and the mean-value integrand mirrors each block's row
-onto -H by (-1)^d and its kernel denominators by conjugation.  Each op
-pays for one real zonal recurrence over the N/2 nodes of H: the node
-cosines of both operands' poles, or of the polynomial's poles and x/|x|,
-are stacked into one (C, N/2) array and run to the largest degree any of
-them needs (_stacked_factors), so an op makes one round of numpy calls per
-degree whatever its number of blocks.  The cosines are of unit poles
-(ZonalBlock checks them) and unit nodes (SphereRule checks them once, when
-the rule is built), so they are clipped to [-1, 1] with no further check.
+onto -H by (-1)^d and its kernel denominators by conjugation.  Every
+other op pays for one real zonal recurrence over the N/2 nodes of H: the
+node cosines of both operands' poles, or of the polynomial's poles and
+x/|x|, are stacked into one (C, N/2) array and run to the largest degree
+any of them needs (_stacked_factors), so an op makes one round of numpy
+calls per degree whatever its number of blocks.  The cosines are of unit
+poles (ZonalBlock checks them) and unit nodes (SphereRule checks them
+once, when the rule is built), so they are clipped to [-1, 1] with no
+further check.
 The grid route, on all N nodes, is kept for callable operands and
 off-centre balls only; a polynomial there is evaluated by eval_complex,
 the one point evaluator.
@@ -449,18 +454,27 @@ def _inner_product(cfg, f, g, radial, sphere: SphereRule) -> complex:
     Gram matrix G of the two operands' rows (_half_gram), which come from
     one recurrence on their stacked poles at the half H of the rule.  That
     is O(B_f B_g N) work for N sphere nodes, against O(p R N (B_f + B_g))
-    for the values on the grid.  A callable operand takes the grid route:
-    p R calls of N points each, and a polynomial partner one eval_complex
-    call on the p R N points; the sum is one einsum, with no product array
-    formed.
+    for the values on the grid.  The entries T_p[D_b, D_b'] are read
+    first: where all of them are 0 the pair is sector-orthogonal and its
+    value is exactly 0, so 0j is returned with no recurrence and no Gram,
+    and no product of large coefficients can overflow into an inf times
+    0.  Sphere nodes of another dimension than cfg.n still take the full
+    route, to _stacked_factors' ValueError.  A callable operand takes the
+    grid route: p R calls of N points each, and a polynomial partner one
+    eval_complex call on the p R N points; the sum is one einsum, with no
+    product array formed.
     """
     polys = [h for h in (f, g) if isinstance(h, PolyharmonicPolynomial)]
     if any(h.n != cfg.n for h in polys):
         raise ValueError(f"dimension mismatch: n={cfg.n}, polynomials {[h.n for h in polys]}")
     if len(polys) == 2:
+        table = _sector_radial(cfg.p, radial, f.degrees, g.degrees)
+        # nodes of another dimension take the full route to its error
+        if not table.any() and sphere.half_nodes.shape[1] == cfg.n:
+            return 0j
         zon_f, zon_g = _stacked_factors(sphere.half_nodes, (f, g))
         gram = np.multiply.outer(f.coeff, g.coeff.conj()) * _half_gram(sphere, zon_f, zon_g)
-        return complex((gram * _sector_radial(cfg.p, radial, f.d + 2 * f.k, g.d + 2 * g.k)).sum()) / cfg.p
+        return complex((gram * table).sum()) / cfg.p
     fv = _ball_values(cfg, f, radial.nodes, sphere.nodes)
     gv = _ball_values(cfg, g, radial.nodes, sphere.nodes)
     return complex(np.einsum("kij,kij,i,j->", fv, np.conjugate(gv, out=gv), radial.weights, sphere.weights)) / cfg.p
@@ -527,7 +541,7 @@ def reproduce(
     zon, window = _stacked_factors(sph.half_nodes, (u,), (m_top, p, x))
     m = np.arange(m_top + 1)
     kernel = (x.radius * cmath.exp(1j * x.phase)) ** m * _series_weights(cfg.n, alpha, beta, "weighted", m_top)
-    h = u.coeff[:, None] * kernel * _sector_radial(p, rad, u.d + 2 * u.k, m)
+    h = u.coeff[:, None] * kernel * _sector_radial(p, rad, u.degrees, m)
     return complex((h * _half_gram(sph, zon, window)).sum()) / p
 
 
@@ -603,8 +617,7 @@ def mean_value_eval(cfg, u, a, r: float, x: RotatedPoint, rule) -> complex:
         recip = np.concatenate((recip, np.array((inv, inv[::-1].conj()))), axis=1)
     if polynomial and not a.any():
         zon = _stacked_factors(rule.half_nodes, (u,))[0]
-        deg = u.d + 2 * u.k
-        coef = u.coeff * np.exp(1j * (phases[:, None] * deg)) * r**deg
+        coef = u.coeff * np.exp(1j * (phases[:, None] * u.degrees)) * r**u.degrees
         uv = (np.concatenate((coef, coef * (-1.0) ** u.d)) @ zon).reshape(2, p, half)
     else:
         pts = (a + r * np.exp(1j * phases)[:, None, None] * rule.nodes).reshape(-1, cfg.n)

@@ -236,6 +236,12 @@ def polyharmonic_dim(n: int, p: int, m: int) -> int:
     """
     n = check_integer("dimension n", n, 2)
     p, m = check_integer("polyharmonic order p", p, 1), check_integer("degree m", m, 0)
+    return _polyharmonic_dim(n, p, m)
+
+
+def _polyharmonic_dim(n: int, p: int, m: int) -> int:
+    """polyharmonic_dim's closed form on Python ints it has not checked,
+    for a table of many degrees (kernels._tail_terms)."""
     return math.comb(m + n - 1, n - 1) - math.comb(max(m - 2 * p + n - 1, 0), n - 1)
 
 

@@ -66,11 +66,12 @@ def test_the_half_rule_and_polyspace_privates_stay_in_their_modules():
 
 
 def test_only_the_factor_producer_runs_a_recurrence_in_quadrature():
-    # every cubature op runs one zonal recurrence, in _stacked_factors, on
-    # cosines of checked unit vectors: zonal._zonal_rows, looked up on the
-    # module so that a monkeypatch of it counts the op's recurrences; any
-    # other reference to a recurrence entry point in quadrature would be a
-    # second one per op, or a second check of the cosines
+    # every cubature op but a sector-orthogonal inner product, which runs
+    # none, runs one zonal recurrence, in _stacked_factors, on cosines of
+    # checked unit vectors: zonal._zonal_rows, looked up on the module so
+    # that a monkeypatch of it counts the op's recurrences; any other
+    # reference to a recurrence entry point in quadrature would be a second
+    # one per op, or a second check of the cosines
     recurrences = {"zonal_values", "_zonal_rows", "_zonal_iter", "zonal_poly_sum"}
     tree = ast.parse(Path(polybergman.__file__).with_name("quadrature.py").read_text())
     calls = []

@@ -969,6 +969,18 @@ class TestTruncationStart:
                 assert all(a <= b for a, b in zip(log_terms, log_terms[1:])), (n, p)
                 assert min(log_terms[1:]) == log_terms[1] == kernels._tail_terms(n, p, alpha, beta, kind, 64)[1]
 
+    def test_a_table_checks_no_degree(self, monkeypatch):
+        # the table reads D_p(m) from polyharmonic_dim's unchecked closed
+        # form: the checks of n, p and m cost most of a large cold table
+        checked = []
+        check_integer = zonal.check_integer
+        monkeypatch.setattr(zonal, "check_integer", lambda *args: checked.append(args) or check_integer(*args))
+        kernels._tail_terms.cache_clear()
+        log_terms = kernels._tail_terms(7, 4, 0.0, 0.0, "bergman", 1024)
+        assert not checked
+        assert log_terms[1000] == math.log((7 + 2000.0) * zonal.polyharmonic_dim(7, 4, 1000))
+        assert checked
+
     @staticmethod
     def windows_asked(monkeypatch):
         asked = []

@@ -298,6 +298,7 @@ class TestStoredArrays:
         fields = {
             "k": [b.k for b in q.blocks],
             "d": [b.d for b in q.blocks],
+            "degrees": [b.degree for b in q.blocks],
             "coeff": [b.coeff for b in q.blocks],
             "poles": [b.pole.tolist() for b in q.blocks],
         }
@@ -305,7 +306,8 @@ class TestStoredArrays:
             array = getattr(q, name)
             assert not array.flags.writeable
             assert array.tolist() == want
-        assert q.k.dtype.kind == q.d.dtype.kind == "i"
+        assert q.k.dtype.kind == q.d.dtype.kind == q.degrees.dtype.kind == "i"
+        assert q.degree == max(q.degrees.tolist())
         assert q.coeff.dtype == complex and q.poles.dtype == float
         assert q.poles.shape == (5, n)
         with pytest.raises(ValueError):
@@ -313,7 +315,7 @@ class TestStoredArrays:
 
     def test_empty_polynomial_has_empty_arrays(self):
         q = PolyharmonicPolynomial(blocks=(), n=4, p=2)
-        assert q.k.shape == q.d.shape == q.coeff.shape == (0,)
+        assert q.k.shape == q.d.shape == q.degrees.shape == q.coeff.shape == (0,)
         assert q.poles.shape == (0, 4)
 
     def test_arrays_do_not_take_part_in_equality_or_repr(self):

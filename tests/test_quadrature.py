@@ -1,9 +1,13 @@
 import math
+import struct
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import roots_jacobi
@@ -27,7 +31,7 @@ from polybergman import (
 from polybergman import NearSingular, kernels, quadrature, zonal
 from polybergman.core import principal_pow
 from polybergman.kernels import _weight_table, weighted_coefficient
-from polybergman.polyspace import eval_at_phase, eval_complex, evaluate
+from polybergman.polyspace import PolyharmonicPolynomial, ZonalBlock, eval_at_phase, eval_complex, evaluate
 from polybergman.quadrature import RadialRule, SphereRule
 from polybergman.zonal import zonal_poly_sum
 
@@ -436,15 +440,23 @@ class TestInnerProducts:
         f = random_polyharmonic(cfg, 6, blocks=5, seed=1)
         g = random_polyharmonic(cfg, 6, blocks=4, seed=2)
         x = make_rotated_point(cfg.sector_phase(1), (0.2, 0.1, -0.3))
-        for op in (
-            lambda: inner_product_ball(cfg, 0.0, 0.0, f, g, ball),
-            lambda: inner_product_sphere(cfg, f, g, ball.sphere),
-            lambda: reproduce(cfg, 0.0, 0.0, f, x, 6, ball),
-            lambda: mean_value_eval(cfg, f, np.zeros(3), 0.6, make_rotated_point(0.0, (0.1, 0.2, 0.0)), ball.sphere),
+        # block degrees 1 and 2 never meet modulo 2p = 6, so that pair is
+        # sector-orthogonal and runs none; block degrees 1 and 7 meet
+        h = random_homogeneous(cfg, 1, 4, seed=1)
+        apart, meet = (random_homogeneous(cfg, degree, 4, seed=2) for degree in (2, 7))
+        for op, want in (
+            (lambda: inner_product_ball(cfg, 0.0, 0.0, f, g, ball), 1),
+            (lambda: inner_product_sphere(cfg, f, g, ball.sphere), 1),
+            (lambda: reproduce(cfg, 0.0, 0.0, f, x, 6, ball), 1),
+            (lambda: mean_value_eval(cfg, f, np.zeros(3), 0.6, make_rotated_point(0.0, (0.1, 0.2, 0.0)), ball.sphere), 1),
+            (lambda: inner_product_ball(cfg, 0.0, 0.0, h, apart, ball), 0),
+            (lambda: inner_product_sphere(cfg, h, apart, ball.sphere), 0),
+            (lambda: inner_product_ball(cfg, 0.0, 0.0, h, meet, ball), 1),
+            (lambda: inner_product_sphere(cfg, h, meet, ball.sphere), 1),
         ):
             calls.clear()
             op()
-            assert len(calls) == 1
+            assert len(calls) == want
         # the recurrence reaches the largest degree the op needs
         calls.clear()
         reproduce(cfg, 0.0, 0.0, f, x, 6, ball)
@@ -456,6 +468,91 @@ class TestInnerProducts:
         one = lambda ph, pts: np.ones(pts.shape[0], dtype=complex)  # noqa: E731
         with pytest.raises(ValueError):
             inner_product_ball(cfg, 0.0, 0.0, one, one, rule)
+
+
+def _full_contraction(cfg, f, g, radial, sphere):
+    """The polynomial inner product contracted in full, whatever its table:
+    one recurrence on the stacked poles, the Gram matrix times the
+    coefficients and the table entries T_p[D_b, D_b'], summed and divided
+    by p: the reference for _inner_product's early 0j, and its route for
+    every other pair."""
+    zon_f, zon_g = quadrature._stacked_factors(sphere.half_nodes, (f, g))
+    gram = np.multiply.outer(f.coeff, g.coeff.conj()) * quadrature._half_gram(sphere, zon_f, zon_g)
+    return complex((gram * quadrature._sector_radial(cfg.p, radial, f.d + 2 * f.k, g.d + 2 * g.k)).sum()) / cfg.p
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two seeded random polynomials of one configuration, n 2-4, p 1-3,
+    degree 0-8, each with mixed (random_polyharmonic) or homogeneous
+    (random_homogeneous) blocks, and a ball or sphere rule exact to the
+    product's degree 16."""
+    cfg = KernelConfig(n=draw(st.integers(2, 4)), p=draw(st.integers(1, 3)))
+    ops = []
+    for _ in range(2):
+        make = draw(st.sampled_from([random_polyharmonic, random_homogeneous]))
+        ops.append(make(cfg, draw(st.integers(0, 8)), draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))))
+    weights = draw(st.sampled_from([None, (0.0, 0.0), (1.0, 0.5)]))
+    return cfg, ops[0], ops[1], weights
+
+
+class TestSectorOrthogonalPairs:
+    """A pair whose table entries T_p[D_b, D_b'] are all 0, where no block
+    degree of f is congruent to one of g modulo 2p, has the exact inner
+    product 0: it returns 0j before any zonal work, and every pair keeps
+    the bits of the full contraction."""
+
+    @given(case=operand_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_bits_match_the_full_contraction(self, case):
+        cfg, f, g, weights = case
+        if weights is None:
+            sphere = build_sphere_rule(cfg.n, 16)
+            got = inner_product_sphere(cfg, f, g, sphere)
+            want = _full_contraction(cfg, f, g, quadrature._UnitRadial, sphere)
+        else:
+            ball = build_ball_rule(cfg.n, *weights, 16)
+            got = inner_product_ball(cfg, *weights, f, g, ball)
+            want = ball.normalization * _full_contraction(cfg, f, g, ball.radial, ball.sphere)
+        assert _bits(got) == _bits(want)
+        if not (np.subtract.outer(f.degrees, g.degrees) % (2 * cfg.p) == 0).any():
+            assert _bits(got) == _bits(0j)
+
+    @pytest.mark.parametrize("degree", [2, 5])
+    def test_a_zero_table_raises_as_the_full_route_does(self, degree):
+        # degree 2 is sector-orthogonal to f at p = 2, degree 5 is not; both
+        # raise the same error with the same message
+        cfg = KernelConfig(n=3, p=2)
+        f = random_homogeneous(cfg, 1, 4, seed=1)
+        g = random_homogeneous(cfg, degree, 4, seed=2)
+        message = "dimension mismatch: nodes of dimension 4, polynomials [3, 3]"
+        with pytest.raises(ValueError) as info:
+            inner_product_sphere(cfg, f, g, build_sphere_rule(4, 10))
+        assert str(info.value) == message
+        mixed = quadrature.BallRule(sphere=build_sphere_rule(4, 10), radial=build_radial_rule(3, 0.0, 0.0, 7))
+        with pytest.raises(ValueError) as info:
+            inner_product_ball(cfg, 0.0, 0.0, f, g, mixed)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            inner_product_ball(cfg, 0.0, 0.0, f, g, build_ball_rule(3, 1.0, 0.5, 10))
+        assert str(info.value) == "ball rule weight parameters do not match the request"
+
+    def test_large_coefficients_of_a_sector_orthogonal_pair_give_zero(self):
+        # the full contraction formed c conj(c') = inf and then inf * 0 = nan
+        # where the table is 0, with overflow and invalid-value warnings
+        cfg = KernelConfig(n=3, p=2)
+        ball = build_ball_rule(3, 0, 0, 20)
+        pole = np.eye(3)[0]
+        f = PolyharmonicPolynomial(blocks=(ZonalBlock(k=0, d=1, pole=pole, coeff=1e200),), n=3, p=2)
+        g = PolyharmonicPolynomial(blocks=(ZonalBlock(k=0, d=2, pole=pole, coeff=1e200),), n=3, p=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for got in (inner_product_ball(cfg, 0, 0, f, g, ball), inner_product_sphere(cfg, f, g, ball.sphere)):
+                assert _bits(got) == _bits(0j)
 
 
 class TestReproduce:
